@@ -1,6 +1,9 @@
 """Command-line pipeline: generate, solve, equilibrium, verify, invariants.
 
-Exit codes: 0 success, 1 usage, 2 schema violation, 3 invariant failure,
+Exit codes: 0 success, 1 usage (including an --eta or --gap-threshold that is
+not a finite number above zero, and --pure on a game that breaks convexity),
+2 schema violation (including a profile that does not fit its tree, and a
+report instance that does not match the game), 3 invariant failure,
 4 deviation gap above threshold, 5 internal model violation.
 """
 
@@ -8,20 +11,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
 
-from .core import ModelViolationError
+from .core import ConvexityError, EventTree, InstanceError, ModelViolationError, PayoffProcess, ProfileError
 from .equilibrium import construct, construct_pure
 from .toolkit import (
     FAMILIES,
     GeneratorSpec,
     SchemaError,
     generate,
+    instance_from_doc,
     instance_to_doc,
     load,
+    profile_from_doc,
     profile_to_doc,
+    read_doc,
     save,
     write_report_csv,
 )
@@ -43,6 +50,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive(text: str) -> float:
+    """Argument type for --eta and --gap-threshold: a finite number above zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number above zero, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dynkin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -59,13 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="emit both value processes as CSV")
     solve.add_argument("instance")
-    solve.add_argument("--eta", type=float, default=0.05)
+    solve.add_argument("--eta", type=_positive, default=0.05)
     solve.add_argument("--tol", type=float, default=None)
     solve.add_argument("--out", required=True)
 
     eq = sub.add_parser("equilibrium", help="construct and certify a profile")
     eq.add_argument("instance")
-    eq.add_argument("--eta", type=float, default=0.05)
+    eq.add_argument("--eta", type=_positive, default=0.05)
     eq.add_argument("--tol", type=float, default=None)
     eq.add_argument("--pure", action="store_true")
     eq.add_argument("--out", required=True)
@@ -73,13 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="certify a provided profile")
     ver.add_argument("instance")
     ver.add_argument("--profile", help="profile JSON; defaults to one embedded in the instance")
-    ver.add_argument("--eta", type=float, default=0.05)
+    ver.add_argument("--eta", type=_positive, default=0.05)
     ver.add_argument("--tol", type=float, default=None)
-    ver.add_argument("--gap-threshold", type=float, default=None)
+    ver.add_argument("--gap-threshold", type=_positive, default=None)
 
     inv = sub.add_parser("invariants", help="run the solver invariant suite")
     inv.add_argument("instance")
-    inv.add_argument("--eta", type=float, default=0.05)
+    inv.add_argument("--eta", type=_positive, default=0.05)
     inv.add_argument("--tol", type=float, default=None)
     return parser
 
@@ -137,7 +152,6 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
         },
         "profile": profile_to_doc(report.profile),
         "instance": instance_to_doc(report.tree, report.payoffs),
-        "node_map": report.node_map,
         "second_half": report.second_half,
     }
     Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -158,13 +172,31 @@ def _cert_doc(cert) -> dict:
     }
 
 
+def _report_instance(doc: object, tree: EventTree, payoffs: PayoffProcess) -> tuple[EventTree, PayoffProcess]:
+    """The (frame-split) instance a report's profile lives on.
+
+    Splitting keeps every original node with its payoffs, so each game node
+    must be present with the same X, Y and Z for both players.
+    """
+    rtree, rpay, _ = instance_from_doc(doc)
+    tables = ("x1", "y1", "z1", "x2", "y2", "z2")
+    for node in tree.nodes:
+        if node not in rtree.depth:
+            raise SchemaError(f"report instance: game node {node!r} is missing")
+        if any(getattr(rpay, t)[node] != getattr(payoffs, t)[node] for t in tables):
+            raise SchemaError(f"report instance: payoffs at node {node!r} differ from the game")
+    return rtree, rpay
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     tree, payoffs, profile = load(args.instance)
     if args.profile:
-        from .toolkit import profile_from_doc
-
-        doc = json.loads(Path(args.profile).read_text(encoding="utf-8"))
+        doc = read_doc(args.profile)
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{args.profile}: expected an object")
         profile = profile_from_doc(doc.get("profile", doc))
+        if "instance" in doc:
+            tree, payoffs = _report_instance(doc["instance"], tree, payoffs)
     if profile is None:
         print("error: no profile embedded in the instance and none provided", file=sys.stderr)
         return EXIT_USAGE
@@ -205,7 +237,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except SchemaError as exc:
+    except ConvexityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (SchemaError, ProfileError, InstanceError) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except ModelViolationError as exc:

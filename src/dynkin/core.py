@@ -257,9 +257,20 @@ def require_valid(tree: EventTree, payoffs: PayoffProcess) -> None:
         raise InstanceError("; ".join(issues))
 
 
+def require_eta(eta: float) -> None:
+    """The hitting slack must be a finite number above zero."""
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta!r}")
+
+
 def validate_profile(tree: EventTree, profile: BehavioralProfile) -> list[str]:
     issues: list[str] = []
     for player, side in ((1, profile.player1), (2, profile.player2)):
+        issues.extend(
+            f"node {node}: not in the tree, yet player {player} has a distribution there"
+            for node in side
+            if node not in tree.depth
+        )
         for node in tree.nodes:
             mix = side.get(node)
             if mix is None:
@@ -366,12 +377,10 @@ def mirror(tree: EventTree, payoffs: PayoffProcess) -> tuple[EventTree, PayoffPr
 class FrameSplitMap:
     """Id bookkeeping for a frame split.
 
-    Original ids survive unchanged (``node_map`` is the identity on them);
-    ``inserted`` maps each node that received a payoff-identical copy below
-    it to the new copy's id.
+    Original ids survive unchanged; ``inserted`` maps each node that received
+    a payoff-identical copy below it to the new copy's id.
     """
 
-    node_map: dict[str, str]
     inserted: dict[str, str]
 
 
@@ -433,15 +442,13 @@ def split_frame(
         xi1=xi1,
         xi2=xi2,
     )
-    node_map = {n: n for n in tree.nodes}
-    return new_tree, new_payoffs, FrameSplitMap(node_map=node_map, inserted=inserted)
+    return new_tree, new_payoffs, FrameSplitMap(inserted=inserted)
 
 
 def split_frames(
     tree: EventTree, payoffs: PayoffProcess, nodes: list[str]
 ) -> tuple[EventTree, PayoffProcess, FrameSplitMap]:
     """Split several frames in sequence, composing the id maps."""
-    node_map = {n: n for n in tree.nodes}
     inserted: dict[str, str] = {}
     seen: set[str] = set()
     for node in nodes:
@@ -450,16 +457,12 @@ def split_frames(
         seen.add(node)
         tree, payoffs, step = split_frame(tree, payoffs, node)
         inserted[node] = step.inserted[node]
-    return tree, payoffs, FrameSplitMap(node_map=node_map, inserted=inserted)
+    return tree, payoffs, FrameSplitMap(inserted=inserted)
 
 
-def extend_profile(
-    profile: BehavioralProfile, tree: EventTree, split: FrameSplitMap
-) -> BehavioralProfile:
+def extend_profile(profile: BehavioralProfile, tree: EventTree) -> BehavioralProfile:
     """Extend a pre-split profile to a split tree with wait/wait on new nodes."""
     out = BehavioralProfile.waiting(tree)
-    for node, mix in profile.player1.items():
-        out.player1[split.node_map.get(node, node)] = mix
-    for node, mix in profile.player2.items():
-        out.player2[split.node_map.get(node, node)] = mix
+    out.player1.update(profile.player1)
+    out.player2.update(profile.player2)
     return out

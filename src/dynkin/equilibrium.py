@@ -22,8 +22,8 @@ from .core import (
     PayoffPair,
     PayoffProcess,
     UNIFORM_MIX,
-    evaluate_profile,
     mirror,
+    require_eta,
     require_valid,
     split_frames,
 )
@@ -51,9 +51,9 @@ class CaseLabel:
 class EquilibriumReport:
     """Constructed profile with recomputed certification.
 
-    The profile lives on a frame-split transform of the input; ``node_map``
-    sends original ids to their surviving ids and ``second_half`` names the
-    inserted lower copy of each split node.
+    The profile lives on a frame-split transform of the input, where original
+    ids survive unchanged; ``second_half`` names the inserted lower copy of
+    each split node.
     """
 
     case_trace: list[CaseLabel]
@@ -64,7 +64,6 @@ class EquilibriumReport:
     tol: float
     tree: EventTree
     payoffs: PayoffProcess
-    node_map: dict[str, str]
     second_half: dict[str, str]
 
     @property
@@ -186,11 +185,9 @@ def _construct(
     pure: bool,
 ) -> EquilibriumReport:
     require_valid(tree, payoffs)
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    require_eta(eta)
     tol = payoffs.tolerance() if tol is None else tol
-    stree, spay, profile, trace, node_map, second = _construct_core(tree, payoffs, eta, tol, pure)
-    payoff = evaluate_profile(stree, spay, profile)
+    stree, spay, profile, trace, second = _construct_core(tree, payoffs, eta, tol, pure)
     certificates = deviation_gap(stree, spay, profile)
     if pure:
         for side in (profile.player1, profile.player2):
@@ -200,13 +197,12 @@ def _construct(
     return EquilibriumReport(
         case_trace=trace,
         profile=profile,
-        payoff=payoff,
+        payoff=PayoffPair(certificates[0].path_value, certificates[1].path_value),
         certificates=certificates,
         eta=eta,
         tol=tol,
         tree=stree,
         payoffs=spay,
-        node_map=node_map,
         second_half=second,
     )
 
@@ -217,20 +213,20 @@ def _construct_core(
     eta: float,
     tol: float,
     pure: bool,
-) -> tuple[EventTree, PayoffProcess, BehavioralProfile, list[CaseLabel], dict[str, str], dict[str, str]]:
+) -> tuple[EventTree, PayoffProcess, BehavioralProfile, list[CaseLabel], dict[str, str]]:
     v1 = solve_value_process(tree, payoffs, 1)
     v2 = solve_value_process(tree, payoffs, 2)
     root_case = classify(tree, payoffs, v1, v2, eta, tol)
 
     if root_case.label.startswith("M"):
         mtree, mpay = mirror(tree, payoffs)
-        stree, smpay, mprofile, mtrace, node_map, second = _construct_core(
+        stree, smpay, mprofile, mtrace, second = _construct_core(
             mtree, mpay, eta, tol, pure
         )
         _, spay = mirror(stree, smpay)
         profile = BehavioralProfile(player1=dict(mprofile.player2), player2=dict(mprofile.player1))
         trace = [CaseLabel("M" + c.label[1:], c.node) for c in mtrace]
-        return stree, spay, profile, trace, node_map, second
+        return stree, spay, profile, trace, second
 
     trace = [root_case]
     targets = [tree.root]
@@ -241,7 +237,7 @@ def _construct_core(
         targets.extend(q for q, _, _ in antichain if q != tree.root)
 
     stree, spay, split = split_frames(tree, payoffs, targets)
-    node_map, second = split.node_map, split.inserted
+    second = split.inserted
     sv1 = solve_value_process(stree, spay, 1)
     sv2 = solve_value_process(stree, spay, 2)
     profile = BehavioralProfile.waiting(stree)
@@ -252,7 +248,7 @@ def _construct_core(
         for n in stree.subtree(start):
             side[n] = source.min_mix[n]
 
-    root_a = node_map[tree.root]
+    root_a = tree.root
     root_b = second[tree.root]
     label = root_case.label
     if label == "A1":
@@ -269,7 +265,7 @@ def _construct_core(
         punish(2, root_b)
     elif label == "A6":
         for q, hit1, hit2 in antichain:
-            qa, qb = node_map[q], second[q]
+            qa, qb = q, second[q]
             if hit1 and not hit2:
                 sub = "A61"
                 # A masked stop leaves the opponent nothing to crash into; a
@@ -293,7 +289,7 @@ def _construct_core(
                 profile.player1[qa] = ATOM_MIX
                 profile.player2[qa] = ATOM_MIX
             trace.append(CaseLabel(sub, qa))
-        trace.extend(CaseLabel("A63", node_map[leaf]) for leaf in infinite)
+        trace.extend(CaseLabel("A63", leaf) for leaf in infinite)
     else:  # pragma: no cover - classify returns only the labels above
         raise ModelViolationError(f"unexpected root case {label}")
-    return stree, spay, profile, trace, node_map, second
+    return stree, spay, profile, trace, second

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -19,6 +20,7 @@ from typing import Optional, Union
 from .core import (
     BehavioralProfile,
     EventTree,
+    InstanceError,
     PayoffProcess,
     validate_instance,
 )
@@ -182,12 +184,22 @@ def profile_to_doc(profile: BehavioralProfile) -> dict:
     }
 
 
+def _is_number(value: object) -> bool:
+    # JSON true/false load as bool, which Python counts as an int; an int
+    # beyond the float range would overflow on conversion
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
 def profile_from_doc(doc: dict) -> BehavioralProfile:
+    if not isinstance(doc, dict):
+        raise SchemaError("profile: expected an object")
     for side in ("player1", "player2"):
         if side not in doc or not isinstance(doc[side], dict):
             raise SchemaError(f"profile.{side}: missing or not an object")
         for node, mix in doc[side].items():
-            if not isinstance(mix, list) or len(mix) != 3:
+            if not isinstance(mix, list) or len(mix) != 3 or not all(map(_is_number, mix)):
                 raise SchemaError(f"profile.{side}.{node}: expected [atom, uniform, wait]")
     return BehavioralProfile(
         player1={n: tuple(m) for n, m in doc["player1"].items()},
@@ -218,14 +230,14 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
             raise SchemaError(f"{where}.id: duplicate node id {node!r}")
         payload[node] = entry
         for name in _NODE_FIELDS:
-            if not isinstance(entry.get(name), (int, float)):
+            if not _is_number(entry.get(name)):
                 raise SchemaError(f"{where}.{name}: expected a number")
         if "parent" in entry:
             parent = entry["parent"]
             if not isinstance(parent, str):
                 raise SchemaError(f"{where}.parent: expected a string")
             prob = entry.get("prob")
-            if not isinstance(prob, (int, float)):
+            if not _is_number(prob):
                 raise SchemaError(f"{where}.prob: expected a number for node {node!r}")
             children.setdefault(parent, []).append((node, float(prob)))
         else:
@@ -235,13 +247,16 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
     for parent in children:
         if parent not in payload:
             raise SchemaError(f"nodes: parent {parent!r} is not a declared node")
-    tree = EventTree.build(roots[0], children)
+    try:
+        tree = EventTree.build(roots[0], children)
+    except InstanceError as exc:
+        raise SchemaError(f"nodes: {exc}") from exc
     horizon = doc.get("horizon")
-    if horizon != tree.horizon:
+    if not _is_number(horizon) or horizon != tree.horizon:
         raise SchemaError(f"horizon: declared {horizon!r}, computed {tree.horizon}")
     for node, entry in payload.items():
         declared = entry.get("depth")
-        if declared != tree.depth[node]:
+        if not _is_number(declared) or declared != tree.depth[node]:
             raise SchemaError(f"node {node}: depth {declared!r} inconsistent with structure")
     tables = {name: {} for name in _NODE_FIELDS}
     xi1: dict[str, float] = {}
@@ -251,7 +266,7 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
             tables[name][node] = float(entry[name])
         if tree.is_leaf(node):
             for name, table in (("xi1", xi1), ("xi2", xi2)):
-                if not isinstance(entry.get(name), (int, float)):
+                if not _is_number(entry.get(name)):
                     raise SchemaError(f"node {node}: leaf missing numeric {name}")
                 table[node] = float(entry[name])
     payoffs = PayoffProcess(
@@ -283,12 +298,16 @@ def save(
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def load(path: Union[str, Path]) -> tuple[EventTree, PayoffProcess, Optional[BehavioralProfile]]:
+def read_doc(path: Union[str, Path]) -> object:
+    """Parse one JSON file; malformed JSON is a schema error."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
-    return instance_from_doc(doc)
+
+
+def load(path: Union[str, Path]) -> tuple[EventTree, PayoffProcess, Optional[BehavioralProfile]]:
+    return instance_from_doc(read_doc(path))
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,8 @@ def check_invariants(
         ]
         add(f"value_opponent_cap_p{i}", opp_cap)
 
+    # Both orientations, built through the outcome kernel, must agree with
+    # each other and with the closed-form value the process used.
     minimax = []
     for i in (1, 2):
         xi = payoffs.xi1 if i == 1 else payoffs.xi2
@@ -427,7 +429,8 @@ def check_invariants(
             primal, dual = stage_matrices(payoffs, node, cont, i)
             pv, _, _ = solve_matrix_game(primal)
             dv, _, _ = solve_matrix_game(dual)
-            minimax.append((node, abs(pv - dv)))
+            v = values[i].value[node]
+            minimax.append((node, max(abs(pv - dv), abs(pv - v), abs(dv - v))))
     add("minimax_agreement", minimax)
 
     for i in (1, 2):

@@ -4,15 +4,31 @@ For each player i the auxiliary game uses only player i's payoffs: i maximizes
 while the opponent minimizes.  Values are found by backward induction over
 one-frame stage games; the protagonist mixes over (atom, uniform, wait) while
 the antagonist's pure within-frame stops reduce to (atom, early, late, wait).
-Both orientations of each stage game are solved and must agree.
+
+Saddle lemma.  Write X, Y, Z for the protagonist's stop-first, opponent-first
+and simultaneous payoffs at a node and c for the continuation value.  The
+protagonist's (atom, uniform, wait) rows against the antagonist's (atom, early,
+late, wait) give [[Z, X, X, X], [Y, Y, X, X], [Y, Y, Y, c]]; the protagonist's
+(atom, early, late, wait) rows against the antagonist's (atom, uniform, wait)
+give [[Z, X, X], [Y, X, X], [Y, Y, X], [Y, Y, c]].  In both orientations the
+row guarantees are min(Z, X), min(Y, X), min(Y, c) and the column exposures
+are max(Z, Y), max(X, Y), max(X, c), early and late repeating one.  So the
+lower value is max(min(X, max(Y, Z)), min(Y, c)), and it equals the upper
+value: every stage game has a pure saddle point.
+
+- If X <= Y, then min(X, max(Y, Z)) = X, so the lower value is max(X, min(Y, c));
+  as max(Z, Y) >= Y, the upper value is min(Y, max(X, c)).  Both are the
+  median of X, c and Y.
+- If X > Y, then min(Y, c) <= Y cannot exceed min(X, max(Y, Z)), which is the
+  lower value; as max(X, c) >= X, the upper value is min(max(Y, Z), X) too.
+
+Only max and min of the same floats are taken, so the equality is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     DEVIATOR_ACTIONS,
@@ -28,19 +44,14 @@ from .core import (
     UNIFORM_MIX,
     WAIT_MIX,
     outcome_kernel,
+    require_eta,
     require_valid,
 )
 
 Matrix = tuple[tuple[float, ...], ...]
 
-
-@dataclass(frozen=True)
-class SolverParams:
-    """User-facing knobs: hitting slack, numeric tolerance, audit seed."""
-
-    eta: float = 0.05
-    tol: float = 1e-9
-    seed: int = 0
+# Pure stage mixes, indexed like PLAYER_ACTIONS.
+_PURE_MIXES = (ATOM_MIX, UNIFORM_MIX, WAIT_MIX)
 
 
 @dataclass
@@ -94,13 +105,11 @@ def stage_matrices(
     return primal, dual
 
 
-def solve_matrix_game(matrix: Sequence[Sequence[float]]) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """Exact value and one optimal mix per side of a zero-sum matrix game.
+def solve_matrix_game(matrix: Matrix) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """Value and pure optimal mixes of a zero-sum matrix game with a saddle point.
 
-    The row player maximizes.  A pure saddle point, when present, is taken
-    with ties broken toward the lowest index; otherwise small supports are
-    enumerated in lexicographic order with exact rational arithmetic, so the
-    result is deterministic.
+    The row player maximizes; ties go to the lowest index.  A game without a
+    pure saddle point is a model violation: every stage game has one.
     """
     rows = [tuple(r) for r in matrix]
     m = len(rows)
@@ -109,99 +118,30 @@ def solve_matrix_game(matrix: Sequence[Sequence[float]]) -> tuple[float, tuple[f
     col_exposure = [max(rows[i][j] for i in range(m)) for j in range(n)]
     lower = max(row_guarantee)
     upper = min(col_exposure)
-    if lower == upper:
-        r = row_guarantee.index(lower)
-        c = col_exposure.index(upper)
-        row_mix = tuple(1.0 if i == r else 0.0 for i in range(m))
-        col_mix = tuple(1.0 if j == c else 0.0 for j in range(n))
-        return lower, row_mix, col_mix
-    return _solve_matrix_game_exact(rows)
+    if lower != upper:
+        raise ModelViolationError(f"matrix game has no pure saddle point: {lower!r} < {upper!r}")
+    r = row_guarantee.index(lower)
+    c = col_exposure.index(upper)
+    row_mix = tuple(1.0 if i == r else 0.0 for i in range(m))
+    col_mix = tuple(1.0 if j == c else 0.0 for j in range(n))
+    return lower, row_mix, col_mix
 
 
-def _solve_linear(system: list[list[Fraction]]) -> Optional[list[Fraction]]:
-    """Gaussian elimination on an augmented rational system; None if singular."""
-    k = len(system)
-    a = [row[:] for row in system]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(k):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][k] for r in range(k)]
+def stage_value(x: float, y: float, z: float, cont: float, tol: float) -> tuple[float, Mix, Mix]:
+    """Saddle value of one stage game, with the maximizer's and minimizer's mixes.
 
-
-def _equalizing_mix(
-    mat: list[list[Fraction]], support: tuple[int, ...], targets: tuple[int, ...], by_rows: bool
-) -> Optional[tuple[list[Fraction], Fraction]]:
-    """Weights on ``support`` making every ``targets`` line payoff-equal."""
-    k = len(support)
-    system: list[list[Fraction]] = []
-    for t in targets:
-        row = [mat[i][t] if by_rows else mat[t][i] for i in support]
-        system.append(row + [Fraction(-1), Fraction(0)])
-    system.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
-    sol = _solve_linear(system)
-    if sol is None:
-        return None
-    return sol[:k], sol[k]
-
-
-def _solve_matrix_game_exact(rows: list[tuple[float, ...]]) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    m = len(rows)
-    n = len(rows[0])
-    mat = [[Fraction(x) for x in row] for row in rows]
-    for k in range(1, min(m, n) + 1):
-        for support_r in combinations(range(m), k):
-            for support_c in combinations(range(n), k):
-                sigma = _equalizing_mix(mat, support_r, support_c, by_rows=True)
-                tau = _equalizing_mix(mat, support_c, support_r, by_rows=False)
-                if sigma is None or tau is None:
-                    continue
-                sw, sv = sigma
-                tw, tv = tau
-                if sv != tv:
-                    continue
-                if any(w < 0 for w in sw) or any(w < 0 for w in tw):
-                    continue
-                if any(
-                    sum(w * mat[i][j] for w, i in zip(sw, support_r)) < sv
-                    for j in range(n)
-                ):
-                    continue
-                if any(
-                    sum(w * mat[i][j] for w, j in zip(tw, support_c)) > sv
-                    for i in range(m)
-                ):
-                    continue
-                row_mix = [0.0] * m
-                for w, i in zip(sw, support_r):
-                    row_mix[i] = float(w)
-                col_mix = [0.0] * n
-                for w, j in zip(tw, support_c):
-                    col_mix[j] = float(w)
-                return float(sv), tuple(row_mix), tuple(col_mix)
-    raise ModelViolationError("matrix game has no optimal pair on any square support")
-
-
-def stage_value(primal: Matrix, dual: Matrix, tol: float) -> tuple[float, Mix, Mix]:
-    """Common value of both stage-game orientations, with one mix per side.
-
-    ``tol`` is the absolute disagreement allowed between the two orientations;
-    anything larger is a model violation, not a user error.
+    ``x``, ``y`` and ``z`` are the protagonist's stop-first, opponent-first and
+    simultaneous payoffs (for player 2: Y2, X2 and Z2) and ``cont`` is the
+    continuation value.  Ties go to the lowest action index, as in
+    ``solve_matrix_game``.  A lower and upper value more than ``tol`` apart
+    contradict the saddle lemma and raise a model violation.
     """
-    primal_value, max_mix, _ = solve_matrix_game(primal)
-    dual_value, _, min_mix = solve_matrix_game(dual)
-    if abs(primal_value - dual_value) > tol:
-        raise ModelViolationError(
-            f"stage game orientations disagree: {primal_value!r} vs {dual_value!r}"
-        )
-    return primal_value, tuple(max_mix), tuple(min_mix)  # type: ignore[return-value]
+    rows = (min(z, x), min(y, x), min(y, cont))
+    cols = (max(z, y), max(x, y), max(x, cont))
+    lo, hi = max(rows), min(cols)
+    if abs(lo - hi) > tol:
+        raise ModelViolationError(f"stage game has no saddle point: {lo!r} vs {hi!r}")
+    return lo, _PURE_MIXES[rows.index(lo)], _PURE_MIXES[cols.index(hi)]
 
 
 def solve_value_process(
@@ -210,7 +150,12 @@ def solve_value_process(
     """Backward induction of the auxiliary zero-sum value for one player."""
     require_valid(tree, payoffs)
     abs_tol = payoffs.tolerance() if tol is None else tol * max(1.0, payoffs.payoff_range)
-    xi = payoffs.xi1 if player == 1 else payoffs.xi2
+    if player == 1:
+        x, y, z, xi = payoffs.x1, payoffs.y1, payoffs.z1, payoffs.xi1
+    elif player == 2:
+        x, y, z, xi = payoffs.y2, payoffs.x2, payoffs.z2, payoffs.xi2
+    else:
+        raise ValueError(f"player must be 1 or 2, got {player}")
     value: dict[str, float] = {}
     max_mix: dict[str, Mix] = {}
     min_mix: dict[str, Mix] = {}
@@ -219,11 +164,7 @@ def solve_value_process(
             cont = xi[node]
         else:
             cont = sum(p * value[child] for child, p in tree.children[node])
-        primal, dual = stage_matrices(payoffs, node, cont, player)
-        v, mx, mn = stage_value(primal, dual, abs_tol)
-        value[node] = v
-        max_mix[node] = mx
-        min_mix[node] = mn
+        value[node], max_mix[node], min_mix[node] = stage_value(x[node], y[node], z[node], cont, abs_tol)
     return ValueProcess(player=player, value=value, max_mix=max_mix, min_mix=min_mix)
 
 
@@ -249,8 +190,7 @@ def hitting_time(
     tol: Optional[float] = None,
 ) -> HittingTime:
     """First node per path where the stop-first payoff reaches value - eta."""
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    require_eta(eta)
     tol = payoffs.tolerance() if tol is None else tol
     player = value.player
     antichain: list[str] = []

@@ -211,12 +211,12 @@ def test_criterion_7_frame_splitting_invariance():
         base_gaps = deviation_gap(tree, payoffs, profile)
         for _ in range(5):
             node = tree.nodes[rng.randrange(len(tree.nodes))]
-            stree, spay, mapping = split_frame(tree, payoffs, node)
+            stree, spay, _ = split_frame(tree, payoffs, node)
             for i in (1, 2):
                 after = solve_value_process(stree, spay, i)
                 for n in tree.nodes:
                     assert abs(after.value[n] - base[i].value[n]) < value_tol
-            extended = extend_profile(profile, stree, mapping)
+            extended = extend_profile(profile, stree)
             after_gaps = deviation_gap(stree, spay, extended)
             assert abs(after_gaps[0].gap - base_gaps[0].gap) < gap_tol
             assert abs(after_gaps[1].gap - base_gaps[1].gap) < gap_tol

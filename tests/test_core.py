@@ -234,6 +234,6 @@ def test_split_preserves_profile_evaluation_exactly():
         )
         before = evaluate_profile(tree, payoffs, profile)
         for node in tree.nodes:
-            stree, spay, mapping = split_frame(tree, payoffs, node)
-            extended = extend_profile(profile, stree, mapping)
+            stree, spay, _ = split_frame(tree, payoffs, node)
+            extended = extend_profile(profile, stree)
             assert evaluate_profile(stree, spay, extended) == before

@@ -1,6 +1,7 @@
 """Generators, the game file format, CSV reports, and the CLI."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -207,9 +208,92 @@ class TestCli:
         bad.write_text("{}")
         assert self._run("solve", str(bad), "--out", str(tmp_path / "x.csv")) == 2
 
+    @pytest.mark.parametrize("seed", [4, 62])
+    def test_verify_certifies_a_report_against_its_split_instance(self, tmp_path, capsys, seed):
+        inst = tmp_path / "game.json"
+        report_path = tmp_path / "report.json"
+        generate_args = ("--family", "random", "--depth", "7", "--branching", "3", "--seed", str(seed))
+        assert self._run("generate", *generate_args, "--out", str(inst)) == 0
+        assert self._run("equilibrium", str(inst), "--out", str(report_path)) == 0
+        report = json.loads(report_path.read_text())
+        capsys.readouterr()
+        assert self._run("verify", str(inst), "--profile", str(report_path)) == 0
+        gaps = re.search(r"gap1=(\S+) gap2=(\S+)", capsys.readouterr().out).groups()
+        assert tuple(map(float, gaps)) == (
+            report["gaps"]["player1"]["gap"],
+            report["gaps"]["player2"]["gap"],
+        )
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dynkin.cli", "--help"], capture_output=True, text=True
         )
         assert proc.returncode == 0
         assert "equilibrium" in proc.stdout
+
+
+# Rejected inputs: argv with {placeholders} for the files of ``bad_files``,
+# and the documented exit code.
+BAD_INPUTS = {
+    "equilibrium-eta-zero": (["equilibrium", "{game}", "--eta", "0", "--out", "{out}"], 1),
+    "equilibrium-eta-nan": (["equilibrium", "{game}", "--eta", "nan", "--out", "{out}"], 1),
+    "equilibrium-eta-inf": (["equilibrium", "{game}", "--eta", "inf", "--out", "{out}"], 1),
+    "solve-eta-negative": (["solve", "{game}", "--eta", "-0.1", "--out", "{out}"], 1),
+    "verify-eta-nan": (["verify", "{game}", "--profile", "{waiting_profile}", "--eta", "nan"], 1),
+    "verify-threshold-nan": (["verify", "{game}", "--profile", "{waiting_profile}", "--gap-threshold", "nan"], 1),
+    "verify-threshold-inf": (["verify", "{game}", "--profile", "{waiting_profile}", "--gap-threshold", "inf"], 1),
+    "verify-threshold-zero": (["verify", "{game}", "--profile", "{waiting_profile}", "--gap-threshold", "0"], 1),
+    "pure-non-convex": (["equilibrium", "{game}", "--pure", "--out", "{out}"], 1),
+    "bool-payoff": (["solve", "{bool_payoff}", "--out", "{out}"], 2),
+    "huge-int-payoff": (["solve", "{huge_payoff}", "--out", "{out}"], 2),
+    "parent-cycle": (["solve", "{cycle}", "--out", "{out}"], 2),
+    "profile-unknown-node": (["verify", "{game}", "--profile", "{stray_profile}"], 2),
+    "profile-not-json": (["verify", "{game}", "--profile", "{not_json}"], 2),
+    "report-for-another-game": (["verify", "{game}", "--profile", "{other_report}"], 2),
+}
+
+
+@pytest.fixture
+def bad_files(tmp_path):
+    tree, payoffs = generate(GeneratorSpec(depth=2, branching=2, seed=3))
+    doc = instance_to_doc(tree, payoffs)
+    bool_payoff = json.loads(json.dumps(doc))
+    bool_payoff["nodes"][0]["X1"] = True
+    huge_payoff = json.loads(json.dumps(doc))
+    huge_payoff["nodes"][0]["Y2"] = 10**400
+    cycle = json.loads(json.dumps(doc))
+    cycle["nodes"] += [
+        {**doc["nodes"][-1], "id": "c1", "parent": "c2"},
+        {**doc["nodes"][-1], "id": "c2", "parent": "c1"},
+    ]
+    waiting = {n: [0.0, 0.0, 1.0] for n in tree.nodes}
+    waiting_profile = {"player1": waiting, "player2": waiting}
+    stray = {"player1": {**waiting, "ghost": [0.0, 0.0, 1.0]}, "player2": waiting}
+    other = instance_to_doc(*generate(GeneratorSpec(depth=2, branching=2, seed=5)))
+    texts = {
+        "game": json.dumps(doc),
+        "bool_payoff": json.dumps(bool_payoff),
+        "huge_payoff": json.dumps(huge_payoff),
+        "cycle": json.dumps(cycle),
+        "waiting_profile": json.dumps({"profile": waiting_profile}),
+        "stray_profile": json.dumps({"profile": stray}),
+        "not_json": "not json {",
+        "other_report": json.dumps({"profile": waiting_profile, "instance": other}),
+    }
+    paths = {"out": str(tmp_path / "out")}
+    for name, text in texts.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
+    return paths
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_with_its_code_and_no_traceback(bad_files, case):
+    argv, code = BAD_INPUTS[case]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynkin.cli", *(a.format(**bad_files) for a in argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr

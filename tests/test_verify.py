@@ -175,8 +175,8 @@ class TestGapSplitInvariance:
             )
             before = deviation_gap(tree, payoffs, profile)
             for node in (tree.root, tree.leaves[0]):
-                stree, spay, mapping = split_frame(tree, payoffs, node)
-                extended = extend_profile(profile, stree, mapping)
+                stree, spay, _ = split_frame(tree, payoffs, node)
+                extended = extend_profile(profile, stree)
                 after = deviation_gap(stree, spay, extended)
                 tol = payoffs.tolerance()
                 assert abs(before[0].gap - after[0].gap) <= tol
@@ -185,8 +185,8 @@ class TestGapSplitInvariance:
     def test_constructed_gaps_stable_under_splitting(self):
         for tree, payoffs in corpus(6, seed0=980, depth_hi=4):
             report = construct(tree, payoffs, eta=0.1)
-            stree, spay, mapping = split_frame(report.tree, report.payoffs, report.tree.root)
-            extended = extend_profile(report.profile, stree, mapping)
+            stree, spay, _ = split_frame(report.tree, report.payoffs, report.tree.root)
+            extended = extend_profile(report.profile, stree)
             after = deviation_gap(stree, spay, extended)
             tol = 1e-6 * max(1.0, payoffs.payoff_range)
             assert abs(report.gap1 - after[0].gap) <= tol

@@ -1,10 +1,13 @@
 """Value processes, stage games, hitting times, and guarantee strategies."""
 
+import itertools
+
 import pytest
 
 from dynkin import (
     ConvexityError,
     EventTree,
+    ModelViolationError,
     PayoffProcess,
     best_response,
     brute_force_value,
@@ -69,21 +72,15 @@ class TestStageMatrices:
 
 class TestStageValue:
     def test_waiting_carries_the_terminal_value(self):
-        payoffs = _payoffs_for_stage(x=0.0, y=2.0, z=2.0)
-        primal, dual = stage_matrices(payoffs, "n0", continuation=1.0, player=1)
-        value, max_mix, _ = stage_value(primal, dual, tol=1e-9)
+        value, max_mix, _ = stage_value(x=0.0, y=2.0, z=2.0, cont=1.0, tol=1e-9)
         assert value == 1.0
         assert max_mix == WAIT_MIX
 
     def test_constant_game(self):
-        payoffs = _payoffs_for_stage(x=0.5, y=0.5, z=0.5)
-        primal, dual = stage_matrices(payoffs, "n0", continuation=0.5, player=1)
-        assert stage_value(primal, dual, tol=1e-9)[0] == 0.5
+        assert stage_value(0.5, 0.5, 0.5, 0.5, tol=1e-9)[0] == 0.5
 
     def test_delay_beats_bad_simultaneity(self):
-        payoffs = _payoffs_for_stage(x=1.0, y=1.0, z=0.0)
-        primal, dual = stage_matrices(payoffs, "n0", continuation=0.0, player=1)
-        value, max_mix, _ = stage_value(primal, dual, tol=1e-9)
+        value, max_mix, _ = stage_value(x=1.0, y=1.0, z=0.0, cont=0.0, tol=1e-9)
         assert value == 1.0
         assert max_mix == UNIFORM_MIX
 
@@ -92,30 +89,36 @@ class TestStageValue:
 
         rng = random.Random(12345)
         for _ in range(500):
-            payoffs = _payoffs_for_stage(
-                rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)
-            )
-            primal, dual = stage_matrices(payoffs, "n0", rng.uniform(-2, 2), player=1)
-            stage_value(primal, dual, tol=1e-12)  # raises on disagreement
+            x, y, z, c = (rng.uniform(-2, 2) for _ in range(4))
+            stage_value(x, y, z, c, tol=1e-12)  # raises on disagreement
+
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_closed_form_matches_both_orientations_on_tie_grid(self, player):
+        # every (X, Y, Z, c) on a half-integer grid, ties included; the
+        # matrices come through the outcome kernel, independent of the formula
+        grid = [k / 2 for k in range(-4, 5)]
+        for x, y, z, c in itertools.product(grid, repeat=4):
+            if player == 1:
+                _, payoffs = single_node_payoffs(x, y, z, 0.0, 0.0, 0.0, 0.0, 0.0)
+            else:  # player 2 stops first for Y2 and is preempted for X2
+                _, payoffs = single_node_payoffs(0.0, 0.0, 0.0, 0.0, y, x, z, 0.0)
+            primal, dual = stage_matrices(payoffs, "n0", c, player)
+            pv, argmax_row, _ = solve_matrix_game(primal)
+            dv, _, argmin_col = solve_matrix_game(dual)
+            value, max_mix, min_mix = stage_value(x, y, z, c, tol=0.0)
+            assert value == pv and value == dv
+            assert max_mix == argmax_row and min_mix == argmin_col
 
 
 class TestMatrixGame:
-    def test_matching_pennies_mixes(self):
-        value, rows, cols = solve_matrix_game([[1.0, -1.0], [-1.0, 1.0]])
-        assert value == 0.0
-        assert rows == (0.5, 0.5) and cols == (0.5, 0.5)
+    def test_matching_pennies_has_no_saddle_point(self):
+        with pytest.raises(ModelViolationError, match="saddle"):
+            solve_matrix_game([[1.0, -1.0], [-1.0, 1.0]])
 
     def test_saddle_point(self):
         value, rows, cols = solve_matrix_game([[3.0, 1.0], [0.0, -1.0]])
         assert value == 1.0
         assert rows == (1.0, 0.0) and cols == (0.0, 1.0)
-
-    def test_asymmetric_mixed_game(self):
-        # rows (0,2),(3,1): classic crossing game, value 3/2
-        value, rows, cols = solve_matrix_game([[0.0, 2.0], [3.0, 1.0]])
-        assert value == pytest.approx(1.5, abs=0)
-        assert rows == (0.5, 0.5)
-        assert cols == (0.25, 0.75)
 
 
 class TestValueProcess:
@@ -202,8 +205,9 @@ class TestHittingTime:
         tree = uniform_tree(1)
         payoffs = constant_payoffs(tree, 0, 0, 0, 0)
         process = solve_value_process(tree, payoffs, 1)
-        with pytest.raises(ValueError):
-            hitting_time(tree, payoffs, process, eta=0.0)
+        for eta in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                hitting_time(tree, payoffs, process, eta=eta)
 
     def test_larger_eta_hits_weakly_earlier(self):
         for tree, payoffs in corpus(25, seed0=70, depth_hi=5):
