@@ -1,7 +1,8 @@
 """Command-line pipeline: generate, solve, equilibrium, verify, invariants.
 
 Exit codes: 0 success, 1 usage (including an --eta or --gap-threshold that is
-not a finite number above zero, and --pure on a game that breaks convexity),
+not a finite number above zero, a --tol that is not a finite number at or
+above zero, and --pure on a game that breaks convexity),
 2 schema violation (including a profile that does not fit its tree, and a
 report instance that does not match the game), 3 invariant failure,
 4 deviation gap above threshold, 5 internal model violation.
@@ -58,6 +59,14 @@ def _positive(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """Argument type for --tol: a finite number at or above zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number at or above zero, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dynkin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -75,13 +84,13 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="emit both value processes as CSV")
     solve.add_argument("instance")
     solve.add_argument("--eta", type=_positive, default=0.05)
-    solve.add_argument("--tol", type=float, default=None)
+    solve.add_argument("--tol", type=_tolerance, default=None)
     solve.add_argument("--out", required=True)
 
     eq = sub.add_parser("equilibrium", help="construct and certify a profile")
     eq.add_argument("instance")
     eq.add_argument("--eta", type=_positive, default=0.05)
-    eq.add_argument("--tol", type=float, default=None)
+    eq.add_argument("--tol", type=_tolerance, default=None)
     eq.add_argument("--pure", action="store_true")
     eq.add_argument("--out", required=True)
 
@@ -89,13 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("instance")
     ver.add_argument("--profile", help="profile JSON; defaults to one embedded in the instance")
     ver.add_argument("--eta", type=_positive, default=0.05)
-    ver.add_argument("--tol", type=float, default=None)
     ver.add_argument("--gap-threshold", type=_positive, default=None)
 
     inv = sub.add_parser("invariants", help="run the solver invariant suite")
     inv.add_argument("instance")
     inv.add_argument("--eta", type=_positive, default=0.05)
-    inv.add_argument("--tol", type=float, default=None)
+    inv.add_argument("--tol", type=_tolerance, default=None)
     return parser
 
 

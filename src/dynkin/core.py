@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional
+from typing import Container, Iterator, NamedTuple, Optional
 
 PROB_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-9
@@ -109,15 +109,12 @@ class EventTree:
         """Derive depths and breadth-first order from a child map."""
         depth = {root: 0}
         order = [root]
-        queue = [root]
-        while queue:
-            node = queue.pop(0)
+        for node in order:  # grows as it goes: breadth-first
             for child, _ in children.get(node, ()):
                 if child in depth:
                     raise InstanceError(f"node {child!r} has more than one parent")
                 depth[child] = depth[node] + 1
                 order.append(child)
-                queue.append(child)
         known = set(order)
         for node in children:
             if node not in known:
@@ -136,16 +133,17 @@ class EventTree:
     def horizon(self) -> int:
         return max(self.depth[n] for n in self._leaves)
 
+    def walk(self, start: str, stop: Container[str] = ()) -> Iterator[str]:
+        """Breadth-first nodes from ``start``, not descending below ``stop`` nodes."""
+        order = [start]
+        for node in order:  # grows as it goes: breadth-first
+            yield node
+            if node not in stop:
+                order.extend(child for child, _ in self.children.get(node, ()))
+
     def subtree(self, node: str) -> list[str]:
         """Nodes of the subtree rooted at ``node``, breadth-first."""
-        out = [node]
-        queue = [node]
-        while queue:
-            cur = queue.pop(0)
-            for child, _ in self.children.get(cur, ()):
-                out.append(child)
-                queue.append(child)
-        return out
+        return list(self.walk(node))
 
     def paths(self) -> Iterator[list[str]]:
         """Root-to-leaf node lists, in leaf order."""
@@ -378,7 +376,9 @@ class FrameSplitMap:
     """Id bookkeeping for a frame split.
 
     Original ids survive unchanged; ``inserted`` maps each node that received
-    a payoff-identical copy below it to the new copy's id.
+    a payoff-identical copy directly below it to the new copy's id: every
+    split target, every padded leaf, and every padding frame with another
+    one below it.
     """
 
     inserted: dict[str, str]
@@ -397,67 +397,66 @@ def _fresh_id(base: str, taken: set[str]) -> str:
 def split_frame(
     tree: EventTree, payoffs: PayoffProcess, node: str
 ) -> tuple[EventTree, PayoffProcess, FrameSplitMap]:
-    """Replace one node's frame by two consecutive frames with identical payoffs.
-
-    A single-child copy is inserted between ``node`` and its children (for a
-    leaf, the copy becomes the leaf and carries the terminal payoffs).  Every
-    path not through ``node`` is padded with one identity frame at its leaf so
-    the horizon stays uniform.
-    """
-    if node not in tree.depth:
-        raise KeyError(f"unknown node {node!r}")
-    taken = set(tree.nodes)
-    children = {n: list(tree.children.get(n, [])) for n in tree.nodes}
-    inserted: dict[str, str] = {}
-
-    below = set(tree.subtree(node))
-    targets = [node] + [leaf for leaf in tree.leaves if leaf not in below]
-    for src in targets:
-        copy_id = _fresh_id(f"{src}b", taken)
-        inserted[src] = copy_id
-        children[copy_id] = children[src]
-        children[src] = [(copy_id, 1.0)]
-
-    new_tree = EventTree.build(tree.root, children)
-
-    def extend(table: dict[str, float]) -> dict[str, float]:
-        out = dict(table)
-        for src, copy_id in inserted.items():
-            out[copy_id] = table[src]
-        return out
-
-    xi1 = dict(payoffs.xi1)
-    xi2 = dict(payoffs.xi2)
-    for src, copy_id in inserted.items():
-        if src in xi1:  # the copy is the new leaf; terminal payoffs move down
-            xi1[copy_id] = xi1.pop(src)
-            xi2[copy_id] = xi2.pop(src)
-    new_payoffs = PayoffProcess(
-        x1=extend(payoffs.x1),
-        y1=extend(payoffs.y1),
-        z1=extend(payoffs.z1),
-        x2=extend(payoffs.x2),
-        y2=extend(payoffs.y2),
-        z2=extend(payoffs.z2),
-        xi1=xi1,
-        xi2=xi2,
-    )
-    return new_tree, new_payoffs, FrameSplitMap(inserted=inserted)
+    """Replace one node's frame by two consecutive frames with identical payoffs."""
+    return split_frames(tree, payoffs, [node])
 
 
 def split_frames(
     tree: EventTree, payoffs: PayoffProcess, nodes: list[str]
 ) -> tuple[EventTree, PayoffProcess, FrameSplitMap]:
-    """Split several frames in sequence, composing the id maps."""
+    """Split the frames of several nodes in one pass.
+
+    A single-child copy with identical payoffs is inserted between each
+    target and its children (for a leaf, the copy becomes the leaf and
+    carries the terminal payoffs).  To keep the horizon uniform, each leaf
+    whose root path holds fewer targets than the most any path holds is
+    padded with that many identity frames, so the horizon grows by that
+    most.  Repeated targets split once.
+    """
+    targets = list(dict.fromkeys(nodes))
+    for node in targets:
+        if node not in tree.depth:
+            raise KeyError(f"unknown node {node!r}")
+    marked = set(targets)
+    on_path: dict[str, int] = {}
+    for node in tree.nodes:
+        up = tree.parent[node]
+        on_path[node] = (0 if up is None else on_path[up]) + (node in marked)
+    most = max(on_path[leaf] for leaf in tree.leaves)
+
+    taken = set(tree.nodes)
+    children = {n: list(tree.children.get(n, [])) for n in tree.nodes}
+    source = {n: n for n in tree.nodes}
     inserted: dict[str, str] = {}
-    seen: set[str] = set()
-    for node in nodes:
-        if node in seen:
-            continue
-        seen.add(node)
-        tree, payoffs, step = split_frame(tree, payoffs, node)
-        inserted[node] = step.inserted[node]
-    return tree, payoffs, FrameSplitMap(inserted=inserted)
+
+    def insert_below(src: str) -> str:
+        copy_id = _fresh_id(f"{src}b", taken)
+        inserted[src] = copy_id
+        source[copy_id] = source[src]
+        children[copy_id] = children[src]
+        children[src] = [(copy_id, 1.0)]
+        return copy_id
+
+    for node in targets:
+        insert_below(node)
+    xi1 = dict(payoffs.xi1)
+    xi2 = dict(payoffs.xi2)
+    for leaf in tree.leaves:
+        bottom = inserted.get(leaf, leaf)
+        for _ in range(most - on_path[leaf]):
+            bottom = insert_below(bottom)
+        if bottom != leaf:  # the terminal payoffs move down to the new leaf
+            xi1[bottom] = xi1.pop(leaf)
+            xi2[bottom] = xi2.pop(leaf)
+
+    new_tree = EventTree.build(tree.root, children)
+
+    def extend(table: dict[str, float]) -> dict[str, float]:
+        return {n: table[source[n]] for n in new_tree.nodes}
+
+    stage = {t: extend(getattr(payoffs, t)) for t in ("x1", "y1", "z1", "x2", "y2", "z2")}
+    new_payoffs = PayoffProcess(**stage, xi1=xi1, xi2=xi2)
+    return new_tree, new_payoffs, FrameSplitMap(inserted=inserted)
 
 
 def extend_profile(profile: BehavioralProfile, tree: EventTree) -> BehavioralProfile:

@@ -11,13 +11,14 @@ stop; frames are split so that "one frame after" is a real node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import (
     ATOM_MIX,
     BehavioralProfile,
     EventTree,
+    Mix,
     ModelViolationError,
     PayoffPair,
     PayoffProcess,
@@ -31,8 +32,9 @@ from .verify import GapCertificate, deviation_gap
 from .zerosum import (
     ValueProcess,
     check_convexity,
+    hitting_time,
+    punishment_strategy,
     solve_value_process,
-    stop_first_payoff,
 )
 
 ROOT_CASES = ("A1", "A2", "A3", "A4", "A6", "M1", "M2", "M3", "M4")
@@ -127,35 +129,6 @@ def classify(
     return CaseLabel("A6", r)
 
 
-def _combined_antichain(
-    tree: EventTree,
-    payoffs: PayoffProcess,
-    v1: ValueProcess,
-    v2: ValueProcess,
-    eta: float,
-    tol: float,
-) -> tuple[list[tuple[str, bool, bool]], list[str]]:
-    """First node per path where either player's hitting condition holds.
-
-    Returns (node, player-1 hit, player-2 hit) triples and the leaves of
-    paths on which neither condition ever holds.
-    """
-    antichain: list[tuple[str, bool, bool]] = []
-    infinite: list[str] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop(0)
-        hit1 = _weak_ge(stop_first_payoff(payoffs, 1, node), v1.value[node] - eta, tol)
-        hit2 = _weak_ge(stop_first_payoff(payoffs, 2, node), v2.value[node] - eta, tol)
-        if hit1 or hit2:
-            antichain.append((node, hit1, hit2))
-        elif tree.is_leaf(node):
-            infinite.append(node)
-        else:
-            stack.extend(child for child, _ in tree.children[node])
-    return antichain, infinite
-
-
 def construct(
     tree: EventTree, payoffs: PayoffProcess, eta: float, tol: Optional[float] = None
 ) -> EquilibriumReport:
@@ -187,7 +160,9 @@ def _construct(
     require_valid(tree, payoffs)
     require_eta(eta)
     tol = payoffs.tolerance() if tol is None else tol
-    stree, spay, profile, trace, second = _construct_core(tree, payoffs, eta, tol, pure)
+    v1 = solve_value_process(tree, payoffs, 1)
+    v2 = solve_value_process(tree, payoffs, 2)
+    stree, spay, profile, trace, second = _construct_core(tree, payoffs, v1, v2, eta, tol, pure)
     certificates = deviation_gap(stree, spay, profile)
     if pure:
         for side in (profile.player1, profile.player2):
@@ -207,21 +182,45 @@ def _construct(
     )
 
 
+def _stops(label: str, pure: bool) -> tuple[Optional[Mix], Optional[Mix]]:
+    """Each player's stage mix at the node of a case; None keeps waiting.
+
+    A masked stop (a uniform one-frame delay) leaves the opponent nothing to
+    crash into; a bare atom in its place is safe only under the convexity
+    condition.
+    """
+    masked = ATOM_MIX if pure else UNIFORM_MIX
+    return {
+        "A6": (None, None),
+        "A1": (ATOM_MIX, None),
+        "A2": (ATOM_MIX, ATOM_MIX),
+        "A3": (None, ATOM_MIX),
+        "A4": (masked, None),
+        "A61": (masked, None),
+        "A62": (None, masked),
+        "A64": (None, ATOM_MIX),
+        "A65": (ATOM_MIX, None),
+        "A66": (ATOM_MIX, ATOM_MIX),
+    }[label]
+
+
 def _construct_core(
     tree: EventTree,
     payoffs: PayoffProcess,
+    v1: ValueProcess,
+    v2: ValueProcess,
     eta: float,
     tol: float,
     pure: bool,
 ) -> tuple[EventTree, PayoffProcess, BehavioralProfile, list[CaseLabel], dict[str, str]]:
-    v1 = solve_value_process(tree, payoffs, 1)
-    v2 = solve_value_process(tree, payoffs, 2)
     root_case = classify(tree, payoffs, v1, v2, eta, tol)
 
     if root_case.label.startswith("M"):
+        # The mirrored game's player-1 process is the input's player-2
+        # process (same tables, same tolerance), and vice versa.
         mtree, mpay = mirror(tree, payoffs)
         stree, smpay, mprofile, mtrace, second = _construct_core(
-            mtree, mpay, eta, tol, pure
+            mtree, mpay, replace(v2, player=1), replace(v1, player=2), eta, tol, pure
         )
         _, spay = mirror(stree, smpay)
         profile = BehavioralProfile(player1=dict(mprofile.player2), player2=dict(mprofile.player1))
@@ -229,67 +228,43 @@ def _construct_core(
         return stree, spay, profile, trace, second
 
     trace = [root_case]
-    targets = [tree.root]
-    antichain: list[tuple[str, bool, bool]] = []
     infinite: list[str] = []
     if root_case.label == "A6":
-        antichain, infinite = _combined_antichain(tree, payoffs, v1, v2, eta, tol)
-        targets.extend(q for q, _, _ in antichain if q != tree.root)
-
+        # The first node per path where either player's hitting condition
+        # holds is the first node per path in either hitting antichain.
+        hits1 = hitting_time(tree, payoffs, v1, eta, tol).hits()
+        hits2 = hitting_time(tree, payoffs, v2, eta, tol).hits()
+        for q in tree.walk(tree.root, hits1 | hits2):
+            hit1, hit2 = q in hits1, q in hits2
+            if hit1 and hit2:
+                if _strict_gt(payoffs.y1[q], payoffs.z1[q], tol):
+                    trace.append(CaseLabel("A64", q))
+                elif _strict_gt(payoffs.x2[q], payoffs.z2[q], tol):
+                    trace.append(CaseLabel("A65", q))
+                else:
+                    trace.append(CaseLabel("A66", q))
+            elif hit1 or hit2:
+                trace.append(CaseLabel("A61" if hit1 else "A62", q))
+            elif tree.is_leaf(q):
+                infinite.append(q)
+    targets = [c.node for c in trace]
     stree, spay, split = split_frames(tree, payoffs, targets)
-    second = split.inserted
-    sv1 = solve_value_process(stree, spay, 1)
-    sv2 = solve_value_process(stree, spay, 2)
+    second = {q: split.inserted[q] for q in targets}
+
+    # The split pads only never-hit leaves, so below each stop the split tree
+    # repeats the input with the stop node's copy in the stop node's place.
+    # Against a lone stop, the waiting player punishes from that copy down.
     profile = BehavioralProfile.waiting(stree)
-
-    def punish(punisher: int, start: str) -> None:
-        source = sv1 if punisher == 2 else sv2
-        side = profile.side(punisher)
-        for n in stree.subtree(start):
-            side[n] = source.min_mix[n]
-
-    root_a = tree.root
-    root_b = second[tree.root]
-    label = root_case.label
-    if label == "A1":
-        profile.player1[root_a] = ATOM_MIX
-        punish(2, root_b)
-    elif label == "A2":
-        profile.player1[root_a] = ATOM_MIX
-        profile.player2[root_a] = ATOM_MIX
-    elif label == "A3":
-        profile.player2[root_a] = ATOM_MIX
-        punish(1, root_b)
-    elif label == "A4":
-        profile.player1[root_a] = ATOM_MIX if pure else UNIFORM_MIX
-        punish(2, root_b)
-    elif label == "A6":
-        for q, hit1, hit2 in antichain:
-            qa, qb = q, second[q]
-            if hit1 and not hit2:
-                sub = "A61"
-                # A masked stop leaves the opponent nothing to crash into; a
-                # bare atom is safe only under the convexity condition.
-                profile.player1[qa] = ATOM_MIX if pure else UNIFORM_MIX
-                punish(2, qb)
-            elif hit2 and not hit1:
-                sub = "A62"
-                profile.player2[qa] = ATOM_MIX if pure else UNIFORM_MIX
-                punish(1, qb)
-            elif _strict_gt(spay.y1[qa], spay.z1[qa], tol):
-                sub = "A64"
-                profile.player2[qa] = ATOM_MIX
-                punish(1, qb)
-            elif _strict_gt(spay.x2[qa], spay.z2[qa], tol):
-                sub = "A65"
-                profile.player1[qa] = ATOM_MIX
-                punish(2, qb)
-            else:
-                sub = "A66"
-                profile.player1[qa] = ATOM_MIX
-                profile.player2[qa] = ATOM_MIX
-            trace.append(CaseLabel(sub, qa))
-        trace.extend(CaseLabel("A63", leaf) for leaf in infinite)
-    else:  # pragma: no cover - classify returns only the labels above
-        raise ModelViolationError(f"unexpected root case {label}")
+    for case in trace:
+        stops = _stops(case.label, pure)
+        q = case.node
+        for player, mix in zip((1, 2), stops):
+            if mix is not None:
+                profile.side(player)[q] = mix
+        if stops.count(None) == 1:
+            punisher = stops.index(None) + 1
+            fill = punishment_strategy(tree, payoffs, punisher, q, v2 if punisher == 1 else v1)
+            fill[second[q]] = fill.pop(q)
+            profile.side(punisher).update(fill)
+    trace.extend(CaseLabel("A63", leaf) for leaf in infinite)
     return stree, spay, profile, trace, second

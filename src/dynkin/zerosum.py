@@ -193,33 +193,24 @@ def hitting_time(
     require_eta(eta)
     tol = payoffs.tolerance() if tol is None else tol
     player = value.player
+    hit = {
+        n for n in tree.nodes
+        if stop_first_payoff(payoffs, player, n) - (value.value[n] - eta) >= -tol
+    }
     antichain: list[str] = []
     infinite: list[str] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop(0)
-        own = stop_first_payoff(payoffs, player, node)
-        if own - (value.value[node] - eta) >= -tol:
+    for node in tree.walk(tree.root, hit):
+        if node in hit:
             antichain.append(node)
         elif tree.is_leaf(node):
             infinite.append(node)
-        else:
-            stack.extend(child for child, _ in tree.children[node])
     return HittingTime(player=player, eta=eta, antichain=tuple(antichain), infinite_leaves=tuple(infinite))
 
 
 def pre_hit_region(tree: EventTree, hitting: HittingTime) -> list[str]:
     """Nodes visited before the antichain, including whole never-hit paths."""
     hits = hitting.hits()
-    region: list[str] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop(0)
-        if node in hits:
-            continue
-        region.append(node)
-        stack.extend(child for child, _ in tree.children.get(node, ()))
-    return region
+    return [n for n in tree.walk(tree.root, hits) if n not in hits]
 
 
 def _stop_action(

@@ -14,6 +14,7 @@ from dynkin import (
     mirror,
     outcome_kernel,
     split_frame,
+    split_frames,
     validate_instance,
 )
 from dynkin.core import ATOM_MIX, UNIFORM_MIX, extend_profile
@@ -233,7 +234,8 @@ def test_split_preserves_profile_evaluation_exactly():
             player1=dyadic_mixes(tree, seed + 10), player2=dyadic_mixes(tree, seed + 20)
         )
         before = evaluate_profile(tree, payoffs, profile)
-        for node in tree.nodes:
-            stree, spay, _ = split_frame(tree, payoffs, node)
+        splits = [split_frame(tree, payoffs, node) for node in tree.nodes]
+        splits.append(split_frames(tree, payoffs, [tree.root, tree.nodes[1], tree.nodes[-1]]))
+        for stree, spay, _ in splits:
             extended = extend_profile(profile, stree)
             assert evaluate_profile(stree, spay, extended) == before

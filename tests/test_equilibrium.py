@@ -5,15 +5,18 @@ import pytest
 from dynkin import (
     ConvexityError,
     EventTree,
+    GeneratorSpec,
     ModelViolationError,
     PayoffPair,
     PayoffProcess,
     classify,
     construct,
     construct_pure,
+    generate,
     mirror,
     solve_value_process,
 )
+from dynkin import equilibrium
 from dynkin.zerosum import ValueProcess
 
 from helpers import constant_payoffs, corpus, single_node_payoffs, uniform_tree
@@ -183,6 +186,41 @@ class TestConstruct:
         report = construct(tree, payoffs, eta=0.05)
         assert tree.root in report.second_half
         assert report.tree.horizon > tree.horizon
+
+    def test_split_adds_one_frame_at_the_root_and_one_at_each_antichain_node(self):
+        # One frame at the root and one at each of the eight antichain nodes,
+        # which cover every path: 319 + 9 nodes, horizon 6 + 2.
+        tree, payoffs = generate(GeneratorSpec(family="random", depth=6, branching=3, seed=56))
+        report = construct(tree, payoffs, eta=0.05)
+        trace = [(c.label, c.node) for c in report.case_trace]
+        assert trace == [
+            ("A6", "n0"), ("A64", "n2"), ("A62", "n4"), ("A65", "n5"), ("A64", "n9"),
+            ("A64", "n10"), ("A64", "n17"), ("A65", "n39"), ("A65", "n40"),
+        ]
+        assert (len(tree.nodes), tree.horizon) == (319, 6)
+        assert (len(report.tree.nodes), report.tree.horizon) == (328, 8)
+        assert report.second_half == {q: q + "b" for _, q in trace}
+        assert (report.gap1, report.gap2) == (0.0, 0.0)
+        assert report.payoff == PayoffPair(0.45043497836402735, 0.5179488917067716)
+
+    @pytest.mark.parametrize("root_case", ["A1", "A6", "M1"])
+    def test_solves_each_value_process_once(self, monkeypatch, root_case):
+        tree = uniform_tree(2)
+        payoffs = {
+            "A1": constant_payoffs(tree, 0.3, 0.3, 0.3, 0.3, zero_sum=False),
+            "A6": constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0),
+            "M1": constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False),
+        }[root_case]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return solve_value_process(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "solve_value_process", counted)
+        report = construct(tree, payoffs, eta=0.05)
+        assert report.case_trace[0].label == root_case
+        assert calls == [1, 2]
 
     def test_gaps_converge_with_eta(self, capsys):
         # convergence to zero is required; monotonicity along the sequence is

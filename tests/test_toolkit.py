@@ -1,9 +1,11 @@
 """Generators, the game file format, CSV reports, and the CLI."""
 
+import importlib.util
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +252,10 @@ BAD_INPUTS = {
     "profile-unknown-node": (["verify", "{game}", "--profile", "{stray_profile}"], 2),
     "profile-not-json": (["verify", "{game}", "--profile", "{not_json}"], 2),
     "report-for-another-game": (["verify", "{game}", "--profile", "{other_report}"], 2),
+    "equilibrium-tol-nan": (["equilibrium", "{game}", "--tol", "nan", "--out", "{out}"], 1),
+    "equilibrium-tol-negative": (["equilibrium", "{game}", "--tol", "-1", "--out", "{out}"], 1),
+    "invariants-tol-nan": (["invariants", "{game}", "--tol", "nan"], 1),
+    "solve-tol-inf": (["solve", "{game}", "--tol", "inf", "--out", "{out}"], 1),
 }
 
 
@@ -297,3 +303,16 @@ def test_bad_input_exits_with_its_code_and_no_traceback(bad_files, case):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_benchmark_tracer_names_exist():
+    # perfbench's tracer wraps these functions by name with getattr, so a
+    # renamed or deleted one would crash every traced benchmark run.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(home, fn) for home, fn, *_ in tracing.SPANS + tracing.COUNTERS]
+    assert names
+    for home, fn in names:
+        assert callable(getattr(importlib.import_module(f"dynkin.{home}"), fn, None)), (home, fn)
