@@ -94,14 +94,18 @@ class EventTree:
     depth: dict[str, int]
     children: dict[str, list[tuple[str, float]]]
     parent: dict[str, Optional[str]] = field(init=False, repr=False)
+    _edge: dict[str, float] = field(init=False, repr=False)  # child -> its probability
     _leaves: list[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         parent: dict[str, Optional[str]] = {self.root: None}
+        edge: dict[str, float] = {}
         for node in self.nodes:
-            for child, _ in self.children.get(node, ()):
+            for child, p in self.children.get(node, ()):
                 parent[child] = node
+                edge[child] = p
         self.parent = parent
+        self._edge = edge
         self._leaves = [n for n in self.nodes if not self.children.get(n)]
 
     @classmethod
@@ -149,17 +153,18 @@ class EventTree:
         """Root-to-leaf node lists, in leaf order."""
         for leaf in self._leaves:
             path = [leaf]
-            while self.parent[path[0]] is not None:
-                path.insert(0, self.parent[path[0]])
+            while self.parent[path[-1]] is not None:
+                path.append(self.parent[path[-1]])
+            path.reverse()
             yield path
 
     def path_probability(self, leaf: str) -> float:
+        """Product of the edge probabilities, taken from ``leaf`` up to the root."""
         prob = 1.0
         node = leaf
         while self.parent[node] is not None:
-            up = self.parent[node]
-            prob *= dict(self.children[up])[node]
-            node = up
+            prob *= self._edge[node]
+            node = self.parent[node]
         return prob
 
 
@@ -259,6 +264,11 @@ def require_eta(eta: float) -> None:
     """The hitting slack must be a finite number above zero."""
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and positive, got {eta!r}")
+
+
+def require_player(player: int) -> None:
+    if player not in (1, 2):
+        raise ValueError(f"player must be 1 or 2, got {player}")
 
 
 def validate_profile(tree: EventTree, profile: BehavioralProfile) -> list[str]:

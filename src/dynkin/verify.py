@@ -5,6 +5,10 @@ is affine in their stop position inside the frame, so only the endpoint
 limits matter: the deviator's action set is (atom, early, late, wait) and the
 best response is an exact backward dynamic program.  Brute-force enumerators
 over explicit stopping rules provide independent cross-checks on small trees.
+Each call builds one table of the tree's root-to-leaf paths, with their
+probabilities, every rule's first stop on each path, and each path's payoff
+terms per pair of first stops; the rules it enumerates are exactly the
+reduced stopping rules of ``_stop_rules``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from .core import (
     PayoffPair,
     PayoffProcess,
     StageAction,
+    _RANK,
     evaluate_profile,
+    require_player,
     split_frame,
 )
 from .zerosum import (
@@ -99,6 +105,7 @@ def best_response(
     distribution, defined on the whole tree.  Ties go to the earlier action
     in the order atom < early < late < wait.
     """
+    require_player(deviator)
     xi = payoffs.xi1 if deviator == 1 else payoffs.xi2
     values: dict[str, float] = {}
     strategy: dict[str, StageAction] = {}
@@ -173,26 +180,41 @@ def _stop_rules(
         yield merged
 
 
-def _first_stop(path: list[str], rule: dict[str, StageAction]) -> tuple[int, Optional[StageAction]]:
-    for k, node in enumerate(path):
-        if node in rule:
-            return k, rule[node]
-    return len(path), None
+_Stop = tuple[int, Optional[StageAction]]
 
 
-_POSITION = {
-    StageAction.ATOM: 0,
-    StageAction.EARLY: 1,
-    StageAction.UNIFORM: 2,
-    StageAction.LATE: 3,
-}
+class _PathTable:
+    """The root-to-leaf paths of one brute-force call, built once.
+
+    ``stops[p]`` lists every first stop a rule over ``actions`` can make on
+    path ``p``: ``(k, act)`` at the path's k-th node, then ``(len(path), None)``
+    for no stop.  A rule is reduced to its index into that list on each path.
+    """
+
+    def __init__(self, tree: EventTree, actions: tuple[StageAction, ...]) -> None:
+        self.actions = actions
+        self.paths = list(tree.paths())
+        self.probs = [tree.path_probability(path[-1]) for path in self.paths]
+        self.stops: list[list[_Stop]] = [
+            [(k, act) for k in range(len(path)) for act in actions] + [(len(path), None)]
+            for path in self.paths
+        ]
+
+    def first_stops(self, rule: dict[str, StageAction]) -> tuple[int, ...]:
+        """The index of the rule's first stop on every path."""
+        width = len(self.actions)
+        ids = []
+        for path in self.paths:
+            k = next((k for k, node in enumerate(path) if node in rule), len(path))
+            ids.append(k * width + (self.actions.index(rule[path[k]]) if k < len(path) else 0))
+        return tuple(ids)
 
 
 def _pure_path_payoff(
     payoffs: PayoffProcess,
     path: list[str],
-    stop1: tuple[int, Optional[StageAction]],
-    stop2: tuple[int, Optional[StageAction]],
+    stop1: _Stop,
+    stop2: _Stop,
     ambiguous: str,
 ) -> PayoffPair:
     """Payoff pair on one path for two explicit stopping rules.
@@ -220,7 +242,7 @@ def _pure_path_payoff(
         return PayoffPair(payoffs.z1[node], payoffs.z2[node])
     if a1 is StageAction.UNIFORM and a2 is StageAction.UNIFORM:
         return PayoffPair(0.5 * (first.g1 + second.g1), 0.5 * (first.g2 + second.g2))
-    p1, p2 = _POSITION[a1], _POSITION[a2]
+    p1, p2 = _RANK[a1], _RANK[a2]
     if p1 < p2:
         return first
     if p2 < p1:
@@ -232,22 +254,17 @@ def _pure_path_payoff(
     raise ValueError(f"node {node}: unresolved stop order for ({a1.value}, {a2.value})")
 
 
-def _rule_pair_payoff(
-    tree: EventTree,
-    payoffs: PayoffProcess,
-    rule1: dict[str, StageAction],
-    rule2: dict[str, StageAction],
-    ambiguous: str = "forbid",
-) -> PayoffPair:
-    g1 = g2 = 0.0
-    for path in tree.paths():
-        prob = tree.path_probability(path[-1])
-        pair = _pure_path_payoff(
-            payoffs, path, _first_stop(path, rule1), _first_stop(path, rule2), ambiguous
-        )
-        g1 += prob * pair.g1
-        g2 += prob * pair.g2
-    return PayoffPair(g1, g2)
+def _own_payoff(
+    payoffs: PayoffProcess, path: list[str], mine: _Stop, theirs: _Stop, player: int, ambiguous: str
+) -> float:
+    """``player``'s payoff on one path when they first stop at ``mine``."""
+    if player == 1:
+        return _pure_path_payoff(payoffs, path, mine, theirs, ambiguous).g1
+    return _pure_path_payoff(payoffs, path, theirs, mine, ambiguous).g2
+
+
+def _scaled(prob: float, pair: PayoffPair) -> PayoffPair:
+    return PayoffPair(prob * pair.g1, prob * pair.g2)
 
 
 def _rule_probability(tree: EventTree, rule: dict[str, StageAction], side: dict[str, Mix]) -> float:
@@ -268,62 +285,37 @@ def _rule_probability(tree: EventTree, rule: dict[str, StageAction], side: dict[
 def brute_force_payoff(
     tree: EventTree, payoffs: PayoffProcess, profile: BehavioralProfile
 ) -> PayoffPair:
-    """Expected payoffs by enumerating the profile's mixed representation."""
+    """Expected payoffs by enumerating the profile's mixed representation.
+
+    Every pair of (atom, uniform) stopping rules of nonzero probability is
+    enumerated.  One path table per call holds each path's probability times
+    its payoff pair for every pair of first stops; a rule pair's payoff adds
+    up its entries path by path.
+    """
     _check_size(tree)
     stoppers = (StageAction.ATOM, StageAction.UNIFORM)
+    table = _PathTable(tree, stoppers)
+    terms = [  # terms[p][i1][i2]
+        [[_scaled(prob, _pure_path_payoff(payoffs, path, s1, s2, "forbid")) for s2 in stops] for s1 in stops]
+        for path, prob, stops in zip(table.paths, table.probs, table.stops)
+    ]
+    rules = list(_stop_rules(tree, tree.root, stoppers))
+    weights2 = [_rule_probability(tree, rule, profile.player2) for rule in rules]
+    side2 = [(p2, table.first_stops(rule)) for rule, p2 in zip(rules, weights2) if p2 != 0.0]
     g1 = g2 = 0.0
-    for rule1 in _stop_rules(tree, tree.root, stoppers):
+    for rule1 in rules:
         p1 = _rule_probability(tree, rule1, profile.player1)
         if p1 == 0.0:
             continue
-        for rule2 in _stop_rules(tree, tree.root, stoppers):
-            p2 = _rule_probability(tree, rule2, profile.player2)
-            if p2 == 0.0:
-                continue
-            pair = _rule_pair_payoff(tree, payoffs, rule1, rule2)
-            g1 += p1 * p2 * pair.g1
-            g2 += p1 * p2 * pair.g2
+        rows = [path_terms[i] for path_terms, i in zip(terms, table.first_stops(rule1))]
+        for p2, stops2 in side2:
+            pair1 = pair2 = 0.0
+            for row, i in zip(rows, stops2):
+                pair1 += row[i].g1
+                pair2 += row[i].g2
+            g1 += p1 * p2 * pair1
+            g2 += p1 * p2 * pair2
     return PayoffPair(g1, g2)
-
-
-def _rule_vs_behavioral(
-    tree: EventTree,
-    payoffs: PayoffProcess,
-    rule: dict[str, StageAction],
-    opponent: dict[str, Mix],
-    deviator: int,
-) -> float:
-    """Expected payoff of an explicit stopping rule against a behavioral side,
-    by enumerating the opponent's stop node and kind along every path."""
-    total = 0.0
-    for path in tree.paths():
-        path_prob = tree.path_probability(path[-1])
-        stop_dev = _first_stop(path, rule)
-        alive = 1.0
-        for k, node in enumerate(path):
-            a, u, w = opponent[node]
-            for opp_act, opp_p in ((StageAction.ATOM, a), (StageAction.UNIFORM, u)):
-                if opp_p == 0.0:
-                    continue
-                stop_opp = (k, opp_act)
-                if deviator == 1:
-                    pair = _pure_path_payoff(payoffs, path, stop_dev, stop_opp, "forbid")
-                    total += path_prob * alive * opp_p * pair.g1
-                else:
-                    pair = _pure_path_payoff(payoffs, path, stop_opp, stop_dev, "forbid")
-                    total += path_prob * alive * opp_p * pair.g2
-            alive *= w
-            if alive == 0.0:
-                break
-        else:
-            stop_opp = (len(path), None)
-            if deviator == 1:
-                pair = _pure_path_payoff(payoffs, path, stop_dev, stop_opp, "forbid")
-                total += path_prob * alive * pair.g1
-            else:
-                pair = _pure_path_payoff(payoffs, path, stop_opp, stop_dev, "forbid")
-                total += path_prob * alive * pair.g2
-    return total
 
 
 def brute_force_best_response(
@@ -332,42 +324,75 @@ def brute_force_best_response(
     opponent: dict[str, Mix],
     deviator: int,
 ) -> float:
-    """Best-response value by enumerating every explicit stopping rule."""
+    """Best-response value by enumerating every explicit stopping rule.
+
+    Every (atom, early, late) rule is enumerated against the opponent's stop
+    node and kind along each path.  One path table per call holds, for each
+    path and deviator stop, the list of weighted opponent terms; a rule's
+    payoff adds up its lists path by path.
+    """
+    require_player(deviator)
     _check_size(tree)
     stoppers = (StageAction.ATOM, StageAction.EARLY, StageAction.LATE)
-    best = None
+    table = _PathTable(tree, stoppers)
+    terms = []  # terms[p][i]: the terms on path p when the deviator first stops at stops[p][i]
+    for path, prob, stops in zip(table.paths, table.probs, table.stops):
+        weighted: list[tuple[_Stop, float]] = []  # the opponent's stops with their weights
+        alive = 1.0
+        for k, node in enumerate(path):
+            a, u, w = opponent[node]
+            for act, p in ((StageAction.ATOM, a), (StageAction.UNIFORM, u)):
+                if p != 0.0:
+                    weighted.append(((k, act), prob * alive * p))
+            alive *= w
+            if alive == 0.0:
+                break
+        else:
+            weighted.append(((len(path), None), prob * alive))
+        terms.append(
+            [
+                [weight * _own_payoff(payoffs, path, dev, opp, deviator, "forbid") for opp, weight in weighted]
+                for dev in stops
+            ]
+        )
+    values = []
     for rule in _stop_rules(tree, tree.root, stoppers):
-        value = _rule_vs_behavioral(tree, payoffs, rule, opponent, deviator)
-        if best is None or value > best:
-            best = value
-    assert best is not None
-    return best
+        value = 0.0
+        for path_terms, i in zip(terms, table.first_stops(rule)):
+            for term in path_terms[i]:
+                value += term
+        values.append(value)
+    return max(values)
 
 
 def brute_force_value(tree: EventTree, payoffs: PayoffProcess, player: int) -> float:
     """Sup-inf over explicit stopping rules of the auxiliary zero-sum game.
 
-    Stops with no canonical order are resolved against the maximizer, which
-    is the conservative reading of a minimizing opponent.
+    Every pair of (atom, early, late) rules is enumerated.  Stops with no
+    canonical order are resolved against the maximizer, which is the
+    conservative reading of a minimizing opponent.  One path table per call
+    holds each path's probability times the player's payoff for every pair
+    of first stops; a rule pair's payoff adds up its entries path by path.
     """
+    require_player(player)
     _check_size(tree)
     stoppers = (StageAction.ATOM, StageAction.EARLY, StageAction.LATE)
     ambiguous = "min1" if player == 1 else "min2"
-    rules = list(_stop_rules(tree, tree.root, stoppers))
-    best = None
+    table = _PathTable(tree, stoppers)
+    terms = [  # terms[p][mine][theirs]
+        [[prob * _own_payoff(payoffs, path, mine, theirs, player, ambiguous) for theirs in stops] for mine in stops]
+        for path, prob, stops in zip(table.paths, table.probs, table.stops)
+    ]
+    rules = [table.first_stops(rule) for rule in _stop_rules(tree, tree.root, stoppers)]
+    columns = list(zip(*rules))  # columns[p]: every rule's first stop on path p
+    worst = []
     for mine in rules:
-        worst = None
-        for theirs in rules:
-            if player == 1:
-                pay = _rule_pair_payoff(tree, payoffs, mine, theirs, ambiguous).g1
-            else:
-                pay = _rule_pair_payoff(tree, payoffs, theirs, mine, ambiguous).g2
-            if worst is None or pay < worst:
-                worst = pay
-        if best is None or worst > best:
-            best = worst
-    assert best is not None
-    return best
+        pays = [0.0] * len(rules)
+        for path_terms, i, column in zip(terms, mine, columns):
+            row = path_terms[i]
+            pays = [pay + row[j] for pay, j in zip(pays, column)]
+        worst.append(min(pays))
+    return max(worst)
 
 
 # ---------------------------------------------------------------------------

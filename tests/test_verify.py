@@ -1,9 +1,13 @@
 """Best-response DP, deviation gaps, brute-force oracles, invariant runner."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynkin import (
     BehavioralProfile,
+    EventTree,
+    PayoffProcess,
     StageAction,
     best_response,
     brute_force_best_response,
@@ -17,8 +21,10 @@ from dynkin import (
     split_frame,
 )
 from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX, extend_profile
+from dynkin.verify import _stop_rules
 
 from helpers import (
+    DYADIC_MIXES,
     DYADIC_SHAPES,
     constant_payoffs,
     corpus,
@@ -51,6 +57,12 @@ class TestBestResponse:
         tree, payoffs = single_node_payoffs(1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0)
         _, strategy = best_response(tree, payoffs, {"n0": WAIT_MIX}, deviator=1)
         assert strategy["n0"] is StageAction.ATOM
+
+    @pytest.mark.parametrize("deviator", [0, 3])
+    def test_rejects_a_bad_player_index(self, deviator):
+        tree, payoffs = single_node_payoffs(1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match=f"player must be 1 or 2, got {deviator}"):
+            best_response(tree, payoffs, {"n0": WAIT_MIX}, deviator)
 
 
 class TestDeviationGap:
@@ -89,6 +101,37 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="refused"):
             brute_force_payoff(tree, payoffs, BehavioralProfile.waiting(tree))
 
+    def test_stop_rule_counts_per_shape(self):
+        # (atom, uniform) rules for the payoff, (atom, early, late) for the rest
+        counts = []
+        for shape in DYADIC_SHAPES:
+            tree = EventTree.build("r", shape)
+            counts.append(
+                tuple(
+                    sum(1 for _ in _stop_rules(tree, tree.root, actions))
+                    for actions in (
+                        (StageAction.ATOM, StageAction.UNIFORM),
+                        (StageAction.ATOM, StageAction.EARLY, StageAction.LATE),
+                    )
+                )
+            )
+        assert counts == [
+            (3, 4), (5, 7), (7, 10), (11, 19), (11, 19),
+            (29, 67), (13, 22), (27, 52), (123, 364), (57, 136),
+        ]
+
+    @pytest.mark.parametrize("player", [0, 3])
+    def test_value_rejects_a_bad_player_index(self, player):
+        tree, payoffs = single_node_payoffs(1, 2, 3, 4, -1, -2, -3, -4)
+        with pytest.raises(ValueError, match=f"player must be 1 or 2, got {player}"):
+            brute_force_value(tree, payoffs, player)
+
+    @pytest.mark.parametrize("deviator", [0, 3])
+    def test_best_response_rejects_a_bad_player_index(self, deviator):
+        tree, payoffs = single_node_payoffs(1, 2, 3, 4, -1, -2, -3, -4)
+        with pytest.raises(ValueError, match=f"player must be 1 or 2, got {deviator}"):
+            brute_force_best_response(tree, payoffs, {"n0": WAIT_MIX}, deviator)
+
     def test_single_node_atoms_match(self):
         tree, payoffs = single_node_payoffs(1, 2, 3, 4, -1, -2, -3, -4)
         profile = BehavioralProfile(player1={"n0": ATOM_MIX}, player2={"n0": ATOM_MIX})
@@ -108,7 +151,7 @@ class TestBruteForce:
                 tree, payoffs, profile
             )
 
-    @pytest.mark.parametrize("shape_index", [0, 3, 6, 8])
+    @pytest.mark.parametrize("shape_index", range(len(DYADIC_SHAPES)))
     def test_best_response_matches_exactly(self, shape_index):
         for seed in range(4):
             tree, payoffs = dyadic_instance(DYADIC_SHAPES[shape_index], seed)
@@ -119,7 +162,7 @@ class TestBruteForce:
                     tree, payoffs, opponent, deviator
                 )
 
-    @pytest.mark.parametrize("shape_index", [0, 2, 4, 7])
+    @pytest.mark.parametrize("shape_index", range(len(DYADIC_SHAPES)))
     def test_zero_sum_value_matches_exactly(self, shape_index):
         for seed in range(4):
             tree, payoffs = dyadic_instance(DYADIC_SHAPES[shape_index], seed)
@@ -145,6 +188,51 @@ class TestBruteForce:
             for player in (1, 2):
                 process = solve_value_process(tree, payoffs, player)
                 assert abs(process.value[tree.root] - brute_force_value(tree, payoffs, player)) <= tol
+
+
+@st.composite
+def dyadic_games(draw, max_nodes: int = 6):
+    """A tree of at most ``max_nodes`` nodes with a uniform horizon, child
+    probabilities in quarters, payoffs in eighths and dyadic mixes."""
+    horizon = draw(st.integers(0, 3))
+    names = iter("abcdefghij")
+    children: dict[str, list[tuple[str, float]]] = {}
+    frontier, count = ["r"], 1
+    for level in range(horizon):
+        budget = (max_nodes - count) // (horizon - level)  # each later level is as wide
+        nxt: list[str] = []
+        for k, node in enumerate(frontier):
+            spare = budget - len(nxt) - (len(frontier) - k - 1)
+            width = draw(st.integers(1, min(4, spare)))
+            cuts = sorted(draw(st.lists(st.integers(1, 3), min_size=width - 1, max_size=width - 1, unique=True)))
+            kids = [next(names) for _ in range(width)]
+            children[node] = [(kid, (hi - lo) / 4) for kid, lo, hi in zip(kids, [0] + cuts, cuts + [4])]
+            nxt.extend(kids)
+        count += len(nxt)
+        frontier = nxt
+    tree = EventTree.build("r", children)
+    eighths = st.integers(-16, 16).map(lambda k: k / 8)
+    tables = {key: {n: draw(eighths) for n in tree.nodes} for key in ("x1", "y1", "z1", "x2", "y2", "z2")}
+    terminal = {key: {n: draw(eighths) for n in tree.leaves} for key in ("xi1", "xi2")}
+    mixes = st.sampled_from(DYADIC_MIXES)
+    profile = BehavioralProfile(
+        player1={n: draw(mixes) for n in tree.nodes}, player2={n: draw(mixes) for n in tree.nodes}
+    )
+    return tree, PayoffProcess(**tables, **terminal), profile
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(dyadic_games())
+def test_oracles_equal_the_dynamic_programs_on_random_dyadic_trees(game):
+    tree, payoffs, profile = game
+    assert brute_force_payoff(tree, payoffs, profile) == evaluate_profile(tree, payoffs, profile)
+    for deviator in (1, 2):
+        opponent = profile.side(3 - deviator)
+        values, _ = best_response(tree, payoffs, opponent, deviator)
+        assert values[tree.root] == brute_force_best_response(tree, payoffs, opponent, deviator)
+    for player in (1, 2):
+        process = solve_value_process(tree, payoffs, player)
+        assert process.value[tree.root] == brute_force_value(tree, payoffs, player)
 
 
 class TestInvariantRunner:
