@@ -1,5 +1,8 @@
 """Command-line pipeline: generate, solve, equilibrium, verify, invariants.
 
+--tol is the absolute tolerance of the hitting and root-region tests in
+solve, equilibrium and invariants alike.
+
 Exit codes: 0 success, 1 usage (including an --eta or --gap-threshold that is
 not a finite number above zero, a --tol that is not a finite number at or
 above zero, and --pure on a game that breaks convexity),
@@ -18,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .core import ConvexityError, EventTree, InstanceError, ModelViolationError, PayoffProcess, ProfileError
-from .equilibrium import construct, construct_pure
+from .equilibrium import classify, construct, construct_pure
 from .toolkit import (
     FAMILIES,
     GeneratorSpec,
@@ -124,14 +127,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    # as in construct, --tol reaches the hitting and root tests, not the solver
     tree, payoffs, _ = load(args.instance)
-    v1 = solve_value_process(tree, payoffs, 1, args.tol)
-    v2 = solve_value_process(tree, payoffs, 2, args.tol)
-    h1 = hitting_time(tree, payoffs, v1, args.eta)
-    h2 = hitting_time(tree, payoffs, v2, args.eta)
-    from .equilibrium import classify
-
-    case = classify(tree, payoffs, v1, v2, args.eta)
+    v1 = solve_value_process(tree, payoffs, 1)
+    v2 = solve_value_process(tree, payoffs, 2)
+    h1 = hitting_time(tree, payoffs, v1, args.eta, args.tol)
+    h2 = hitting_time(tree, payoffs, v2, args.eta, args.tol)
+    case = classify(tree, payoffs, v1, v2, args.eta, args.tol)
     write_report_csv(
         args.out,
         tree,

@@ -6,6 +6,11 @@ constant on each frame, so all timing questions inside a frame reduce to a
 small set of stage actions.  Player 1 stopping first pays (X1, X2), player 2
 first pays (Y1, Y2), a simultaneous atom pays (Z1, Z2), and never stopping
 pays the terminal (xi1, xi2) at the reached leaf.
+
+``validate_instance`` and ``validate_profile`` screen a clean input with
+whole-table passes and word the issues node by node only when the screen
+fails.  Each entry that takes outside input validates it once; the solvers
+downstream take a valid instance unchecked.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from operator import itemgetter
 from typing import Container, Iterator, NamedTuple, Optional
 
 PROB_TOL = 1e-12
@@ -135,7 +142,7 @@ class EventTree:
 
     @property
     def horizon(self) -> int:
-        return max(self.depth[n] for n in self._leaves)
+        return max(map(self.depth.__getitem__, self._leaves))
 
     def walk(self, start: str, stop: Container[str] = ()) -> Iterator[str]:
         """Breadth-first nodes from ``start``, not descending below ``stop`` nodes."""
@@ -184,10 +191,8 @@ class PayoffProcess:
     @property
     def payoff_range(self) -> float:
         """Max absolute payoff; tolerances scale with it."""
-        values = []
-        for table in (self.x1, self.y1, self.z1, self.x2, self.y2, self.z2, self.xi1, self.xi2):
-            values.extend(table.values())
-        return max((abs(v) for v in values), default=0.0)
+        tables = (self.x1, self.y1, self.z1, self.x2, self.y2, self.z2, self.xi1, self.xi2)
+        return max(map(abs, chain.from_iterable(t.values() for t in tables)), default=0.0)
 
     def tolerance(self, rel: float = DEFAULT_REL_TOL) -> float:
         return rel * max(1.0, self.payoff_range)
@@ -216,8 +221,70 @@ class BehavioralProfile:
         )
 
 
+_PROB = itemgetter(1)
+_MINUS_ONE = (-1.0).__add__  # x - 1.0, bit for bit
+_NUMBERS = frozenset((float, int))
+# What a screen may hit on a bad input: a missing entry, a wrong type or shape,
+# an int too large for a float.
+_UNSCREENED = (LookupError, TypeError, ValueError, ArithmeticError)
+
+
 def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
-    """Structural diagnostics; an empty list means the instance is valid."""
+    """Structural diagnostics; an empty list means the instance is valid.
+
+    A clean instance passes ``_instance_is_clean``; only one that fails it is
+    walked node by node to word every issue.
+    """
+    if _instance_is_clean(tree, payoffs):
+        return []
+    return _instance_issues(tree, payoffs)
+
+
+def _instance_is_clean(tree: EventTree, payoffs: PayoffProcess) -> bool:
+    """True exactly when ``_instance_issues`` finds nothing.
+
+    One lean loop checks the child probabilities and depths, then one pass
+    per table checks every payoff the wording loop reads; a missing entry
+    raises ``KeyError``.
+    """
+    nodes = tree.nodes
+    depth = tree.depth
+    horizon = tree.horizon
+    kids_of = tree.children.get
+    leaves = []
+    try:
+        for node in nodes:
+            kids = kids_of(node)
+            if not kids:
+                if depth[node] != horizon:
+                    return False
+                leaves.append(node)
+                continue
+            if abs(sum(map(_PROB, kids)) - 1.0) > PROB_TOL:
+                return False
+            below = depth[node] + 1
+            for child, p in kids:
+                if not 0.0 < p <= 1.0 or depth[child] != below:
+                    return False
+        for table, where in (
+            (payoffs.x1, nodes),
+            (payoffs.y1, nodes),
+            (payoffs.z1, nodes),
+            (payoffs.x2, nodes),
+            (payoffs.y2, nodes),
+            (payoffs.z2, nodes),
+            (payoffs.xi1, leaves),
+            (payoffs.xi2, leaves),
+        ):
+            if not all(map(math.isfinite, map(table.__getitem__, where))):
+                return False
+    except _UNSCREENED:  # the wording loop words the issue or raises as before
+        return False
+    return True
+
+
+def _instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
+    """Every structural issue, in node order."""
     issues: list[str] = []
     horizon = tree.horizon
     for node in tree.nodes:
@@ -272,6 +339,47 @@ def require_player(player: int) -> None:
 
 
 def validate_profile(tree: EventTree, profile: BehavioralProfile) -> list[str]:
+    """Diagnostics of a profile on ``tree``; an empty list means it fits.
+
+    Each player needs a distribution at every tree node and at no other node:
+    three finite entries, none below -PROB_TOL, summing to one within
+    PROB_TOL.  A clean profile passes ``_profile_is_clean``; only one that
+    fails it is walked node by node to word every issue.
+    """
+    if _profile_is_clean(tree, profile):
+        return []
+    return _profile_issues(tree, profile)
+
+
+def _profile_is_clean(tree: EventTree, profile: BehavioralProfile) -> bool:
+    """True exactly when ``_profile_issues`` finds nothing, for tuple mixes.
+
+    Each side is checked in whole-side passes over its distinct mixes.  Equal
+    tuples of floats and ints have equal entries and sums, so they pass or
+    fail together; a profile with any other mix goes to the wording loop.
+    """
+    try:
+        for side in (profile.player1, profile.player2):
+            if not all(map(tree.depth.__contains__, side)):
+                return False
+            mixes = set(map(side.__getitem__, tree.nodes))
+            entries = list(chain.from_iterable(mixes))
+            if not (
+                {tuple}.issuperset(map(type, mixes))
+                and _NUMBERS.issuperset(map(type, entries))
+                and all(map((3).__eq__, map(len, mixes)))
+                and all(map(math.isfinite, entries))
+                and min(entries, default=0.0) >= -PROB_TOL
+                and max(map(abs, map(_MINUS_ONE, map(sum, mixes))), default=0.0) <= PROB_TOL
+            ):
+                return False
+    except _UNSCREENED:  # the wording loop words the issue or raises as before
+        return False
+    return True
+
+
+def _profile_issues(tree: EventTree, profile: BehavioralProfile) -> list[str]:
+    """Every issue of the profile, player by player in node order."""
     issues: list[str] = []
     for player, side in ((1, profile.player1), (2, profile.player2)):
         issues.extend(
@@ -289,6 +397,8 @@ def validate_profile(tree: EventTree, profile: BehavioralProfile) -> list[str]:
                 continue
             if abs(sum(mix) - 1.0) > PROB_TOL:
                 issues.append(f"node {node}: player {player} distribution sums to {sum(mix)!r}")
+            elif not all(map(math.isfinite, mix)):  # a NaN passes both tests above
+                issues.append(f"node {node}: player {player} distribution {mix!r} is not finite")
     return issues
 
 

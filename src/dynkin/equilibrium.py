@@ -133,6 +133,8 @@ def construct(
     tree: EventTree, payoffs: PayoffProcess, eta: float, tol: Optional[float] = None
 ) -> EquilibriumReport:
     """Build and certify an eta-level equilibrium profile."""
+    require_valid(tree, payoffs)
+    require_eta(eta)
     return _construct(tree, payoffs, eta, tol, pure=False)
 
 
@@ -144,6 +146,8 @@ def construct_pure(
     Requires the simultaneous payoff to lie weakly between the two unilateral
     payoffs for both players at every node.
     """
+    require_valid(tree, payoffs)
+    require_eta(eta)
     checked_tol = payoffs.tolerance() if tol is None else tol
     for player in (1, 2):
         check_convexity(payoffs, tree, player, checked_tol)
@@ -157,8 +161,6 @@ def _construct(
     tol: Optional[float],
     pure: bool,
 ) -> EquilibriumReport:
-    require_valid(tree, payoffs)
-    require_eta(eta)
     tol = payoffs.tolerance() if tol is None else tol
     v1 = solve_value_process(tree, payoffs, 1)
     v2 = solve_value_process(tree, payoffs, 2)

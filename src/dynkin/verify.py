@@ -28,6 +28,7 @@ from .core import (
     _RANK,
     evaluate_profile,
     require_player,
+    require_valid,
     split_frame,
 )
 from .zerosum import (
@@ -412,7 +413,12 @@ def _worst(
 def check_invariants(
     tree: EventTree, payoffs: PayoffProcess, eta: float, tol: Optional[float] = None
 ) -> InvariantReport:
-    """Run the named solver invariants and report worst violations."""
+    """Run the named solver invariants and report worst violations.
+
+    Validates the instance, and each frame-split tree of the
+    ``split_invariance`` sample, once.
+    """
+    require_valid(tree, payoffs)
     tol = payoffs.tolerance() if tol is None else tol
     checks: list[InvariantCheck] = []
     values = {i: solve_value_process(tree, payoffs, i) for i in (1, 2)}
@@ -486,6 +492,7 @@ def check_invariants(
     split_items = []
     for node in _split_sample(tree):
         stree, spay, _ = split_frame(tree, payoffs, node)
+        require_valid(stree, spay)
         for i in (1, 2):
             after = solve_value_process(stree, spay, i)
             for n in tree.nodes:

@@ -23,6 +23,10 @@ value: every stage game has a pure saddle point.
   lower value; as max(X, c) >= X, the upper value is min(max(Y, Z), X) too.
 
 Only max and min of the same floats are taken, so the equality is exact.
+
+Every function here takes a valid instance (``core.require_valid``) and does
+not check it again: the entries that take outside input (``toolkit.load``,
+``construct``, ``construct_pure`` and ``check_invariants``) validate it once.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .core import (
     WAIT_MIX,
     outcome_kernel,
     require_eta,
-    require_valid,
 )
 
 Matrix = tuple[tuple[float, ...], ...]
@@ -147,8 +150,11 @@ def stage_value(x: float, y: float, z: float, cont: float, tol: float) -> tuple[
 def solve_value_process(
     tree: EventTree, payoffs: PayoffProcess, player: int, tol: Optional[float] = None
 ) -> ValueProcess:
-    """Backward induction of the auxiliary zero-sum value for one player."""
-    require_valid(tree, payoffs)
+    """Backward induction of the auxiliary zero-sum value for one player.
+
+    Takes a valid instance, unchecked (see the module docstring); ``tol`` is
+    relative to the payoff range.
+    """
     abs_tol = payoffs.tolerance() if tol is None else tol * max(1.0, payoffs.payoff_range)
     if player == 1:
         x, y, z, xi = payoffs.x1, payoffs.y1, payoffs.z1, payoffs.xi1

@@ -1,25 +1,41 @@
 """Model layer: validation, the outcome kernel, evaluation, mirroring, splits."""
 
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynkin import (
     BehavioralProfile,
     EventTree,
+    GeneratorSpec,
     PayoffPair,
+    ProfileError,
     StageAction,
     evaluate_profile,
     evaluate_profile_table,
+    generate,
     mirror,
     outcome_kernel,
     split_frame,
     split_frames,
     validate_instance,
+    validate_profile,
 )
-from dynkin.core import ATOM_MIX, UNIFORM_MIX, extend_profile
+from dynkin.core import (
+    ATOM_MIX,
+    UNIFORM_MIX,
+    _instance_is_clean,
+    _instance_issues,
+    _profile_is_clean,
+    _profile_issues,
+    extend_profile,
+)
 
 from helpers import (
+    DYADIC_MIXES,
     DYADIC_SHAPES,
     constant_payoffs,
     corpus,
@@ -55,6 +71,148 @@ def test_validate_flags_non_uniform_horizon():
     payoffs = constant_payoffs(tree, 0, 0, 0, 0)
     issues = validate_instance(tree, payoffs)
     assert any("non-uniform horizon" in issue for issue in issues)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validate_profile_rejects_a_non_finite_entry(bad):
+    # NaN passes both "below zero" and "sums to one" tests, and a NaN gap
+    # would certify as 0
+    tree, payoffs = generate(GeneratorSpec(depth=3, branching=2, seed=3))
+    profile = BehavioralProfile.waiting(tree)
+    profile.player1[tree.root] = (bad, 0.0, 1.0)
+    issues = validate_profile(tree, profile)
+    assert len(issues) == 1 and issues[0].startswith(f"node {tree.root}: player 1 distribution")
+    with pytest.raises(ProfileError):
+        evaluate_profile(tree, payoffs, profile)
+
+
+_TABLES = ("x1", "y1", "z1", "x2", "y2", "z2", "xi1", "xi2")
+_BAD_NUMBERS = (math.nan, math.inf, -math.inf, 1.7e308, -0.0, 0.5, 3)
+
+
+@st.composite
+def generated_games(draw):
+    spec = GeneratorSpec(
+        family=draw(st.sampled_from(("random", "war-of-attrition", "preemption"))),
+        depth=draw(st.integers(0, 3)),
+        branching=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 10**6)),
+    )
+    return generate(spec)
+
+
+@st.composite
+def corrupted_instances(draw):
+    """A generated game with one defect planted in it, or none."""
+    tree, payoffs = draw(generated_games())
+    kind = draw(st.sampled_from(("none", "payoff", "missing", "probability", "zero-edge", "depth", "short-leaf")))
+    inner = [n for n in tree.nodes if tree.children[n]]
+    on_edges = kind in ("probability", "zero-edge", "short-leaf")
+    node = draw(st.sampled_from(inner if inner and on_edges else tree.nodes))
+    kids = tree.children[node]
+    if kind == "payoff":
+        table = getattr(payoffs, draw(st.sampled_from(_TABLES)))
+        table[node] = draw(st.sampled_from(_BAD_NUMBERS))
+    elif kind == "missing":
+        table = getattr(payoffs, draw(st.sampled_from(_TABLES)))
+        table.pop(node, None)
+    elif kind == "probability" and kids:
+        i = draw(st.integers(0, len(kids) - 1))
+        child, p = kids[i]
+        offsets = (-p, -2 * p, 1.0, math.nan, 1e-13, -1e-13, -1e-11, -0.5 * p)
+        kids[i] = (child, p + draw(st.sampled_from(offsets)))
+    elif kind == "zero-edge" and kids:  # the sum stays one
+        kids.append((kids[0][0], draw(st.sampled_from((0.0, -0.0, -1e-13)))))
+    elif kind == "depth":
+        tree.depth[node] += draw(st.sampled_from((-1, 1)))
+    elif kind == "short-leaf" and kids:  # a leaf above the horizon, with terminal payoffs
+        tree.children[node] = []
+        payoffs.xi1[node] = payoffs.xi2[node] = 0.0
+    return tree, payoffs
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(corrupted_instances())
+def test_instance_screen_passes_exactly_the_clean_instances(instance):
+    tree, payoffs = instance
+    issues = _instance_issues(tree, payoffs)
+    assert _instance_is_clean(tree, payoffs) == (issues == [])
+    assert validate_instance(tree, payoffs) == issues
+
+
+_BAD_MIXES = (
+    (math.nan, 0.0, 1.0),
+    (0.0, math.inf, 0.0),
+    (0.0, 0.0, -math.inf),
+    (0.5, 0.5, 1e-13),
+    (0.5, 0.5, 1e-11),
+    (-1e-13, 0.0, 1.0),
+    (-1e-11, 0.0, 1.0),
+    (-1e-11, 1e-11, 1.0),
+    (-0.25, 0.25, 1.0),
+    (0, 0, 1),
+    (0.25, 0.25, 0.5),
+    (1.0, 0.0),
+    (0.0, 0.0, 0.0, 1.0),
+    None,
+)
+
+
+@st.composite
+def corrupted_profiles(draw):
+    """A generated game and a profile on it with at most one entry changed."""
+    tree, _ = draw(generated_games())
+    mixes = st.sampled_from(DYADIC_MIXES)
+    profile = BehavioralProfile(
+        player1={n: draw(mixes) for n in tree.nodes}, player2={n: draw(mixes) for n in tree.nodes}
+    )
+    side = profile.side(draw(st.sampled_from((1, 2))))
+    node = draw(st.sampled_from(tree.nodes))
+    kind = draw(st.sampled_from(("none", "mix", "missing", "stray")))
+    if kind == "mix":
+        side[node] = draw(st.sampled_from(_BAD_MIXES))
+    elif kind == "missing":
+        del side[node]
+    elif kind == "stray":
+        side["stray"] = draw(mixes)
+    return tree, profile
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(corrupted_profiles())
+def test_profile_screen_passes_exactly_the_clean_profiles(case):
+    tree, profile = case
+    issues = _profile_issues(tree, profile)
+    assert _profile_is_clean(tree, profile) == (issues == [])
+    assert validate_profile(tree, profile) == issues
+
+
+class _AllEqual(tuple):
+    """A mix type that equals every other, so a set keeps one of them."""
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0
+
+
+def test_profile_screen_dedupes_only_exact_tuples():
+    tree, _ = generate(GeneratorSpec(depth=2, seed=1))
+    last = tree.nodes[-1]
+    side = {n: _AllEqual((0.0, 0.0, 1.0)) for n in tree.nodes}
+    side[last] = _AllEqual((0.5, 0.5, 0.5))
+    profile = BehavioralProfile(player1=side, player2=BehavioralProfile.waiting(tree).player2)
+    assert validate_profile(tree, profile) == [f"node {last}: player 1 distribution sums to 1.5"]
+
+
+def test_profile_screen_leaves_list_mixes_to_the_wording_loop():
+    tree, _ = generate(GeneratorSpec(depth=2, seed=1))
+    good = {n: [0.0, 0.0, 1.0] for n in tree.nodes}
+    bad = {**good, tree.root: [0.5, 0.5, 0.5]}
+    assert validate_profile(tree, BehavioralProfile(player1=good, player2=dict(good))) == []
+    issues = validate_profile(tree, BehavioralProfile(player1=good, player2=bad))
+    assert issues == [f"node {tree.root}: player 2 distribution sums to 1.5"]
 
 
 @pytest.fixture
@@ -184,6 +342,16 @@ def test_mirror_is_an_involution():
     _, once = mirror(tree, payoffs)
     _, twice = mirror(tree, once)
     assert twice == payoffs
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(generated_games())
+def test_mirror_is_an_involution_on_generated_games(game):
+    tree, payoffs = game
+    same_tree, twice = mirror(*mirror(tree, payoffs))
+    assert same_tree is tree
+    for name in _TABLES:
+        assert getattr(twice, name) == getattr(payoffs, name)
 
 
 def test_mirror_swaps_roles():

@@ -6,6 +6,7 @@ from dynkin import (
     ConvexityError,
     EventTree,
     GeneratorSpec,
+    InstanceError,
     ModelViolationError,
     PayoffPair,
     PayoffProcess,
@@ -15,8 +16,9 @@ from dynkin import (
     generate,
     mirror,
     solve_value_process,
+    validate_instance,
 )
-from dynkin import equilibrium
+from dynkin import core, equilibrium
 from dynkin.zerosum import ValueProcess
 
 from helpers import constant_payoffs, corpus, single_node_payoffs, uniform_tree
@@ -222,6 +224,25 @@ class TestConstruct:
         assert report.case_trace[0].label == root_case
         assert calls == [1, 2]
 
+    def test_validates_the_instance_once(self, monkeypatch):
+        tree = uniform_tree(2)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return validate_instance(*args)
+
+        monkeypatch.setattr(core, "validate_instance", counted)
+        for payoffs, root_case in (
+            (constant_payoffs(tree, 0.3, 0.3, 0.3, 0.3, zero_sum=False), "A1"),
+            (constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0), "A6"),
+            (constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False), "M1"),
+        ):
+            calls.clear()
+            report = construct(tree, payoffs, eta=0.05)
+            assert report.case_trace[0].label == root_case
+            assert calls == [(tree, payoffs)]
+
     def test_gaps_converge_with_eta(self, capsys):
         # convergence to zero is required; monotonicity along the sequence is
         # measured and logged only (case boundaries can move with eta)
@@ -256,6 +277,13 @@ class TestConstructPure:
         payoffs = constant_payoffs(tree, 0.4, 0.4, 0.4, 0.4, zero_sum=False)
         report = construct_pure(tree, payoffs, eta=0.05)
         assert max(report.gap1, report.gap2) <= report.tol
+
+    def test_validates_before_checking_convexity(self):
+        tree = uniform_tree(1)
+        payoffs = constant_payoffs(tree, 0.4, 0.4, 0.4, 0.4, zero_sum=False)
+        del payoffs.z2["n1"]
+        with pytest.raises(InstanceError, match="n1: missing payoff Z2"):
+            construct_pure(tree, payoffs, eta=0.05)
 
     def test_rejects_nonconvex_instances(self):
         tree, payoffs = single_node_payoffs(

@@ -11,8 +11,14 @@ import pytest
 
 from dynkin import (
     BehavioralProfile,
+    EventTree,
     GeneratorSpec,
+    InstanceError,
+    PayoffProcess,
     SchemaError,
+    check_invariants,
+    construct,
+    construct_pure,
     generate,
     load,
     save,
@@ -226,6 +232,18 @@ class TestCli:
             report["gaps"]["player2"]["gap"],
         )
 
+    def test_solve_and_equilibrium_read_tol_alike(self, tmp_path, capsys):
+        # At --tol 1000 every root test passes, so the root is A1 for both.
+        inst = tmp_path / "game.json"
+        assert self._run("generate", "--depth", "3", "--branching", "2", "--seed", "3", "--out", str(inst)) == 0
+        cases = []
+        for tol in ([], ["--tol", "1000"]):
+            capsys.readouterr()
+            assert self._run("solve", str(inst), *tol, "--out", str(tmp_path / "v.csv")) == 0
+            assert self._run("equilibrium", str(inst), *tol, "--out", str(tmp_path / "r.json")) == 0
+            cases.append(re.findall(r"case=(\w+)", capsys.readouterr().out))
+        assert cases == [["M1", "M1"], ["A1", "A1"]]
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dynkin.cli", "--help"], capture_output=True, text=True
@@ -256,6 +274,7 @@ BAD_INPUTS = {
     "equilibrium-tol-negative": (["equilibrium", "{game}", "--tol", "-1", "--out", "{out}"], 1),
     "invariants-tol-nan": (["invariants", "{game}", "--tol", "nan"], 1),
     "solve-tol-inf": (["solve", "{game}", "--tol", "inf", "--out", "{out}"], 1),
+    "verify-profile-nan": (["verify", "{game}", "--profile", "{nan_profile}"], 2),
 }
 
 
@@ -275,6 +294,7 @@ def bad_files(tmp_path):
     waiting = {n: [0.0, 0.0, 1.0] for n in tree.nodes}
     waiting_profile = {"player1": waiting, "player2": waiting}
     stray = {"player1": {**waiting, "ghost": [0.0, 0.0, 1.0]}, "player2": waiting}
+    nan_mix = {"player1": {**waiting, tree.root: [float("nan"), 0.0, 1.0]}, "player2": waiting}
     other = instance_to_doc(*generate(GeneratorSpec(depth=2, branching=2, seed=5)))
     texts = {
         "game": json.dumps(doc),
@@ -283,6 +303,7 @@ def bad_files(tmp_path):
         "cycle": json.dumps(cycle),
         "waiting_profile": json.dumps({"profile": waiting_profile}),
         "stray_profile": json.dumps({"profile": stray}),
+        "nan_profile": json.dumps({"profile": nan_mix}),
         "not_json": "not json {",
         "other_report": json.dumps({"profile": waiting_profile, "instance": other}),
     }
@@ -303,6 +324,83 @@ def test_bad_input_exits_with_its_code_and_no_traceback(bad_files, case):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _raw_instance(doc):
+    """The tree and payoffs of a game document, without validating them."""
+    children = {}
+    root = None
+    for entry in doc["nodes"]:
+        if "parent" in entry:
+            children.setdefault(entry["parent"], []).append((entry["id"], entry["prob"]))
+        else:
+            root = entry["id"]
+    tables = {
+        name.lower(): {e["id"]: e[name] for e in doc["nodes"] if name in e}
+        for name in ("X1", "Y1", "Z1", "X2", "Y2", "Z2", "xi1", "xi2")
+    }
+    return EventTree.build(root, children), PayoffProcess(**tables)
+
+
+def _short_leaf(doc):
+    # cut the subtree below the first node one frame above the horizon
+    nodes = doc["nodes"]
+    cut = next(e for e in nodes if e["depth"] == doc["horizon"] - 1)
+    nodes[:] = [e for e in nodes if e.get("parent") != cut["id"]]
+    cut.update(xi1=0.0, xi2=0.0)
+
+
+# One field of a valid game document changed, each an invalid instance.
+CORRUPTIONS = {
+    "missing-payoff": lambda doc: doc["nodes"][-1].pop("Z2"),
+    "nan-payoff": lambda doc: doc["nodes"][1].update(X1=float("nan")),
+    "bad-probability-sum": lambda doc: doc["nodes"][1].update(prob=doc["nodes"][1]["prob"] + 0.25),
+    "short-leaf": _short_leaf,
+}
+
+
+def _library(entry):
+    def run(path, tmp_path):
+        tree, payoffs = _raw_instance(json.loads(Path(path).read_text()))
+        with pytest.raises(InstanceError):
+            entry(tree, payoffs)
+
+    return run
+
+
+def _command(name, *out):
+    def run(path, tmp_path):
+        assert main([name, path, *(arg.format(tmp_path) for arg in out)]) == 2
+
+    return run
+
+
+def _load(path, tmp_path):
+    with pytest.raises(SchemaError):
+        load(path)
+
+
+ENTRIES = {
+    "load": _load,
+    "construct": _library(lambda t, p: construct(t, p, eta=0.05)),
+    "construct_pure": _library(lambda t, p: construct_pure(t, p, eta=0.05)),
+    "check_invariants": _library(lambda t, p: check_invariants(t, p, eta=0.05)),
+    "cli-solve": _command("solve", "--out", "{}/out.csv"),
+    "cli-equilibrium": _command("equilibrium", "--out", "{}/out.json"),
+    "cli-invariants": _command("invariants"),
+}
+
+
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_every_entry_rejects_an_invalid_instance(tmp_path, capsys, entry, corruption):
+    tree, payoffs = generate(GeneratorSpec(depth=3, branching=2, seed=0, convexity=True))
+    doc = instance_to_doc(tree, payoffs)
+    CORRUPTIONS[corruption](doc)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    ENTRIES[entry](str(path), tmp_path)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_benchmark_tracer_names_exist():

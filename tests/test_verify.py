@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dynkin import (
     BehavioralProfile,
     EventTree,
+    GeneratorSpec,
     PayoffProcess,
     StageAction,
     best_response,
@@ -17,11 +18,14 @@ from dynkin import (
     construct,
     deviation_gap,
     evaluate_profile,
+    generate,
     solve_value_process,
     split_frame,
+    validate_instance,
 )
+from dynkin import core
 from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX, extend_profile
-from dynkin.verify import _stop_rules
+from dynkin.verify import _split_sample, _stop_rules
 
 from helpers import (
     DYADIC_MIXES,
@@ -253,6 +257,21 @@ class TestInvariantRunner:
         for tree, payoffs in corpus(10, seed0=900, depth_hi=4):
             report = check_invariants(tree, payoffs, eta=0.2)
             assert report.all_pass, [(c.name, c.worst, c.witness) for c in report.failures()]
+
+    def test_validates_the_input_and_each_split_tree_once(self, monkeypatch):
+        tree, payoffs = generate(GeneratorSpec(depth=4, branching=3, seed=0))
+        checked = []
+
+        def counted(t, p):
+            checked.append(len(t.nodes))
+            return validate_instance(t, p)
+
+        monkeypatch.setattr(core, "validate_instance", counted)
+        assert check_invariants(tree, payoffs, eta=0.2).all_pass
+        sample = _split_sample(tree)
+        assert len(tree.nodes) > 12 and len(sample) >= 6
+        assert checked[0] == len(tree.nodes) and len(checked) == 1 + len(sample)
+        assert all(n > len(tree.nodes) for n in checked[1:])
 
 
 class TestGapSplitInvariance:
