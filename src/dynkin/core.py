@@ -194,8 +194,8 @@ class PayoffProcess:
         tables = (self.x1, self.y1, self.z1, self.x2, self.y2, self.z2, self.xi1, self.xi2)
         return max(map(abs, chain.from_iterable(t.values() for t in tables)), default=0.0)
 
-    def tolerance(self, rel: float = DEFAULT_REL_TOL) -> float:
-        return rel * max(1.0, self.payoff_range)
+    def tolerance(self) -> float:
+        return DEFAULT_REL_TOL * max(1.0, self.payoff_range)
 
 
 @dataclass
@@ -413,7 +413,9 @@ def outcome_kernel(
     """Resolve one frame: who stops first and what both players receive.
 
     ``continuation`` is the value pair of surviving the frame; at a leaf it
-    may be omitted, in which case the terminal payoffs apply.
+    may be omitted, in which case the terminal payoffs apply.  It is the
+    reference the stage formulas are checked against, through
+    ``stage_matrices`` in the invariant runner and in the tests.
     """
     if a1 is StageAction.WAIT and a2 is StageAction.WAIT:
         if continuation is not None:
@@ -436,35 +438,52 @@ def outcome_kernel(
     return PayoffPair(payoffs.y1[node], payoffs.y2[node])
 
 
+def deviator_lines(
+    payoffs: PayoffProcess, player: int, node: str, mix: Mix, continuation: float
+) -> tuple[float, float, float, float]:
+    """``player``'s payoffs at ``node`` for DEVIATOR_ACTIONS against the
+    opponent's ``mix``; a uniform stop earns the mean of early and late.
+    """
+    a, u, w = mix
+    if player == 1:
+        own, opp, sim = payoffs.x1[node], payoffs.y1[node], payoffs.z1[node]
+    else:
+        own, opp, sim = payoffs.y2[node], payoffs.x2[node], payoffs.z2[node]
+    atom = a * sim + (u + w) * own
+    early = a * opp + (u + w) * own
+    late = (a + u) * opp + w * own
+    wait = (a + u) * opp + w * continuation
+    return atom, early, late, wait
+
+
 def evaluate_profile_table(
     tree: EventTree, payoffs: PayoffProcess, profile: BehavioralProfile
 ) -> dict[str, PayoffPair]:
-    """Expected payoff pair at each node, conditional on reaching it unstopped."""
+    """Expected payoff pair at each node, conditional on reaching it unstopped.
+
+    Each player's stage payoff weighs their ``deviator_lines`` against the
+    other's mix by their own mix, a uniform stop taking the mean of early
+    and late.
+    """
     issues = validate_profile(tree, profile)
     if issues:
         raise ProfileError(issues[0])
     table: dict[str, PayoffPair] = {}
     for node in reversed(tree.nodes):
-        if tree.is_leaf(node):
-            cont = PayoffPair(payoffs.xi1[node], payoffs.xi2[node])
+        kids = tree.children.get(node)
+        if kids:
+            c1 = c2 = 0.0
+            for child, p in kids:
+                c1 += p * table[child].g1
+                c2 += p * table[child].g2
         else:
-            g1 = g2 = 0.0
-            for child, p in tree.children[node]:
-                g1 += p * table[child].g1
-                g2 += p * table[child].g2
-            cont = PayoffPair(g1, g2)
-        mix1 = profile.player1[node]
-        mix2 = profile.player2[node]
-        g1 = g2 = 0.0
-        for a1, w1 in zip(PLAYER_ACTIONS, mix1):
-            if w1 == 0.0:
-                continue
-            for a2, w2 in zip(PLAYER_ACTIONS, mix2):
-                if w2 == 0.0:
-                    continue
-                pair = outcome_kernel(a1, a2, payoffs, node, continuation=cont)
-                g1 += w1 * w2 * pair.g1
-                g2 += w1 * w2 * pair.g2
+            c1, c2 = payoffs.xi1[node], payoffs.xi2[node]
+        a1, u1, w1 = mix1 = profile.player1[node]
+        a2, u2, w2 = mix2 = profile.player2[node]
+        atom, early, late, wait = deviator_lines(payoffs, 1, node, mix2, c1)
+        g1 = a1 * atom + u1 * (0.5 * (early + late)) + w1 * wait
+        atom, early, late, wait = deviator_lines(payoffs, 2, node, mix1, c2)
+        g2 = a2 * atom + u2 * (0.5 * (early + late)) + w2 * wait
         table[node] = PayoffPair(g1, g2)
     return table
 

@@ -108,11 +108,9 @@ def classify(
     payoffs: PayoffProcess,
     v1: ValueProcess,
     v2: ValueProcess,
-    eta: Optional[float] = None,
     tol: Optional[float] = None,
 ) -> CaseLabel:
     """Root-level region of the instance, given both value processes."""
-    del eta  # the root regions do not depend on the hitting slack
     tol = payoffs.tolerance() if tol is None else tol
     r = tree.root
     if _weak_ge(payoffs.x1[r], v1.value[r], tol):
@@ -148,9 +146,9 @@ def construct_pure(
     """
     require_valid(tree, payoffs)
     require_eta(eta)
-    checked_tol = payoffs.tolerance() if tol is None else tol
+    tol = payoffs.tolerance() if tol is None else tol
     for player in (1, 2):
-        check_convexity(payoffs, tree, player, checked_tol)
+        check_convexity(payoffs, tree, player, tol)
     return _construct(tree, payoffs, eta, tol, pure=True)
 
 
@@ -215,7 +213,7 @@ def _construct_core(
     tol: float,
     pure: bool,
 ) -> tuple[EventTree, PayoffProcess, BehavioralProfile, list[CaseLabel], dict[str, str]]:
-    root_case = classify(tree, payoffs, v1, v2, eta, tol)
+    root_case = classify(tree, payoffs, v1, v2, tol=tol)
 
     if root_case.label.startswith("M"):
         # The mirrored game's player-1 process is the input's player-2

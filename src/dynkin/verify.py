@@ -3,12 +3,16 @@
 A lone deviator facing a mixture of (atom, uniform, wait) gets a payoff that
 is affine in their stop position inside the frame, so only the endpoint
 limits matter: the deviator's action set is (atom, early, late, wait) and the
-best response is an exact backward dynamic program.  Brute-force enumerators
-over explicit stopping rules provide independent cross-checks on small trees.
-Each call builds one table of the tree's root-to-leaf paths, with their
-probabilities, every rule's first stop on each path, and each path's payoff
-terms per pair of first stops; the rules it enumerates are exactly the
-reduced stopping rules of ``_stop_rules``.
+best response is an exact backward dynamic program over
+``core.deviator_lines``, the same stage lines that ``evaluate_profile``
+prices the profile from.  The invariant runner checks frame-split invariance
+on one split of every frame of the input.
+
+Brute-force enumerators over explicit stopping rules provide independent
+cross-checks on small trees.  Each call builds one table of the tree's
+root-to-leaf paths, with their probabilities, every rule's first stop on each
+path, and each path's payoff terms per pair of first stops; the rules it
+enumerates are exactly the reduced stopping rules of ``_stop_rules``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .core import (
+    DEVIATOR_ACTIONS,
     BehavioralProfile,
     EventTree,
     Mix,
@@ -26,10 +31,11 @@ from .core import (
     PayoffProcess,
     StageAction,
     _RANK,
+    deviator_lines,
     evaluate_profile,
     require_player,
     require_valid,
-    split_frame,
+    split_frames,
 )
 from .zerosum import (
     HittingTime,
@@ -44,8 +50,6 @@ from .zerosum import (
 )
 
 BRUTE_FORCE_NODE_LIMIT = 10
-
-_DEVIATOR_ORDER = (StageAction.ATOM, StageAction.EARLY, StageAction.LATE, StageAction.WAIT)
 
 
 @dataclass
@@ -80,20 +84,6 @@ class InvariantReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _deviator_lines(
-    payoffs: PayoffProcess, player: int, node: str, mix: Mix, continuation: float
-) -> tuple[float, float, float, float]:
-    a, u, w = mix
-    own = stop_first_payoff(payoffs, player, node)
-    opp = opponent_first_payoff(payoffs, player, node)
-    sim = payoffs.z1[node] if player == 1 else payoffs.z2[node]
-    atom = a * sim + (u + w) * own
-    early = a * opp + (u + w) * own
-    late = (a + u) * opp + w * own
-    wait = (a + u) * opp + w * continuation
-    return atom, early, late, wait
-
-
 def best_response(
     tree: EventTree,
     payoffs: PayoffProcess,
@@ -115,10 +105,10 @@ def best_response(
             cont = xi[node]
         else:
             cont = sum(p * values[child] for child, p in tree.children[node])
-        lines = _deviator_lines(payoffs, deviator, node, opponent[node], cont)
+        lines = deviator_lines(payoffs, deviator, node, opponent[node], cont)
         best = max(lines)
         values[node] = best
-        strategy[node] = _DEVIATOR_ORDER[lines.index(best)]
+        strategy[node] = DEVIATOR_ACTIONS[lines.index(best)]
     return values, strategy
 
 
@@ -415,8 +405,9 @@ def check_invariants(
 ) -> InvariantReport:
     """Run the named solver invariants and report worst violations.
 
-    Validates the instance, and each frame-split tree of the
-    ``split_invariance`` sample, once.
+    ``split_invariance`` splits every frame of the input at once and compares
+    both value processes at each input node and at its copy.  The instance
+    and the split tree are each validated once.
     """
     require_valid(tree, payoffs)
     tol = payoffs.tolerance() if tol is None else tol
@@ -489,31 +480,28 @@ def check_invariants(
         )
         add(f"expected_value_bound_p{i}", _expected_value_items(tree, payoffs, values[i], hits[i]))
 
+    # Splitting every frame doubles each root path; both halves of a frame
+    # must keep the input's value, as the stage value is idempotent.
+    stree, spay, split = split_frames(tree, payoffs, tree.nodes)
+    require_valid(stree, spay)
     split_items = []
-    for node in _split_sample(tree):
-        stree, spay, _ = split_frame(tree, payoffs, node)
-        require_valid(stree, spay)
-        for i in (1, 2):
-            after = solve_value_process(stree, spay, i)
-            for n in tree.nodes:
-                split_items.append((n, abs(after.value[n] - values[i].value[n])))
+    for i in (1, 2):
+        before = values[i].value
+        after = solve_value_process(stree, spay, i).value
+        for n in tree.nodes:
+            copy = split.inserted[n]
+            split_items.append((n, abs(after[n] - before[n])))
+            split_items.append((copy, abs(after[copy] - before[n])))
     add("split_invariance", split_items)
 
     from .equilibrium import classify  # local import to avoid a module cycle
 
     try:
-        classify(tree, payoffs, values[1], values[2], eta, tol)
+        classify(tree, payoffs, values[1], values[2], tol=tol)
         checks.append(InvariantCheck("classification_total", True, 0.0, None))
     except ModelViolationError as exc:
         checks.append(InvariantCheck("classification_total", False, float("inf"), str(exc)))
     return InvariantReport(checks)
-
-
-def _split_sample(tree: EventTree) -> list[str]:
-    if len(tree.nodes) <= 12:
-        return list(tree.nodes)
-    step = max(1, len(tree.nodes) // 6)
-    return tree.nodes[::step]
 
 
 def _expected_value_items(

@@ -130,32 +130,28 @@ def solve_matrix_game(matrix: Matrix) -> tuple[float, tuple[float, ...], tuple[f
     return lower, row_mix, col_mix
 
 
-def stage_value(x: float, y: float, z: float, cont: float, tol: float) -> tuple[float, Mix, Mix]:
+def stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix, Mix]:
     """Saddle value of one stage game, with the maximizer's and minimizer's mixes.
 
     ``x``, ``y`` and ``z`` are the protagonist's stop-first, opponent-first and
     simultaneous payoffs (for player 2: Y2, X2 and Z2) and ``cont`` is the
     continuation value.  Ties go to the lowest action index, as in
-    ``solve_matrix_game``.  A lower and upper value more than ``tol`` apart
-    contradict the saddle lemma and raise a model violation.
+    ``solve_matrix_game``.  The saddle lemma makes the lower and upper values
+    exactly equal; any difference is a model violation.
     """
     rows = (min(z, x), min(y, x), min(y, cont))
     cols = (max(z, y), max(x, y), max(x, cont))
     lo, hi = max(rows), min(cols)
-    if abs(lo - hi) > tol:
+    if lo != hi:
         raise ModelViolationError(f"stage game has no saddle point: {lo!r} vs {hi!r}")
     return lo, _PURE_MIXES[rows.index(lo)], _PURE_MIXES[cols.index(hi)]
 
 
-def solve_value_process(
-    tree: EventTree, payoffs: PayoffProcess, player: int, tol: Optional[float] = None
-) -> ValueProcess:
+def solve_value_process(tree: EventTree, payoffs: PayoffProcess, player: int) -> ValueProcess:
     """Backward induction of the auxiliary zero-sum value for one player.
 
-    Takes a valid instance, unchecked (see the module docstring); ``tol`` is
-    relative to the payoff range.
+    Takes a valid instance, unchecked (see the module docstring).
     """
-    abs_tol = payoffs.tolerance() if tol is None else tol * max(1.0, payoffs.payoff_range)
     if player == 1:
         x, y, z, xi = payoffs.x1, payoffs.y1, payoffs.z1, payoffs.xi1
     elif player == 2:
@@ -170,7 +166,7 @@ def solve_value_process(
             cont = xi[node]
         else:
             cont = sum(p * value[child] for child, p in tree.children[node])
-        value[node], max_mix[node], min_mix[node] = stage_value(x[node], y[node], z[node], cont, abs_tol)
+        value[node], max_mix[node], min_mix[node] = stage_value(x[node], y[node], z[node], cont)
     return ValueProcess(player=player, value=value, max_mix=max_mix, min_mix=min_mix)
 
 
@@ -182,10 +178,6 @@ def stop_first_payoff(payoffs: PayoffProcess, player: int, node: str) -> float:
 def opponent_first_payoff(payoffs: PayoffProcess, player: int, node: str) -> float:
     """Payoff to ``player`` when the opponent alone stops first at ``node``."""
     return payoffs.y1[node] if player == 1 else payoffs.x2[node]
-
-
-def simultaneous_payoff(payoffs: PayoffProcess, player: int, node: str) -> float:
-    return payoffs.z1[node] if player == 1 else payoffs.z2[node]
 
 
 def hitting_time(
@@ -260,7 +252,6 @@ def punishment_strategy(
     punisher: int,
     node: str,
     value: Optional[ValueProcess] = None,
-    tol: Optional[float] = None,
 ) -> dict[str, Mix]:
     """Minimizing stage play holding the opponent to their value on a subtree.
 
@@ -269,7 +260,7 @@ def punishment_strategy(
     """
     target = 3 - punisher
     if value is None:
-        value = solve_value_process(tree, payoffs, target, tol)
+        value = solve_value_process(tree, payoffs, target)
     if value.player != target:
         raise ValueError(f"value process is for player {value.player}, expected {target}")
     return {n: value.min_mix[n] for n in tree.subtree(node)}

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import random
 
-from dynkin import EventTree, GeneratorSpec, PayoffProcess, generate
+from dynkin import (
+    BehavioralProfile,
+    EventTree,
+    GeneratorSpec,
+    PayoffPair,
+    PayoffProcess,
+    generate,
+    outcome_kernel,
+)
+from dynkin.core import PLAYER_ACTIONS
 
 
 def uniform_tree(depth: int, branching: int = 2) -> EventTree:
@@ -171,3 +180,29 @@ def zero_sum_push(
     tree: EventTree, payoffs: PayoffProcess, fragment: dict, player: int
 ) -> float:
     return zero_sum_push_table(tree, payoffs, fragment, player)[tree.root]
+
+
+def kernel_profile_value(
+    tree: EventTree, payoffs: PayoffProcess, profile: BehavioralProfile
+) -> PayoffPair:
+    """Expected payoffs of a profile by summing ``outcome_kernel`` over the
+    nine stage action pairs at every node, each weighted by both mixes."""
+    table: dict[str, PayoffPair] = {}
+    for node in reversed(tree.nodes):
+        if tree.is_leaf(node):
+            cont = PayoffPair(payoffs.xi1[node], payoffs.xi2[node])
+        else:
+            c1 = c2 = 0.0
+            for child, p in tree.children[node]:
+                c1 += p * table[child].g1
+                c2 += p * table[child].g2
+            cont = PayoffPair(c1, c2)
+        g1 = g2 = 0.0
+        for a1, w1 in zip(PLAYER_ACTIONS, profile.player1[node]):
+            for a2, w2 in zip(PLAYER_ACTIONS, profile.player2[node]):
+                if w1 * w2 != 0.0:
+                    pair = outcome_kernel(a1, a2, payoffs, node, continuation=cont)
+                    g1 += w1 * w2 * pair.g1
+                    g2 += w1 * w2 * pair.g2
+        table[node] = PayoffPair(g1, g2)
+    return table[tree.root]

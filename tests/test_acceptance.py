@@ -191,7 +191,7 @@ def test_criterion_6_oracle_equivalence(solved_corpus):
             checked += 1
     # the first-mover classification chain never falls through on any instance
     for tree, payoffs, v1, v2 in solved_corpus:
-        label = classify(tree, payoffs, v1, v2, 0.05)
+        label = classify(tree, payoffs, v1, v2)
         assert label.label in ("A1", "A2", "A3", "A4", "A6", "M1", "M2", "M3", "M4")
     print(f"\nACCEPTANCE 6 (exact oracle match on {checked} small instances): PASS")
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from dynkin import (
 from dynkin.core import (
     ATOM_MIX,
     UNIFORM_MIX,
+    WAIT_MIX,
     _instance_is_clean,
     _instance_issues,
     _profile_is_clean,
@@ -41,6 +43,7 @@ from helpers import (
     corpus,
     dyadic_instance,
     dyadic_mixes,
+    kernel_profile_value,
     single_node_payoffs,
     uniform_tree,
 )
@@ -329,6 +332,43 @@ def test_evaluate_zero_sum_instances_sum_to_zero():
         assert abs(pair.g1 + pair.g2) <= 1e-9 * max(1.0, payoffs.payoff_range)
 
 
+def _random_profile(tree, rng, pick):
+    return BehavioralProfile(
+        player1={n: pick(rng) for n in tree.nodes}, player2={n: pick(rng) for n in tree.nodes}
+    )
+
+
+def _random_mix(rng):
+    a, u, w = rng.random(), rng.random(), rng.random()
+    total = a + u + w
+    return (a / total, u / total, w / total)
+
+
+def test_evaluate_matches_the_nine_pair_kernel_reference():
+    # The lines formula agrees with the outcome kernel summed over every pair
+    # of stage actions: exactly where no product rounds, and to the last
+    # bits on random mixes.
+    rng = random.Random(2024)
+    pure = (ATOM_MIX, UNIFORM_MIX, WAIT_MIX)
+    for tree, payoffs in corpus(30, seed0=700, depth_hi=4):
+        for _ in range(3):
+            profile = _random_profile(tree, rng, lambda r: r.choice(pure))
+            assert evaluate_profile(tree, payoffs, profile) == kernel_profile_value(tree, payoffs, profile)
+        scale = 1e-9 * max(1.0, payoffs.payoff_range)
+        for _ in range(3):
+            profile = _random_profile(tree, rng, _random_mix)
+            got = evaluate_profile(tree, payoffs, profile)
+            want = kernel_profile_value(tree, payoffs, profile)
+            assert abs(got.g1 - want.g1) <= scale and abs(got.g2 - want.g2) <= scale
+    for shape in DYADIC_SHAPES:
+        for seed in range(6):
+            tree, payoffs = dyadic_instance(shape, seed)
+            profile = BehavioralProfile(
+                player1=dyadic_mixes(tree, seed + 40), player2=dyadic_mixes(tree, seed + 50)
+            )
+            assert evaluate_profile(tree, payoffs, profile) == kernel_profile_value(tree, payoffs, profile)
+
+
 def test_evaluate_table_exposes_conditional_values():
     tree = uniform_tree(1)
     payoffs = constant_payoffs(tree, 0, 0, 0, xi=1.0)
@@ -393,6 +433,19 @@ def test_split_keeps_horizon_uniform_and_pads_other_paths():
     assert validate_instance(stree, spay) == []
     assert stree.horizon == 2
     assert set(mapping.inserted) == {"a", "b"}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(generated_games())
+def test_splitting_every_frame_doubles_each_path(game):
+    # every root path holds horizon + 1 targets, so no leaf needs padding
+    tree, payoffs = game
+    stree, spay, split = split_frames(tree, payoffs, tree.nodes)
+    assert validate_instance(stree, spay) == []
+    assert len(stree.nodes) == 2 * len(tree.nodes)
+    assert stree.horizon == 2 * tree.horizon + 1
+    assert set(split.inserted) == set(tree.nodes)
+    assert set(stree.nodes) == set(tree.nodes) | set(split.inserted.values())
 
 
 def test_split_preserves_profile_evaluation_exactly():

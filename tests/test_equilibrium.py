@@ -24,10 +24,10 @@ from dynkin.zerosum import ValueProcess
 from helpers import constant_payoffs, corpus, single_node_payoffs, uniform_tree
 
 
-def _classify(tree, payoffs, eta=0.05):
+def _classify(tree, payoffs):
     v1 = solve_value_process(tree, payoffs, 1)
     v2 = solve_value_process(tree, payoffs, 2)
-    return classify(tree, payoffs, v1, v2, eta)
+    return classify(tree, payoffs, v1, v2)
 
 
 class TestClassify:
@@ -67,7 +67,7 @@ class TestClassify:
         fake1 = ValueProcess(1, {"n0": 0.0}, {}, {})
         fake2 = ValueProcess(2, {"n0": 5.0}, {}, {})
         with pytest.raises(ModelViolationError, match="A5"):
-            classify(tree, payoffs, fake1, fake2, 0.05)
+            classify(tree, payoffs, fake1, fake2)
 
 
 class TestConstruct:

@@ -23,9 +23,9 @@ from dynkin import (
     split_frame,
     validate_instance,
 )
-from dynkin import core
+from dynkin import core, verify
 from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX, extend_profile
-from dynkin.verify import _split_sample, _stop_rules
+from dynkin.verify import _stop_rules
 
 from helpers import (
     DYADIC_MIXES,
@@ -268,10 +268,24 @@ class TestInvariantRunner:
 
         monkeypatch.setattr(core, "validate_instance", counted)
         assert check_invariants(tree, payoffs, eta=0.2).all_pass
-        sample = _split_sample(tree)
-        assert len(tree.nodes) > 12 and len(sample) >= 6
-        assert checked[0] == len(tree.nodes) and len(checked) == 1 + len(sample)
-        assert all(n > len(tree.nodes) for n in checked[1:])
+        assert checked == [len(tree.nodes), 2 * len(tree.nodes)]
+
+    def test_split_invariance_compares_every_node_and_its_copy(self, monkeypatch):
+        tree, payoffs = generate(GeneratorSpec(depth=3, branching=2, seed=5))
+        copies = {n: f"{n}b" for n in tree.nodes}  # no generated id ends in "b"
+        assert not set(copies.values()) & set(tree.nodes)
+        real = verify.solve_value_process
+
+        def skewed(t, p, player):
+            process = real(t, p, player)
+            if len(t.nodes) > len(tree.nodes):  # the split tree
+                process.value[copies[tree.nodes[-1]]] += 0.5
+            return process
+
+        monkeypatch.setattr(verify, "solve_value_process", skewed)
+        check = next(c for c in check_invariants(tree, payoffs, eta=0.2).checks if c.name == "split_invariance")
+        assert not check.passed and check.worst == pytest.approx(0.5)
+        assert check.witness == copies[tree.nodes[-1]]
 
 
 class TestGapSplitInvariance:

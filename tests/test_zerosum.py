@@ -72,15 +72,15 @@ class TestStageMatrices:
 
 class TestStageValue:
     def test_waiting_carries_the_terminal_value(self):
-        value, max_mix, _ = stage_value(x=0.0, y=2.0, z=2.0, cont=1.0, tol=1e-9)
+        value, max_mix, _ = stage_value(x=0.0, y=2.0, z=2.0, cont=1.0)
         assert value == 1.0
         assert max_mix == WAIT_MIX
 
     def test_constant_game(self):
-        assert stage_value(0.5, 0.5, 0.5, 0.5, tol=1e-9)[0] == 0.5
+        assert stage_value(0.5, 0.5, 0.5, 0.5)[0] == 0.5
 
     def test_delay_beats_bad_simultaneity(self):
-        value, max_mix, _ = stage_value(x=1.0, y=1.0, z=0.0, cont=0.0, tol=1e-9)
+        value, max_mix, _ = stage_value(x=1.0, y=1.0, z=0.0, cont=0.0)
         assert value == 1.0
         assert max_mix == UNIFORM_MIX
 
@@ -90,7 +90,7 @@ class TestStageValue:
         rng = random.Random(12345)
         for _ in range(500):
             x, y, z, c = (rng.uniform(-2, 2) for _ in range(4))
-            stage_value(x, y, z, c, tol=1e-12)  # raises on disagreement
+            stage_value(x, y, z, c)  # raises on any disagreement
 
     @pytest.mark.parametrize("player", [1, 2])
     def test_closed_form_matches_both_orientations_on_tie_grid(self, player):
@@ -105,7 +105,7 @@ class TestStageValue:
             primal, dual = stage_matrices(payoffs, "n0", c, player)
             pv, argmax_row, _ = solve_matrix_game(primal)
             dv, _, argmin_col = solve_matrix_game(dual)
-            value, max_mix, min_mix = stage_value(x, y, z, c, tol=0.0)
+            value, max_mix, min_mix = stage_value(x, y, z, c)
             assert value == pv and value == dv
             assert max_mix == argmax_row and min_mix == argmin_col
 
