@@ -3,11 +3,12 @@
 --tol is the absolute tolerance of the hitting and root-region tests in
 solve, equilibrium and invariants alike.
 
-Exit codes: 0 success, 1 usage (including an --eta or --gap-threshold that is
-not a finite number above zero, a --tol that is not a finite number at or
-above zero, and --pure on a game that breaks convexity),
-2 schema violation (including a profile that does not fit its tree, and a
-report instance that does not match the game), 3 invariant failure,
+Exit codes: 0 success, 1 usage (including an --eta, --gap-threshold or
+--range that is not a finite number above zero, a --tol that is not a finite
+number at or above zero, a --depth below 0 or a --branching below 1, and
+--pure on a game that breaks convexity), 2 schema violation (including a
+profile that does not fit its tree, and a report without second_half or
+whose instance is not the game split at those nodes), 3 invariant failure,
 4 deviation gap above threshold, 5 internal model violation.
 """
 
@@ -20,14 +21,13 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .core import ConvexityError, EventTree, InstanceError, ModelViolationError, PayoffProcess, ProfileError
+from .core import ConvexityError, EventTree, InstanceError, ModelViolationError, PayoffProcess, ProfileError, split_frames
 from .equilibrium import classify, construct, construct_pure
 from .toolkit import (
     FAMILIES,
     GeneratorSpec,
     SchemaError,
     generate,
-    instance_from_doc,
     instance_to_doc,
     load,
     profile_from_doc,
@@ -55,11 +55,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(text: str) -> float:
-    """Argument type for --eta and --gap-threshold: a finite number above zero."""
+    """Argument type for --eta, --gap-threshold and --range: a finite number above zero."""
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"expected a finite number above zero, got {text!r}")
     return value
+
+
+def _integer_at_least(lowest: int):
+    """Argument type for --depth and --branching: an integer at or above ``lowest``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"expected an integer at or above {lowest}, got {text!r}")
+        return value
+
+    return integer
 
 
 def _tolerance(text: str) -> float:
@@ -76,9 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="emit a seeded instance file")
     gen.add_argument("--family", choices=FAMILIES, default="random")
-    gen.add_argument("--depth", type=int, default=3)
-    gen.add_argument("--branching", type=int, default=2)
-    gen.add_argument("--range", dest="payoff_range", type=float, default=1.0)
+    gen.add_argument("--depth", type=_integer_at_least(0), default=3)
+    gen.add_argument("--branching", type=_integer_at_least(1), default=2)
+    gen.add_argument("--range", dest="payoff_range", type=_positive, default=1.0)
     gen.add_argument("--zero-sum", action="store_true")
     gen.add_argument("--convexity", action="store_true")
     gen.add_argument("--seed", type=int, default=0)
@@ -182,20 +194,19 @@ def _cert_doc(cert) -> dict:
     }
 
 
-def _report_instance(doc: object, tree: EventTree, payoffs: PayoffProcess) -> tuple[EventTree, PayoffProcess]:
-    """The (frame-split) instance a report's profile lives on.
+def _report_instance(doc: dict, tree: EventTree, payoffs: PayoffProcess) -> tuple[EventTree, PayoffProcess]:
+    """The frame-split instance a report's profile lives on.
 
-    Splitting keeps every original node with its payoffs, so each game node
-    must be present with the same X, Y and Z for both players.
+    The split is rebuilt from the game at the report's ``second_half`` nodes,
+    and the report's embedded instance must equal it entry for entry.
     """
-    rtree, rpay, _ = instance_from_doc(doc)
-    tables = ("x1", "y1", "z1", "x2", "y2", "z2")
-    for node in tree.nodes:
-        if node not in rtree.depth:
-            raise SchemaError(f"report instance: game node {node!r} is missing")
-        if any(getattr(rpay, t)[node] != getattr(payoffs, t)[node] for t in tables):
-            raise SchemaError(f"report instance: payoffs at node {node!r} differ from the game")
-    return rtree, rpay
+    targets = doc.get("second_half")
+    if not isinstance(targets, dict) or not all(map(tree.depth.__contains__, targets)):
+        raise SchemaError("report: second_half must map game nodes to their split copies")
+    stree, spay, _ = split_frames(tree, payoffs, list(targets))
+    if instance_to_doc(stree, spay) != doc["instance"]:
+        raise SchemaError("report instance differs from the game split at its second_half nodes")
+    return stree, spay
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -206,7 +217,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise SchemaError(f"{args.profile}: expected an object")
         profile = profile_from_doc(doc.get("profile", doc))
         if "instance" in doc:
-            tree, payoffs = _report_instance(doc["instance"], tree, payoffs)
+            tree, payoffs = _report_instance(doc, tree, payoffs)
     if profile is None:
         print("error: no profile embedded in the instance and none provided", file=sys.stderr)
         return EXIT_USAGE

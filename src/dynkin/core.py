@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
-from typing import Container, Iterator, NamedTuple, Optional
+from typing import Container, Iterator, Mapping, NamedTuple, Optional
 
 PROB_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-9
@@ -86,6 +86,16 @@ WAIT_MIX: Mix = (0.0, 0.0, 1.0)
 class PayoffPair(NamedTuple):
     g1: float
     g2: float
+
+
+class Side(NamedTuple):
+    """One player's payoff tables: stopping first, the opponent stopping
+    first, stopping together, and never stopping."""
+
+    stop: dict[str, float]
+    opp: dict[str, float]
+    sim: dict[str, float]
+    xi: dict[str, float]
 
 
 @dataclass
@@ -156,6 +166,14 @@ class EventTree:
         """Nodes of the subtree rooted at ``node``, breadth-first."""
         return list(self.walk(node))
 
+    def continuation(self, node: str, value: Mapping[str, float], terminal: Mapping[str, float]) -> float:
+        """Value of surviving ``node``'s frame: the terminal payoff at a leaf,
+        else the children's ``value`` weighted by their probabilities."""
+        kids = self.children.get(node)
+        if not kids:
+            return terminal[node]
+        return sum(p * value[child] for child, p in kids)
+
     def paths(self) -> Iterator[list[str]]:
         """Root-to-leaf node lists, in leaf order."""
         for leaf in self._leaves:
@@ -197,6 +215,13 @@ class PayoffProcess:
     def tolerance(self) -> float:
         return DEFAULT_REL_TOL * max(1.0, self.payoff_range)
 
+    def side(self, player: int) -> Side:
+        """The player's own view: (X1, Y1, Z1, xi1) or (Y2, X2, Z2, xi2)."""
+        require_player(player)
+        if player == 1:
+            return Side(self.x1, self.y1, self.z1, self.xi1)
+        return Side(self.y2, self.x2, self.z2, self.xi2)
+
 
 @dataclass
 class BehavioralProfile:
@@ -206,11 +231,8 @@ class BehavioralProfile:
     player2: dict[str, Mix]
 
     def side(self, player: int) -> dict[str, Mix]:
-        if player == 1:
-            return self.player1
-        if player == 2:
-            return self.player2
-        raise ValueError(f"player must be 1 or 2, got {player}")
+        require_player(player)
+        return self.player1 if player == 1 else self.player2
 
     @classmethod
     def waiting(cls, tree: EventTree) -> "BehavioralProfile":
@@ -439,19 +461,16 @@ def outcome_kernel(
 
 
 def deviator_lines(
-    payoffs: PayoffProcess, player: int, node: str, mix: Mix, continuation: float
+    stop: float, opp: float, sim: float, mix: Mix, continuation: float
 ) -> tuple[float, float, float, float]:
-    """``player``'s payoffs at ``node`` for DEVIATOR_ACTIONS against the
-    opponent's ``mix``; a uniform stop earns the mean of early and late.
+    """A player's payoffs for DEVIATOR_ACTIONS against the opponent's ``mix``,
+    from their ``Side`` payoffs at one node; a uniform stop earns the mean
+    of early and late.
     """
     a, u, w = mix
-    if player == 1:
-        own, opp, sim = payoffs.x1[node], payoffs.y1[node], payoffs.z1[node]
-    else:
-        own, opp, sim = payoffs.y2[node], payoffs.x2[node], payoffs.z2[node]
-    atom = a * sim + (u + w) * own
-    early = a * opp + (u + w) * own
-    late = (a + u) * opp + w * own
+    atom = a * sim + (u + w) * stop
+    early = a * opp + (u + w) * stop
+    late = (a + u) * opp + w * stop
     wait = (a + u) * opp + w * continuation
     return atom, early, late, wait
 
@@ -468,6 +487,7 @@ def evaluate_profile_table(
     issues = validate_profile(tree, profile)
     if issues:
         raise ProfileError(issues[0])
+    s1, s2 = payoffs.side(1), payoffs.side(2)
     table: dict[str, PayoffPair] = {}
     for node in reversed(tree.nodes):
         kids = tree.children.get(node)
@@ -477,12 +497,12 @@ def evaluate_profile_table(
                 c1 += p * table[child].g1
                 c2 += p * table[child].g2
         else:
-            c1, c2 = payoffs.xi1[node], payoffs.xi2[node]
+            c1, c2 = s1.xi[node], s2.xi[node]
         a1, u1, w1 = mix1 = profile.player1[node]
         a2, u2, w2 = mix2 = profile.player2[node]
-        atom, early, late, wait = deviator_lines(payoffs, 1, node, mix2, c1)
+        atom, early, late, wait = deviator_lines(s1.stop[node], s1.opp[node], s1.sim[node], mix2, c1)
         g1 = a1 * atom + u1 * (0.5 * (early + late)) + w1 * wait
-        atom, early, late, wait = deviator_lines(payoffs, 2, node, mix1, c2)
+        atom, early, late, wait = deviator_lines(s2.stop[node], s2.opp[node], s2.sim[node], mix1, c2)
         g2 = a2 * atom + u2 * (0.5 * (early + late)) + w2 * wait
         table[node] = PayoffPair(g1, g2)
     return table

@@ -4,6 +4,8 @@ The root of the game falls into one of the regions A1..A4 (first mover stops
 immediately, possibly masked by a one-frame delay), A2 (both stop at once),
 their mirror images M1..M4 with the players swapped, or A6, where both wait
 until one player's stop-first payoff first comes within eta of their value.
+An M region is classified and built directly, on the same game, with the
+players' roles swapped: each reads its payoffs through ``PayoffProcess.side``.
 Off-path behavior is the opponent's exact minimizing strategy in the
 deviator's auxiliary zero-sum game, started one frame after the scheduled
 stop; frames are split so that "one frame after" is a real node.
@@ -11,7 +13,7 @@ stop; frames are split so that "one frame after" is a real node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -23,7 +25,6 @@ from .core import (
     PayoffPair,
     PayoffProcess,
     UNIFORM_MIX,
-    mirror,
     require_eta,
     require_valid,
     split_frames,
@@ -85,21 +86,26 @@ def _strict_gt(a: float, b: float, tol: float) -> bool:
 
 
 def _first_mover_chain(
-    payoffs: PayoffProcess, r: str, v2_root: float, tol: float
+    payoffs: PayoffProcess, mover: int, r: str, other_root: float, tol: float
 ) -> str:
-    """Subcases of the region where player 1's stop-first payoff reaches v1."""
-    if _weak_ge(payoffs.x2[r], payoffs.z2[r], tol):
-        return "A1"
-    if _weak_ge(payoffs.z1[r], payoffs.y1[r], tol):
-        return "A2"
-    if _weak_ge(payoffs.y2[r], v2_root, tol):
-        return "A3"
-    if _strict_gt(payoffs.x2[r], payoffs.y2[r], tol):
-        return "A4"
-    # Exhausting the chain is impossible: it would force v2 above both X2 and
-    # Y2, contradicting the value bounds.  Reaching this is a solver bug.
+    """Subcases of the region where ``mover``'s stop-first payoff reaches
+    their value: A1..A4 for player 1, M1..M4 for player 2."""
+    own, other = payoffs.side(mover), payoffs.side(3 - mover)
+    region = "A" if mover == 1 else "M"
+    if _weak_ge(other.opp[r], other.sim[r], tol):
+        return region + "1"
+    if _weak_ge(own.sim[r], own.opp[r], tol):
+        return region + "2"
+    if _weak_ge(other.stop[r], other_root, tol):
+        return region + "3"
+    if _strict_gt(other.opp[r], other.stop[r], tol):
+        return region + "4"
+    # Exhausting the chain is impossible: it would force the other player's
+    # value above both their unilateral payoffs, contradicting the value
+    # bounds.  Reaching this is a solver bug.
+    chain = "first-mover" if mover == 1 else "mirrored"
     raise ModelViolationError(
-        f"root {r}: classification fell through the first-mover chain (region A5)"
+        f"root {r}: classification fell through the {chain} chain (region {region}5)"
     )
 
 
@@ -113,17 +119,10 @@ def classify(
     """Root-level region of the instance, given both value processes."""
     tol = payoffs.tolerance() if tol is None else tol
     r = tree.root
-    if _weak_ge(payoffs.x1[r], v1.value[r], tol):
-        return CaseLabel(_first_mover_chain(payoffs, r, v2.value[r], tol), r)
-    if _weak_ge(payoffs.y2[r], v2.value[r], tol):
-        _, mirrored = mirror(tree, payoffs)
-        try:
-            label = _first_mover_chain(mirrored, r, v1.value[r], tol)
-        except ModelViolationError:
-            raise ModelViolationError(
-                f"root {r}: classification fell through the mirrored chain (region M5)"
-            ) from None
-        return CaseLabel("M" + label[1:], r)
+    roots = (v1.value[r], v2.value[r])
+    for mover in (1, 2):
+        if _weak_ge(payoffs.side(mover).stop[r], roots[mover - 1], tol):
+            return CaseLabel(_first_mover_chain(payoffs, mover, r, roots[2 - mover], tol), r)
     return CaseLabel("A6", r)
 
 
@@ -187,8 +186,10 @@ def _stops(label: str, pure: bool) -> tuple[Optional[Mix], Optional[Mix]]:
 
     A masked stop (a uniform one-frame delay) leaves the opponent nothing to
     crash into; a bare atom in its place is safe only under the convexity
-    condition.
+    condition.  An M case is its A case with the players swapped.
     """
+    if label[0] == "M":
+        return _stops("A" + label[1:], pure)[::-1]
     masked = ATOM_MIX if pure else UNIFORM_MIX
     return {
         "A6": (None, None),
@@ -214,19 +215,6 @@ def _construct_core(
     pure: bool,
 ) -> tuple[EventTree, PayoffProcess, BehavioralProfile, list[CaseLabel], dict[str, str]]:
     root_case = classify(tree, payoffs, v1, v2, tol=tol)
-
-    if root_case.label.startswith("M"):
-        # The mirrored game's player-1 process is the input's player-2
-        # process (same tables, same tolerance), and vice versa.
-        mtree, mpay = mirror(tree, payoffs)
-        stree, smpay, mprofile, mtrace, second = _construct_core(
-            mtree, mpay, replace(v2, player=1), replace(v1, player=2), eta, tol, pure
-        )
-        _, spay = mirror(stree, smpay)
-        profile = BehavioralProfile(player1=dict(mprofile.player2), player2=dict(mprofile.player1))
-        trace = [CaseLabel("M" + c.label[1:], c.node) for c in mtrace]
-        return stree, spay, profile, trace, second
-
     trace = [root_case]
     infinite: list[str] = []
     if root_case.label == "A6":

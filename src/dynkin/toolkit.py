@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -51,8 +52,8 @@ def generate(spec: GeneratorSpec) -> tuple[EventTree, PayoffProcess]:
         raise ValueError(f"depth must be >= 0, got {spec.depth}")
     if spec.branching < 1:
         raise ValueError(f"branching must be >= 1, got {spec.branching}")
-    if spec.payoff_range <= 0:
-        raise ValueError(f"payoff_range must be positive, got {spec.payoff_range}")
+    if not (math.isfinite(spec.payoff_range) and spec.payoff_range > 0):
+        raise ValueError(f"payoff_range must be finite and positive, got {spec.payoff_range}")
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
     rng = random.Random(spec.seed)

@@ -41,11 +41,9 @@ from .zerosum import (
     HittingTime,
     ValueProcess,
     hitting_time,
-    opponent_first_payoff,
     pre_hit_region,
     solve_value_process,
     stage_matrices,
-    stop_first_payoff,
     solve_matrix_game,
 )
 
@@ -96,16 +94,12 @@ def best_response(
     distribution, defined on the whole tree.  Ties go to the earlier action
     in the order atom < early < late < wait.
     """
-    require_player(deviator)
-    xi = payoffs.xi1 if deviator == 1 else payoffs.xi2
+    stop, opp, sim, xi = payoffs.side(deviator)
     values: dict[str, float] = {}
     strategy: dict[str, StageAction] = {}
     for node in reversed(tree.nodes):
-        if tree.is_leaf(node):
-            cont = xi[node]
-        else:
-            cont = sum(p * values[child] for child, p in tree.children[node])
-        lines = deviator_lines(payoffs, deviator, node, opponent[node], cont)
+        cont = tree.continuation(node, values, xi)
+        lines = deviator_lines(stop[node], opp[node], sim[node], opponent[node], cont)
         best = max(lines)
         values[node] = best
         strategy[node] = DEVIATOR_ACTIONS[lines.index(best)]
@@ -421,33 +415,25 @@ def check_invariants(
 
     for i in (1, 2):
         v = values[i].value
-        x = payoffs.x1 if i == 1 else payoffs.x2
-        y = payoffs.y1 if i == 1 else payoffs.y2
-        z = payoffs.z1 if i == 1 else payoffs.z2
+        stop, opp, sim, _ = payoffs.side(i)
         add(
             f"value_lower_bound_p{i}",
-            [(n, min(x[n], y[n]) - v[n]) for n in tree.nodes],
+            [(n, min(stop[n], opp[n]) - v[n]) for n in tree.nodes],
         )
         add(
             f"value_upper_bound_p{i}",
-            [(n, v[n] - max(x[n], y[n])) for n in tree.nodes],
+            [(n, v[n] - max(stop[n], opp[n])) for n in tree.nodes],
         )
         # an immediate opponent stop caps the value at max(opp-first, simultaneous)
-        opp_cap = [
-            (n, v[n] - max(opponent_first_payoff(payoffs, i, n), z[n])) for n in tree.nodes
-        ]
-        add(f"value_opponent_cap_p{i}", opp_cap)
+        add(f"value_opponent_cap_p{i}", [(n, v[n] - max(opp[n], sim[n])) for n in tree.nodes])
 
     # Both orientations, built through the outcome kernel, must agree with
     # each other and with the closed-form value the process used.
     minimax = []
     for i in (1, 2):
-        xi = payoffs.xi1 if i == 1 else payoffs.xi2
+        xi = payoffs.side(i).xi
         for node in reversed(tree.nodes):
-            if tree.is_leaf(node):
-                cont = xi[node]
-            else:
-                cont = sum(p * values[i].value[child] for child, p in tree.children[node])
+            cont = tree.continuation(node, values[i].value, xi)
             primal, dual = stage_matrices(payoffs, node, cont, i)
             pv, _, _ = solve_matrix_game(primal)
             dv, _, _ = solve_matrix_game(dual)
@@ -457,27 +443,18 @@ def check_invariants(
 
     for i in (1, 2):
         v = values[i].value
+        stop, opp, _, xi = payoffs.side(i)
         region = pre_hit_region(tree, hits[i])
-        sub = [
-            (n, v[n] - sum(p * v[c] for c, p in tree.children[n]))
-            for n in region
-            if not tree.is_leaf(n)
-        ]
+        sub = [(n, v[n] - tree.continuation(n, v, xi)) for n in region if not tree.is_leaf(n)]
         add(f"submartingale_p{i}", sub)
         add(
             f"hit_condition_p{i}",
             [
-                (q, (v[q] - eta) - stop_first_payoff(payoffs, i, q))
+                (q, (v[q] - eta) - stop[q])
                 for q in hits[i].antichain
             ],
         )
-        add(
-            f"pre_hit_ordering_p{i}",
-            [
-                (n, stop_first_payoff(payoffs, i, n) - opponent_first_payoff(payoffs, i, n))
-                for n in region
-            ],
-        )
+        add(f"pre_hit_ordering_p{i}", [(n, stop[n] - opp[n]) for n in region])
         add(f"expected_value_bound_p{i}", _expected_value_items(tree, payoffs, values[i], hits[i]))
 
     # Splitting every frame doubles each root path; both halves of a frame
@@ -508,7 +485,7 @@ def _expected_value_items(
     tree: EventTree, payoffs: PayoffProcess, value: ValueProcess, hitting: HittingTime
 ) -> list[tuple[str, float]]:
     """value(n) must not exceed the expected value at the hit, xi beyond it."""
-    xi = payoffs.xi1 if value.player == 1 else payoffs.xi2
+    xi = payoffs.side(value.player).xi
     hits = hitting.hits()
     target: dict[str, float] = {}
     items: list[tuple[str, float]] = []
@@ -518,9 +495,7 @@ def _expected_value_items(
             continue
         if node in hits:
             target[node] = value.value[node]
-        elif tree.is_leaf(node):
-            target[node] = xi[node]
         else:
-            target[node] = sum(p * target[c] for c, p in tree.children[node])
+            target[node] = tree.continuation(node, target, xi)
         items.append((node, value.value[node] - target[node]))
     return items

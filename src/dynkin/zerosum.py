@@ -1,9 +1,10 @@
 """Auxiliary zero-sum games: value processes, hitting times, optimal stage play.
 
-For each player i the auxiliary game uses only player i's payoffs: i maximizes
-while the opponent minimizes.  Values are found by backward induction over
-one-frame stage games; the protagonist mixes over (atom, uniform, wait) while
-the antagonist's pure within-frame stops reduce to (atom, early, late, wait).
+For each player i the auxiliary game uses only player i's payoffs, the tables
+of ``PayoffProcess.side(i)``: i maximizes while the opponent minimizes.
+Values are found by backward induction over one-frame stage games; the
+protagonist mixes over (atom, uniform, wait) while the antagonist's pure
+within-frame stops reduce to (atom, early, late, wait).
 
 Saddle lemma.  Write X, Y, Z for the protagonist's stop-first, opponent-first
 and simultaneous payoffs at a node and c for the continuation value.  The
@@ -134,8 +135,8 @@ def stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix, 
     """Saddle value of one stage game, with the maximizer's and minimizer's mixes.
 
     ``x``, ``y`` and ``z`` are the protagonist's stop-first, opponent-first and
-    simultaneous payoffs (for player 2: Y2, X2 and Z2) and ``cont`` is the
-    continuation value.  Ties go to the lowest action index, as in
+    simultaneous payoffs at one node (``stop``, ``opp`` and ``sim`` of their
+    ``PayoffProcess.side``) and ``cont`` is the continuation value.  Ties go to the lowest action index, as in
     ``solve_matrix_game``.  The saddle lemma makes the lower and upper values
     exactly equal; any difference is a model violation.
     """
@@ -152,32 +153,14 @@ def solve_value_process(tree: EventTree, payoffs: PayoffProcess, player: int) ->
 
     Takes a valid instance, unchecked (see the module docstring).
     """
-    if player == 1:
-        x, y, z, xi = payoffs.x1, payoffs.y1, payoffs.z1, payoffs.xi1
-    elif player == 2:
-        x, y, z, xi = payoffs.y2, payoffs.x2, payoffs.z2, payoffs.xi2
-    else:
-        raise ValueError(f"player must be 1 or 2, got {player}")
+    stop, opp, sim, xi = payoffs.side(player)
     value: dict[str, float] = {}
     max_mix: dict[str, Mix] = {}
     min_mix: dict[str, Mix] = {}
     for node in reversed(tree.nodes):
-        if tree.is_leaf(node):
-            cont = xi[node]
-        else:
-            cont = sum(p * value[child] for child, p in tree.children[node])
-        value[node], max_mix[node], min_mix[node] = stage_value(x[node], y[node], z[node], cont)
+        cont = tree.continuation(node, value, xi)
+        value[node], max_mix[node], min_mix[node] = stage_value(stop[node], opp[node], sim[node], cont)
     return ValueProcess(player=player, value=value, max_mix=max_mix, min_mix=min_mix)
-
-
-def stop_first_payoff(payoffs: PayoffProcess, player: int, node: str) -> float:
-    """Payoff to ``player`` when they alone stop first at ``node``."""
-    return payoffs.x1[node] if player == 1 else payoffs.y2[node]
-
-
-def opponent_first_payoff(payoffs: PayoffProcess, player: int, node: str) -> float:
-    """Payoff to ``player`` when the opponent alone stops first at ``node``."""
-    return payoffs.y1[node] if player == 1 else payoffs.x2[node]
 
 
 def hitting_time(
@@ -191,10 +174,8 @@ def hitting_time(
     require_eta(eta)
     tol = payoffs.tolerance() if tol is None else tol
     player = value.player
-    hit = {
-        n for n in tree.nodes
-        if stop_first_payoff(payoffs, player, n) - (value.value[n] - eta) >= -tol
-    }
+    stop = payoffs.side(player).stop
+    hit = {n for n in tree.nodes if stop[n] - (value.value[n] - eta) >= -tol}
     antichain: list[str] = []
     infinite: list[str] = []
     for node in tree.walk(tree.root, hit):
@@ -216,7 +197,7 @@ def _stop_action(
 ) -> Mix:
     # The delay masks the stop unless the opponent-first payoff is too small,
     # in which case the simultaneous payoff must carry the guarantee.
-    opp = opponent_first_payoff(payoffs, value.player, node)
+    opp = payoffs.side(value.player).opp[node]
     if (value.value[node] - eta) - opp > tol:
         return ATOM_MIX
     return UNIFORM_MIX
@@ -268,17 +249,13 @@ def punishment_strategy(
 
 def check_convexity(payoffs: PayoffProcess, tree: EventTree, player: int, tol: float) -> None:
     """Require Z to lie weakly between X and Y for the player at every node."""
-    x, y, z = (
-        (payoffs.x1, payoffs.y1, payoffs.z1)
-        if player == 1
-        else (payoffs.x2, payoffs.y2, payoffs.z2)
-    )
+    stop, opp, sim, _ = payoffs.side(player)
     for node in tree.nodes:
-        lo = min(x[node], y[node])
-        hi = max(x[node], y[node])
-        if z[node] < lo - tol or z[node] > hi + tol:
+        lo = min(stop[node], opp[node])
+        hi = max(stop[node], opp[node])
+        if sim[node] < lo - tol or sim[node] > hi + tol:
             raise ConvexityError(
-                f"node {node}: Z{player}={z[node]!r} outside [{lo!r}, {hi!r}] for player {player}"
+                f"node {node}: Z{player}={sim[node]!r} outside [{lo!r}, {hi!r}] for player {player}"
             )
 
 

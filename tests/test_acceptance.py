@@ -24,12 +24,7 @@ from dynkin import (
 )
 from dynkin.core import BehavioralProfile, extend_profile
 from dynkin.verify import deviation_gap
-from dynkin.zerosum import (
-    opponent_first_payoff,
-    pre_hit_region,
-    stage_matrices,
-    stop_first_payoff,
-)
+from dynkin.zerosum import pre_hit_region, stage_matrices
 
 from helpers import (
     DYADIC_SHAPES,
@@ -103,6 +98,7 @@ def test_criterion_3_value_bounds_and_hit_inequalities(solved_corpus):
             x = payoffs.x1 if player == 1 else payoffs.x2
             y = payoffs.y1 if player == 1 else payoffs.y2
             z = payoffs.z1 if player == 1 else payoffs.z2
+            stop = payoffs.x1 if player == 1 else payoffs.y2
             opp = payoffs.y1 if player == 1 else payoffs.x2
             for n in tree.nodes:
                 v = process.value[n]
@@ -113,13 +109,13 @@ def test_criterion_3_value_bounds_and_hit_inequalities(solved_corpus):
             for eta in (0.2, 0.05):
                 hit = hitting_time(tree, payoffs, process, eta, tol)
                 for q in hit.antichain:
-                    if stop_first_payoff(payoffs, player, q) < process.value[q] - eta - tol:
+                    if stop[q] < process.value[q] - eta - tol:
                         violations += 1
                 for n in pre_hit_region(tree, hit):
-                    own = stop_first_payoff(payoffs, player, n)
+                    own = stop[n]
                     if own >= process.value[n] - eta - tol:
                         violations += 1  # the condition must fail strictly here
-                    if opponent_first_payoff(payoffs, player, n) <= own - tol:
+                    if opp[n] <= own - tol:
                         violations += 1
                     if not tree.is_leaf(n):
                         expected = sum(p * process.value[c] for c, p in tree.children[n])

@@ -400,6 +400,8 @@ def test_mirror_swaps_roles():
     assert m.x1["n0"] == -2.0 and m.y1["n0"] == -1.0 and m.z1["n0"] == -3.0
     assert m.y2["n0"] == 5.0 and m.x2["n0"] == 1.0 and m.z2["n0"] == 2.0
     assert m.xi1["n0"] == -4.0 and m.xi2["n0"] == 3.0
+    assert m.side(1) == payoffs.side(2)
+    assert m.side(2) == payoffs.side(1)
 
 
 def test_mirror_preserves_zero_sum():

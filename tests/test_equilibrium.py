@@ -70,6 +70,30 @@ class TestClassify:
             classify(tree, payoffs, fake1, fake2)
 
 
+def _swapped_label(label):
+    return {"A": "M", "M": "A"}[label[0]] + label[1:]
+
+
+def _certificate_fields(cert):
+    return (cert.best_response_value, cert.path_value, cert.gap, cert.raw_gap, cert.strategy)
+
+
+def _assert_mirrored_reports(report, mreport):
+    """``mreport`` is ``report`` with the players swapped, exactly."""
+    assert [(c.label, c.node) for c in mreport.case_trace] == [
+        (_swapped_label(c.label), c.node) for c in report.case_trace
+    ]
+    assert mreport.profile.player1 == report.profile.player2
+    assert mreport.profile.player2 == report.profile.player1
+    assert mreport.payoff == PayoffPair(report.payoff.g2, report.payoff.g1)
+    for cert, mcert in zip(report.certificates, reversed(mreport.certificates)):
+        assert _certificate_fields(mcert) == _certificate_fields(cert)
+    assert mreport.tree == report.tree
+    assert mreport.second_half == report.second_half
+    assert mreport.tol == report.tol
+    assert mreport.payoffs == mirror(report.tree, report.payoffs)[1]
+
+
 class TestConstruct:
     def test_rejects_nonpositive_eta(self):
         tree, payoffs = single_node_payoffs(0, 0, 0, 0, 0, 0, 0, 0)
@@ -114,8 +138,9 @@ class TestConstruct:
         # On the overlap where both first-mover chains apply, the two
         # orientations legitimately pick different (zero-gap) constructions,
         # so only gap equivalence is required there; outside the overlap the
-        # trace mirrors exactly.
-        for tree, payoffs in corpus(30, seed0=540, depth_hi=4):
+        # trace mirrors exactly, and below a first-mover root so does the
+        # whole report.
+        for tree, payoffs in corpus(90, seed0=540, depth_hi=4):
             report = construct(tree, payoffs, eta=0.05)
             mtree, mpay = mirror(tree, payoffs)
             mreport = construct(mtree, mpay, eta=0.05)
@@ -137,7 +162,9 @@ class TestConstruct:
                 if first == "A6":
                     assert mfirst == "A6"
                 else:
-                    assert mfirst == ("M" + first[1:] if first[0] == "A" else "A" + first[1:])
+                    # Building an M root directly equals building the A root
+                    # of the mirrored game, with the players swapped.
+                    _assert_mirrored_reports(report, mreport)
 
     def test_masked_stop_survives_a_tempting_simultaneous_payoff(self):
         # If the stopper used a bare atom here, the opponent could collide
@@ -214,15 +241,22 @@ class TestConstruct:
             "M1": constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False),
         }[root_case]
         calls = []
+        classified = []
 
         def counted(*args, **kwargs):
             calls.append(args[2])
             return solve_value_process(*args, **kwargs)
 
+        def counted_classify(*args, **kwargs):
+            classified.append(args[0])
+            return classify(*args, **kwargs)
+
         monkeypatch.setattr(equilibrium, "solve_value_process", counted)
+        monkeypatch.setattr(equilibrium, "classify", counted_classify)
         report = construct(tree, payoffs, eta=0.05)
         assert report.case_trace[0].label == root_case
         assert calls == [1, 2]
+        assert classified == [tree]
 
     def test_validates_the_instance_once(self, monkeypatch):
         tree = uniform_tree(2)

@@ -1,5 +1,6 @@
 """Generators, the game file format, CSV reports, and the CLI."""
 
+import ast
 import importlib.util
 import json
 import re
@@ -275,7 +276,32 @@ BAD_INPUTS = {
     "invariants-tol-nan": (["invariants", "{game}", "--tol", "nan"], 1),
     "solve-tol-inf": (["solve", "{game}", "--tol", "inf", "--out", "{out}"], 1),
     "verify-profile-nan": (["verify", "{game}", "--profile", "{nan_profile}"], 2),
+    "report-forged-xi": (["verify", "{report_game}", "--profile", "{forged_xi_report}"], 2),
+    "report-forged-probability": (["verify", "{report_game}", "--profile", "{forged_prob_report}"], 2),
+    "generate-depth-negative": (["generate", "--depth", "-1", "--out", "{out}"], 1),
+    "generate-branching-zero": (["generate", "--branching", "0", "--out", "{out}"], 1),
+    "generate-range-nan": (["generate", "--range", "nan", "--out", "{out}"], 1),
+    "generate-range-inf": (["generate", "--range", "inf", "--out", "{out}"], 1),
 }
+
+
+def _forged_reports(game_path, tmp_path):
+    """A real report of the game, then two copies whose embedded instance
+    changes what the profile is certified against: every leaf's terminal
+    payoffs, or the order of two sibling probabilities."""
+    assert main(["equilibrium", game_path, "--out", str(tmp_path / "report.json")]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    forged_xi = json.loads(json.dumps(report))
+    for entry in forged_xi["instance"]["nodes"]:
+        if "xi1" in entry:
+            entry.update(xi1=100.0, xi2=100.0)
+    forged_prob = json.loads(json.dumps(report))
+    siblings = {}
+    for entry in forged_prob["instance"]["nodes"][1:]:  # the root has no parent
+        siblings.setdefault(entry["parent"], []).append(entry)
+    first, second = next(kids for kids in siblings.values() if len({e["prob"] for e in kids}) > 1)[:2]
+    first["prob"], second["prob"] = second["prob"], first["prob"]
+    return {"forged_xi_report": json.dumps(forged_xi), "forged_prob_report": json.dumps(forged_prob)}
 
 
 @pytest.fixture
@@ -306,9 +332,13 @@ def bad_files(tmp_path):
         "nan_profile": json.dumps({"profile": nan_mix}),
         "not_json": "not json {",
         "other_report": json.dumps({"profile": waiting_profile, "instance": other}),
+        "report_game": json.dumps(instance_to_doc(*generate(GeneratorSpec(depth=4, branching=3, seed=3)))),
     }
     paths = {"out": str(tmp_path / "out")}
     for name, text in texts.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
+    for name, text in _forged_reports(paths["report_game"], tmp_path).items():
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(text)
     return paths
@@ -324,6 +354,7 @@ def test_bad_input_exits_with_its_code_and_no_traceback(bad_files, case):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not Path(bad_files["out"]).exists()
 
 
 def _raw_instance(doc):
@@ -414,3 +445,23 @@ def test_benchmark_tracer_names_exist():
     assert names
     for home, fn in names:
         assert callable(getattr(importlib.import_module(f"dynkin.{home}"), fn, None)), (home, fn)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # The engine has no runtime dependencies: every import in the package is
+    # relative, of dynkin itself, or of a standard-library module.
+    package = Path(__file__).resolve().parent.parent / "src" / "dynkin"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    outside = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            top = {name.split(".")[0] for name in names}
+            outside += [(source.name, t) for t in top if t != "dynkin" and t not in sys.stdlib_module_names]
+    assert outside == []
