@@ -5,11 +5,13 @@ solve, equilibrium and invariants alike.
 
 Exit codes: 0 success, 1 usage (including an --eta, --gap-threshold or
 --range that is not a finite number above zero, a --tol that is not a finite
-number at or above zero, a --depth below 0 or a --branching below 1, and
---pure on a game that breaks convexity), 2 schema violation (including a
-profile that does not fit its tree, and a report without second_half or
-whose instance is not the game split at those nodes), 3 invariant failure,
-4 deviation gap above threshold, 5 internal model violation.
+number at or above zero, a --depth below 0 or a --branching below 1, a
+generate whose game would hold a payoff above core.PAYOFF_LIMIT, which writes
+no file, and --pure on a game that breaks convexity), 2 schema violation
+(including a payoff above core.PAYOFF_LIMIT, a profile that does not fit its
+tree, and a report without second_half or whose instance is not the game
+split at those nodes), 3 invariant failure, 4 deviation gap above threshold,
+5 internal model violation.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .core import ConvexityError, EventTree, InstanceError, ModelViolationError, PayoffProcess, ProfileError, split_frames
+from .core import ConvexityError, EventTree, InstanceError, ModelViolationError, PayoffProcess, ProfileError, require_tol, split_frames
 from .equilibrium import classify, construct, construct_pure
 from .toolkit import (
     FAMILIES,
@@ -75,10 +77,12 @@ def _integer_at_least(lowest: int):
 
 
 def _tolerance(text: str) -> float:
-    """Argument type for --tol: a finite number at or above zero."""
+    """Argument type for --tol: a finite number at or above zero (``require_tol``)."""
     value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number at or above zero, got {text!r}")
+    try:
+        require_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -132,7 +136,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         convexity=args.convexity,
         seed=args.seed,
     )
-    tree, payoffs = generate(spec)
+    try:
+        tree, payoffs = generate(spec)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     save(args.out, tree, payoffs)
     print(f"wrote {args.out}: {len(tree.nodes)} nodes, horizon {tree.horizon}")
     return EXIT_OK

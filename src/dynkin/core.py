@@ -7,23 +7,30 @@ small set of stage actions.  Player 1 stopping first pays (X1, X2), player 2
 first pays (Y1, Y2), a simultaneous atom pays (Z1, Z2), and never stopping
 pays the terminal (xi1, xi2) at the reached leaf.
 
-``validate_instance`` and ``validate_profile`` screen a clean input with
-whole-table passes and word the issues node by node only when the screen
-fails.  Each entry that takes outside input validates it once; the solvers
-downstream take a valid instance unchecked.
+``validate_instance`` and ``validate_profile`` check each rule once: one
+loop over the tree's structure, one C-level pass per payoff table, and one
+check per distinct stage mix.  Only a table or mix that fails is worded,
+node by node.  Payoffs may not exceed ``PAYOFF_LIMIT`` in magnitude, so no
+stage sum overflows.  Each entry that takes outside input validates it once;
+the solvers downstream take a valid instance unchecked.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, filterfalse, repeat
 from operator import itemgetter
 from typing import Container, Iterator, Mapping, NamedTuple, Optional
 
 PROB_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-9
+# Largest payoff magnitude an instance may hold: below it a stage line's
+# early + late, and every value difference, stays under max / 2.
+PAYOFF_LIMIT = sys.float_info.max / 4
 
 
 class ModelViolationError(RuntimeError):
@@ -244,103 +251,59 @@ class BehavioralProfile:
 
 
 _PROB = itemgetter(1)
-_MINUS_ONE = (-1.0).__add__  # x - 1.0, bit for bit
-_NUMBERS = frozenset((float, int))
-# What a screen may hit on a bad input: a missing entry, a wrong type or shape,
-# an int too large for a float.
-_UNSCREENED = (LookupError, TypeError, ValueError, ArithmeticError)
 
 
 def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
-    """Structural diagnostics; an empty list means the instance is valid.
+    """Structural diagnostics in node order; an empty list means the instance is valid.
 
-    A clean instance passes ``_instance_is_clean``; only one that fails it is
-    walked node by node to word every issue.
-    """
-    if _instance_is_clean(tree, payoffs):
-        return []
-    return _instance_issues(tree, payoffs)
-
-
-def _instance_is_clean(tree: EventTree, payoffs: PayoffProcess) -> bool:
-    """True exactly when ``_instance_issues`` finds nothing.
-
-    One lean loop checks the child probabilities and depths, then one pass
-    per table checks every payoff the wording loop reads; a missing entry
-    raises ``KeyError``.
+    One loop checks the child probabilities, the depths and the horizon, and
+    one pass per table checks its entries; only a table that fails its pass
+    is worded node by node.
     """
     nodes = tree.nodes
     depth = tree.depth
     horizon = tree.horizon
     kids_of = tree.children.get
+    found: defaultdict[str, list[str]] = defaultdict(list)
     leaves = []
-    try:
-        for node in nodes:
-            kids = kids_of(node)
-            if not kids:
-                if depth[node] != horizon:
-                    return False
-                leaves.append(node)
-                continue
-            if abs(sum(map(_PROB, kids)) - 1.0) > PROB_TOL:
-                return False
-            below = depth[node] + 1
-            for child, p in kids:
-                if not 0.0 < p <= 1.0 or depth[child] != below:
-                    return False
-        for table, where in (
-            (payoffs.x1, nodes),
-            (payoffs.y1, nodes),
-            (payoffs.z1, nodes),
-            (payoffs.x2, nodes),
-            (payoffs.y2, nodes),
-            (payoffs.z2, nodes),
-            (payoffs.xi1, leaves),
-            (payoffs.xi2, leaves),
-        ):
-            if not all(map(math.isfinite, map(table.__getitem__, where))):
-                return False
-    except _UNSCREENED:  # the wording loop words the issue or raises as before
-        return False
-    return True
-
-
-def _instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
-    """Every structural issue, in node order."""
-    issues: list[str] = []
-    horizon = tree.horizon
-    for node in tree.nodes:
-        kids = tree.children.get(node, [])
-        if kids:
-            total = sum(p for _, p in kids)
-            if abs(total - 1.0) > PROB_TOL:
-                issues.append(f"node {node}: child probabilities sum to {total!r}, not 1")
-            for child, p in kids:
-                if not (0.0 < p <= 1.0):
-                    issues.append(f"node {node}: probability {p!r} for child {child} not in (0, 1]")
-                if tree.depth[child] != tree.depth[node] + 1:
-                    issues.append(f"node {child}: depth {tree.depth[child]} inconsistent with parent")
-        else:
-            if tree.depth[node] != horizon:
-                issues.append(f"node {node}: leaf at depth {tree.depth[node]}, horizon is {horizon} (non-uniform horizon)")
-            for name, table in (("xi1", payoffs.xi1), ("xi2", payoffs.xi2)):
-                if node not in table:
-                    issues.append(f"node {node}: missing terminal payoff {name}")
-                elif not math.isfinite(table[node]):
-                    issues.append(f"node {node}: non-finite terminal payoff {name}")
-        for name, table in (
-            ("X1", payoffs.x1),
-            ("Y1", payoffs.y1),
-            ("Z1", payoffs.z1),
-            ("X2", payoffs.x2),
-            ("Y2", payoffs.y2),
-            ("Z2", payoffs.z2),
-        ):
+    for node in nodes:
+        kids = kids_of(node)
+        if not kids:
+            leaves.append(node)
+            if depth[node] != horizon:
+                found[node].append(f"node {node}: leaf at depth {depth[node]}, horizon is {horizon} (non-uniform horizon)")
+            continue
+        total = sum(map(_PROB, kids))
+        if abs(total - 1.0) > PROB_TOL:
+            found[node].append(f"node {node}: child probabilities sum to {total!r}, not 1")
+        below = depth[node] + 1
+        for child, p in kids:
+            if not 0.0 < p <= 1.0:
+                found[node].append(f"node {node}: probability {p!r} for child {child} not in (0, 1]")
+            if depth[child] != below:
+                found[node].append(f"node {child}: depth {depth[child]} inconsistent with parent")
+    for name, table, where, kind in (
+        ("xi1", payoffs.xi1, leaves, "terminal payoff"),
+        ("xi2", payoffs.xi2, leaves, "terminal payoff"),
+        ("X1", payoffs.x1, nodes, "payoff"),
+        ("Y1", payoffs.y1, nodes, "payoff"),
+        ("Z1", payoffs.z1, nodes, "payoff"),
+        ("X2", payoffs.x2, nodes, "payoff"),
+        ("Y2", payoffs.y2, nodes, "payoff"),
+        ("Z2", payoffs.z2, nodes, "payoff"),
+    ):
+        # a sum of magnitudes is at least each of them, and a missing (NaN
+        # default) or non-finite entry leaves it non-finite
+        if sum(map(math.fabs, map(table.get, where, repeat(math.nan)))) <= PAYOFF_LIMIT:
+            continue
+        for node in where:
             if node not in table:
-                issues.append(f"node {node}: missing payoff {name}")
+                found[node].append(f"node {node}: missing {kind} {name}")
             elif not math.isfinite(table[node]):
-                issues.append(f"node {node}: non-finite payoff {name}")
-    return issues
+                found[node].append(f"node {node}: non-finite {kind} {name}")
+            elif math.fabs(table[node]) > PAYOFF_LIMIT:
+                found[node].append(f"node {node}: {kind} {name} {table[node]!r} is above the payoff limit {PAYOFF_LIMIT!r}")
+    return [issue for node in nodes for issue in found.get(node, ())] if found else []
 
 
 def require_valid(tree: EventTree, payoffs: PayoffProcess) -> None:
@@ -355,6 +318,13 @@ def require_eta(eta: float) -> None:
         raise ValueError(f"eta must be finite and positive, got {eta!r}")
 
 
+def require_tol(tol: Optional[float]) -> None:
+    """An absolute tolerance must be a finite number at or above zero; None
+    picks the instance's default."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and at or above zero, got {tol!r}")
+
+
 def require_player(player: int) -> None:
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player}")
@@ -365,63 +335,39 @@ def validate_profile(tree: EventTree, profile: BehavioralProfile) -> list[str]:
 
     Each player needs a distribution at every tree node and at no other node:
     three finite entries, none below -PROB_TOL, summing to one within
-    PROB_TOL.  A clean profile passes ``_profile_is_clean``; only one that
-    fails it is walked node by node to word every issue.
+    PROB_TOL.  Each distinct mix object is checked once, and the nodes are
+    worded only when some mix is flawed.
     """
-    if _profile_is_clean(tree, profile):
-        return []
-    return _profile_issues(tree, profile)
-
-
-def _profile_is_clean(tree: EventTree, profile: BehavioralProfile) -> bool:
-    """True exactly when ``_profile_issues`` finds nothing, for tuple mixes.
-
-    Each side is checked in whole-side passes over its distinct mixes.  Equal
-    tuples of floats and ints have equal entries and sums, so they pass or
-    fail together; a profile with any other mix goes to the wording loop.
-    """
-    try:
-        for side in (profile.player1, profile.player2):
-            if not all(map(tree.depth.__contains__, side)):
-                return False
-            mixes = set(map(side.__getitem__, tree.nodes))
-            entries = list(chain.from_iterable(mixes))
-            if not (
-                {tuple}.issuperset(map(type, mixes))
-                and _NUMBERS.issuperset(map(type, entries))
-                and all(map((3).__eq__, map(len, mixes)))
-                and all(map(math.isfinite, entries))
-                and min(entries, default=0.0) >= -PROB_TOL
-                and max(map(abs, map(_MINUS_ONE, map(sum, mixes))), default=0.0) <= PROB_TOL
-            ):
-                return False
-    except _UNSCREENED:  # the wording loop words the issue or raises as before
-        return False
-    return True
-
-
-def _profile_issues(tree: EventTree, profile: BehavioralProfile) -> list[str]:
-    """Every issue of the profile, player by player in node order."""
     issues: list[str] = []
+    nodes = tree.nodes
     for player, side in ((1, profile.player1), (2, profile.player2)):
         issues.extend(
             f"node {node}: not in the tree, yet player {player} has a distribution there"
-            for node in side
-            if node not in tree.depth
+            for node in filterfalse(tree.depth.__contains__, side)
         )
-        for node in tree.nodes:
-            mix = side.get(node)
-            if mix is None:
-                issues.append(f"node {node}: player {player} has no stage distribution")
-                continue
-            if len(mix) != 3 or any(p < -PROB_TOL for p in mix):
-                issues.append(f"node {node}: player {player} distribution {mix!r} malformed")
-                continue
-            if abs(sum(mix) - 1.0) > PROB_TOL:
-                issues.append(f"node {node}: player {player} distribution sums to {sum(mix)!r}")
-            elif not all(map(math.isfinite, mix)):  # a NaN passes both tests above
-                issues.append(f"node {node}: player {player} distribution {mix!r} is not finite")
+        mixes = list(map(side.get, nodes))
+        flaws = {key: _mix_flaw(mix) for key, mix in dict(zip(map(id, mixes), mixes)).items()}
+        if any(flaws.values()):
+            issues.extend(
+                f"node {node}: player {player} {flaws[id(mix)]}"
+                for node, mix in zip(nodes, mixes)
+                if flaws[id(mix)]
+            )
     return issues
+
+
+def _mix_flaw(mix: Optional[Mix]) -> Optional[str]:
+    """What is wrong with one stage distribution, worded after "player k"."""
+    if mix is None:
+        return "has no stage distribution"
+    if len(mix) != 3 or any(p < -PROB_TOL for p in mix):
+        return f"distribution {mix!r} malformed"
+    total = sum(mix)
+    if abs(total - 1.0) > PROB_TOL:
+        return f"distribution sums to {total!r}"
+    if not all(map(math.isfinite, mix)):  # a NaN passes both tests above
+        return f"distribution {mix!r} is not finite"
+    return None
 
 
 def outcome_kernel(

@@ -26,6 +26,7 @@ from .core import (
     PayoffProcess,
     UNIFORM_MIX,
     require_eta,
+    require_tol,
     require_valid,
     split_frames,
 )
@@ -132,6 +133,7 @@ def construct(
     """Build and certify an eta-level equilibrium profile."""
     require_valid(tree, payoffs)
     require_eta(eta)
+    require_tol(tol)
     return _construct(tree, payoffs, eta, tol, pure=False)
 
 
@@ -145,6 +147,7 @@ def construct_pure(
     """
     require_valid(tree, payoffs)
     require_eta(eta)
+    require_tol(tol)
     tol = payoffs.tolerance() if tol is None else tol
     for player in (1, 2):
         check_convexity(payoffs, tree, player, tol)

@@ -142,6 +142,9 @@ def generate(spec: GeneratorSpec) -> tuple[EventTree, PayoffProcess]:
             xi2[leaf] = -xi1[leaf]
 
     payoffs = PayoffProcess(x1=x1, y1=y1, z1=z1, x2=x2, y2=y2, z2=z2, xi1=xi1, xi2=xi2)
+    issues = validate_instance(tree, payoffs)
+    if issues:  # a payoff_range near the float limit builds payoffs above PAYOFF_LIMIT
+        raise ValueError(f"payoff_range {r!r} builds an invalid game: {issues[0]}")
     return tree, payoffs
 
 

@@ -34,6 +34,7 @@ from .core import (
     deviator_lines,
     evaluate_profile,
     require_player,
+    require_tol,
     require_valid,
     split_frames,
 )
@@ -404,6 +405,7 @@ def check_invariants(
     and the split tree are each validated once.
     """
     require_valid(tree, payoffs)
+    require_tol(tol)
     tol = payoffs.tolerance() if tol is None else tol
     checks: list[InvariantCheck] = []
     values = {i: solve_value_process(tree, payoffs, i) for i in (1, 2)}

@@ -50,6 +50,7 @@ from .core import (
     WAIT_MIX,
     outcome_kernel,
     require_eta,
+    require_player,
 )
 
 Matrix = tuple[tuple[float, ...], ...]
@@ -92,6 +93,7 @@ def stage_matrices(
     transposed, the antagonist mixing (atom, uniform, wait) columns against
     protagonist pure rows.
     """
+    require_player(player)
     cont = PayoffPair(continuation, continuation)
 
     def entry(a1: StageAction, a2: StageAction) -> float:
@@ -101,11 +103,9 @@ def stage_matrices(
     if player == 1:
         primal = tuple(tuple(entry(r, c) for c in DEVIATOR_ACTIONS) for r in PLAYER_ACTIONS)
         dual = tuple(tuple(entry(r, c) for c in PLAYER_ACTIONS) for r in DEVIATOR_ACTIONS)
-    elif player == 2:
+    else:
         primal = tuple(tuple(entry(c, r) for c in DEVIATOR_ACTIONS) for r in PLAYER_ACTIONS)
         dual = tuple(tuple(entry(c, r) for c in PLAYER_ACTIONS) for r in DEVIATOR_ACTIONS)
-    else:
-        raise ValueError(f"player must be 1 or 2, got {player}")
     return primal, dual
 
 

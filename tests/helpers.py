@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from dynkin import (
@@ -13,7 +14,7 @@ from dynkin import (
     generate,
     outcome_kernel,
 )
-from dynkin.core import PLAYER_ACTIONS
+from dynkin.core import PAYOFF_LIMIT, PLAYER_ACTIONS, PROB_TOL
 
 
 def uniform_tree(depth: int, branching: int = 2) -> EventTree:
@@ -206,3 +207,71 @@ def kernel_profile_value(
                     g2 += w1 * w2 * pair.g2
         table[node] = PayoffPair(g1, g2)
     return table[tree.root]
+
+
+def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
+    """Every structural issue, in node order: the node-by-node reference
+    ``validate_instance`` must agree with."""
+    issues: list[str] = []
+    horizon = tree.horizon
+    for node in tree.nodes:
+        kids = tree.children.get(node, [])
+        if kids:
+            total = sum(p for _, p in kids)
+            if abs(total - 1.0) > PROB_TOL:
+                issues.append(f"node {node}: child probabilities sum to {total!r}, not 1")
+            for child, p in kids:
+                if not (0.0 < p <= 1.0):
+                    issues.append(f"node {node}: probability {p!r} for child {child} not in (0, 1]")
+                if tree.depth[child] != tree.depth[node] + 1:
+                    issues.append(f"node {child}: depth {tree.depth[child]} inconsistent with parent")
+        else:
+            if tree.depth[node] != horizon:
+                issues.append(f"node {node}: leaf at depth {tree.depth[node]}, horizon is {horizon} (non-uniform horizon)")
+            for name, table in (("xi1", payoffs.xi1), ("xi2", payoffs.xi2)):
+                if node not in table:
+                    issues.append(f"node {node}: missing terminal payoff {name}")
+                elif not math.isfinite(table[node]):
+                    issues.append(f"node {node}: non-finite terminal payoff {name}")
+                elif abs(table[node]) > PAYOFF_LIMIT:
+                    issues.append(f"node {node}: terminal payoff {name} {table[node]!r} is above the payoff limit {PAYOFF_LIMIT!r}")
+        for name, table in (
+            ("X1", payoffs.x1),
+            ("Y1", payoffs.y1),
+            ("Z1", payoffs.z1),
+            ("X2", payoffs.x2),
+            ("Y2", payoffs.y2),
+            ("Z2", payoffs.z2),
+        ):
+            if node not in table:
+                issues.append(f"node {node}: missing payoff {name}")
+            elif not math.isfinite(table[node]):
+                issues.append(f"node {node}: non-finite payoff {name}")
+            elif abs(table[node]) > PAYOFF_LIMIT:
+                issues.append(f"node {node}: payoff {name} {table[node]!r} is above the payoff limit {PAYOFF_LIMIT!r}")
+    return issues
+
+
+def profile_issues(tree: EventTree, profile: BehavioralProfile) -> list[str]:
+    """Every issue of the profile, player by player in node order: the
+    node-by-node reference ``validate_profile`` must agree with."""
+    issues: list[str] = []
+    for player, side in ((1, profile.player1), (2, profile.player2)):
+        issues.extend(
+            f"node {node}: not in the tree, yet player {player} has a distribution there"
+            for node in side
+            if node not in tree.depth
+        )
+        for node in tree.nodes:
+            mix = side.get(node)
+            if mix is None:
+                issues.append(f"node {node}: player {player} has no stage distribution")
+                continue
+            if len(mix) != 3 or any(p < -PROB_TOL for p in mix):
+                issues.append(f"node {node}: player {player} distribution {mix!r} malformed")
+                continue
+            if abs(sum(mix) - 1.0) > PROB_TOL:
+                issues.append(f"node {node}: player {player} distribution sums to {sum(mix)!r}")
+            elif not all(map(math.isfinite, mix)):  # a NaN passes both tests above
+                issues.append(f"node {node}: player {player} distribution {mix!r} is not finite")
+    return issues

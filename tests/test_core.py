@@ -29,10 +29,6 @@ from dynkin.core import (
     ATOM_MIX,
     UNIFORM_MIX,
     WAIT_MIX,
-    _instance_is_clean,
-    _instance_issues,
-    _profile_is_clean,
-    _profile_issues,
     extend_profile,
 )
 
@@ -43,7 +39,9 @@ from helpers import (
     corpus,
     dyadic_instance,
     dyadic_mixes,
+    instance_issues,
     kernel_profile_value,
+    profile_issues,
     single_node_payoffs,
     uniform_tree,
 )
@@ -138,9 +136,7 @@ def corrupted_instances(draw):
 @given(corrupted_instances())
 def test_instance_screen_passes_exactly_the_clean_instances(instance):
     tree, payoffs = instance
-    issues = _instance_issues(tree, payoffs)
-    assert _instance_is_clean(tree, payoffs) == (issues == [])
-    assert validate_instance(tree, payoffs) == issues
+    assert validate_instance(tree, payoffs) == instance_issues(tree, payoffs)
 
 
 _BAD_MIXES = (
@@ -185,9 +181,7 @@ def corrupted_profiles(draw):
 @given(corrupted_profiles())
 def test_profile_screen_passes_exactly_the_clean_profiles(case):
     tree, profile = case
-    issues = _profile_issues(tree, profile)
-    assert _profile_is_clean(tree, profile) == (issues == [])
-    assert validate_profile(tree, profile) == issues
+    assert validate_profile(tree, profile) == profile_issues(tree, profile)
 
 
 class _AllEqual(tuple):

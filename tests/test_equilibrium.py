@@ -10,6 +10,7 @@ from dynkin import (
     ModelViolationError,
     PayoffPair,
     PayoffProcess,
+    check_invariants,
     classify,
     construct,
     construct_pure,
@@ -92,6 +93,15 @@ def _assert_mirrored_reports(report, mreport):
     assert mreport.second_half == report.second_half
     assert mreport.tol == report.tol
     assert mreport.payoffs == mirror(report.tree, report.payoffs)[1]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
+@pytest.mark.parametrize("entry", [construct, construct_pure, check_invariants])
+def test_library_entries_reject_a_bad_tol(entry, tol):
+    # at the CLI --tol rejects these; a NaN tol used to relabel an A4 root as A6
+    tree, payoffs = generate(GeneratorSpec(depth=4, branching=3, seed=3, convexity=True))
+    with pytest.raises(ValueError, match="tol must be finite and at or above zero"):
+        entry(tree, payoffs, 0.05, tol=tol)
 
 
 class TestConstruct:

@@ -29,7 +29,7 @@ from dynkin.toolkit import instance_to_doc, write_report_csv
 from dynkin.zerosum import check_convexity
 from dynkin.cli import main
 
-from helpers import dyadic_mixes, uniform_tree, constant_payoffs
+from helpers import dyadic_mixes, uniform_tree, constant_payoffs, single_node_payoffs
 
 
 class TestGenerator:
@@ -282,6 +282,8 @@ BAD_INPUTS = {
     "generate-branching-zero": (["generate", "--branching", "0", "--out", "{out}"], 1),
     "generate-range-nan": (["generate", "--range", "nan", "--out", "{out}"], 1),
     "generate-range-inf": (["generate", "--range", "inf", "--out", "{out}"], 1),
+    "verify-payoff-overflow": (["verify", "{big_payoff}"], 2),
+    "generate-range-overflow": (["generate", "--depth", "2", "--range", "1e308", "--out", "{out}"], 1),
 }
 
 
@@ -322,6 +324,9 @@ def bad_files(tmp_path):
     stray = {"player1": {**waiting, "ghost": [0.0, 0.0, 1.0]}, "player2": waiting}
     nan_mix = {"player1": {**waiting, tree.root: [float("nan"), 0.0, 1.0]}, "player2": waiting}
     other = instance_to_doc(*generate(GeneratorSpec(depth=2, branching=2, seed=5)))
+    # 0.5 * (early + late) overflows at these payoffs, and a NaN gap would certify as 0
+    big = instance_to_doc(*single_node_payoffs(1.5e308, 1.5e308, 1.5e308, 0.0, 0.0, 0.0, 0.0, 0.0))
+    big["profile"] = {"player1": {"n0": [0.0, 0.0, 1.0]}, "player2": {"n0": [0.0, 0.0, 1.0]}}
     texts = {
         "game": json.dumps(doc),
         "bool_payoff": json.dumps(bool_payoff),
@@ -332,6 +337,7 @@ def bad_files(tmp_path):
         "nan_profile": json.dumps({"profile": nan_mix}),
         "not_json": "not json {",
         "other_report": json.dumps({"profile": waiting_profile, "instance": other}),
+        "big_payoff": json.dumps(big),
         "report_game": json.dumps(instance_to_doc(*generate(GeneratorSpec(depth=4, branching=3, seed=3)))),
     }
     paths = {"out": str(tmp_path / "out")}
@@ -465,3 +471,14 @@ def test_runtime_imports_only_the_standard_library():
             top = {name.split(".")[0] for name in names}
             outside += [(source.name, t) for t in top if t != "dynkin" and t not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_benchmark_checkers_pass_their_self_test():
+    # perfbench's checkers recompute every output apart from the engine; a
+    # change to the engine's API or results that breaks one shows here.
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=root, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "13 of 13" in proc.stdout
