@@ -382,8 +382,9 @@ def outcome_kernel(
 
     ``continuation`` is the value pair of surviving the frame; at a leaf it
     may be omitted, in which case the terminal payoffs apply.  It is the
-    reference the stage formulas are checked against, through
-    ``stage_matrices`` in the invariant runner and in the tests.
+    reference the stage formulas are checked against: ``stage_matrices``
+    calls it once per distinct action pair at a node and reads both players'
+    matrices from those pairs, in the invariant runner and in the tests.
     """
     if a1 is StageAction.WAIT and a2 is StageAction.WAIT:
         if continuation is not None:

@@ -17,6 +17,7 @@ enumerates are exactly the reduced stopping rules of ``_stop_rules``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
@@ -113,7 +114,8 @@ def deviation_gap(
     """Certified gaps for both players, recomputed from scratch.
 
     Raw gaps can dip slightly negative through best-response ties; the
-    reported gap is clamped at zero with the raw value kept alongside.
+    reported gap is clamped at zero with the raw value kept alongside.  A raw
+    gap that is not finite is a model violation, never a certified zero.
     """
     pair = evaluate_profile(tree, payoffs, profile)
     certificates = []
@@ -123,6 +125,11 @@ def deviation_gap(
     ):
         values, strategy = best_response(tree, payoffs, opponent_side, player)
         raw = values[tree.root] - path_value
+        if not math.isfinite(raw):
+            raise ModelViolationError(
+                f"player {player}: deviation gap {raw!r} is not finite "
+                f"(best response {values[tree.root]!r}, profile {path_value!r})"
+            )
         certificates.append(
             GapCertificate(
                 player=player,
@@ -400,9 +407,14 @@ def check_invariants(
 ) -> InvariantReport:
     """Run the named solver invariants and report worst violations.
 
-    ``split_invariance`` splits every frame of the input at once and compares
-    both value processes at each input node and at its copy.  The instance
-    and the split tree are each validated once.
+    ``minimax_agreement`` makes one backward pass that carries both players'
+    continuations; at each node one ``stage_matrices`` call (one outcome
+    kernel table) gives both players' primal and dual matrices, and each is
+    solved and compared with the other and with the closed-form value.  Its
+    items list player 1's nodes, then player 2's.  ``split_invariance``
+    splits every frame of the input at once and compares both value
+    processes at each input node and at its copy.  The instance and the
+    split tree are each validated once.
     """
     require_valid(tree, payoffs)
     require_tol(tol)
@@ -430,18 +442,20 @@ def check_invariants(
         add(f"value_opponent_cap_p{i}", [(n, v[n] - max(opp[n], sim[n])) for n in tree.nodes])
 
     # Both orientations, built through the outcome kernel, must agree with
-    # each other and with the closed-form value the process used.
-    minimax = []
-    for i in (1, 2):
-        xi = payoffs.side(i).xi
-        for node in reversed(tree.nodes):
-            cont = tree.continuation(node, values[i].value, xi)
-            primal, dual = stage_matrices(payoffs, node, cont, i)
-            pv, _, _ = solve_matrix_game(primal)
-            dv, _, _ = solve_matrix_game(dual)
-            v = values[i].value[node]
-            minimax.append((node, max(abs(pv - dv), abs(pv - v), abs(dv - v))))
-    add("minimax_agreement", minimax)
+    # each other and with the closed-form value the process used.  One pass
+    # builds both players' matrices from one kernel table per node.
+    v1, v2 = values[1].value, values[2].value
+    xi1, xi2 = payoffs.side(1).xi, payoffs.side(2).xi
+    minimax1: list[tuple[str, float]] = []
+    minimax2: list[tuple[str, float]] = []
+    for node in reversed(tree.nodes):
+        cont = PayoffPair(tree.continuation(node, v1, xi1), tree.continuation(node, v2, xi2))
+        matrices = stage_matrices(payoffs, node, cont)
+        for items, v, (primal, dual) in zip((minimax1, minimax2), (v1, v2), matrices):
+            pv = solve_matrix_game(primal)[0]
+            dv = solve_matrix_game(dual)[0]
+            items.append((node, max(abs(pv - dv), abs(pv - v[node]), abs(dv - v[node]))))
+    add("minimax_agreement", minimax1 + minimax2)
 
     for i in (1, 2):
         v = values[i].value

@@ -33,6 +33,7 @@ not check it again: the entries that take outside input (``toolkit.load``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .core import (
@@ -50,7 +51,6 @@ from .core import (
     WAIT_MIX,
     outcome_kernel,
     require_eta,
-    require_player,
 )
 
 Matrix = tuple[tuple[float, ...], ...]
@@ -83,52 +83,89 @@ class HittingTime:
         return set(self.antichain)
 
 
-def stage_matrices(
-    payoffs: PayoffProcess, node: str, continuation: float, player: int
-) -> tuple[Matrix, Matrix]:
-    """Both orientations of the one-frame game for the given protagonist.
+# The (a1, a2) pairs the four stage matrices read, in first-seen order:
+# player 1's primal grid (PLAYER_ACTIONS x DEVIATOR_ACTIONS), then the rest of
+# its dual grid; player 2's primal and dual grids are the same two, transposed.
+# The grids share the 4 pairs with both actions in (atom, wait): 12 + 12 - 4 = 20.
+_KERNEL_PAIRS = tuple(
+    dict.fromkeys(
+        [(r, c) for r in PLAYER_ACTIONS for c in DEVIATOR_ACTIONS]
+        + [(r, c) for r in DEVIATOR_ACTIONS for c in PLAYER_ACTIONS]
+    )
+)
+_PAIR_AT = {pair: k for k, pair in enumerate(_KERNEL_PAIRS)}
 
-    Primal: protagonist mixes rows (atom, uniform, wait) against the
-    antagonist's pure columns (atom, early, late, wait).  Dual: the roles are
-    transposed, the antagonist mixing (atom, uniform, wait) columns against
-    protagonist pure rows.
-    """
-    require_player(player)
-    cont = PayoffPair(continuation, continuation)
 
-    def entry(a1: StageAction, a2: StageAction) -> float:
-        pair = outcome_kernel(a1, a2, payoffs, node, continuation=cont)
-        return pair.g1 if player == 1 else pair.g2
-
+def _rows(rows: tuple[StageAction, ...], cols: tuple[StageAction, ...], player: int) -> tuple:
+    """One itemgetter per matrix row, picking its entries from the kernel table;
+    ``player`` is the protagonist, who picks the row."""
     if player == 1:
-        primal = tuple(tuple(entry(r, c) for c in DEVIATOR_ACTIONS) for r in PLAYER_ACTIONS)
-        dual = tuple(tuple(entry(r, c) for c in PLAYER_ACTIONS) for r in DEVIATOR_ACTIONS)
-    else:
-        primal = tuple(tuple(entry(c, r) for c in DEVIATOR_ACTIONS) for r in PLAYER_ACTIONS)
-        dual = tuple(tuple(entry(c, r) for c in PLAYER_ACTIONS) for r in DEVIATOR_ACTIONS)
-    return primal, dual
+        return tuple(itemgetter(*(_PAIR_AT[r, c] for c in cols)) for r in rows)
+    return tuple(itemgetter(*(_PAIR_AT[c, r] for c in cols)) for r in rows)
+
+
+_PRIMAL1 = _rows(PLAYER_ACTIONS, DEVIATOR_ACTIONS, 1)
+_DUAL1 = _rows(DEVIATOR_ACTIONS, PLAYER_ACTIONS, 1)
+_PRIMAL2 = _rows(PLAYER_ACTIONS, DEVIATOR_ACTIONS, 2)
+_DUAL2 = _rows(DEVIATOR_ACTIONS, PLAYER_ACTIONS, 2)
+
+
+def stage_matrices(
+    payoffs: PayoffProcess, node: str, continuation: PayoffPair
+) -> tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]]:
+    """Both orientations of the one-frame game, for both protagonists.
+
+    ``continuation`` holds each player's own continuation value.  Returns
+    ``((primal1, dual1), (primal2, dual2))``.  Primal: the protagonist mixes
+    rows (atom, uniform, wait) against the antagonist's pure columns (atom,
+    early, late, wait).  Dual: the roles are transposed, the antagonist
+    mixing (atom, uniform, wait) columns against protagonist pure rows.
+    Every entry comes from one ``outcome_kernel`` call per distinct action
+    pair, 20 per node, shared by both players and both orientations.
+    """
+    pairs = [outcome_kernel(a1, a2, payoffs, node, continuation=continuation) for a1, a2 in _KERNEL_PAIRS]
+    g1 = [pair.g1 for pair in pairs]
+    g2 = [pair.g2 for pair in pairs]
+    # Lists, not generators: ``tuple`` of a generator over-allocates and
+    # shrinks, which fills the tuple free lists (about 0.6 MB per process).
+    return (
+        (tuple([row(g1) for row in _PRIMAL1]), tuple([row(g1) for row in _DUAL1])),
+        (tuple([row(g2) for row in _PRIMAL2]), tuple([row(g2) for row in _DUAL2])),
+    )
+
+
+# The pure mixes of the 3- and 4-action stage players, indexed by action.
+_UNIT_MIXES = {n: tuple(tuple(float(i == k) for i in range(n)) for k in range(n)) for n in (3, 4)}
+
+
+def _unit_mix(n: int, k: int) -> tuple[float, ...]:
+    """The pure mix on action ``k`` of ``n``."""
+    units = _UNIT_MIXES.get(n)
+    return units[k] if units else tuple(float(i == k) for i in range(n))
 
 
 def solve_matrix_game(matrix: Matrix) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     """Value and pure optimal mixes of a zero-sum matrix game with a saddle point.
 
-    The row player maximizes; ties go to the lowest index.  A game without a
-    pure saddle point is a model violation: every stage game has one.
+    The row player maximizes; ties go to the lowest index.  A matrix that is
+    empty or ragged is a ``ValueError``.  A game without a pure saddle point
+    is a model violation: every stage game has one.
     """
     rows = [tuple(r) for r in matrix]
-    m = len(rows)
-    n = len(rows[0])
-    row_guarantee = [min(r) for r in rows]
-    col_exposure = [max(rows[i][j] for i in range(m)) for j in range(n)]
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        raise ValueError(f"matrix must be a non-empty rectangle, got row lengths {[len(r) for r in rows]}")
+    row_guarantee = list(map(min, rows))
+    col_exposure = list(map(max, zip(*rows)))
     lower = max(row_guarantee)
     upper = min(col_exposure)
     if lower != upper:
         raise ModelViolationError(f"matrix game has no pure saddle point: {lower!r} < {upper!r}")
-    r = row_guarantee.index(lower)
-    c = col_exposure.index(upper)
-    row_mix = tuple(1.0 if i == r else 0.0 for i in range(m))
-    col_mix = tuple(1.0 if j == c else 0.0 for j in range(n))
-    return lower, row_mix, col_mix
+    return (
+        lower,
+        _unit_mix(len(row_guarantee), row_guarantee.index(lower)),
+        _unit_mix(len(col_exposure), col_exposure.index(upper)),
+    )
 
 
 def stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix, Mix]:

@@ -14,7 +14,7 @@ from dynkin import (
     generate,
     outcome_kernel,
 )
-from dynkin.core import PAYOFF_LIMIT, PLAYER_ACTIONS, PROB_TOL
+from dynkin.core import DEVIATOR_ACTIONS, PAYOFF_LIMIT, PLAYER_ACTIONS, PROB_TOL, StageAction, require_player
 
 
 def uniform_tree(depth: int, branching: int = 2) -> EventTree:
@@ -207,6 +207,34 @@ def kernel_profile_value(
                     g2 += w1 * w2 * pair.g2
         table[node] = PayoffPair(g1, g2)
     return table[tree.root]
+
+
+def reference_stage_matrices(
+    payoffs: PayoffProcess, node: str, continuation: float, player: int
+) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
+    """One protagonist's primal and dual stage matrices, built entry by entry
+    with 24 ``outcome_kernel`` calls: the reference that
+    ``zerosum.stage_matrices``, one kernel table for both players, must equal.
+
+    Primal: protagonist mixes rows (atom, uniform, wait) against the
+    antagonist's pure columns (atom, early, late, wait).  Dual: the roles are
+    transposed, the antagonist mixing (atom, uniform, wait) columns against
+    protagonist pure rows.
+    """
+    require_player(player)
+    cont = PayoffPair(continuation, continuation)
+
+    def entry(a1: StageAction, a2: StageAction) -> float:
+        pair = outcome_kernel(a1, a2, payoffs, node, continuation=cont)
+        return pair.g1 if player == 1 else pair.g2
+
+    if player == 1:
+        primal = tuple(tuple(entry(r, c) for c in DEVIATOR_ACTIONS) for r in PLAYER_ACTIONS)
+        dual = tuple(tuple(entry(r, c) for c in PLAYER_ACTIONS) for r in DEVIATOR_ACTIONS)
+    else:
+        primal = tuple(tuple(entry(c, r) for c in DEVIATOR_ACTIONS) for r in PLAYER_ACTIONS)
+        dual = tuple(tuple(entry(c, r) for c in PLAYER_ACTIONS) for r in DEVIATOR_ACTIONS)
+    return primal, dual
 
 
 def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:

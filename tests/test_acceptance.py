@@ -22,7 +22,7 @@ from dynkin import (
     solve_value_process,
     split_frame,
 )
-from dynkin.core import BehavioralProfile, extend_profile
+from dynkin.core import BehavioralProfile, PayoffPair, extend_profile
 from dynkin.verify import deviation_gap
 from dynkin.zerosum import pre_hit_region, stage_matrices
 
@@ -80,7 +80,7 @@ def test_criterion_2_stage_orientations_agree(solved_corpus):
                     cont = xi[node]
                 else:
                     cont = sum(p * process.value[c] for c, p in tree.children[node])
-                primal, dual = stage_matrices(payoffs, node, cont, player)
+                primal, dual = stage_matrices(payoffs, node, PayoffPair(cont, cont))[player - 1]
                 pv, _, _ = solve_matrix_game(primal)
                 dv, _, _ = solve_matrix_game(dual)
                 nodes_checked += 1

@@ -15,6 +15,7 @@ from dynkin import (
     EventTree,
     GeneratorSpec,
     InstanceError,
+    PayoffPair,
     PayoffProcess,
     SchemaError,
     check_invariants,
@@ -25,6 +26,7 @@ from dynkin import (
     save,
     validate_instance,
 )
+from dynkin import verify
 from dynkin.toolkit import instance_to_doc, write_report_csv
 from dynkin.zerosum import check_convexity
 from dynkin.cli import main
@@ -207,6 +209,17 @@ class TestCli:
         inst = tmp_path / "game.json"
         save(inst, tree, payoffs, profile)
         assert self._run("verify", str(inst), "--gap-threshold", "0.5") == 4
+
+    def test_non_finite_gap_is_exit_5(self, tmp_path, monkeypatch, capsys):
+        tree = uniform_tree(1)
+        payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False)
+        inst = tmp_path / "game.json"
+        save(inst, tree, payoffs, BehavioralProfile.waiting(tree))
+        monkeypatch.setattr(verify, "evaluate_profile", lambda *args: PayoffPair(1.0, float("nan")))
+        assert self._run("verify", str(inst)) == 5
+        captured = capsys.readouterr()
+        assert "gap1" not in captured.out
+        assert "model violation: player 2: deviation gap nan is not finite" in captured.err
 
     def test_usage_error_is_exit_1(self):
         assert self._run("solve") == 1

@@ -8,6 +8,8 @@ from dynkin import (
     BehavioralProfile,
     EventTree,
     GeneratorSpec,
+    ModelViolationError,
+    PayoffPair,
     PayoffProcess,
     StageAction,
     best_response,
@@ -23,7 +25,7 @@ from dynkin import (
     split_frame,
     validate_instance,
 )
-from dynkin import core, verify
+from dynkin import core, verify, zerosum
 from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX, extend_profile
 from dynkin.verify import _stop_rules
 
@@ -96,6 +98,25 @@ class TestDeviationGap:
             cert1, cert2 = deviation_gap(tree, payoffs, profile)
             assert cert1.gap >= 0.0 and cert2.gap >= 0.0
             assert cert1.gap >= cert1.raw_gap
+
+    @pytest.mark.parametrize("source", ["evaluate_profile", "best_response"])
+    def test_non_finite_raw_gap_is_a_model_violation(self, monkeypatch, source):
+        # max(0.0, nan) is 0.0: a NaN gap must raise, never certify as zero
+        tree = uniform_tree(1)
+        payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False)
+        if source == "evaluate_profile":
+            monkeypatch.setattr(verify, "evaluate_profile", lambda *args: PayoffPair(float("nan"), 1.0))
+        else:
+            real = verify.best_response
+
+            def poisoned(*args):
+                values, strategy = real(*args)
+                values[tree.root] = float("nan")
+                return values, strategy
+
+            monkeypatch.setattr(verify, "best_response", poisoned)
+        with pytest.raises(ModelViolationError, match="player 1: deviation gap nan is not finite"):
+            deviation_gap(tree, payoffs, BehavioralProfile.waiting(tree))
 
 
 class TestBruteForce:
@@ -286,6 +307,41 @@ class TestInvariantRunner:
         check = next(c for c in check_invariants(tree, payoffs, eta=0.2).checks if c.name == "split_invariance")
         assert not check.passed and check.worst == pytest.approx(0.5)
         assert check.witness == copies[tree.nodes[-1]]
+
+    def test_minimax_agreement_checks_player_two_at_every_node(self, monkeypatch):
+        tree, payoffs = generate(GeneratorSpec(depth=3, branching=3, seed=5))
+        node = tree.children[tree.root][1][0]  # an internal node, not the root
+        real = verify.solve_value_process
+
+        def skewed(t, p, player):
+            process = real(t, p, player)
+            if t is tree and player == 2:
+                process.value[node] += 0.5
+            return process
+
+        monkeypatch.setattr(verify, "solve_value_process", skewed)
+        check = next(c for c in check_invariants(tree, payoffs, eta=0.2).checks if c.name == "minimax_agreement")
+        assert not check.passed and check.worst == pytest.approx(0.5)
+        assert check.witness == node
+
+    def test_builds_one_kernel_table_per_node(self, monkeypatch):
+        tree, payoffs = generate(GeneratorSpec(depth=4, branching=3, seed=0))
+        matrices = []
+        kernel_calls = []
+
+        def counted_matrices(*args):
+            matrices.append(args[1])
+            return zerosum.stage_matrices(*args)
+
+        def counted_kernel(*args, **kwargs):
+            kernel_calls.append(args[3])
+            return core.outcome_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "stage_matrices", counted_matrices)
+        monkeypatch.setattr(zerosum, "outcome_kernel", counted_kernel)
+        assert check_invariants(tree, payoffs, eta=0.2).all_pass
+        assert matrices == list(reversed(tree.nodes))
+        assert kernel_calls == [n for n in reversed(tree.nodes) for _ in range(20)]
 
 
 class TestGapSplitInvariance:

@@ -8,6 +8,7 @@ from dynkin import (
     ConvexityError,
     EventTree,
     ModelViolationError,
+    PayoffPair,
     PayoffProcess,
     best_response,
     brute_force_value,
@@ -27,6 +28,7 @@ from helpers import (
     chain_tree,
     constant_payoffs,
     corpus,
+    reference_stage_matrices,
     single_node_payoffs,
     uniform_tree,
     zero_sum_push,
@@ -47,27 +49,53 @@ def _payoffs_for_stage(x, y, z):
 class TestStageMatrices:
     def test_flat_example_rows(self):
         payoffs = _payoffs_for_stage(x=0.0, y=2.0, z=2.0)
-        primal, _ = stage_matrices(payoffs, "n0", continuation=1.0, player=1)
+        (primal, _), _ = stage_matrices(payoffs, "n0", PayoffPair(1.0, 1.0))
         assert primal == ((2.0, 0.0, 0.0, 0.0), (2.0, 2.0, 0.0, 0.0), (2.0, 2.0, 2.0, 1.0))
 
     def test_constant_entries(self):
         payoffs = _payoffs_for_stage(x=0.5, y=0.5, z=0.5)
-        primal, dual = stage_matrices(payoffs, "n0", continuation=0.5, player=1)
+        (primal, dual), _ = stage_matrices(payoffs, "n0", PayoffPair(0.5, 0.5))
         assert all(e == 0.5 for row in primal for e in row)
         assert all(e == 0.5 for row in dual for e in row)
 
     def test_uniform_row_dodges_simultaneity(self):
         # against any column the delay realizes a one-sided stop
         payoffs = _payoffs_for_stage(x=1.0, y=1.0, z=0.0)
-        primal, _ = stage_matrices(payoffs, "n0", continuation=0.0, player=1)
+        (primal, _), _ = stage_matrices(payoffs, "n0", PayoffPair(0.0, 0.0))
         assert primal[1] == (1.0, 1.0, 1.0, 1.0)
 
     def test_player_two_orientation(self):
         tree, payoffs = single_node_payoffs(1, 2, 3, 0, 4.0, 5.0, 6.0, 0.0)
-        primal, dual = stage_matrices(payoffs, "n0", continuation=7.0, player=2)
+        _, (primal, dual) = stage_matrices(payoffs, "n0", PayoffPair(7.0, 7.0))
         # rows atom/uniform/wait vs columns atom/early/late/wait of player 1
         assert primal == ((6.0, 5.0, 5.0, 5.0), (4.0, 4.0, 5.0, 5.0), (4.0, 4.0, 4.0, 7.0))
         assert dual == ((6.0, 5.0, 5.0), (4.0, 5.0, 5.0), (4.0, 4.0, 5.0), (4.0, 4.0, 7.0))
+
+    def test_equal_the_per_player_reference_on_tie_grid(self):
+        # player 1 sees (X, Y, Z, c) and player 2 sees stop-first x, opponent-first
+        # y, simultaneous z and continuation -c: every grid point, both players
+        grid = [k / 2 for k in range(-4, 5)]
+        for x, y, z, c in itertools.product(grid, repeat=4):
+            _, payoffs = single_node_payoffs(x, y, z, 0.0, y, x, z, 0.0)
+            assert stage_matrices(payoffs, "n0", PayoffPair(c, -c)) == (
+                reference_stage_matrices(payoffs, "n0", c, 1),
+                reference_stage_matrices(payoffs, "n0", -c, 2),
+            )
+
+    def test_equal_the_per_player_reference_on_generated_games(self):
+        nodes = 0
+        for tree, payoffs in corpus(12, seed0=1300, depth_hi=5):
+            v1 = solve_value_process(tree, payoffs, 1).value
+            v2 = solve_value_process(tree, payoffs, 2).value
+            for node in tree.nodes:
+                c1 = tree.continuation(node, v1, payoffs.xi1)
+                c2 = tree.continuation(node, v2, payoffs.xi2)
+                assert stage_matrices(payoffs, node, PayoffPair(c1, c2)) == (
+                    reference_stage_matrices(payoffs, node, c1, 1),
+                    reference_stage_matrices(payoffs, node, c2, 2),
+                )
+                nodes += 1
+        assert nodes > 100
 
 
 class TestStageValue:
@@ -102,7 +130,7 @@ class TestStageValue:
                 _, payoffs = single_node_payoffs(x, y, z, 0.0, 0.0, 0.0, 0.0, 0.0)
             else:  # player 2 stops first for Y2 and is preempted for X2
                 _, payoffs = single_node_payoffs(0.0, 0.0, 0.0, 0.0, y, x, z, 0.0)
-            primal, dual = stage_matrices(payoffs, "n0", c, player)
+            primal, dual = stage_matrices(payoffs, "n0", PayoffPair(c, c))[player - 1]
             pv, argmax_row, _ = solve_matrix_game(primal)
             dv, _, argmin_col = solve_matrix_game(dual)
             value, max_mix, min_mix = stage_value(x, y, z, c)
@@ -119,6 +147,15 @@ class TestMatrixGame:
         value, rows, cols = solve_matrix_game([[3.0, 1.0], [0.0, -1.0]])
         assert value == 1.0
         assert rows == (1.0, 0.0) and cols == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[], [[1.0, 2.0], [3.0]], [[1.0], [0.0, 5.0]]],
+        ids=["empty", "short-last-row", "long-last-row"],
+    )
+    def test_rejects_an_empty_or_ragged_matrix(self, matrix):
+        with pytest.raises(ValueError, match="rectangle"):
+            solve_matrix_game(matrix)
 
 
 class TestValueProcess:
