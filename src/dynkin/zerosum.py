@@ -45,7 +45,6 @@ from .core import (
     PayoffPair,
     PayoffProcess,
     PLAYER_ACTIONS,
-    StageAction,
     ATOM_MIX,
     UNIFORM_MIX,
     WAIT_MIX,
@@ -83,31 +82,22 @@ class HittingTime:
         return set(self.antichain)
 
 
-# The (a1, a2) pairs the four stage matrices read, in first-seen order:
-# player 1's primal grid (PLAYER_ACTIONS x DEVIATOR_ACTIONS), then the rest of
-# its dual grid; player 2's primal and dual grids are the same two, transposed.
-# The grids share the 4 pairs with both actions in (atom, wait): 12 + 12 - 4 = 20.
-_KERNEL_PAIRS = tuple(
-    dict.fromkeys(
-        [(r, c) for r in PLAYER_ACTIONS for c in DEVIATOR_ACTIONS]
-        + [(r, c) for r in DEVIATOR_ACTIONS for c in PLAYER_ACTIONS]
-    )
+# Each stage matrix as a grid of (a1, a2) action pairs, laid out as in the
+# per-player reference: player 2's grids are player 1's, transposed.
+_GRIDS = (
+    [[(r, c) for c in DEVIATOR_ACTIONS] for r in PLAYER_ACTIONS],
+    [[(r, c) for c in PLAYER_ACTIONS] for r in DEVIATOR_ACTIONS],
+    [[(c, r) for c in DEVIATOR_ACTIONS] for r in PLAYER_ACTIONS],
+    [[(c, r) for c in PLAYER_ACTIONS] for r in DEVIATOR_ACTIONS],
 )
-_PAIR_AT = {pair: k for k, pair in enumerate(_KERNEL_PAIRS)}
-
-
-def _rows(rows: tuple[StageAction, ...], cols: tuple[StageAction, ...], player: int) -> tuple:
-    """One itemgetter per matrix row, picking its entries from the kernel table;
-    ``player`` is the protagonist, who picks the row."""
-    if player == 1:
-        return tuple(itemgetter(*(_PAIR_AT[r, c] for c in cols)) for r in rows)
-    return tuple(itemgetter(*(_PAIR_AT[c, r] for c in cols)) for r in rows)
-
-
-_PRIMAL1 = _rows(PLAYER_ACTIONS, DEVIATOR_ACTIONS, 1)
-_DUAL1 = _rows(DEVIATOR_ACTIONS, PLAYER_ACTIONS, 1)
-_PRIMAL2 = _rows(PLAYER_ACTIONS, DEVIATOR_ACTIONS, 2)
-_DUAL2 = _rows(DEVIATOR_ACTIONS, PLAYER_ACTIONS, 2)
+# The 20 distinct pairs the grids read, in first-seen order.
+_KERNEL_PAIRS = tuple(dict.fromkeys(pair for grid in _GRIDS for row in grid for pair in row))
+# One itemgetter per matrix row, picking its entries by position from the
+# kernel table: keying the table by action pairs would hash two enum members
+# per entry read, which made the layout cost most of what the shared table saves.
+_PRIMAL1, _DUAL1, _PRIMAL2, _DUAL2 = (
+    tuple(itemgetter(*map(_KERNEL_PAIRS.index, row)) for row in grid) for grid in _GRIDS
+)
 
 
 def stage_matrices(
@@ -134,16 +124,6 @@ def stage_matrices(
     )
 
 
-# The pure mixes of the 3- and 4-action stage players, indexed by action.
-_UNIT_MIXES = {n: tuple(tuple(float(i == k) for i in range(n)) for k in range(n)) for n in (3, 4)}
-
-
-def _unit_mix(n: int, k: int) -> tuple[float, ...]:
-    """The pure mix on action ``k`` of ``n``."""
-    units = _UNIT_MIXES.get(n)
-    return units[k] if units else tuple(float(i == k) for i in range(n))
-
-
 def solve_matrix_game(matrix: Matrix) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     """Value and pure optimal mixes of a zero-sum matrix game with a saddle point.
 
@@ -161,11 +141,11 @@ def solve_matrix_game(matrix: Matrix) -> tuple[float, tuple[float, ...], tuple[f
     upper = min(col_exposure)
     if lower != upper:
         raise ModelViolationError(f"matrix game has no pure saddle point: {lower!r} < {upper!r}")
-    return (
-        lower,
-        _unit_mix(len(row_guarantee), row_guarantee.index(lower)),
-        _unit_mix(len(col_exposure), col_exposure.index(upper)),
-    )
+    r = row_guarantee.index(lower)
+    c = col_exposure.index(upper)
+    row_mix = tuple(1.0 if i == r else 0.0 for i in range(len(row_guarantee)))
+    col_mix = tuple(1.0 if j == c else 0.0 for j in range(len(col_exposure)))
+    return lower, row_mix, col_mix
 
 
 def stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix, Mix]:
