@@ -64,6 +64,10 @@ class StageAction(Enum):
     EARLY = "early"
     LATE = "late"
 
+    # Members compare by identity, so the C-level identity hash agrees with
+    # equality and spares each ``_RANK`` lookup ``Enum.__hash__``'s Python call.
+    __hash__ = object.__hash__
+
 
 PLAYER_ACTIONS = (StageAction.ATOM, StageAction.UNIFORM, StageAction.WAIT)
 DEVIATOR_ACTIONS = (
@@ -179,7 +183,12 @@ class EventTree:
         kids = self.children.get(node)
         if not kids:
             return terminal[node]
-        return sum(p * value[child] for child, p in kids)
+        # a plain running sum, the same on every interpreter as the fused
+        # pass of ``verify.deviation_gap`` (``sum`` compensates from 3.12 on)
+        total = 0.0
+        for child, p in kids:
+            total += p * value[child]
+        return total
 
     def paths(self) -> Iterator[list[str]]:
         """Root-to-leaf node lists, in leaf order."""
@@ -517,7 +526,9 @@ def split_frames(
     carries the terminal payoffs).  To keep the horizon uniform, each leaf
     whose root path holds fewer targets than the most any path holds is
     padded with that many identity frames, so the horizon grows by that
-    most.  Repeated targets split once.
+    most.  Repeated targets split once.  The child map and each payoff table
+    start as shallow copies of the input's: only the inserted copies get new
+    entries, and only the nodes they sit below get new child lists.
     """
     targets = list(dict.fromkeys(nodes))
     for node in targets:
@@ -531,15 +542,15 @@ def split_frames(
     most = max(on_path[leaf] for leaf in tree.leaves)
 
     taken = set(tree.nodes)
-    children = {n: list(tree.children.get(n, [])) for n in tree.nodes}
-    source = {n: n for n in tree.nodes}
+    children = dict(tree.children)  # lists are replaced below, never mutated
+    source: dict[str, str] = {}  # each copy -> the input node it repeats
     inserted: dict[str, str] = {}
 
     def insert_below(src: str) -> str:
         copy_id = _fresh_id(f"{src}b", taken)
         inserted[src] = copy_id
-        source[copy_id] = source[src]
-        children[copy_id] = children[src]
+        source[copy_id] = source.get(src, src)
+        children[copy_id] = children.get(src, [])
         children[src] = [(copy_id, 1.0)]
         return copy_id
 
@@ -558,7 +569,9 @@ def split_frames(
     new_tree = EventTree.build(tree.root, children)
 
     def extend(table: dict[str, float]) -> dict[str, float]:
-        return {n: table[source[n]] for n in new_tree.nodes}
+        out = dict(table)
+        out.update((copy, table[src]) for copy, src in source.items())
+        return out
 
     stage = {t: extend(getattr(payoffs, t)) for t in ("x1", "y1", "z1", "x2", "y2", "z2")}
     new_payoffs = PayoffProcess(**stage, xi1=xi1, xi2=xi2)

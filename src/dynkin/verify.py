@@ -5,8 +5,11 @@ is affine in their stop position inside the frame, so only the endpoint
 limits matter: the deviator's action set is (atom, early, late, wait) and the
 best response is an exact backward dynamic program over
 ``core.deviator_lines``, the same stage lines that ``evaluate_profile``
-prices the profile from.  The invariant runner checks frame-split invariance
-on one split of every frame of the input.
+prices the profile from.  ``deviation_gap`` runs both programs for both
+players in one backward pass; ``best_response`` and
+``core.evaluate_profile_table`` stay as the one-program references that the
+tests and the brute-force oracles hold it to.  The invariant runner checks
+frame-split invariance on one split of every frame of the input.
 
 Brute-force enumerators over explicit stopping rules provide independent
 cross-checks on small trees.  Each call builds one table of the tree's
@@ -30,14 +33,15 @@ from .core import (
     ModelViolationError,
     PayoffPair,
     PayoffProcess,
+    ProfileError,
     StageAction,
     _RANK,
     deviator_lines,
-    evaluate_profile,
     require_player,
     require_tol,
     require_valid,
     split_frames,
+    validate_profile,
 )
 from .zerosum import (
     HittingTime,
@@ -113,27 +117,72 @@ def deviation_gap(
 ) -> tuple[GapCertificate, GapCertificate]:
     """Certified gaps for both players, recomputed from scratch.
 
+    One backward pass serves both players.  At each node one loop over the
+    children adds up four continuations, the profile's and the best
+    response's for each player, and ``deviator_lines`` prices the four
+    stages in that order, player 1's first: the profile's value as in
+    ``evaluate_profile_table`` (the player's lines weighed by their own mix)
+    and the best response as in ``best_response`` (the largest line, ties to
+    the earlier action).  The profile is validated once.
+
     Raw gaps can dip slightly negative through best-response ties; the
     reported gap is clamped at zero with the raw value kept alongside.  A raw
     gap that is not finite is a model violation, never a certified zero.
     """
-    pair = evaluate_profile(tree, payoffs, profile)
+    issues = validate_profile(tree, profile)
+    if issues:
+        raise ProfileError(issues[0])
+    s1, s2 = payoffs.side(1), payoffs.side(2)
+    mixes1, mixes2 = profile.player1, profile.player2
+    kids_of = tree.children.get
+    path1: dict[str, float] = {}
+    path2: dict[str, float] = {}
+    best1: dict[str, float] = {}
+    best2: dict[str, float] = {}
+    strategy1: dict[str, StageAction] = {}
+    strategy2: dict[str, StageAction] = {}
+    for node in reversed(tree.nodes):
+        kids = kids_of(node)
+        if kids:
+            c1 = c2 = b1 = b2 = 0.0
+            for child, p in kids:
+                c1 += p * path1[child]
+                c2 += p * path2[child]
+                b1 += p * best1[child]
+                b2 += p * best2[child]
+        else:
+            c1 = b1 = s1.xi[node]
+            c2 = b2 = s2.xi[node]
+        a1, u1, w1 = mix1 = mixes1[node]
+        a2, u2, w2 = mix2 = mixes2[node]
+        stop, opp, sim = s1.stop[node], s1.opp[node], s1.sim[node]
+        atom, early, late, wait = deviator_lines(stop, opp, sim, mix2, c1)
+        path1[node] = a1 * atom + u1 * (0.5 * (early + late)) + w1 * wait
+        lines = deviator_lines(stop, opp, sim, mix2, b1)
+        best1[node] = best = max(lines)
+        strategy1[node] = DEVIATOR_ACTIONS[lines.index(best)]
+        stop, opp, sim = s2.stop[node], s2.opp[node], s2.sim[node]
+        atom, early, late, wait = deviator_lines(stop, opp, sim, mix1, c2)
+        path2[node] = a2 * atom + u2 * (0.5 * (early + late)) + w2 * wait
+        lines = deviator_lines(stop, opp, sim, mix1, b2)
+        best2[node] = best = max(lines)
+        strategy2[node] = DEVIATOR_ACTIONS[lines.index(best)]
+    root = tree.root
     certificates = []
-    for player, opponent_side, path_value in (
-        (1, profile.player2, pair.g1),
-        (2, profile.player1, pair.g2),
+    for player, best, path_value, strategy in (
+        (1, best1[root], path1[root], strategy1),
+        (2, best2[root], path2[root], strategy2),
     ):
-        values, strategy = best_response(tree, payoffs, opponent_side, player)
-        raw = values[tree.root] - path_value
+        raw = best - path_value
         if not math.isfinite(raw):
             raise ModelViolationError(
                 f"player {player}: deviation gap {raw!r} is not finite "
-                f"(best response {values[tree.root]!r}, profile {path_value!r})"
+                f"(best response {best!r}, profile {path_value!r})"
             )
         certificates.append(
             GapCertificate(
                 player=player,
-                best_response_value=values[tree.root],
+                best_response_value=best,
                 path_value=path_value,
                 gap=max(0.0, raw),
                 raw_gap=raw,

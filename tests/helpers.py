@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -14,7 +15,7 @@ from dynkin import (
     generate,
     outcome_kernel,
 )
-from dynkin.core import DEVIATOR_ACTIONS, PAYOFF_LIMIT, PLAYER_ACTIONS, PROB_TOL, StageAction, require_player
+from dynkin.core import DEVIATOR_ACTIONS, PAYOFF_LIMIT, PLAYER_ACTIONS, PROB_TOL, StageAction, deviator_lines, require_player
 
 
 def uniform_tree(depth: int, branching: int = 2) -> EventTree:
@@ -303,3 +304,21 @@ def profile_issues(tree: EventTree, profile: BehavioralProfile) -> list[str]:
             elif not all(map(math.isfinite, mix)):  # a NaN passes both tests above
                 issues.append(f"node {node}: player {player} distribution {mix!r} is not finite")
     return issues
+
+
+def poisoned_deviator_lines(tree: EventTree, player: int, certificate: str):
+    """``deviator_lines`` with every line NaN in one call of ``deviation_gap``'s
+    pass: the root's stage of ``player``'s profile value (``certificate`` is
+    "evaluate_profile") or best response ("best_response").
+
+    The pass visits the root last and prices each node's four stages in a
+    fixed order: player 1's profile value and best response, then player 2's.
+    """
+    target = 4 * (len(tree.nodes) - 1) + 2 * (player - 1) + ("evaluate_profile", "best_response").index(certificate)
+    calls = itertools.count()
+
+    def lines(*args):
+        out = deviator_lines(*args)
+        return (math.nan,) * 4 if next(calls) == target else out
+
+    return lines

@@ -1,7 +1,10 @@
 """Classification and equilibrium construction with certified gaps."""
 
+from collections import Counter
+
 import pytest
 
+import dynkin
 from dynkin import (
     ConvexityError,
     EventTree,
@@ -19,7 +22,7 @@ from dynkin import (
     solve_value_process,
     validate_instance,
 )
-from dynkin import core, equilibrium
+from dynkin import core, equilibrium, verify, zerosum
 from dynkin.zerosum import ValueProcess
 
 from helpers import constant_payoffs, corpus, single_node_payoffs, uniform_tree
@@ -267,6 +270,38 @@ class TestConstruct:
         assert report.case_trace[0].label == root_case
         assert calls == [1, 2]
         assert classified == [tree]
+
+    @pytest.mark.parametrize("root_case", ["A1", "A6", "M1"])
+    def test_certifies_in_one_pass(self, monkeypatch, root_case):
+        # deviation_gap evaluates the profile and both best responses itself;
+        # the one-program references stay off the construct path
+        tree = uniform_tree(2)
+        payoffs = {
+            "A1": constant_payoffs(tree, 0.3, 0.3, 0.3, 0.3, zero_sum=False),
+            "A6": constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0),
+            "M1": constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False),
+        }[root_case]
+        calls = Counter()
+        modules = (dynkin, core, equilibrium, verify, zerosum)
+        for home, name in (
+            (core, "evaluate_profile"),
+            (core, "evaluate_profile_table"),
+            (verify, "best_response"),
+            (core, "split_frames"),
+            (core, "validate_profile"),
+        ):
+            original = getattr(home, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        report = construct(tree, payoffs, eta=0.05)
+        assert report.case_trace[0].label == root_case
+        assert calls == {"split_frames": 1, "validate_profile": 1}
 
     def test_validates_the_instance_once(self, monkeypatch):
         tree = uniform_tree(2)

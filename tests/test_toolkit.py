@@ -1,21 +1,26 @@
 """Generators, the game file format, CSV reports, and the CLI."""
 
 import ast
+import contextlib
+import functools
 import importlib.util
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynkin import (
     BehavioralProfile,
     EventTree,
     GeneratorSpec,
     InstanceError,
-    PayoffPair,
     PayoffProcess,
     SchemaError,
     check_invariants,
@@ -27,11 +32,11 @@ from dynkin import (
     validate_instance,
 )
 from dynkin import verify
-from dynkin.toolkit import instance_to_doc, write_report_csv
+from dynkin.toolkit import instance_from_doc, instance_to_doc, profile_from_doc, write_report_csv
 from dynkin.zerosum import check_convexity
 from dynkin.cli import main
 
-from helpers import dyadic_mixes, uniform_tree, constant_payoffs, single_node_payoffs
+from helpers import dyadic_mixes, poisoned_deviator_lines, uniform_tree, constant_payoffs, single_node_payoffs
 
 
 class TestGenerator:
@@ -215,7 +220,7 @@ class TestCli:
         payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False)
         inst = tmp_path / "game.json"
         save(inst, tree, payoffs, BehavioralProfile.waiting(tree))
-        monkeypatch.setattr(verify, "evaluate_profile", lambda *args: PayoffPair(1.0, float("nan")))
+        monkeypatch.setattr(verify, "deviator_lines", poisoned_deviator_lines(tree, 2, "evaluate_profile"))
         assert self._run("verify", str(inst)) == 5
         captured = capsys.readouterr()
         assert "gap1" not in captured.out
@@ -451,6 +456,114 @@ def test_every_entry_rejects_an_invalid_instance(tmp_path, capsys, entry, corrup
     path.write_text(json.dumps(doc))
     ENTRIES[entry](str(path), tmp_path)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Mutated documents: every one loads or is rejected with its documented error
+
+
+_NODE_IDS = ("n0", "n1", "n2", "n3", "ghost", "")
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([10**400, -(10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(_NODE_IDS),
+    st.text(max_size=3),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated(draw, base):
+    """``base`` (a JSON document) after one to three random edits, each at a
+    random place: a value replaced, a key or item deleted, or one inserted."""
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(doc, (dict, list)) or draw(st.integers(0, 19)) == 0:
+            doc = draw(_JSON_VALUES)
+            continue
+        holder = doc
+        while True:
+            keys = list(holder) if isinstance(holder, dict) else list(range(len(holder)))
+            key = draw(st.sampled_from(keys)) if keys else None
+            child = holder[key] if keys else None
+            if isinstance(child, (dict, list)) and child and draw(st.integers(0, 3)) > 0:
+                holder = child
+                continue
+            break
+        edit = draw(st.sampled_from(("replace", "delete", "insert"))) if keys else "insert"
+        if edit == "replace":
+            holder[key] = draw(_JSON_VALUES)
+        elif edit == "delete":
+            del holder[key]
+        elif isinstance(holder, dict):
+            holder[draw(st.sampled_from(("id", "parent", "prob", "depth", "xi1", "X1", "player1", "n0", "extra")))] = draw(_JSON_VALUES)
+        else:
+            holder.insert(draw(st.integers(0, len(holder))), draw(_JSON_VALUES))
+    return doc
+
+
+_GAME = generate(GeneratorSpec(depth=2, branching=2, seed=17))  # an A6 root: its report splits four frames
+_GAME_DOC = instance_to_doc(
+    *_GAME, BehavioralProfile(player1=dyadic_mixes(_GAME[0], 1), player2=dyadic_mixes(_GAME[0], 2))
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(_mutated(_GAME_DOC))
+def test_a_mutated_game_loads_or_is_a_schema_error(doc):
+    try:
+        instance_from_doc(doc)
+    except SchemaError:
+        pass
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_mutated(_GAME_DOC["profile"]))
+def test_a_mutated_profile_loads_or_is_a_schema_error(doc):
+    try:
+        profile_from_doc(doc)
+    except SchemaError:
+        pass
+
+
+@functools.lru_cache(maxsize=None)
+def _game_and_report() -> tuple[str, dict]:
+    """The game file's text and its report."""
+    with tempfile.TemporaryDirectory() as folder:
+        game = Path(folder) / "game.json"
+        save(game, *_GAME)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["equilibrium", str(game), "--out", str(Path(folder) / "report.json")]) == 0
+        report = json.loads((Path(folder) / "report.json").read_text())
+        assert len(report["second_half"]) == 4
+        return game.read_text(), report
+
+
+# verify's documented exit codes: success, usage, schema, gap, model violation
+VERIFY_EXITS = (0, 1, 2, 4, 5)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_verify_on_a_mutated_report_exits_with_a_documented_code(data):
+    game_text, report = _game_and_report()
+    doc = data.draw(_mutated(report))
+    with tempfile.TemporaryDirectory() as folder:
+        game, path = Path(folder) / "game.json", Path(folder) / "report.json"
+        game.write_text(game_text)
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(game), "--profile", str(path)])
+    assert code in VERIFY_EXITS, err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_benchmark_tracer_names_exist():

@@ -1,5 +1,7 @@
 """Best-response DP, deviation gaps, brute-force oracles, invariant runner."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,6 @@ from dynkin import (
     EventTree,
     GeneratorSpec,
     ModelViolationError,
-    PayoffPair,
     PayoffProcess,
     StageAction,
     best_response,
@@ -20,6 +21,7 @@ from dynkin import (
     construct,
     deviation_gap,
     evaluate_profile,
+    evaluate_profile_table,
     generate,
     solve_value_process,
     split_frame,
@@ -36,6 +38,7 @@ from helpers import (
     corpus,
     dyadic_instance,
     dyadic_mixes,
+    poisoned_deviator_lines,
     single_node_payoffs,
     uniform_tree,
 )
@@ -104,19 +107,76 @@ class TestDeviationGap:
         # max(0.0, nan) is 0.0: a NaN gap must raise, never certify as zero
         tree = uniform_tree(1)
         payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False)
-        if source == "evaluate_profile":
-            monkeypatch.setattr(verify, "evaluate_profile", lambda *args: PayoffPair(float("nan"), 1.0))
-        else:
-            real = verify.best_response
-
-            def poisoned(*args):
-                values, strategy = real(*args)
-                values[tree.root] = float("nan")
-                return values, strategy
-
-            monkeypatch.setattr(verify, "best_response", poisoned)
+        monkeypatch.setattr(verify, "deviator_lines", poisoned_deviator_lines(tree, 1, source))
         with pytest.raises(ModelViolationError, match="player 1: deviation gap nan is not finite"):
             deviation_gap(tree, payoffs, BehavioralProfile.waiting(tree))
+
+
+def _certificate_hex(certificates):
+    """Every certificate field, floats as ``float.hex``."""
+    return [
+        (c.player, c.best_response_value.hex(), c.path_value.hex(), c.gap.hex(), c.raw_gap.hex(), list(c.strategy.items()))
+        for c in certificates
+    ]
+
+
+def _reference_certificates(tree, payoffs, profile):
+    """The certificates from the one-program references: the profile's value
+    from ``evaluate_profile_table`` and each best response from ``best_response``."""
+    pair = evaluate_profile_table(tree, payoffs, profile)[tree.root]
+    out = []
+    for player, path_value in ((1, pair.g1), (2, pair.g2)):
+        values, strategy = best_response(tree, payoffs, profile.side(3 - player), player)
+        raw = values[tree.root] - path_value
+        out.append(
+            (player, values[tree.root].hex(), path_value.hex(), max(0.0, raw).hex(), raw.hex(), list(strategy.items()))
+        )
+    return out
+
+
+def _random_mixes(tree, seed):
+    rng = random.Random(seed)
+    out = {}
+    for node in tree.nodes:
+        a, u, w = rng.random(), rng.random(), rng.random()
+        total = a + u + w
+        out[node] = (a / total, u / total, w / total)
+    return out
+
+
+def _pure_mixes(tree, seed):
+    rng = random.Random(seed)
+    return {node: rng.choice((ATOM_MIX, UNIFORM_MIX, WAIT_MIX)) for node in tree.nodes}
+
+
+def _waiting_mixes(tree, seed):
+    # every stop line ties while the opponent waits: the earliest action wins
+    return {node: WAIT_MIX for node in tree.nodes}
+
+
+class TestFusedPass:
+    """``deviation_gap`` runs both dynamic programs for both players in one
+    pass; it must equal the references bit for bit, field by field."""
+
+    @pytest.mark.parametrize("mixes", [_waiting_mixes, _pure_mixes, dyadic_mixes, _random_mixes])
+    def test_equals_the_references_on_generated_profiles(self, mixes):
+        for k, (tree, payoffs) in enumerate(corpus(24, seed0=900, depth_hi=5)):
+            profile = BehavioralProfile(player1=mixes(tree, 2 * k), player2=mixes(tree, 2 * k + 1))
+            assert _certificate_hex(deviation_gap(tree, payoffs, profile)) == _reference_certificates(
+                tree, payoffs, profile
+            )
+
+    def test_equals_the_references_on_constructed_reports(self):
+        roots = set()
+        for tree, payoffs in corpus(60, seed0=0, depth_hi=5):
+            for eta in (0.05, 0.2):
+                report = construct(tree, payoffs, eta)
+                label = report.case_trace[0].label
+                roots.add(label if label == "A6" else label[0])
+                assert _certificate_hex(report.certificates) == _reference_certificates(
+                    report.tree, report.payoffs, report.profile
+                )
+        assert roots == {"A", "A6", "M"}
 
 
 class TestBruteForce:
@@ -250,11 +310,15 @@ def dyadic_games(draw, max_nodes: int = 6):
 @given(dyadic_games())
 def test_oracles_equal_the_dynamic_programs_on_random_dyadic_trees(game):
     tree, payoffs, profile = game
-    assert brute_force_payoff(tree, payoffs, profile) == evaluate_profile(tree, payoffs, profile)
+    certificates = deviation_gap(tree, payoffs, profile)
+    pair = brute_force_payoff(tree, payoffs, profile)
+    assert pair == evaluate_profile(tree, payoffs, profile)
+    assert pair == (certificates[0].path_value, certificates[1].path_value)
     for deviator in (1, 2):
         opponent = profile.side(3 - deviator)
         values, _ = best_response(tree, payoffs, opponent, deviator)
-        assert values[tree.root] == brute_force_best_response(tree, payoffs, opponent, deviator)
+        oracle = brute_force_best_response(tree, payoffs, opponent, deviator)
+        assert values[tree.root] == oracle == certificates[deviator - 1].best_response_value
     for player in (1, 2):
         process = solve_value_process(tree, payoffs, player)
         assert process.value[tree.root] == brute_force_value(tree, payoffs, player)
