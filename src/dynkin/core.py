@@ -8,11 +8,12 @@ first pays (Y1, Y2), a simultaneous atom pays (Z1, Z2), and never stopping
 pays the terminal (xi1, xi2) at the reached leaf.
 
 ``validate_instance`` and ``validate_profile`` check each rule once: one
-loop over the tree's structure, one C-level pass per payoff table, and one
-check per distinct stage mix.  Only a table or mix that fails is worded,
-node by node.  Payoffs may not exceed ``PAYOFF_LIMIT`` in magnitude, so no
-stage sum overflows.  Each entry that takes outside input validates it once;
-the solvers downstream take a valid instance unchecked.
+loop over the tree's structure, one C-level screen per payoff table, and one
+check per distinct stage mix.  Only a node, table or mix that fails is
+worded, node by node.  Payoffs and mix entries must be ints or floats, and
+payoffs may not exceed ``PAYOFF_LIMIT`` in magnitude, so no stage sum
+overflows.  Each entry that takes outside input validates it once; the
+solvers downstream take a valid instance unchecked.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse
 from operator import itemgetter
 from typing import Container, Iterator, Mapping, NamedTuple, Optional
 
@@ -173,10 +174,6 @@ class EventTree:
             if node not in stop:
                 order.extend(child for child, _ in self.children.get(node, ()))
 
-    def subtree(self, node: str) -> list[str]:
-        """Nodes of the subtree rooted at ``node``, breadth-first."""
-        return list(self.walk(node))
-
     def continuation(self, node: str, value: Mapping[str, float], terminal: Mapping[str, float]) -> float:
         """Value of surviving ``node``'s frame: the terminal payoff at a leaf,
         else the children's ``value`` weighted by their probabilities."""
@@ -259,59 +256,84 @@ class BehavioralProfile:
         )
 
 
-_PROB = itemgetter(1)
+# The exact types a clean payoff table holds; any other entry is worded.
+_NUMBER_TYPES = {float, int}
+
+
+def _is_number(value: object) -> bool:
+    """A float, or an int that converts to one without overflow; a bool (as
+    JSON true and false load) is neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     """Structural diagnostics in node order; an empty list means the instance is valid.
 
-    One loop checks the child probabilities, the depths and the horizon, and
-    one pass per table checks its entries; only a table that fails its pass
-    is worded node by node.
+    One loop checks the child probabilities, the depths and the horizon,
+    wording only a node whose children fail.  Each payoff table is screened
+    in C-level passes over its column (every entry present, an int or a
+    float, and the magnitudes summing to a finite total within the limit);
+    only a table that fails its screen is worded node by node.
     """
     nodes = tree.nodes
     depth = tree.depth
     horizon = tree.horizon
-    kids_of = tree.children.get
     found: defaultdict[str, list[str]] = defaultdict(list)
     leaves = []
-    for node in nodes:
-        kids = kids_of(node)
+    for node, kids in zip(nodes, map(tree.children.get, nodes)):
         if not kids:
             leaves.append(node)
             if depth[node] != horizon:
                 found[node].append(f"node {node}: leaf at depth {depth[node]}, horizon is {horizon} (non-uniform horizon)")
             continue
-        total = sum(map(_PROB, kids))
+        below = depth[node] + 1
+        total = 0  # a plain running sum, as in ``EventTree.continuation``
+        flawed = False
+        for child, p in kids:
+            total += p
+            if not 0.0 < p <= 1.0 or depth[child] != below:
+                flawed = True
         if abs(total - 1.0) > PROB_TOL:
             found[node].append(f"node {node}: child probabilities sum to {total!r}, not 1")
-        below = depth[node] + 1
-        for child, p in kids:
-            if not 0.0 < p <= 1.0:
-                found[node].append(f"node {node}: probability {p!r} for child {child} not in (0, 1]")
-            if depth[child] != below:
-                found[node].append(f"node {child}: depth {depth[child]} inconsistent with parent")
-    for name, table, where, kind in (
-        ("xi1", payoffs.xi1, leaves, "terminal payoff"),
-        ("xi2", payoffs.xi2, leaves, "terminal payoff"),
-        ("X1", payoffs.x1, nodes, "payoff"),
-        ("Y1", payoffs.y1, nodes, "payoff"),
-        ("Z1", payoffs.z1, nodes, "payoff"),
-        ("X2", payoffs.x2, nodes, "payoff"),
-        ("Y2", payoffs.y2, nodes, "payoff"),
-        ("Z2", payoffs.z2, nodes, "payoff"),
+        if flawed:
+            for child, p in kids:
+                if not 0.0 < p <= 1.0:
+                    found[node].append(f"node {node}: probability {p!r} for child {child} not in (0, 1]")
+                if depth[child] != below:
+                    found[node].append(f"node {child}: depth {depth[child]} inconsistent with parent")
+    # A repeated first key makes each getter return a tuple, even for one node.
+    at_leaves = itemgetter(*leaves, leaves[0])
+    at_nodes = itemgetter(*nodes, nodes[0])
+    for name, table, where, column_of, kind in (
+        ("xi1", payoffs.xi1, leaves, at_leaves, "terminal payoff"),
+        ("xi2", payoffs.xi2, leaves, at_leaves, "terminal payoff"),
+        ("X1", payoffs.x1, nodes, at_nodes, "payoff"),
+        ("Y1", payoffs.y1, nodes, at_nodes, "payoff"),
+        ("Z1", payoffs.z1, nodes, at_nodes, "payoff"),
+        ("X2", payoffs.x2, nodes, at_nodes, "payoff"),
+        ("Y2", payoffs.y2, nodes, at_nodes, "payoff"),
+        ("Z2", payoffs.z2, nodes, at_nodes, "payoff"),
     ):
-        # a sum of magnitudes is at least each of them, and a missing (NaN
-        # default) or non-finite entry leaves it non-finite
-        if sum(map(math.fabs, map(table.get, where, repeat(math.nan)))) <= PAYOFF_LIMIT:
-            continue
+        # a sum of magnitudes is at least each of them, and a non-finite
+        # entry leaves it non-finite
+        try:
+            column = column_of(table)
+            if set(map(type, column)) <= _NUMBER_TYPES and sum(map(math.fabs, column)) <= PAYOFF_LIMIT:
+                continue
+        except (KeyError, OverflowError):  # a missing entry, or an int beyond the float range
+            pass
         for node in where:
+            value = table.get(node)
             if node not in table:
                 found[node].append(f"node {node}: missing {kind} {name}")
-            elif not math.isfinite(table[node]):
+            elif not _is_number(value):
+                found[node].append(f"node {node}: {kind} {name} {value!r} is not a number")
+            elif not math.isfinite(value):
                 found[node].append(f"node {node}: non-finite {kind} {name}")
-            elif math.fabs(table[node]) > PAYOFF_LIMIT:
-                found[node].append(f"node {node}: {kind} {name} {table[node]!r} is above the payoff limit {PAYOFF_LIMIT!r}")
+            elif math.fabs(value) > PAYOFF_LIMIT:
+                found[node].append(f"node {node}: {kind} {name} {value!r} is above the payoff limit {PAYOFF_LIMIT!r}")
     return [issue for node in nodes for issue in found.get(node, ())] if found else []
 
 
@@ -343,9 +365,9 @@ def validate_profile(tree: EventTree, profile: BehavioralProfile) -> list[str]:
     """Diagnostics of a profile on ``tree``; an empty list means it fits.
 
     Each player needs a distribution at every tree node and at no other node:
-    three finite entries, none below -PROB_TOL, summing to one within
-    PROB_TOL.  Each distinct mix object is checked once, and the nodes are
-    worded only when some mix is flawed.
+    three finite numbers (as ``_is_number``), none below -PROB_TOL, summing
+    to one within PROB_TOL.  Each distinct mix object is checked once, and
+    the nodes are worded only when some mix is flawed.
     """
     issues: list[str] = []
     nodes = tree.nodes
@@ -365,16 +387,25 @@ def validate_profile(tree: EventTree, profile: BehavioralProfile) -> list[str]:
     return issues
 
 
+_FLOAT_TRIPLE = (float, float, float)
+_BELOW_ZERO = (-PROB_TOL).__gt__  # p < -PROB_TOL, in C
+
+
 def _mix_flaw(mix: Optional[Mix]) -> Optional[str]:
     """What is wrong with one stage distribution, worded after "player k"."""
     if mix is None:
         return "has no stage distribution"
-    if len(mix) != 3 or any(p < -PROB_TOL for p in mix):
+    # three floats pass in C; only another entry type is asked ``_is_number``
+    if (
+        len(mix) != 3
+        or not (all(map(isinstance, mix, _FLOAT_TRIPLE)) or all(map(_is_number, mix)))
+        or any(map(_BELOW_ZERO, mix))
+    ):
         return f"distribution {mix!r} malformed"
     total = sum(mix)
     if abs(total - 1.0) > PROB_TOL:
         return f"distribution sums to {total!r}"
-    if not all(map(math.isfinite, mix)):  # a NaN passes both tests above
+    if total != total:  # a NaN entry passes both tests above; an infinite one fails one
         return f"distribution {mix!r} is not finite"
     return None
 
@@ -471,34 +502,6 @@ def evaluate_profile(
     return evaluate_profile_table(tree, payoffs, profile)[tree.root]
 
 
-def mirror(tree: EventTree, payoffs: PayoffProcess) -> tuple[EventTree, PayoffProcess]:
-    """Swap the players' indices and first-stopper roles.  An involution."""
-    mirrored = PayoffProcess(
-        x1=dict(payoffs.y2),
-        y1=dict(payoffs.x2),
-        z1=dict(payoffs.z2),
-        x2=dict(payoffs.y1),
-        y2=dict(payoffs.x1),
-        z2=dict(payoffs.z1),
-        xi1=dict(payoffs.xi2),
-        xi2=dict(payoffs.xi1),
-    )
-    return tree, mirrored
-
-
-@dataclass(frozen=True)
-class FrameSplitMap:
-    """Id bookkeeping for a frame split.
-
-    Original ids survive unchanged; ``inserted`` maps each node that received
-    a payoff-identical copy directly below it to the new copy's id: every
-    split target, every padded leaf, and every padding frame with another
-    one below it.
-    """
-
-    inserted: dict[str, str]
-
-
 def _fresh_id(base: str, taken: set[str]) -> str:
     candidate = base
     k = 0
@@ -511,14 +514,14 @@ def _fresh_id(base: str, taken: set[str]) -> str:
 
 def split_frame(
     tree: EventTree, payoffs: PayoffProcess, node: str
-) -> tuple[EventTree, PayoffProcess, FrameSplitMap]:
+) -> tuple[EventTree, PayoffProcess, dict[str, str]]:
     """Replace one node's frame by two consecutive frames with identical payoffs."""
     return split_frames(tree, payoffs, [node])
 
 
 def split_frames(
     tree: EventTree, payoffs: PayoffProcess, nodes: list[str]
-) -> tuple[EventTree, PayoffProcess, FrameSplitMap]:
+) -> tuple[EventTree, PayoffProcess, dict[str, str]]:
     """Split the frames of several nodes in one pass.
 
     A single-child copy with identical payoffs is inserted between each
@@ -529,6 +532,11 @@ def split_frames(
     most.  Repeated targets split once.  The child map and each payoff table
     start as shallow copies of the input's: only the inserted copies get new
     entries, and only the nodes they sit below get new child lists.
+
+    Original ids survive unchanged.  The third item maps each node that
+    received a payoff-identical copy directly below it to the copy's id:
+    every target, every padded leaf, and every padding frame with another
+    one below it.
     """
     targets = list(dict.fromkeys(nodes))
     for node in targets:
@@ -575,12 +583,4 @@ def split_frames(
 
     stage = {t: extend(getattr(payoffs, t)) for t in ("x1", "y1", "z1", "x2", "y2", "z2")}
     new_payoffs = PayoffProcess(**stage, xi1=xi1, xi2=xi2)
-    return new_tree, new_payoffs, FrameSplitMap(inserted=inserted)
-
-
-def extend_profile(profile: BehavioralProfile, tree: EventTree) -> BehavioralProfile:
-    """Extend a pre-split profile to a split tree with wait/wait on new nodes."""
-    out = BehavioralProfile.waiting(tree)
-    out.player1.update(profile.player1)
-    out.player2.update(profile.player2)
-    return out
+    return new_tree, new_payoffs, inserted

@@ -39,9 +39,6 @@ from .zerosum import (
     solve_value_process,
 )
 
-ROOT_CASES = ("A1", "A2", "A3", "A4", "A6", "M1", "M2", "M3", "M4")
-HIT_CASES = ("A61", "A62", "A63", "A64", "A65", "A66")
-
 
 @dataclass(frozen=True)
 class CaseLabel:
@@ -131,9 +128,6 @@ def construct(
     tree: EventTree, payoffs: PayoffProcess, eta: float, tol: Optional[float] = None
 ) -> EquilibriumReport:
     """Build and certify an eta-level equilibrium profile."""
-    require_valid(tree, payoffs)
-    require_eta(eta)
-    require_tol(tol)
     return _construct(tree, payoffs, eta, tol, pure=False)
 
 
@@ -145,43 +139,7 @@ def construct_pure(
     Requires the simultaneous payoff to lie weakly between the two unilateral
     payoffs for both players at every node.
     """
-    require_valid(tree, payoffs)
-    require_eta(eta)
-    require_tol(tol)
-    tol = payoffs.tolerance() if tol is None else tol
-    for player in (1, 2):
-        check_convexity(payoffs, tree, player, tol)
     return _construct(tree, payoffs, eta, tol, pure=True)
-
-
-def _construct(
-    tree: EventTree,
-    payoffs: PayoffProcess,
-    eta: float,
-    tol: Optional[float],
-    pure: bool,
-) -> EquilibriumReport:
-    tol = payoffs.tolerance() if tol is None else tol
-    v1 = solve_value_process(tree, payoffs, 1)
-    v2 = solve_value_process(tree, payoffs, 2)
-    stree, spay, profile, trace, second = _construct_core(tree, payoffs, v1, v2, eta, tol, pure)
-    certificates = deviation_gap(stree, spay, profile)
-    if pure:
-        for side in (profile.player1, profile.player2):
-            for node, mix in side.items():
-                if any(p not in (0.0, 1.0) for p in mix):
-                    raise ModelViolationError(f"node {node}: non-deterministic stage mix {mix!r}")
-    return EquilibriumReport(
-        case_trace=trace,
-        profile=profile,
-        payoff=PayoffPair(certificates[0].path_value, certificates[1].path_value),
-        certificates=certificates,
-        eta=eta,
-        tol=tol,
-        tree=stree,
-        payoffs=spay,
-        second_half=second,
-    )
 
 
 def _stops(label: str, pure: bool) -> tuple[Optional[Mix], Optional[Mix]]:
@@ -208,15 +166,22 @@ def _stops(label: str, pure: bool) -> tuple[Optional[Mix], Optional[Mix]]:
     }[label]
 
 
-def _construct_core(
+def _construct(
     tree: EventTree,
     payoffs: PayoffProcess,
-    v1: ValueProcess,
-    v2: ValueProcess,
     eta: float,
-    tol: float,
+    tol: Optional[float],
     pure: bool,
-) -> tuple[EventTree, PayoffProcess, BehavioralProfile, list[CaseLabel], dict[str, str]]:
+) -> EquilibriumReport:
+    require_valid(tree, payoffs)
+    require_eta(eta)
+    require_tol(tol)
+    tol = payoffs.tolerance() if tol is None else tol
+    if pure:
+        for player in (1, 2):
+            check_convexity(payoffs, tree, player, tol)
+    v1 = solve_value_process(tree, payoffs, 1)
+    v2 = solve_value_process(tree, payoffs, 2)
     root_case = classify(tree, payoffs, v1, v2, tol=tol)
     trace = [root_case]
     infinite: list[str] = []
@@ -239,8 +204,8 @@ def _construct_core(
             elif tree.is_leaf(q):
                 infinite.append(q)
     targets = [c.node for c in trace]
-    stree, spay, split = split_frames(tree, payoffs, targets)
-    second = {q: split.inserted[q] for q in targets}
+    stree, spay, inserted = split_frames(tree, payoffs, targets)
+    second = {q: inserted[q] for q in targets}
 
     # The split pads only never-hit leaves, so below each stop the split tree
     # repeats the input with the stop node's copy in the stop node's place.
@@ -254,8 +219,25 @@ def _construct_core(
                 profile.side(player)[q] = mix
         if stops.count(None) == 1:
             punisher = stops.index(None) + 1
-            fill = punishment_strategy(tree, payoffs, punisher, q, v2 if punisher == 1 else v1)
+            fill = punishment_strategy(tree, punisher, q, v2 if punisher == 1 else v1)
             fill[second[q]] = fill.pop(q)
             profile.side(punisher).update(fill)
     trace.extend(CaseLabel("A63", leaf) for leaf in infinite)
-    return stree, spay, profile, trace, second
+
+    certificates = deviation_gap(stree, spay, profile)
+    if pure:
+        for side in (profile.player1, profile.player2):
+            for node, mix in side.items():
+                if any(p not in (0.0, 1.0) for p in mix):
+                    raise ModelViolationError(f"node {node}: non-deterministic stage mix {mix!r}")
+    return EquilibriumReport(
+        case_trace=trace,
+        profile=profile,
+        payoff=PayoffPair(certificates[0].path_value, certificates[1].path_value),
+        certificates=certificates,
+        eta=eta,
+        tol=tol,
+        tree=stree,
+        payoffs=spay,
+        second_half=second,
+    )

@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import random
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -23,6 +22,7 @@ from .core import (
     EventTree,
     InstanceError,
     PayoffProcess,
+    _is_number,
     validate_instance,
 )
 
@@ -170,7 +170,7 @@ def instance_to_doc(
         parent = tree.parent[node]
         if parent is not None:
             entry["parent"] = parent
-            entry["prob"] = dict(tree.children[parent])[node]
+            entry["prob"] = tree._edge[node]
         if tree.is_leaf(node):
             entry["xi1"] = payoffs.xi1[node]
             entry["xi2"] = payoffs.xi2[node]
@@ -186,14 +186,6 @@ def profile_to_doc(profile: BehavioralProfile) -> dict:
         "player1": {n: list(mix) for n, mix in profile.player1.items()},
         "player2": {n: list(mix) for n, mix in profile.player2.items()},
     }
-
-
-def _is_number(value: object) -> bool:
-    # JSON true/false load as bool, which Python counts as an int; an int
-    # beyond the float range would overflow on conversion
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def profile_from_doc(doc: dict) -> BehavioralProfile:

@@ -524,14 +524,14 @@ def check_invariants(
 
     # Splitting every frame doubles each root path; both halves of a frame
     # must keep the input's value, as the stage value is idempotent.
-    stree, spay, split = split_frames(tree, payoffs, tree.nodes)
+    stree, spay, inserted = split_frames(tree, payoffs, tree.nodes)
     require_valid(stree, spay)
     split_items = []
     for i in (1, 2):
         before = values[i].value
         after = solve_value_process(stree, spay, i).value
         for n in tree.nodes:
-            copy = split.inserted[n]
+            copy = inserted[n]
             split_items.append((n, abs(after[n] - before[n])))
             split_items.append((copy, abs(after[copy] - before[n])))
     add("split_invariance", split_items)

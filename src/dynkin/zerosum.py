@@ -60,11 +60,10 @@ _PURE_MIXES = (ATOM_MIX, UNIFORM_MIX, WAIT_MIX)
 
 @dataclass
 class ValueProcess:
-    """Per-node zero-sum value with optimal stage mixes for both sides."""
+    """Per-node zero-sum value with the minimizer's optimal stage mix."""
 
     player: int
     value: dict[str, float]
-    max_mix: dict[str, Mix]
     min_mix: dict[str, Mix]
 
 
@@ -172,12 +171,11 @@ def solve_value_process(tree: EventTree, payoffs: PayoffProcess, player: int) ->
     """
     stop, opp, sim, xi = payoffs.side(player)
     value: dict[str, float] = {}
-    max_mix: dict[str, Mix] = {}
     min_mix: dict[str, Mix] = {}
     for node in reversed(tree.nodes):
         cont = tree.continuation(node, value, xi)
-        value[node], max_mix[node], min_mix[node] = stage_value(stop[node], opp[node], sim[node], cont)
-    return ValueProcess(player=player, value=value, max_mix=max_mix, min_mix=min_mix)
+        value[node], _, min_mix[node] = stage_value(stop[node], opp[node], sim[node], cont)
+    return ValueProcess(player=player, value=value, min_mix=min_mix)
 
 
 def hitting_time(
@@ -209,59 +207,15 @@ def pre_hit_region(tree: EventTree, hitting: HittingTime) -> list[str]:
     return [n for n in tree.walk(tree.root, hits) if n not in hits]
 
 
-def _stop_action(
-    payoffs: PayoffProcess, value: ValueProcess, node: str, eta: float, tol: float
-) -> Mix:
-    # The delay masks the stop unless the opponent-first payoff is too small,
-    # in which case the simultaneous payoff must carry the guarantee.
-    opp = payoffs.side(value.player).opp[node]
-    if (value.value[node] - eta) - opp > tol:
-        return ATOM_MIX
-    return UNIFORM_MIX
-
-
-def simple_optimal_strategy(
-    tree: EventTree,
-    payoffs: PayoffProcess,
-    value: ValueProcess,
-    hitting: HittingTime,
-    eta: float,
-    tol: Optional[float] = None,
-) -> dict[str, Mix]:
-    """One player's guarantee strategy: wait to the hitting antichain, then
-    stop there with an atom or a one-frame uniform delay.
-
-    Against any opponent play, the best the opponent can push this player
-    below is value(root) - eta, up to tolerance; the fragment covers the whole
-    tree (waiting on never-hit paths and below the antichain).
-    """
-    if hitting.player != value.player:
-        raise ValueError("hitting time and value process belong to different players")
-    tol = payoffs.tolerance() if tol is None else tol
-    fragment = {n: WAIT_MIX for n in tree.nodes}
-    for q in hitting.antichain:
-        fragment[q] = _stop_action(payoffs, value, q, eta, tol)
-    return fragment
-
-
-def punishment_strategy(
-    tree: EventTree,
-    payoffs: PayoffProcess,
-    punisher: int,
-    node: str,
-    value: Optional[ValueProcess] = None,
-) -> dict[str, Mix]:
+def punishment_strategy(tree: EventTree, punisher: int, node: str, value: ValueProcess) -> dict[str, Mix]:
     """Minimizing stage play holding the opponent to their value on a subtree.
 
-    ``value`` must be (or will be solved as) the opponent's value process; the
-    punisher is the minimizer there.
+    ``value`` must be the opponent's value process; the punisher is the
+    minimizer there.
     """
-    target = 3 - punisher
-    if value is None:
-        value = solve_value_process(tree, payoffs, target)
-    if value.player != target:
-        raise ValueError(f"value process is for player {value.player}, expected {target}")
-    return {n: value.min_mix[n] for n in tree.subtree(node)}
+    if value.player != 3 - punisher:
+        raise ValueError(f"value process is for player {value.player}, expected {3 - punisher}")
+    return {n: value.min_mix[n] for n in tree.walk(node)}
 
 
 def check_convexity(payoffs: PayoffProcess, tree: EventTree, player: int, tol: float) -> None:
@@ -274,24 +228,3 @@ def check_convexity(payoffs: PayoffProcess, tree: EventTree, player: int, tol: f
             raise ConvexityError(
                 f"node {node}: Z{player}={sim[node]!r} outside [{lo!r}, {hi!r}] for player {player}"
             )
-
-
-def pure_optimal_strategy(
-    tree: EventTree,
-    payoffs: PayoffProcess,
-    value: ValueProcess,
-    hitting: HittingTime,
-    eta: float,
-    tol: Optional[float] = None,
-) -> dict[str, Mix]:
-    """Deterministic variant of the guarantee strategy: atoms at the antichain.
-
-    Sound only when the simultaneous payoff lies between the two unilateral
-    ones at every node, which is checked.
-    """
-    tol = payoffs.tolerance() if tol is None else tol
-    check_convexity(payoffs, tree, value.player, tol)
-    fragment = {n: WAIT_MIX for n in tree.nodes}
-    for q in hitting.antichain:
-        fragment[q] = ATOM_MIX
-    return fragment

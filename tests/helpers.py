@@ -5,17 +5,34 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+from typing import Optional
 
 from dynkin import (
     BehavioralProfile,
     EventTree,
     GeneratorSpec,
+    HittingTime,
     PayoffPair,
     PayoffProcess,
+    ValueProcess,
     generate,
     outcome_kernel,
 )
-from dynkin.core import DEVIATOR_ACTIONS, PAYOFF_LIMIT, PLAYER_ACTIONS, PROB_TOL, StageAction, deviator_lines, require_player
+from dynkin.core import (
+    ATOM_MIX,
+    DEVIATOR_ACTIONS,
+    PAYOFF_LIMIT,
+    PLAYER_ACTIONS,
+    PROB_TOL,
+    UNIFORM_MIX,
+    WAIT_MIX,
+    Mix,
+    StageAction,
+    deviator_lines,
+    require_player,
+)
+from dynkin.zerosum import check_convexity
 
 
 def uniform_tree(depth: int, branching: int = 2) -> EventTree:
@@ -238,6 +255,15 @@ def reference_stage_matrices(
     return primal, dual
 
 
+def is_number(value: object) -> bool:
+    """A float, or an int in the float range; a bool is not a number."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, float):
+        return True
+    return isinstance(value, int) and -sys.float_info.max <= value <= sys.float_info.max
+
+
 def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     """Every structural issue, in node order: the node-by-node reference
     ``validate_instance`` must agree with."""
@@ -246,7 +272,9 @@ def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     for node in tree.nodes:
         kids = tree.children.get(node, [])
         if kids:
-            total = sum(p for _, p in kids)
+            total = 0
+            for _, p in kids:
+                total += p
             if abs(total - 1.0) > PROB_TOL:
                 issues.append(f"node {node}: child probabilities sum to {total!r}, not 1")
             for child, p in kids:
@@ -260,6 +288,8 @@ def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
             for name, table in (("xi1", payoffs.xi1), ("xi2", payoffs.xi2)):
                 if node not in table:
                     issues.append(f"node {node}: missing terminal payoff {name}")
+                elif not is_number(table[node]):
+                    issues.append(f"node {node}: terminal payoff {name} {table[node]!r} is not a number")
                 elif not math.isfinite(table[node]):
                     issues.append(f"node {node}: non-finite terminal payoff {name}")
                 elif abs(table[node]) > PAYOFF_LIMIT:
@@ -274,6 +304,8 @@ def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
         ):
             if node not in table:
                 issues.append(f"node {node}: missing payoff {name}")
+            elif not is_number(table[node]):
+                issues.append(f"node {node}: payoff {name} {table[node]!r} is not a number")
             elif not math.isfinite(table[node]):
                 issues.append(f"node {node}: non-finite payoff {name}")
             elif abs(table[node]) > PAYOFF_LIMIT:
@@ -296,7 +328,7 @@ def profile_issues(tree: EventTree, profile: BehavioralProfile) -> list[str]:
             if mix is None:
                 issues.append(f"node {node}: player {player} has no stage distribution")
                 continue
-            if len(mix) != 3 or any(p < -PROB_TOL for p in mix):
+            if len(mix) != 3 or not all(map(is_number, mix)) or any(p < -PROB_TOL for p in mix):
                 issues.append(f"node {node}: player {player} distribution {mix!r} malformed")
                 continue
             if abs(sum(mix) - 1.0) > PROB_TOL:
@@ -322,3 +354,88 @@ def poisoned_deviator_lines(tree: EventTree, player: int, certificate: str):
         return (math.nan,) * 4 if next(calls) == target else out
 
     return lines
+
+
+def extend_profile(profile: BehavioralProfile, tree: EventTree) -> BehavioralProfile:
+    """Extend a pre-split profile to a split tree with wait/wait on new nodes."""
+    out = BehavioralProfile.waiting(tree)
+    out.player1.update(profile.player1)
+    out.player2.update(profile.player2)
+    return out
+
+
+def mirror(tree: EventTree, payoffs: PayoffProcess) -> tuple[EventTree, PayoffProcess]:
+    """Swap the players' indices and first-stopper roles.  An involution: the
+    reference for the player swap that ``PayoffProcess.side`` performs."""
+    mirrored = PayoffProcess(
+        x1=dict(payoffs.y2),
+        y1=dict(payoffs.x2),
+        z1=dict(payoffs.z2),
+        x2=dict(payoffs.y1),
+        y2=dict(payoffs.x1),
+        z2=dict(payoffs.z1),
+        xi1=dict(payoffs.xi2),
+        xi2=dict(payoffs.xi1),
+    )
+    return tree, mirrored
+
+
+# The paper's guarantee lemma: each player secures value - eta by waiting to
+# the hitting antichain and stopping there.  ``construct`` places its stops
+# from its case table instead; these are the strategies the lemma names.
+
+
+def _stop_action(
+    payoffs: PayoffProcess, value: ValueProcess, node: str, eta: float, tol: float
+) -> Mix:
+    # The delay masks the stop unless the opponent-first payoff is too small,
+    # in which case the simultaneous payoff must carry the guarantee.
+    opp = payoffs.side(value.player).opp[node]
+    if (value.value[node] - eta) - opp > tol:
+        return ATOM_MIX
+    return UNIFORM_MIX
+
+
+def simple_optimal_strategy(
+    tree: EventTree,
+    payoffs: PayoffProcess,
+    value: ValueProcess,
+    hitting: HittingTime,
+    eta: float,
+    tol: Optional[float] = None,
+) -> dict[str, Mix]:
+    """One player's guarantee strategy: wait to the hitting antichain, then
+    stop there with an atom or a one-frame uniform delay.
+
+    Against any opponent play, the best the opponent can push this player
+    below is value(root) - eta, up to tolerance; the fragment covers the whole
+    tree (waiting on never-hit paths and below the antichain).
+    """
+    if hitting.player != value.player:
+        raise ValueError("hitting time and value process belong to different players")
+    tol = payoffs.tolerance() if tol is None else tol
+    fragment = {n: WAIT_MIX for n in tree.nodes}
+    for q in hitting.antichain:
+        fragment[q] = _stop_action(payoffs, value, q, eta, tol)
+    return fragment
+
+
+def pure_optimal_strategy(
+    tree: EventTree,
+    payoffs: PayoffProcess,
+    value: ValueProcess,
+    hitting: HittingTime,
+    eta: float,
+    tol: Optional[float] = None,
+) -> dict[str, Mix]:
+    """Deterministic variant of the guarantee strategy: atoms at the antichain.
+
+    Sound only when the simultaneous payoff lies between the two unilateral
+    ones at every node, which is checked.
+    """
+    tol = payoffs.tolerance() if tol is None else tol
+    check_convexity(payoffs, tree, value.player, tol)
+    fragment = {n: WAIT_MIX for n in tree.nodes}
+    for q in hitting.antichain:
+        fragment[q] = ATOM_MIX
+    return fragment

@@ -22,7 +22,7 @@ from dynkin import (
     solve_value_process,
     split_frame,
 )
-from dynkin.core import BehavioralProfile, PayoffPair, extend_profile
+from dynkin.core import BehavioralProfile, PayoffPair
 from dynkin.verify import deviation_gap
 from dynkin.zerosum import pre_hit_region, stage_matrices
 
@@ -32,6 +32,7 @@ from helpers import (
     corpus,
     dyadic_instance,
     dyadic_mixes,
+    extend_profile,
     uniform_tree,
 )
 
@@ -224,9 +225,7 @@ def test_criterion_8_punishment_tightness(solved_corpus):
     for tree, payoffs, v1, v2 in solved_corpus:
         tol = 1e-9 * max(1.0, payoffs.payoff_range)
         for target, process in ((1, v1), (2, v2)):
-            fragment = punishment_strategy(
-                tree, payoffs, punisher=3 - target, node=tree.root, value=process
-            )
+            fragment = punishment_strategy(tree, punisher=3 - target, node=tree.root, value=process)
             values, _ = best_response(tree, payoffs, fragment, deviator=target)
             deviation = abs(values[tree.root] - process.value[tree.root])
             worst = max(worst, deviation)

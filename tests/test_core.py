@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,17 @@ from dynkin import (
     BehavioralProfile,
     EventTree,
     GeneratorSpec,
+    InstanceError,
     PayoffPair,
     ProfileError,
     StageAction,
+    check_invariants,
+    construct,
+    construct_pure,
+    deviation_gap,
     evaluate_profile,
     evaluate_profile_table,
     generate,
-    mirror,
     outcome_kernel,
     split_frame,
     split_frames,
@@ -29,7 +34,6 @@ from dynkin.core import (
     ATOM_MIX,
     UNIFORM_MIX,
     WAIT_MIX,
-    extend_profile,
 )
 
 from helpers import (
@@ -39,8 +43,10 @@ from helpers import (
     corpus,
     dyadic_instance,
     dyadic_mixes,
+    extend_profile,
     instance_issues,
     kernel_profile_value,
+    mirror,
     profile_issues,
     single_node_payoffs,
     uniform_tree,
@@ -85,6 +91,38 @@ def test_validate_profile_rejects_a_non_finite_entry(bad):
     assert len(issues) == 1 and issues[0].startswith(f"node {tree.root}: player 1 distribution")
     with pytest.raises(ProfileError):
         evaluate_profile(tree, payoffs, profile)
+
+
+# Values that are not an int or a float in the float range; each raised a
+# bare TypeError or OverflowError, or passed validation and then did.
+_NON_NUMBERS = (Decimal("0.5"), "0.5", None, 0.5j, True, 10**400)
+_NON_NUMBER_IDS = ("decimal", "str", "none", "complex", "bool", "huge-int")
+
+
+@pytest.mark.parametrize("value", _NON_NUMBERS, ids=_NON_NUMBER_IDS)
+@pytest.mark.parametrize("table", ["x1", "z2", "xi1"])
+def test_a_non_number_payoff_is_an_instance_issue(table, value):
+    tree, payoffs = generate(GeneratorSpec(depth=2, seed=1))
+    node = tree.leaves[-1] if table.startswith("xi") else tree.root
+    getattr(payoffs, table)[node] = value
+    kind = "terminal payoff" if table.startswith("xi") else "payoff"
+    name = table if table.startswith("xi") else table.upper()
+    issues = [f"node {node}: {kind} {name} {value!r} is not a number"]
+    assert validate_instance(tree, payoffs) == instance_issues(tree, payoffs) == issues
+    for entry in (construct, construct_pure, check_invariants):
+        with pytest.raises(InstanceError, match="is not a number"):
+            entry(tree, payoffs, 0.05)
+
+
+@pytest.mark.parametrize("value", _NON_NUMBERS, ids=_NON_NUMBER_IDS)
+def test_a_non_number_mix_entry_is_a_profile_issue(value):
+    tree, payoffs = generate(GeneratorSpec(depth=2, seed=1))
+    profile = BehavioralProfile.waiting(tree)
+    profile.player2[tree.root] = mix = (value, 0.0, 1.0)
+    issues = [f"node {tree.root}: player 2 distribution {mix!r} malformed"]
+    assert validate_profile(tree, profile) == profile_issues(tree, profile) == issues
+    with pytest.raises(ProfileError, match="malformed"):
+        deviation_gap(tree, payoffs, profile)
 
 
 _TABLES = ("x1", "y1", "z1", "x2", "y2", "z2", "xi1", "xi2")
@@ -409,7 +447,7 @@ def test_split_single_node_game():
     tree, payoffs = single_node_payoffs(1.0, 2.0, 3.0, 4.0, 0, 0, 0, 0)
     stree, spay, mapping = split_frame(tree, payoffs, "n0")
     assert len(stree.nodes) == 2 and stree.horizon == 1
-    second = mapping.inserted["n0"]
+    second = mapping["n0"]
     assert spay.x1[second] == 1.0 and spay.z1[second] == 3.0
     assert spay.xi1 == {second: 4.0}
 
@@ -417,7 +455,7 @@ def test_split_single_node_game():
 def test_split_twice_keeps_payoffs_constant_along_chain():
     tree, payoffs = single_node_payoffs(1.0, 2.0, 3.0, 4.0, 0, 0, 0, 0)
     stree, spay, m1 = split_frame(tree, payoffs, "n0")
-    stree2, spay2, m2 = split_frame(stree, spay, m1.inserted["n0"])
+    stree2, spay2, m2 = split_frame(stree, spay, m1["n0"])
     assert stree2.horizon == 2
     assert len({spay2.x1[n] for n in stree2.nodes}) == 1
 
@@ -428,7 +466,7 @@ def test_split_keeps_horizon_uniform_and_pads_other_paths():
     stree, spay, mapping = split_frame(tree, payoffs, "a")
     assert validate_instance(stree, spay) == []
     assert stree.horizon == 2
-    assert set(mapping.inserted) == {"a", "b"}
+    assert set(mapping) == {"a", "b"}
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -440,8 +478,8 @@ def test_splitting_every_frame_doubles_each_path(game):
     assert validate_instance(stree, spay) == []
     assert len(stree.nodes) == 2 * len(tree.nodes)
     assert stree.horizon == 2 * tree.horizon + 1
-    assert set(split.inserted) == set(tree.nodes)
-    assert set(stree.nodes) == set(tree.nodes) | set(split.inserted.values())
+    assert set(split) == set(tree.nodes)
+    assert set(stree.nodes) == set(tree.nodes) | set(split.values())
 
 
 def test_split_preserves_profile_evaluation_exactly():

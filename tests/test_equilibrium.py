@@ -3,6 +3,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynkin
 from dynkin import (
@@ -18,14 +20,13 @@ from dynkin import (
     construct,
     construct_pure,
     generate,
-    mirror,
     solve_value_process,
     validate_instance,
 )
 from dynkin import core, equilibrium, verify, zerosum
 from dynkin.zerosum import ValueProcess
 
-from helpers import constant_payoffs, corpus, single_node_payoffs, uniform_tree
+from helpers import constant_payoffs, corpus, mirror, single_node_payoffs, uniform_tree
 
 
 def _classify(tree, payoffs):
@@ -68,8 +69,8 @@ class TestClassify:
         tree, payoffs = single_node_payoffs(
             x1=1.0, y1=2.0, z1=0.0, xi1=0.0, x2=0.0, y2=0.0, z2=1.0, xi2=0.0
         )
-        fake1 = ValueProcess(1, {"n0": 0.0}, {}, {})
-        fake2 = ValueProcess(2, {"n0": 5.0}, {}, {})
+        fake1 = ValueProcess(1, {"n0": 0.0}, {})
+        fake2 = ValueProcess(2, {"n0": 5.0}, {})
         with pytest.raises(ModelViolationError, match="A5"):
             classify(tree, payoffs, fake1, fake2)
 
@@ -370,3 +371,63 @@ class TestConstructPure:
         )
         with pytest.raises(ConvexityError, match="player 2"):
             construct_pure(tree, payoffs, eta=0.05)
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic properties: relabelling the tree leaves the construction alone
+
+_PAYOFF_TABLES = ("x1", "y1", "z1", "x2", "y2", "z2", "xi1", "xi2")
+
+
+@st.composite
+def _games(draw):
+    convexity = draw(st.booleans())
+    spec = GeneratorSpec(
+        family=draw(st.sampled_from(("random", "war-of-attrition", "preemption"))),
+        depth=draw(st.integers(1, 5)),
+        branching=3,
+        seed=draw(st.integers(0, 10**6)),
+        convexity=convexity,
+    )
+    return (*generate(spec), convexity, draw(st.sampled_from((0.05, 0.2))))
+
+
+def _relabelled(tree, payoffs, name, order):
+    """The game with node ``n`` called ``name[n]`` and each child list
+    reordered by ``order``."""
+    children = {name[n]: [(name[c], p) for c, p in order(kids)] for n, kids in tree.children.items()}
+    tables = {t: {name[n]: v for n, v in getattr(payoffs, t).items()} for t in _PAYOFF_TABLES}
+    return EventTree.build(name[tree.root], children), PayoffProcess(**tables)
+
+
+def _builds(convexity):
+    return (construct, construct_pure) if convexity else (construct,)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_games(), st.randoms(use_true_random=False))
+def test_renaming_every_node_leaves_the_construction_unchanged(game, rng):
+    tree, payoffs, convexity, eta = game
+    names = list(tree.nodes)
+    rng.shuffle(names)
+    name = dict(zip(tree.nodes, (f"m{n}" for n in names)))
+    rtree, rpayoffs = _relabelled(tree, payoffs, name, list)
+    for build in _builds(convexity):
+        report, renamed = build(tree, payoffs, eta), build(rtree, rpayoffs, eta)
+        assert [(c.label, name[c.node]) for c in report.case_trace] == [(c.label, c.node) for c in renamed.case_trace]
+        assert list(map(float.hex, report.payoff)) == list(map(float.hex, renamed.payoff))
+        for cert, rcert in zip(report.certificates, renamed.certificates):
+            assert list(map(float.hex, _certificate_fields(cert)[:4])) == list(map(float.hex, _certificate_fields(rcert)[:4]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_games(), st.randoms(use_true_random=False))
+def test_permuting_children_leaves_the_construction_unchanged(game, rng):
+    tree, payoffs, convexity, eta = game
+    ptree, ppayoffs = _relabelled(tree, payoffs, {n: n for n in tree.nodes}, lambda kids: rng.sample(kids, len(kids)))
+    tol = 1e-9 * max(1.0, payoffs.payoff_range)
+    for build in _builds(convexity):
+        report, permuted = build(tree, payoffs, eta), build(ptree, ppayoffs, eta)
+        assert {(c.label, c.node) for c in report.case_trace} == {(c.label, c.node) for c in permuted.case_trace}
+        assert abs(report.gap1 - permuted.gap1) <= tol and abs(report.gap2 - permuted.gap2) <= tol
+        assert abs(report.payoff.g1 - permuted.payoff.g1) <= tol and abs(report.payoff.g2 - permuted.payoff.g2) <= tol

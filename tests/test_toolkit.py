@@ -4,6 +4,7 @@ import ast
 import contextlib
 import functools
 import importlib.util
+import inspect
 import io
 import json
 import re
@@ -566,17 +567,88 @@ def test_verify_on_a_mutated_report_exits_with_a_documented_code(data):
     assert "Traceback" not in err.getvalue()
 
 
+# each command's documented exit codes (see the dynkin.cli docstring)
+COMMAND_EXITS = {
+    ("equilibrium",): (0, 1, 2, 5),
+    ("equilibrium", "--pure"): (0, 1, 2, 5),
+    ("invariants",): (0, 2, 3, 5),
+    ("solve",): (0, 2, 5),
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_mutated(_GAME_DOC), st.sampled_from(sorted(COMMAND_EXITS)))
+def test_every_command_on_a_mutated_game_exits_with_a_documented_code(doc, command):
+    with tempfile.TemporaryDirectory() as folder:
+        game = Path(folder) / "game.json"
+        game.write_text(json.dumps(doc))
+        argv = [command[0], str(game), *command[1:]]
+        if command[0] != "invariants":
+            argv += ["--out", str(Path(folder) / "out")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in COMMAND_EXITS[command], err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def _dynkin_chains(source: str) -> set[str]:
+    """Every dotted ``dynkin.<...>`` attribute chain the source reads,
+    including those read through a local alias such as ``verify = dynkin.verify``."""
+
+    def dotted(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+    tree = ast.parse(source)
+    aliases = {"dynkin": "dynkin"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            chain = dotted(node.value)
+            if chain and chain[0] == "dynkin":
+                aliases[node.targets[0].id] = ".".join(chain)
+    chains = set()
+    for node in ast.walk(tree):
+        chain = dotted(node) if isinstance(node, ast.Attribute) else None
+        if chain and chain[0] in aliases:
+            chains.add(".".join([aliases[chain[0]], *chain[1:]]))
+    return chains
+
+
+def _resolve(chain: str):
+    obj = importlib.import_module("dynkin")
+    for part in chain.split(".")[1:]:
+        if not hasattr(obj, part) and inspect.ismodule(obj):
+            importlib.import_module(f"{obj.__name__}.{part}")
+        obj = getattr(obj, part)
+    return obj
+
+
 def test_benchmark_tracer_names_exist():
-    # perfbench's tracer wraps these functions by name with getattr, so a
-    # renamed or deleted one would crash every traced benchmark run.
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    # perfbench's tracer wraps these functions by name with getattr, and its
+    # workloads and self-test call dynkin.<module>.<name> chains (the oracle
+    # workload through a local alias), so a renamed or deleted one would
+    # crash the benchmark rather than this suite.
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", root / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     names = [(home, fn) for home, fn, *_ in tracing.SPANS + tracing.COUNTERS]
     assert names
     for home, fn in names:
         assert callable(getattr(importlib.import_module(f"dynkin.{home}"), fn, None)), (home, fn)
+    chains = set()
+    for name in ("workloads.py", "selftest.py"):
+        chains |= _dynkin_chains((root / name).read_text(encoding="utf-8"))
+    assert {"dynkin.core.evaluate_profile", "dynkin.verify.best_response", "dynkin.cli.main"} <= chains
+    for chain in sorted(chains):
+        try:
+            _resolve(chain)
+        except (AttributeError, ImportError) as exc:
+            pytest.fail(f"perfbench reads {chain}: {exc}")
 
 
 def test_runtime_imports_only_the_standard_library():

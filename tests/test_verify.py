@@ -28,7 +28,7 @@ from dynkin import (
     validate_instance,
 )
 from dynkin import core, verify, zerosum
-from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX, extend_profile
+from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX
 from dynkin.verify import _stop_rules
 
 from helpers import (
@@ -38,6 +38,7 @@ from helpers import (
     corpus,
     dyadic_instance,
     dyadic_mixes,
+    extend_profile,
     poisoned_deviator_lines,
     single_node_payoffs,
     uniform_tree,

@@ -13,10 +13,7 @@ from dynkin import (
     best_response,
     brute_force_value,
     hitting_time,
-    mirror,
     punishment_strategy,
-    pure_optimal_strategy,
-    simple_optimal_strategy,
     solve_matrix_game,
     solve_value_process,
     stage_matrices,
@@ -28,7 +25,10 @@ from helpers import (
     chain_tree,
     constant_payoffs,
     corpus,
+    mirror,
+    pure_optimal_strategy,
     reference_stage_matrices,
+    simple_optimal_strategy,
     single_node_payoffs,
     uniform_tree,
     zero_sum_push,
@@ -305,7 +305,7 @@ class TestPunishment:
     def test_flat_instance_holds_opponent_to_value(self):
         tree = uniform_tree(3)
         payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0)
-        fragment = punishment_strategy(tree, payoffs, punisher=2, node="n0")
+        fragment = punishment_strategy(tree, punisher=2, node="n0", value=solve_value_process(tree, payoffs, 1))
         values, _ = best_response(tree, payoffs, fragment, deviator=1)
         assert all(values[n] == 1.0 for n in tree.nodes)
 
@@ -314,17 +314,15 @@ class TestPunishment:
             tol = payoffs.tolerance()
             for target in (1, 2):
                 process = solve_value_process(tree, payoffs, target)
-                fragment = punishment_strategy(
-                    tree, payoffs, punisher=3 - target, node=tree.root, value=process
-                )
+                fragment = punishment_strategy(tree, punisher=3 - target, node=tree.root, value=process)
                 values, _ = best_response(tree, payoffs, fragment, deviator=target)
                 assert abs(values[tree.root] - process.value[tree.root]) <= tol
 
     def test_subtree_restriction(self):
         tree = uniform_tree(2)
         payoffs = constant_payoffs(tree, 0.1, 0.2, 0.3, 0.4)
-        fragment = punishment_strategy(tree, payoffs, punisher=2, node="n1")
-        assert set(fragment) == set(tree.subtree("n1"))
+        fragment = punishment_strategy(tree, punisher=2, node="n1", value=solve_value_process(tree, payoffs, 1))
+        assert set(fragment) == set(tree.walk("n1"))
 
 
 class TestPureOptimal:
