@@ -9,8 +9,8 @@ pays the terminal (xi1, xi2) at the reached leaf.
 
 ``validate_instance`` and ``validate_profile`` check each rule once: one
 loop over the tree's structure, one C-level screen per payoff table, and one
-check per distinct stage mix.  Only a node, table or mix that fails is
-worded, node by node.  Payoffs and mix entries must be ints or floats, and
+check per distinct stage mix.  Only a table or mix that fails is worded,
+node by node.  Payoffs and mix entries must be ints or floats, and
 payoffs may not exceed ``PAYOFF_LIMIT`` in magnitude, so no stage sum
 overflows.  Each entry that takes outside input validates it once; the
 solvers downstream take a valid instance unchecked.
@@ -23,7 +23,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, repeat
 from operator import itemgetter
 from typing import Container, Iterator, Mapping, NamedTuple, Optional
 
@@ -268,61 +268,57 @@ def _is_number(value: object) -> bool:
     return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
+_PROB = itemgetter(1)
+
+
 def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     """Structural diagnostics in node order; an empty list means the instance is valid.
 
-    One loop checks the child probabilities, the depths and the horizon,
-    wording only a node whose children fail.  Each payoff table is screened
-    in C-level passes over its column (every entry present, an int or a
-    float, and the magnitudes summing to a finite total within the limit);
-    only a table that fails its screen is worded node by node.
+    One loop checks the child probabilities, the depths and the horizon, and
+    C-level passes over each table's column check its entries (every entry
+    present, an int or a float, and the magnitudes summing to a finite total
+    within the limit); only a table that fails its passes is worded node by
+    node.
     """
     nodes = tree.nodes
     depth = tree.depth
     horizon = tree.horizon
+    kids_of = tree.children.get
     found: defaultdict[str, list[str]] = defaultdict(list)
     leaves = []
-    for node, kids in zip(nodes, map(tree.children.get, nodes)):
+    for node in nodes:
+        kids = kids_of(node)
         if not kids:
             leaves.append(node)
             if depth[node] != horizon:
                 found[node].append(f"node {node}: leaf at depth {depth[node]}, horizon is {horizon} (non-uniform horizon)")
             continue
-        below = depth[node] + 1
-        total = 0  # a plain running sum, as in ``EventTree.continuation``
-        flawed = False
-        for child, p in kids:
-            total += p
-            if not 0.0 < p <= 1.0 or depth[child] != below:
-                flawed = True
+        total = sum(map(_PROB, kids))
         if abs(total - 1.0) > PROB_TOL:
             found[node].append(f"node {node}: child probabilities sum to {total!r}, not 1")
-        if flawed:
-            for child, p in kids:
-                if not 0.0 < p <= 1.0:
-                    found[node].append(f"node {node}: probability {p!r} for child {child} not in (0, 1]")
-                if depth[child] != below:
-                    found[node].append(f"node {child}: depth {depth[child]} inconsistent with parent")
-    # A repeated first key makes each getter return a tuple, even for one node.
-    at_leaves = itemgetter(*leaves, leaves[0])
-    at_nodes = itemgetter(*nodes, nodes[0])
-    for name, table, where, column_of, kind in (
-        ("xi1", payoffs.xi1, leaves, at_leaves, "terminal payoff"),
-        ("xi2", payoffs.xi2, leaves, at_leaves, "terminal payoff"),
-        ("X1", payoffs.x1, nodes, at_nodes, "payoff"),
-        ("Y1", payoffs.y1, nodes, at_nodes, "payoff"),
-        ("Z1", payoffs.z1, nodes, at_nodes, "payoff"),
-        ("X2", payoffs.x2, nodes, at_nodes, "payoff"),
-        ("Y2", payoffs.y2, nodes, at_nodes, "payoff"),
-        ("Z2", payoffs.z2, nodes, at_nodes, "payoff"),
+        below = depth[node] + 1
+        for child, p in kids:
+            if not 0.0 < p <= 1.0:
+                found[node].append(f"node {node}: probability {p!r} for child {child} not in (0, 1]")
+            if depth[child] != below:
+                found[node].append(f"node {child}: depth {depth[child]} inconsistent with parent")
+    for name, table, where, kind in (
+        ("xi1", payoffs.xi1, leaves, "terminal payoff"),
+        ("xi2", payoffs.xi2, leaves, "terminal payoff"),
+        ("X1", payoffs.x1, nodes, "payoff"),
+        ("Y1", payoffs.y1, nodes, "payoff"),
+        ("Z1", payoffs.z1, nodes, "payoff"),
+        ("X2", payoffs.x2, nodes, "payoff"),
+        ("Y2", payoffs.y2, nodes, "payoff"),
+        ("Z2", payoffs.z2, nodes, "payoff"),
     ):
-        # a sum of magnitudes is at least each of them, and a non-finite
-        # entry leaves it non-finite
+        # a sum of magnitudes is at least each of them, and a missing (NaN
+        # default) or non-finite entry leaves it non-finite
+        column = tuple(map(table.get, where, repeat(math.nan)))
         try:
-            column = column_of(table)
             if set(map(type, column)) <= _NUMBER_TYPES and sum(map(math.fabs, column)) <= PAYOFF_LIMIT:
                 continue
-        except (KeyError, OverflowError):  # a missing entry, or an int beyond the float range
+        except OverflowError:  # an int beyond the float range
             pass
         for node in where:
             value = table.get(node)
@@ -387,25 +383,16 @@ def validate_profile(tree: EventTree, profile: BehavioralProfile) -> list[str]:
     return issues
 
 
-_FLOAT_TRIPLE = (float, float, float)
-_BELOW_ZERO = (-PROB_TOL).__gt__  # p < -PROB_TOL, in C
-
-
 def _mix_flaw(mix: Optional[Mix]) -> Optional[str]:
     """What is wrong with one stage distribution, worded after "player k"."""
     if mix is None:
         return "has no stage distribution"
-    # three floats pass in C; only another entry type is asked ``_is_number``
-    if (
-        len(mix) != 3
-        or not (all(map(isinstance, mix, _FLOAT_TRIPLE)) or all(map(_is_number, mix)))
-        or any(map(_BELOW_ZERO, mix))
-    ):
+    if len(mix) != 3 or not all(map(_is_number, mix)) or any(p < -PROB_TOL for p in mix):
         return f"distribution {mix!r} malformed"
     total = sum(mix)
     if abs(total - 1.0) > PROB_TOL:
         return f"distribution sums to {total!r}"
-    if total != total:  # a NaN entry passes both tests above; an infinite one fails one
+    if not all(map(math.isfinite, mix)):  # a NaN passes both tests above
         return f"distribution {mix!r} is not finite"
     return None
 

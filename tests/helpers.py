@@ -272,9 +272,7 @@ def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     for node in tree.nodes:
         kids = tree.children.get(node, [])
         if kids:
-            total = 0
-            for _, p in kids:
-                total += p
+            total = sum(p for _, p in kids)
             if abs(total - 1.0) > PROB_TOL:
                 issues.append(f"node {node}: child probabilities sum to {total!r}, not 1")
             for child, p in kids:

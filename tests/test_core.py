@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import defaultdict
 from decimal import Decimal
 
 import pytest
@@ -112,6 +113,21 @@ def test_a_non_number_payoff_is_an_instance_issue(table, value):
     for entry in (construct, construct_pure, check_invariants):
         with pytest.raises(InstanceError, match="is not a number"):
             entry(tree, payoffs, 0.05)
+
+
+@pytest.mark.parametrize("table", ["y1", "xi2"])
+def test_a_missing_entry_of_a_defaultdict_table_is_an_instance_issue(table):
+    # reading the table must not fill the entry in with the default
+    tree, payoffs = generate(GeneratorSpec(depth=2, seed=1))
+    node = tree.leaves[0] if table.startswith("xi") else tree.root
+    entries = getattr(payoffs, table)
+    del entries[node]
+    setattr(payoffs, table, defaultdict(float, entries))
+    kind = "terminal payoff" if table.startswith("xi") else "payoff"
+    name = table if table.startswith("xi") else table.upper()
+    issues = [f"node {node}: missing {kind} {name}"]
+    assert validate_instance(tree, payoffs) == instance_issues(tree, payoffs) == issues
+    assert node not in getattr(payoffs, table)
 
 
 @pytest.mark.parametrize("value", _NON_NUMBERS, ids=_NON_NUMBER_IDS)
