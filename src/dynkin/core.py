@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, filterfalse, repeat
@@ -278,7 +279,8 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     C-level passes over each table's column check its entries (every entry
     present, an int or a float, and the magnitudes summing to a finite total
     within the limit); only a table that fails its passes is worded node by
-    node.
+    node.  A child probability must be a number too (as ``_is_number``); a
+    node with one that is not gets no sum check.
     """
     nodes = tree.nodes
     depth = tree.depth
@@ -293,12 +295,16 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
             if depth[node] != horizon:
                 found[node].append(f"node {node}: leaf at depth {depth[node]}, horizon is {horizon} (non-uniform horizon)")
             continue
-        total = sum(map(_PROB, kids))
-        if abs(total - 1.0) > PROB_TOL:
-            found[node].append(f"node {node}: child probabilities sum to {total!r}, not 1")
+        numbers = all(map(_is_number, map(_PROB, kids)))
+        if numbers:  # a sum over a non-number has no meaning, or raises
+            total = sum(map(_PROB, kids))
+            if abs(total - 1.0) > PROB_TOL:
+                found[node].append(f"node {node}: child probabilities sum to {total!r}, not 1")
         below = depth[node] + 1
         for child, p in kids:
-            if not 0.0 < p <= 1.0:
+            if not (numbers or _is_number(p)):
+                found[node].append(f"node {node}: probability {p!r} for child {child} is not a number")
+            elif not 0.0 < p <= 1.0:
                 found[node].append(f"node {node}: probability {p!r} for child {child} not in (0, 1]")
             if depth[child] != below:
                 found[node].append(f"node {child}: depth {depth[child]} inconsistent with parent")
@@ -361,9 +367,9 @@ def validate_profile(tree: EventTree, profile: BehavioralProfile) -> list[str]:
     """Diagnostics of a profile on ``tree``; an empty list means it fits.
 
     Each player needs a distribution at every tree node and at no other node:
-    three finite numbers (as ``_is_number``), none below -PROB_TOL, summing
-    to one within PROB_TOL.  Each distinct mix object is checked once, and
-    the nodes are worded only when some mix is flawed.
+    a sequence of three finite numbers (as ``_is_number``), none below
+    -PROB_TOL, summing to one within PROB_TOL.  Each distinct mix object is
+    checked once, and the nodes are worded only when some mix is flawed.
     """
     issues: list[str] = []
     nodes = tree.nodes
@@ -387,7 +393,12 @@ def _mix_flaw(mix: Optional[Mix]) -> Optional[str]:
     """What is wrong with one stage distribution, worded after "player k"."""
     if mix is None:
         return "has no stage distribution"
-    if len(mix) != 3 or not all(map(_is_number, mix)) or any(p < -PROB_TOL for p in mix):
+    if (
+        not isinstance(mix, Sequence)  # a float has no len(), a set no order
+        or len(mix) != 3
+        or not all(map(_is_number, mix))
+        or any(p < -PROB_TOL for p in mix)
+    ):
         return f"distribution {mix!r} malformed"
     total = sum(mix)
     if abs(total - 1.0) > PROB_TOL:
@@ -435,18 +446,23 @@ def outcome_kernel(
 
 
 def deviator_lines(
-    stop: float, opp: float, sim: float, mix: Mix, continuation: float
-) -> tuple[float, float, float, float]:
+    stop: float, opp: float, sim: float, mix: Mix, continuation: float, reply_continuation: float
+) -> tuple[float, float, float, float, float]:
     """A player's payoffs for DEVIATOR_ACTIONS against the opponent's ``mix``,
     from their ``Side`` payoffs at one node; a uniform stop earns the mean
     of early and late.
+
+    Returns the atom, early and late lines, then the wait line twice: at
+    ``continuation`` and at ``reply_continuation``, so that one call prices
+    a stage under two continuations, the profile's and a best reply's.  A
+    best reply takes the largest of atom, early, late and the second wait
+    line, ties going to the earlier action: a later line wins only when it
+    is strictly greater, as with ``max``, so 0.0 after -0.0 keeps -0.0.
     """
     a, u, w = mix
-    atom = a * sim + (u + w) * stop
-    early = a * opp + (u + w) * stop
-    late = (a + u) * opp + w * stop
-    wait = (a + u) * opp + w * continuation
-    return atom, early, late, wait
+    held = (a + u) * opp
+    ahead = (u + w) * stop
+    return a * sim + ahead, a * opp + ahead, held + w * stop, held + w * continuation, held + w * reply_continuation
 
 
 def evaluate_profile_table(
@@ -474,9 +490,9 @@ def evaluate_profile_table(
             c1, c2 = s1.xi[node], s2.xi[node]
         a1, u1, w1 = mix1 = profile.player1[node]
         a2, u2, w2 = mix2 = profile.player2[node]
-        atom, early, late, wait = deviator_lines(s1.stop[node], s1.opp[node], s1.sim[node], mix2, c1)
+        atom, early, late, wait, _ = deviator_lines(s1.stop[node], s1.opp[node], s1.sim[node], mix2, c1, c1)
         g1 = a1 * atom + u1 * (0.5 * (early + late)) + w1 * wait
-        atom, early, late, wait = deviator_lines(s2.stop[node], s2.opp[node], s2.sim[node], mix1, c2)
+        atom, early, late, wait, _ = deviator_lines(s2.stop[node], s2.opp[node], s2.sim[node], mix1, c2, c2)
         g2 = a2 * atom + u2 * (0.5 * (early + late)) + w2 * wait
         table[node] = PayoffPair(g1, g2)
     return table

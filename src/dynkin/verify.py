@@ -6,7 +6,8 @@ limits matter: the deviator's action set is (atom, early, late, wait) and the
 best response is an exact backward dynamic program over
 ``core.deviator_lines``, the same stage lines that ``evaluate_profile``
 prices the profile from.  ``deviation_gap`` runs both programs for both
-players in one backward pass; ``best_response`` and
+players in one backward pass, one ``deviator_lines`` call per player and
+node pricing both; ``best_response`` and
 ``core.evaluate_profile_table`` stay as the one-program references that the
 tests and the brute-force oracles hold it to.  The invariant runner checks
 frame-split invariance on one split of every frame of the input.
@@ -54,6 +55,8 @@ from .zerosum import (
 )
 
 BRUTE_FORCE_NODE_LIMIT = 10
+
+_ATOM, _EARLY, _LATE, _WAIT = DEVIATOR_ACTIONS
 
 
 @dataclass
@@ -105,7 +108,8 @@ def best_response(
     strategy: dict[str, StageAction] = {}
     for node in reversed(tree.nodes):
         cont = tree.continuation(node, values, xi)
-        lines = deviator_lines(stop[node], opp[node], sim[node], opponent[node], cont)
+        atom, early, late, _, wait = deviator_lines(stop[node], opp[node], sim[node], opponent[node], cont, cont)
+        lines = (atom, early, late, wait)
         best = max(lines)
         values[node] = best
         strategy[node] = DEVIATOR_ACTIONS[lines.index(best)]
@@ -119,11 +123,12 @@ def deviation_gap(
 
     One backward pass serves both players.  At each node one loop over the
     children adds up four continuations, the profile's and the best
-    response's for each player, and ``deviator_lines`` prices the four
-    stages in that order, player 1's first: the profile's value as in
-    ``evaluate_profile_table`` (the player's lines weighed by their own mix)
-    and the best response as in ``best_response`` (the largest line, ties to
-    the earlier action).  The profile is validated once.
+    response's for each player, and one ``deviator_lines`` call per player,
+    player 1's first, prices the stage at both of that player's
+    continuations: the profile's value as in ``evaluate_profile_table`` (the
+    player's lines weighed by their own mix) and the best response as in
+    ``best_response`` (the largest line, found by comparisons, ties to the
+    earlier action).  The profile is validated once.
 
     Raw gaps can dip slightly negative through best-response ties; the
     reported gap is clamped at zero with the raw value kept alongside.  A raw
@@ -155,18 +160,30 @@ def deviation_gap(
             c2 = b2 = s2.xi[node]
         a1, u1, w1 = mix1 = mixes1[node]
         a2, u2, w2 = mix2 = mixes2[node]
-        stop, opp, sim = s1.stop[node], s1.opp[node], s1.sim[node]
-        atom, early, late, wait = deviator_lines(stop, opp, sim, mix2, c1)
+        atom, early, late, wait, reply = deviator_lines(s1.stop[node], s1.opp[node], s1.sim[node], mix2, c1, b1)
         path1[node] = a1 * atom + u1 * (0.5 * (early + late)) + w1 * wait
-        lines = deviator_lines(stop, opp, sim, mix2, b1)
-        best1[node] = best = max(lines)
-        strategy1[node] = DEVIATOR_ACTIONS[lines.index(best)]
-        stop, opp, sim = s2.stop[node], s2.opp[node], s2.sim[node]
-        atom, early, late, wait = deviator_lines(stop, opp, sim, mix1, c2)
+        if early > atom:
+            best, action = early, _EARLY
+        else:
+            best, action = atom, _ATOM
+        if late > best:
+            best, action = late, _LATE
+        if reply > best:
+            best, action = reply, _WAIT
+        best1[node] = best
+        strategy1[node] = action
+        atom, early, late, wait, reply = deviator_lines(s2.stop[node], s2.opp[node], s2.sim[node], mix1, c2, b2)
         path2[node] = a2 * atom + u2 * (0.5 * (early + late)) + w2 * wait
-        lines = deviator_lines(stop, opp, sim, mix1, b2)
-        best2[node] = best = max(lines)
-        strategy2[node] = DEVIATOR_ACTIONS[lines.index(best)]
+        if early > atom:
+            best, action = early, _EARLY
+        else:
+            best, action = atom, _ATOM
+        if late > best:
+            best, action = late, _LATE
+        if reply > best:
+            best, action = reply, _WAIT
+        best2[node] = best
+        strategy2[node] = action
     root = tree.root
     certificates = []
     for player, best, path_value, strategy in (

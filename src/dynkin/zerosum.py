@@ -24,6 +24,10 @@ value: every stage game has a pure saddle point.
   lower value; as max(X, c) >= X, the upper value is min(max(Y, Z), X) too.
 
 Only max and min of the same floats are taken, so the equality is exact.
+``stage_value`` takes them by explicit comparisons, not the builtins, and
+keeps the builtins' float at every tie: min(a, b) is a unless b < a and
+max(a, b) is a unless b > a, so -0.0 and 0.0 come out as they would, and the
+mixes go to the first action that reaches the value.
 
 Every function here takes a valid instance (``core.require_valid``) and does
 not check it again: the entries that take outside input (``toolkit.load``,
@@ -53,9 +57,6 @@ from .core import (
 )
 
 Matrix = tuple[tuple[float, ...], ...]
-
-# Pure stage mixes, indexed like PLAYER_ACTIONS.
-_PURE_MIXES = (ATOM_MIX, UNIFORM_MIX, WAIT_MIX)
 
 
 @dataclass
@@ -152,16 +153,44 @@ def stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix, 
 
     ``x``, ``y`` and ``z`` are the protagonist's stop-first, opponent-first and
     simultaneous payoffs at one node (``stop``, ``opp`` and ``sim`` of their
-    ``PayoffProcess.side``) and ``cont`` is the continuation value.  Ties go to the lowest action index, as in
-    ``solve_matrix_game``.  The saddle lemma makes the lower and upper values
-    exactly equal; any difference is a model violation.
+    ``PayoffProcess.side``) and ``cont`` is the continuation value.  The row
+    guarantees min(Z, X), min(Y, X), min(Y, c) and the column exposures
+    max(Z, Y), max(X, Y), max(X, c) are taken by comparisons that keep the
+    same float as the builtins: min(a, b) is a unless b < a, max(a, b) is a
+    unless b > a, so a signed zero comes out as ``min`` and ``max`` give it.
+    Ties go to the lowest action index, as in ``solve_matrix_game``.  The
+    saddle lemma makes the lower and upper values exactly equal; any
+    difference is a model violation.
     """
-    rows = (min(z, x), min(y, x), min(y, cont))
-    cols = (max(z, y), max(x, y), max(x, cont))
-    lo, hi = max(rows), min(cols)
+    atom_row = x if x < z else z
+    if x < y:  # min(Y, X) and max(X, Y) from one comparison
+        uniform_row, uniform_col = x, y
+    else:
+        uniform_row, uniform_col = y, x
+    wait_row = cont if cont < y else y
+    if uniform_row > atom_row:
+        if wait_row > uniform_row:
+            lo, max_mix = wait_row, WAIT_MIX
+        else:
+            lo, max_mix = uniform_row, UNIFORM_MIX
+    elif wait_row > atom_row:
+        lo, max_mix = wait_row, WAIT_MIX
+    else:
+        lo, max_mix = atom_row, ATOM_MIX
+    atom_col = y if y > z else z
+    wait_col = cont if cont > x else x
+    if uniform_col < atom_col:
+        if wait_col < uniform_col:
+            hi, min_mix = wait_col, WAIT_MIX
+        else:
+            hi, min_mix = uniform_col, UNIFORM_MIX
+    elif wait_col < atom_col:
+        hi, min_mix = wait_col, WAIT_MIX
+    else:
+        hi, min_mix = atom_col, ATOM_MIX
     if lo != hi:
         raise ModelViolationError(f"stage game has no saddle point: {lo!r} vs {hi!r}")
-    return lo, _PURE_MIXES[rows.index(lo)], _PURE_MIXES[cols.index(hi)]
+    return lo, max_mix, min_mix
 
 
 def solve_value_process(tree: EventTree, payoffs: PayoffProcess, player: int) -> ValueProcess:

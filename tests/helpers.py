@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import sys
+from collections.abc import Sequence
 from typing import Optional
 
 from dynkin import (
@@ -13,6 +14,7 @@ from dynkin import (
     EventTree,
     GeneratorSpec,
     HittingTime,
+    ModelViolationError,
     PayoffPair,
     PayoffProcess,
     ValueProcess,
@@ -255,6 +257,20 @@ def reference_stage_matrices(
     return primal, dual
 
 
+def reference_stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix, Mix]:
+    """The stage value from the builtins: the lower value as the ``max`` of
+    the row guarantees, the upper as the ``min`` of the column exposures, each
+    mix at the first action reaching it (``.index``).  ``zerosum.stage_value``
+    must return the same float and the same mix objects."""
+    rows = (min(z, x), min(y, x), min(y, cont))
+    cols = (max(z, y), max(x, y), max(x, cont))
+    lo, hi = max(rows), min(cols)
+    if lo != hi:
+        raise ModelViolationError(f"stage game has no saddle point: {lo!r} vs {hi!r}")
+    mixes = (ATOM_MIX, UNIFORM_MIX, WAIT_MIX)
+    return lo, mixes[rows.index(lo)], mixes[cols.index(hi)]
+
+
 def is_number(value: object) -> bool:
     """A float, or an int in the float range; a bool is not a number."""
     if isinstance(value, bool):
@@ -272,11 +288,14 @@ def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     for node in tree.nodes:
         kids = tree.children.get(node, [])
         if kids:
-            total = sum(p for _, p in kids)
-            if abs(total - 1.0) > PROB_TOL:
-                issues.append(f"node {node}: child probabilities sum to {total!r}, not 1")
+            if all(is_number(p) for _, p in kids):
+                total = sum(p for _, p in kids)
+                if abs(total - 1.0) > PROB_TOL:
+                    issues.append(f"node {node}: child probabilities sum to {total!r}, not 1")
             for child, p in kids:
-                if not (0.0 < p <= 1.0):
+                if not is_number(p):
+                    issues.append(f"node {node}: probability {p!r} for child {child} is not a number")
+                elif not (0.0 < p <= 1.0):
                     issues.append(f"node {node}: probability {p!r} for child {child} not in (0, 1]")
                 if tree.depth[child] != tree.depth[node] + 1:
                     issues.append(f"node {child}: depth {tree.depth[child]} inconsistent with parent")
@@ -326,7 +345,12 @@ def profile_issues(tree: EventTree, profile: BehavioralProfile) -> list[str]:
             if mix is None:
                 issues.append(f"node {node}: player {player} has no stage distribution")
                 continue
-            if len(mix) != 3 or not all(map(is_number, mix)) or any(p < -PROB_TOL for p in mix):
+            if (
+                not isinstance(mix, Sequence)
+                or len(mix) != 3
+                or not all(map(is_number, mix))
+                or any(p < -PROB_TOL for p in mix)
+            ):
                 issues.append(f"node {node}: player {player} distribution {mix!r} malformed")
                 continue
             if abs(sum(mix) - 1.0) > PROB_TOL:
@@ -337,19 +361,26 @@ def profile_issues(tree: EventTree, profile: BehavioralProfile) -> list[str]:
 
 
 def poisoned_deviator_lines(tree: EventTree, player: int, certificate: str):
-    """``deviator_lines`` with every line NaN in one call of ``deviation_gap``'s
-    pass: the root's stage of ``player``'s profile value (``certificate`` is
-    "evaluate_profile") or best response ("best_response").
+    """``deviator_lines`` that breaks one certificate of ``deviation_gap``'s
+    pass at the root: ``player``'s profile value (``certificate`` is
+    "evaluate_profile") gets a NaN wait line, or their best response
+    ("best_response") an infinite reply wait line, which every other line
+    loses to.  The other certificate of that call stays finite.
 
-    The pass visits the root last and prices each node's four stages in a
-    fixed order: player 1's profile value and best response, then player 2's.
+    The pass visits the root last and makes one call per player and node,
+    player 1's first.  A NaN reply line would lose every comparison, and a
+    NaN atom, early or late line would reach the profile's value too, so
+    the best response is broken with an infinity instead.
     """
-    target = 4 * (len(tree.nodes) - 1) + 2 * (player - 1) + ("evaluate_profile", "best_response").index(certificate)
+    target = 2 * (len(tree.nodes) - 1) + (player - 1)
+    line, poison = {"evaluate_profile": (3, math.nan), "best_response": (4, math.inf)}[certificate]
     calls = itertools.count()
 
     def lines(*args):
         out = deviator_lines(*args)
-        return (math.nan,) * 4 if next(calls) == target else out
+        if next(calls) == target:
+            out = out[:line] + (poison,) + out[line + 1 :]
+        return out
 
     return lines
 

@@ -115,6 +115,19 @@ def test_a_non_number_payoff_is_an_instance_issue(table, value):
             entry(tree, payoffs, 0.05)
 
 
+@pytest.mark.parametrize("value", _NON_NUMBERS, ids=_NON_NUMBER_IDS)
+def test_a_non_number_probability_is_an_instance_issue(value):
+    # a sum over "0.5" would raise, so the node's probabilities go unsummed
+    tree, payoffs = generate(GeneratorSpec(depth=2, seed=1))
+    child, _ = tree.children[tree.root][0]
+    tree.children[tree.root][0] = (child, value)
+    issues = [f"node {tree.root}: probability {value!r} for child {child} is not a number"]
+    assert validate_instance(tree, payoffs) == instance_issues(tree, payoffs) == issues
+    for entry in (construct, construct_pure, check_invariants):
+        with pytest.raises(InstanceError, match="is not a number"):
+            entry(tree, payoffs, 0.05)
+
+
 @pytest.mark.parametrize("table", ["y1", "xi2"])
 def test_a_missing_entry_of_a_defaultdict_table_is_an_instance_issue(table):
     # reading the table must not fill the entry in with the default
@@ -141,6 +154,22 @@ def test_a_non_number_mix_entry_is_a_profile_issue(value):
         deviation_gap(tree, payoffs, profile)
 
 
+@pytest.mark.parametrize(
+    "mix", [0.5, 1, frozenset({0.0, 0.25, 0.75}), {0.0: 1, 0.25: 1, 0.75: 1}], ids=["float", "int", "set", "dict"]
+)
+def test_a_mix_that_is_not_a_sequence_is_a_profile_issue(mix):
+    # a float has no len(), so the check must word it, never raise; a set or
+    # a dict of three numbers has no (atom, uniform, wait) order to unpack
+    tree, payoffs = generate(GeneratorSpec(depth=2, seed=1))
+    profile = BehavioralProfile.waiting(tree)
+    profile.player1[tree.root] = mix
+    issues = [f"node {tree.root}: player 1 distribution {mix!r} malformed"]
+    assert validate_profile(tree, profile) == profile_issues(tree, profile) == issues
+    for entry in (deviation_gap, evaluate_profile):
+        with pytest.raises(ProfileError, match="malformed"):
+            entry(tree, payoffs, profile)
+
+
 _TABLES = ("x1", "y1", "z1", "x2", "y2", "z2", "xi1", "xi2")
 _BAD_NUMBERS = (math.nan, math.inf, -math.inf, 1.7e308, -0.0, 0.5, 3)
 
@@ -160,9 +189,11 @@ def generated_games(draw):
 def corrupted_instances(draw):
     """A generated game with one defect planted in it, or none."""
     tree, payoffs = draw(generated_games())
-    kind = draw(st.sampled_from(("none", "payoff", "missing", "probability", "zero-edge", "depth", "short-leaf")))
+    kind = draw(
+        st.sampled_from(("none", "payoff", "missing", "probability", "non-number-edge", "zero-edge", "depth", "short-leaf"))
+    )
     inner = [n for n in tree.nodes if tree.children[n]]
-    on_edges = kind in ("probability", "zero-edge", "short-leaf")
+    on_edges = kind in ("probability", "non-number-edge", "zero-edge", "short-leaf")
     node = draw(st.sampled_from(inner if inner and on_edges else tree.nodes))
     kids = tree.children[node]
     if kind == "payoff":
@@ -176,6 +207,9 @@ def corrupted_instances(draw):
         child, p = kids[i]
         offsets = (-p, -2 * p, 1.0, math.nan, 1e-13, -1e-13, -1e-11, -0.5 * p)
         kids[i] = (child, p + draw(st.sampled_from(offsets)))
+    elif kind == "non-number-edge" and kids:
+        i = draw(st.integers(0, len(kids) - 1))
+        kids[i] = (kids[i][0], draw(st.sampled_from(_NON_NUMBERS)))
     elif kind == "zero-edge" and kids:  # the sum stays one
         kids.append((kids[0][0], draw(st.sampled_from((0.0, -0.0, -1e-13)))))
     elif kind == "depth":
@@ -208,6 +242,7 @@ _BAD_MIXES = (
     (1.0, 0.0),
     (0.0, 0.0, 0.0, 1.0),
     None,
+    0.5,
 )
 
 

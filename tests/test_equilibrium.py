@@ -431,3 +431,26 @@ def test_permuting_children_leaves_the_construction_unchanged(game, rng):
         assert {(c.label, c.node) for c in report.case_trace} == {(c.label, c.node) for c in permuted.case_trace}
         assert abs(report.gap1 - permuted.gap1) <= tol and abs(report.gap2 - permuted.gap2) <= tol
         assert abs(report.payoff.g1 - permuted.payoff.g1) <= tol and abs(report.payoff.g2 - permuted.payoff.g2) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic property: a power-of-two change of payoff units
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_games(), st.sampled_from((-3, 1, 4)))
+def test_scaling_payoffs_by_a_power_of_two_scales_the_construction(game, k):
+    # every step is a product, sum or comparison that a = 2**k carries
+    # through exactly, so only the payoff unit changes
+    tree, payoffs, convexity, eta = game
+    a = 2.0**k
+    tol = payoffs.tolerance()
+    scaled = PayoffProcess(**{t: {n: a * v for n, v in getattr(payoffs, t).items()} for t in _PAYOFF_TABLES})
+    for build in _builds(convexity):
+        report, big = build(tree, payoffs, eta, tol), build(tree, scaled, a * eta, a * tol)
+        assert [(c.label, c.node) for c in report.case_trace] == [(c.label, c.node) for c in big.case_trace]
+        assert report.profile == big.profile and report.second_half == big.second_half
+        assert [(a * g).hex() for g in report.payoff] == list(map(float.hex, big.payoff))
+        for cert, bcert in zip(report.certificates, big.certificates):
+            assert [(a * f).hex() for f in _certificate_fields(cert)[:4]] == list(map(float.hex, _certificate_fields(bcert)[:4]))
+            assert cert.strategy == bcert.strategy

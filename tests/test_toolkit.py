@@ -592,6 +592,52 @@ def test_every_command_on_a_mutated_game_exits_with_a_documented_code(doc, comma
     assert "Traceback" not in err.getvalue()
 
 
+_GENERATE_VALUES = {
+    "--family": st.sampled_from(("random", "war-of-attrition", "preemption", "", "Random", "nope")),
+    # every token that parses does so to at most 4 levels and 3 children
+    "--depth": st.one_of(st.integers(-3, 4).map(str), st.sampled_from(("x", "1.5", "", "-0", "nan", "\u0663"))),
+    "--branching": st.one_of(st.integers(-2, 3).map(str), st.sampled_from(("x", "2.0", "", "-0", "inf"))),
+    "--range": st.one_of(
+        st.floats().map(repr),
+        st.sampled_from(("1e308", "4.5e307", "5e-324", "1e-320", "0", "-0.0", "-1", "x", "", "infinity")),
+    ),
+    "--seed": st.one_of(st.integers(-(10**30), 10**30).map(str), st.sampled_from(("x", "1.5", "", "1e3"))),
+}
+
+
+@st.composite
+def _generate_argv(draw, folder: str):
+    """``generate`` argv: each option present or not, with a valid or a
+    malformed value, in any order; --out a new file, the folder itself, a
+    file in a missing folder, or absent."""
+    words = []
+    for option, values in _GENERATE_VALUES.items():
+        if draw(st.booleans()):
+            words.append([option, draw(values)])
+    for flag in ("--zero-sum", "--convexity"):
+        if draw(st.booleans()):
+            words.append([flag])
+    out = draw(st.sampled_from(("game.json", "", "missing/game.json", None)))
+    if out is not None:
+        words.append(["--out", str(Path(folder) / out)])
+    return ["generate", *(w for option in draw(st.permutations(words)) for w in option)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_generate_on_any_argv_exits_0_or_1_without_a_traceback(data):
+    with tempfile.TemporaryDirectory() as folder:
+        argv = data.draw(_generate_argv(folder))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:  # what generate writes loads as a valid game
+            tree, payoffs, _ = load(argv[argv.index("--out") + 1])
+            assert validate_instance(tree, payoffs) == []
+
+
 def _dynkin_chains(source: str) -> set[str]:
     """Every dotted ``dynkin.<...>`` attribute chain the source reads,
     including those read through a local alias such as ``verify = dynkin.verify``."""

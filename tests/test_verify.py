@@ -105,11 +105,13 @@ class TestDeviationGap:
 
     @pytest.mark.parametrize("source", ["evaluate_profile", "best_response"])
     def test_non_finite_raw_gap_is_a_model_violation(self, monkeypatch, source):
-        # max(0.0, nan) is 0.0: a NaN gap must raise, never certify as zero
+        # max(0.0, nan) is 0.0: a NaN gap must raise, never certify as zero;
+        # an infinite best response must raise too, never certify as a gap
+        raw = {"evaluate_profile": "nan", "best_response": "inf"}[source]
         tree = uniform_tree(1)
         payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False)
         monkeypatch.setattr(verify, "deviator_lines", poisoned_deviator_lines(tree, 1, source))
-        with pytest.raises(ModelViolationError, match="player 1: deviation gap nan is not finite"):
+        with pytest.raises(ModelViolationError, match=f"player 1: deviation gap {raw} is not finite"):
             deviation_gap(tree, payoffs, BehavioralProfile.waiting(tree))
 
 

@@ -1,6 +1,7 @@
 """Value processes, stage games, hitting times, and guarantee strategies."""
 
 import itertools
+import random
 
 import pytest
 
@@ -28,6 +29,7 @@ from helpers import (
     mirror,
     pure_optimal_strategy,
     reference_stage_matrices,
+    reference_stage_value,
     simple_optimal_strategy,
     single_node_payoffs,
     uniform_tree,
@@ -113,8 +115,6 @@ class TestStageValue:
         assert max_mix == UNIFORM_MIX
 
     def test_orientation_agreement_on_random_stages(self):
-        import random
-
         rng = random.Random(12345)
         for _ in range(500):
             x, y, z, c = (rng.uniform(-2, 2) for _ in range(4))
@@ -122,9 +122,10 @@ class TestStageValue:
 
     @pytest.mark.parametrize("player", [1, 2])
     def test_closed_form_matches_both_orientations_on_tie_grid(self, player):
-        # every (X, Y, Z, c) on a half-integer grid, ties included; the
-        # matrices come through the outcome kernel, independent of the formula
-        grid = [k / 2 for k in range(-4, 5)]
+        # every (X, Y, Z, c) on a half-integer grid, ties and both signed
+        # zeros included; the matrices come through the outcome kernel,
+        # independent of the formula
+        grid = [k / 2 for k in range(-4, 5)] + [-0.0]
         for x, y, z, c in itertools.product(grid, repeat=4):
             if player == 1:
                 _, payoffs = single_node_payoffs(x, y, z, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -136,6 +137,25 @@ class TestStageValue:
             value, max_mix, min_mix = stage_value(x, y, z, c)
             assert value == pv and value == dv
             assert max_mix == argmax_row and min_mix == argmin_col
+
+    @staticmethod
+    def _assert_as_reference(args):
+        value, max_mix, min_mix = stage_value(*args)
+        ref_value, ref_max, ref_min = reference_stage_value(*args)
+        assert value.hex() == ref_value.hex(), args
+        assert max_mix is ref_max and min_mix is ref_min, args
+
+    def test_comparisons_match_the_builtins_on_a_signed_zero_grid(self):
+        # the comparison form keeps the float and the first-index mix that
+        # min, max and .index give, -0.0 against 0.0 included.  stage_value
+        # only compares and selects, so its output depends only on how the
+        # four inputs are ordered and where the zeros sit: the grid's four
+        # levels (-1, +-0, 0.5, 1) give every ordering of four inputs, ties
+        # included, with both zeros in every position, so random draws add
+        # no coverage
+        grid = (-1.0, -0.0, 0.0, 0.5, 1.0)
+        for args in itertools.product(grid, repeat=4):
+            self._assert_as_reference(args)
 
 
 class TestMatrixGame:
