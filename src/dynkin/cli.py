@@ -8,19 +8,18 @@ Exit codes: 0 success, 1 usage (including an --eta, --gap-threshold or
 number at or above zero, a --depth below 0 or a --branching below 1, a
 generate whose game would hold a payoff above core.PAYOFF_LIMIT, which writes
 no file, and --pure on a game that breaks convexity), 2 schema violation
-(including a payoff above core.PAYOFF_LIMIT, a profile that does not fit its
-tree, and a report without second_half or whose instance is not the game
-split at those nodes), 3 invariant failure, 4 deviation gap above threshold,
-5 internal model violation.
+(including a file that is not readable JSON, a payoff above
+core.PAYOFF_LIMIT, a profile that does not fit its tree, and a report
+without second_half or whose instance is not the game split at those
+nodes), 3 invariant failure, 4 deviation gap above threshold, 5 internal
+model violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from pathlib import Path
 from typing import Optional
 
 from .core import ConvexityError, EventTree, InstanceError, ModelViolationError, PayoffProcess, ProfileError, require_tol, split_frames
@@ -36,6 +35,7 @@ from .toolkit import (
     profile_to_doc,
     read_doc,
     save,
+    write_doc,
     write_report_csv,
 )
 from .verify import check_invariants, deviation_gap
@@ -184,7 +184,7 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
         "instance": instance_to_doc(report.tree, report.payoffs),
         "second_half": report.second_half,
     }
-    Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_doc(args.out, doc)
     print(
         f"wrote {args.out}: case={report.case_trace[0].label} "
         f"payoff=({report.payoff.g1:.6g}, {report.payoff.g2:.6g}) "

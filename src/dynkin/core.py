@@ -226,8 +226,12 @@ class PayoffProcess:
         tables = (self.x1, self.y1, self.z1, self.x2, self.y2, self.z2, self.xi1, self.xi2)
         return max(map(abs, chain.from_iterable(t.values() for t in tables)), default=0.0)
 
-    def tolerance(self) -> float:
-        return DEFAULT_REL_TOL * max(1.0, self.payoff_range)
+    def tolerance(self, tol: Optional[float] = None) -> float:
+        """The absolute tolerance of the hitting and root-region tests: ``tol``
+        once ``require_tol`` accepts it, else ``DEFAULT_REL_TOL`` scaled by the
+        payoff range, which is computed only then."""
+        require_tol(tol)
+        return DEFAULT_REL_TOL * max(1.0, self.payoff_range) if tol is None else tol
 
     def side(self, player: int) -> Side:
         """The player's own view: (X1, Y1, Z1, xi1) or (Y2, X2, Z2, xi2)."""
@@ -414,22 +418,19 @@ def outcome_kernel(
     payoffs: PayoffProcess,
     node: str,
     continuation: Optional[PayoffPair] = None,
-    is_leaf: bool = False,
 ) -> PayoffPair:
     """Resolve one frame: who stops first and what both players receive.
 
-    ``continuation`` is the value pair of surviving the frame; at a leaf it
-    may be omitted, in which case the terminal payoffs apply.  It is the
+    ``continuation`` is the value pair of surviving the frame (at a leaf, the
+    terminal pair); only (wait, wait) reads it, and needs it.  It is the
     reference the stage formulas are checked against: ``stage_matrices``
     calls it once per distinct action pair at a node and reads both players'
     matrices from those pairs, in the invariant runner and in the tests.
     """
     if a1 is StageAction.WAIT and a2 is StageAction.WAIT:
-        if continuation is not None:
-            return continuation
-        if is_leaf:
-            return PayoffPair(payoffs.xi1[node], payoffs.xi2[node])
-        raise ValueError(f"node {node}: internal node needs a continuation for (wait, wait)")
+        if continuation is None:
+            raise ValueError(f"node {node}: (wait, wait) needs a continuation")
+        return continuation
     r1, r2 = _RANK[a1], _RANK[a2]
     if r1 == r2:
         if a1 is StageAction.ATOM:

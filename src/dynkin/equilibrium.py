@@ -26,7 +26,6 @@ from .core import (
     PayoffProcess,
     UNIFORM_MIX,
     require_eta,
-    require_tol,
     require_valid,
     split_frames,
 )
@@ -115,7 +114,7 @@ def classify(
     tol: Optional[float] = None,
 ) -> CaseLabel:
     """Root-level region of the instance, given both value processes."""
-    tol = payoffs.tolerance() if tol is None else tol
+    tol = payoffs.tolerance(tol)
     r = tree.root
     roots = (v1.value[r], v2.value[r])
     for mover in (1, 2):
@@ -175,8 +174,7 @@ def _construct(
 ) -> EquilibriumReport:
     require_valid(tree, payoffs)
     require_eta(eta)
-    require_tol(tol)
-    tol = payoffs.tolerance() if tol is None else tol
+    tol = payoffs.tolerance(tol)
     if pure:
         for player in (1, 2):
             check_convexity(payoffs, tree, player, tol)

@@ -3,8 +3,14 @@
 Game documents are flat JSON: a horizon, a node list with per-node payoffs
 (roots carry no parent, leaves carry terminal payoffs), and a free-form meta
 object.  Profiles map node ids to (atom, uniform, wait) probabilities.
-Serialization uses sorted keys and shortest round-trip floats, so documents
-are byte-stable under save/load/save.
+
+Files pass through one reader and one writer.  ``read_doc`` parses JSON
+integers as floats and turns every parse failure into a ``SchemaError``;
+``write_doc`` writes sorted keys and shortest round-trip floats, so
+documents are byte-stable under save/load/save.  ``instance_from_doc``
+checks only the document's shape and copies each value as written;
+``core.validate_instance`` is the one rule for the values, so a file and a
+library call reject a bad value with the same words.
 """
 
 from __future__ import annotations
@@ -203,10 +209,14 @@ def profile_from_doc(doc: dict) -> BehavioralProfile:
     )
 
 
-_NODE_FIELDS = ("X1", "Y1", "Z1", "X2", "Y2", "Z2")
+# Each document field and the ``PayoffProcess`` table it fills, as written.
+_NODE_FIELDS = (("X1", "x1"), ("Y1", "y1"), ("Z1", "z1"), ("X2", "x2"), ("Y2", "y2"), ("Z2", "z2"))
+_LEAF_FIELDS = _NODE_FIELDS + (("xi1", "xi1"), ("xi2", "xi2"))
 
 
 def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[BehavioralProfile]]:
+    """Check a document's shape and copy its values as written; then
+    ``validate_instance`` judges every value, and its issues are the error."""
     if not isinstance(doc, dict):
         raise SchemaError("document root: expected an object")
     nodes = doc.get("nodes")
@@ -225,17 +235,11 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
         if node in payload:
             raise SchemaError(f"{where}.id: duplicate node id {node!r}")
         payload[node] = entry
-        for name in _NODE_FIELDS:
-            if not _is_number(entry.get(name)):
-                raise SchemaError(f"{where}.{name}: expected a number")
         if "parent" in entry:
             parent = entry["parent"]
             if not isinstance(parent, str):
                 raise SchemaError(f"{where}.parent: expected a string")
-            prob = entry.get("prob")
-            if not _is_number(prob):
-                raise SchemaError(f"{where}.prob: expected a number for node {node!r}")
-            children.setdefault(parent, []).append((node, float(prob)))
+            children.setdefault(parent, []).append((node, entry.get("prob")))
         else:
             roots.append(node)
     if len(roots) != 1:
@@ -247,34 +251,20 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
         tree = EventTree.build(roots[0], children)
     except InstanceError as exc:
         raise SchemaError(f"nodes: {exc}") from exc
+    # a declared horizon or depth must equal the computed one; JSON true and
+    # false equal 1 and 0, so they are ruled out first
     horizon = doc.get("horizon")
-    if not _is_number(horizon) or horizon != tree.horizon:
+    if isinstance(horizon, bool) or horizon != tree.horizon:
         raise SchemaError(f"horizon: declared {horizon!r}, computed {tree.horizon}")
+    tables: dict[str, dict] = {table: {} for _, table in _LEAF_FIELDS}
     for node, entry in payload.items():
         declared = entry.get("depth")
-        if not _is_number(declared) or declared != tree.depth[node]:
+        if isinstance(declared, bool) or declared != tree.depth[node]:
             raise SchemaError(f"node {node}: depth {declared!r} inconsistent with structure")
-    tables = {name: {} for name in _NODE_FIELDS}
-    xi1: dict[str, float] = {}
-    xi2: dict[str, float] = {}
-    for node, entry in payload.items():
-        for name in _NODE_FIELDS:
-            tables[name][node] = float(entry[name])
-        if tree.is_leaf(node):
-            for name, table in (("xi1", xi1), ("xi2", xi2)):
-                if not _is_number(entry.get(name)):
-                    raise SchemaError(f"node {node}: leaf missing numeric {name}")
-                table[node] = float(entry[name])
-    payoffs = PayoffProcess(
-        x1=tables["X1"],
-        y1=tables["Y1"],
-        z1=tables["Z1"],
-        x2=tables["X2"],
-        y2=tables["Y2"],
-        z2=tables["Z2"],
-        xi1=xi1,
-        xi2=xi2,
-    )
+        for name, table in _LEAF_FIELDS if tree.is_leaf(node) else _NODE_FIELDS:
+            if name in entry:
+                tables[table][node] = entry[name]
+    payoffs = PayoffProcess(**tables)
     issues = validate_instance(tree, payoffs)
     if issues:
         raise SchemaError("; ".join(issues))
@@ -290,16 +280,21 @@ def save(
     payoffs: PayoffProcess,
     profile: Optional[BehavioralProfile] = None,
 ) -> None:
-    doc = instance_to_doc(tree, payoffs, profile)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_doc(path, instance_to_doc(tree, payoffs, profile))
 
 
 def read_doc(path: Union[str, Path]) -> object:
-    """Parse one JSON file; malformed JSON is a schema error."""
+    """Parse one JSON file, integers as floats; any parse failure, deep
+    nesting included, is a schema error."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 decoding
         raise SchemaError(f"invalid JSON: {exc}") from exc
+
+
+def write_doc(path: Union[str, Path], doc: dict) -> None:
+    """Write one JSON document: sorted keys, indent 2, a trailing newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def load(path: Union[str, Path]) -> tuple[EventTree, PayoffProcess, Optional[BehavioralProfile]]:
@@ -318,9 +313,8 @@ def write_report_csv(
     mu1: set[str],
     mu2: set[str],
     cases: Optional[dict[str, str]] = None,
-    gaps: Optional[tuple[float, float]] = None,
 ) -> None:
-    """Per-node value report; gaps, when present, land in a footer record."""
+    """Per-node value report: values, hit flags and case labels, one row per node."""
     cases = cases or {}
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -337,5 +331,3 @@ def write_report_csv(
                     cases.get(node, ""),
                 ]
             )
-        if gaps is not None:
-            writer.writerow(["gaps", "", repr(gaps[0]), repr(gaps[1]), "", "", ""])

@@ -39,14 +39,11 @@ from .core import (
     _RANK,
     deviator_lines,
     require_player,
-    require_tol,
     require_valid,
     split_frames,
     validate_profile,
 )
 from .zerosum import (
-    HittingTime,
-    ValueProcess,
     hitting_time,
     pre_hit_region,
     solve_value_process,
@@ -458,16 +455,6 @@ def brute_force_value(tree: EventTree, payoffs: PayoffProcess, player: int) -> f
 # Invariant runner
 
 
-def _worst(
-    items: Iterator[tuple[str, float]],
-) -> tuple[float, Optional[str]]:
-    worst, witness = 0.0, None
-    for node, violation in items:
-        if violation > worst:
-            worst, witness = violation, node
-    return worst, witness
-
-
 def check_invariants(
     tree: EventTree, payoffs: PayoffProcess, eta: float, tol: Optional[float] = None
 ) -> InvariantReport:
@@ -483,14 +470,16 @@ def check_invariants(
     split tree are each validated once.
     """
     require_valid(tree, payoffs)
-    require_tol(tol)
-    tol = payoffs.tolerance() if tol is None else tol
+    tol = payoffs.tolerance(tol)
     checks: list[InvariantCheck] = []
     values = {i: solve_value_process(tree, payoffs, i) for i in (1, 2)}
     hits = {i: hitting_time(tree, payoffs, values[i], eta, tol) for i in (1, 2)}
 
     def add(name: str, items: list[tuple[str, float]]) -> None:
-        worst, witness = _worst(iter(items))
+        worst, witness = 0.0, None
+        for node, violation in items:
+            if violation > worst:
+                worst, witness = violation, node
         checks.append(InvariantCheck(name, worst <= tol, worst, witness))
 
     for i in (1, 2):
@@ -526,7 +515,8 @@ def check_invariants(
     for i in (1, 2):
         v = values[i].value
         stop, opp, _, xi = payoffs.side(i)
-        region = pre_hit_region(tree, hits[i])
+        hit = hits[i].hits()
+        region = pre_hit_region(tree, hit)
         sub = [(n, v[n] - tree.continuation(n, v, xi)) for n in region if not tree.is_leaf(n)]
         add(f"submartingale_p{i}", sub)
         add(
@@ -537,7 +527,7 @@ def check_invariants(
             ],
         )
         add(f"pre_hit_ordering_p{i}", [(n, stop[n] - opp[n]) for n in region])
-        add(f"expected_value_bound_p{i}", _expected_value_items(tree, payoffs, values[i], hits[i]))
+        add(f"expected_value_bound_p{i}", _expected_value_items(tree, v, xi, hit, region))
 
     # Splitting every frame doubles each root path; both halves of a frame
     # must keep the input's value, as the stage value is idempotent.
@@ -564,20 +554,19 @@ def check_invariants(
 
 
 def _expected_value_items(
-    tree: EventTree, payoffs: PayoffProcess, value: ValueProcess, hitting: HittingTime
+    tree: EventTree, value: dict[str, float], xi: dict[str, float], hits: set[str], region: list[str]
 ) -> list[tuple[str, float]]:
-    """value(n) must not exceed the expected value at the hit, xi beyond it."""
-    xi = payoffs.side(value.player).xi
-    hits = hitting.hits()
+    """value(n) must not exceed the expected value at the hit, xi beyond it;
+    ``region`` is the pre-hit region of the hit set ``hits``."""
+    covered = hits.union(region)
     target: dict[str, float] = {}
     items: list[tuple[str, float]] = []
-    region = set(pre_hit_region(tree, hitting)) | hits
     for node in reversed(tree.nodes):
-        if node not in region:
+        if node not in covered:
             continue
         if node in hits:
-            target[node] = value.value[node]
+            target[node] = value[node]
         else:
             target[node] = tree.continuation(node, target, xi)
-        items.append((node, value.value[node] - target[node]))
+        items.append((node, value[node] - target[node]))
     return items

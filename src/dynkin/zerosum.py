@@ -216,7 +216,7 @@ def hitting_time(
 ) -> HittingTime:
     """First node per path where the stop-first payoff reaches value - eta."""
     require_eta(eta)
-    tol = payoffs.tolerance() if tol is None else tol
+    tol = payoffs.tolerance(tol)
     player = value.player
     stop = payoffs.side(player).stop
     hit = {n for n in tree.nodes if stop[n] - (value.value[n] - eta) >= -tol}
@@ -230,9 +230,9 @@ def hitting_time(
     return HittingTime(player=player, eta=eta, antichain=tuple(antichain), infinite_leaves=tuple(infinite))
 
 
-def pre_hit_region(tree: EventTree, hitting: HittingTime) -> list[str]:
-    """Nodes visited before the antichain, including whole never-hit paths."""
-    hits = hitting.hits()
+def pre_hit_region(tree: EventTree, hits: set[str]) -> list[str]:
+    """Nodes visited before a hitting antichain, given as the set of its
+    nodes (``HittingTime.hits``), including whole never-hit paths."""
     return [n for n in tree.walk(tree.root, hits) if n not in hits]
 
 

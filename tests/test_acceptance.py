@@ -112,7 +112,7 @@ def test_criterion_3_value_bounds_and_hit_inequalities(solved_corpus):
                 for q in hit.antichain:
                     if stop[q] < process.value[q] - eta - tol:
                         violations += 1
-                for n in pre_hit_region(tree, hit):
+                for n in pre_hit_region(tree, hit.hits()):
                     own = stop[n]
                     if own >= process.value[n] - eta - tol:
                         violations += 1  # the condition must fail strictly here

@@ -322,7 +322,8 @@ def test_kernel_uniform_pair_averages(kernel_instance):
 
 def test_kernel_leaf_terminal(kernel_instance):
     _, payoffs = kernel_instance
-    assert outcome_kernel(W, W, payoffs, "n0", is_leaf=True) == PayoffPair(4.0, -4.0)
+    terminal = PayoffPair(payoffs.xi1["n0"], payoffs.xi2["n0"])
+    assert outcome_kernel(W, W, payoffs, "n0", continuation=terminal) == PayoffPair(4.0, -4.0)
 
 
 def test_kernel_wait_wait_uses_continuation(kernel_instance):

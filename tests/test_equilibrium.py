@@ -20,6 +20,7 @@ from dynkin import (
     construct,
     construct_pure,
     generate,
+    hitting_time,
     solve_value_process,
     validate_instance,
 )
@@ -99,10 +100,20 @@ def _assert_mirrored_reports(report, mreport):
     assert mreport.payoffs == mirror(report.tree, report.payoffs)[1]
 
 
+def _classify_at(tree, payoffs, eta, tol):
+    v1, v2 = (solve_value_process(tree, payoffs, i) for i in (1, 2))
+    return classify(tree, payoffs, v1, v2, tol=tol)
+
+
+def _hitting_time_at(tree, payoffs, eta, tol):
+    return hitting_time(tree, payoffs, solve_value_process(tree, payoffs, 1), eta, tol)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
-@pytest.mark.parametrize("entry", [construct, construct_pure, check_invariants])
+@pytest.mark.parametrize("entry", [construct, construct_pure, check_invariants, _classify_at, _hitting_time_at])
 def test_library_entries_reject_a_bad_tol(entry, tol):
-    # at the CLI --tol rejects these; a NaN tol used to relabel an A4 root as A6
+    # at the CLI --tol rejects these; a NaN tol used to relabel an A4 root as
+    # A6, and a negative one to empty every hitting antichain
     tree, payoffs = generate(GeneratorSpec(depth=4, branching=3, seed=3, convexity=True))
     with pytest.raises(ValueError, match="tol must be finite and at or above zero"):
         entry(tree, payoffs, 0.05, tol=tol)

@@ -1,0 +1,123 @@
+"""Golden outputs: one SHA-256 over the engine's results on a seeded exact corpus.
+
+Every probability is 1, 1/2, 1/4 or 3/4, every payoff a multiple of 1/8 in
+[-2, 2] and ``eta`` is 1/16, so every sum and product the engine forms is
+exact in binary and the digest is the same on any Python version and under
+any ``PYTHONHASHSEED``.  A change that moves any case trace, profile,
+payoff, certificate, invariant figure or value process by one ulp moves the
+digest.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+from dynkin import (
+    ConvexityError,
+    EventTree,
+    PayoffProcess,
+    check_invariants,
+    construct,
+    construct_pure,
+    solve_value_process,
+)
+
+ETA = 1 / 16
+GAMES = 120
+# Child probabilities of a node with one, two or three children.
+_SPLITS = (
+    ((1.0,),),
+    ((0.5, 0.5), (0.25, 0.75), (0.75, 0.25)),
+    ((0.5, 0.25, 0.25), (0.25, 0.5, 0.25), (0.25, 0.25, 0.5)),
+)
+GOLDEN_SHA256 = "7b25bb0082cafd9b7e6df47a79c0fdb64c6ac8f063ca586498757b4ee2d1f8f2"
+# The root regions and A6 sub-cases the corpus reaches; a corpus change that
+# loses one of them weakens the digest.
+REACHED = {"A1", "A2", "A3", "A4", "M1", "M2", "M4", "A6", "A61", "A62", "A63", "A64", "A65", "A66"}
+
+
+def golden_game(seed: int) -> tuple[EventTree, PayoffProcess]:
+    """Depth 1 to 6, branching up to 3; every odd-seeded game is convex."""
+    rng = random.Random(seed)
+    depth = 1 + seed % 6
+    branching = 1 + seed // 6 % 3
+    children: dict[str, list[tuple[str, float]]] = {}
+    frontier = ["n0"]
+    for _ in range(depth):
+        below = []
+        for node in frontier:
+            probs = rng.choice(_SPLITS[max(rng.randrange(branching), rng.randrange(branching))])
+            kids = [(f"{node}.{k}", p) for k, p in enumerate(probs)]
+            children[node] = kids
+            below.extend(kid for kid, _ in kids)
+        frontier = below
+    tree = EventTree.build("n0", children)
+
+    # in every fourth game stopping first pays at most 0 and being stopped on
+    # at least 0, so both players tend to wait and some paths never hit
+    waiting = seed % 4 == 2
+    low, high = ((-16, 1), (0, 17)) if waiting else ((-16, 17), (-16, 17))
+
+    def eighths(span: tuple[int, int] = (-16, 17)) -> float:
+        return rng.randrange(*span) / 8
+
+    tables = {name: {n: eighths() for n in tree.nodes} for name in ("z1", "z2")}
+    for name, span in (("x1", low), ("y1", high), ("x2", high), ("y2", low)):
+        tables[name] = {n: eighths(span) for n in tree.nodes}
+    if seed % 2:
+        for x, y, z in (("x1", "y1", "z1"), ("x2", "y2", "z2")):
+            for n in tree.nodes:
+                lo, hi = sorted((tables[x][n], tables[y][n]))
+                tables[z][n] = min(max(tables[z][n], lo), hi)
+    terminal = {name: {n: eighths(high) for n in tree.leaves} for name in ("xi1", "xi2")}
+    return tree, PayoffProcess(**tables, **terminal)
+
+
+def _hex(value: float) -> str:
+    return float.hex(float(value))
+
+
+def _mix(mix) -> str:
+    return ",".join(map(_hex, mix))
+
+
+def _report_lines(report) -> list[str]:
+    lines = [f"case {c.label} {c.node}" for c in report.case_trace]
+    for player, side in ((1, report.profile.player1), (2, report.profile.player2)):
+        lines.extend(f"mix{player} {n} {_mix(m)}" for n, m in sorted(side.items()))
+    lines.append(f"payoff {_hex(report.payoff.g1)} {_hex(report.payoff.g2)}")
+    for cert in report.certificates:
+        lines.append(
+            f"cert{cert.player} {_hex(cert.best_response_value)} {_hex(cert.path_value)} "
+            f"{_hex(cert.gap)} {_hex(cert.raw_gap)}"
+        )
+        lines.extend(f"br{cert.player} {n} {a.value}" for n, a in sorted(cert.strategy.items()))
+    return lines
+
+
+def golden_lines(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
+    lines = _report_lines(construct(tree, payoffs, ETA))
+    try:
+        lines.extend("pure " + line for line in _report_lines(construct_pure(tree, payoffs, ETA)))
+    except ConvexityError as exc:
+        lines.append(f"pure ConvexityError {exc}")
+    for check in check_invariants(tree, payoffs, ETA).checks:
+        lines.append(f"check {check.name} {check.passed} {_hex(check.worst)} {check.witness}")
+    for player in (1, 2):
+        process = solve_value_process(tree, payoffs, player)
+        lines.extend(f"v{player} {n} {_hex(v)} {_mix(process.min_mix[n])}" for n, v in process.value.items())
+    return lines
+
+
+def test_golden_digest_of_the_exact_corpus():
+    digest = hashlib.sha256()
+    labels = set()
+    for seed in range(GAMES):
+        tree, payoffs = golden_game(seed)
+        lines = golden_lines(tree, payoffs)
+        labels.update(line.split()[1] for line in lines if line.startswith("case "))
+        digest.update("\n".join(lines).encode())
+        digest.update(b"\n\n")
+    assert labels >= REACHED
+    assert digest.hexdigest() == GOLDEN_SHA256

@@ -159,17 +159,57 @@ class TestFileFormat:
         with pytest.raises(SchemaError):
             load(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda nodes: nodes[0].update(X1="abc"),
+            lambda nodes: nodes[1].update(prob=True),
+            lambda nodes: nodes[-1].pop("xi2"),
+            lambda nodes: nodes[-1].update(Z2=None, xi1=[1.0]),
+        ],
+        ids=["string-payoff", "bool-probability", "missing-terminal", "null-and-array"],
+    )
+    def test_a_bad_value_in_a_file_is_worded_as_in_the_library(self, tmp_path, edit):
+        tree, payoffs = generate(GeneratorSpec(depth=1, seed=1))
+        doc = instance_to_doc(tree, payoffs)
+        edit(doc["nodes"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        issues = validate_instance(*_raw_instance(doc))
+        assert issues
+        with pytest.raises(SchemaError) as caught:
+            load(path)
+        assert str(caught.value) == "; ".join(issues)
+
+    def test_json_integers_load_as_floats(self, tmp_path):
+        # a chain, so the one probability is the integer 1 too
+        doc = {
+            "horizon": 1,
+            "meta": {},
+            "nodes": [
+                {"id": "r", "depth": 0, "X1": 1, "Y1": 2, "Z1": 0, "X2": -1, "Y2": 3, "Z2": 2},
+                {"id": "a", "depth": 1, "parent": "r", "prob": 1, "X1": 0, "Y1": 1, "Z1": 1,
+                 "X2": 2, "Y2": -2, "Z2": 0, "xi1": 4, "xi2": -4},
+            ],
+        }
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(doc))
+        tree, payoffs, _ = load(path)
+        tables = (payoffs.x1, payoffs.y1, payoffs.z1, payoffs.x2, payoffs.y2, payoffs.z2, payoffs.xi1, payoffs.xi2)
+        assert {type(v) for table in (*tables, tree._edge) for v in table.values()} == {float}
+        assert payoffs.x2 == {"r": -1.0, "a": 2.0} and payoffs.xi1 == {"a": 4.0}
+
 
 class TestCsvReport:
-    def test_columns_and_footer(self, tmp_path):
+    def test_columns(self, tmp_path):
         tree = uniform_tree(1)
         path = tmp_path / "report.csv"
         v = {n: 0.5 for n in tree.nodes}
-        write_report_csv(path, tree, v, v, {"n0"}, set(), cases={"n0": "A1"}, gaps=(0.1, 0.2))
+        write_report_csv(path, tree, v, v, {"n0"}, set(), cases={"n0": "A1"})
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "node_id,depth,v1,v2,mu1_hit,mu2_hit,case"
         assert lines[1].startswith("n0,0,0.5,0.5,1,0,A1")
-        assert lines[-1].startswith("gaps,")
+        assert len(lines) == 1 + len(tree.nodes)
 
 
 class TestCli:
@@ -304,6 +344,17 @@ BAD_INPUTS = {
     "verify-payoff-overflow": (["verify", "{big_payoff}"], 2),
     "generate-range-overflow": (["generate", "--depth", "2", "--range", "1e308", "--out", "{out}"], 1),
 }
+# Files that the JSON parser itself rejects, through every command that reads one.
+for _file in ("long_int_literal", "deep_nesting"):
+    BAD_INPUTS.update(
+        {
+            f"{_file}-solve": (["solve", f"{{{_file}}}", "--out", "{out}"], 2),
+            f"{_file}-equilibrium": (["equilibrium", f"{{{_file}}}", "--out", "{out}"], 2),
+            f"{_file}-invariants": (["invariants", f"{{{_file}}}"], 2),
+            f"{_file}-verify-instance": (["verify", f"{{{_file}}}", "--profile", "{waiting_profile}"], 2),
+            f"{_file}-verify-profile": (["verify", "{game}", "--profile", f"{{{_file}}}"], 2),
+        }
+    )
 
 
 def _forged_reports(game_path, tmp_path):
@@ -333,6 +384,8 @@ def bad_files(tmp_path):
     bool_payoff["nodes"][0]["X1"] = True
     huge_payoff = json.loads(json.dumps(doc))
     huge_payoff["nodes"][0]["Y2"] = 10**400
+    long_int = json.loads(json.dumps(doc))
+    long_int["nodes"][0]["X1"] = "LONG"
     cycle = json.loads(json.dumps(doc))
     cycle["nodes"] += [
         {**doc["nodes"][-1], "id": "c1", "parent": "c2"},
@@ -358,6 +411,9 @@ def bad_files(tmp_path):
         "other_report": json.dumps({"profile": waiting_profile, "instance": other}),
         "big_payoff": json.dumps(big),
         "report_game": json.dumps(instance_to_doc(*generate(GeneratorSpec(depth=4, branching=3, seed=3)))),
+        # more digits than int() converts, and more nesting than the parser recurses
+        "long_int_literal": json.dumps(long_int).replace('"LONG"', "1" + "0" * 5000),
+        "deep_nesting": "[" * 200_000 + "]" * 200_000,
     }
     paths = {"out": str(tmp_path / "out")}
     for name, text in texts.items():
