@@ -10,15 +10,17 @@ pays the terminal (xi1, xi2) at the reached leaf.
 ``validate_instance`` and ``validate_profile`` check each rule once: one
 loop over the tree's structure, one C-level screen per payoff table, and one
 check per distinct stage mix.  Only a table or mix that fails is worded,
-node by node.  Payoffs and mix entries must be ints or floats, and
-payoffs may not exceed ``PAYOFF_LIMIT`` in magnitude, so no stage sum
-overflows.  Each entry that takes outside input validates it once; the
-solvers downstream take a valid instance unchecked.
+node by node, each value in at most ``_WORDED_LIMIT`` characters.  Payoffs
+and mix entries must be ints or floats, and payoffs may not exceed
+``PAYOFF_LIMIT`` in magnitude, so no stage sum overflows.  Each entry that
+takes outside input validates it once; the solvers downstream take a valid
+instance unchecked.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from collections import defaultdict
 from collections.abc import Sequence
@@ -275,6 +277,18 @@ def _is_number(value: object) -> bool:
 
 _PROB = itemgetter(1)
 
+# The longest a value is worded in an issue: a file can hold a string of any
+# length or an array nested hundreds deep.
+_WORDED_LIMIT = 60
+
+
+def _worded(value: object) -> str:
+    """``repr`` of a value for an issue line, at most ``_WORDED_LIMIT``
+    characters: ``reprlib`` abbreviates deep, wide and long values, and what
+    is still too long is cut."""
+    text = reprlib.repr(value)
+    return text if len(text) <= _WORDED_LIMIT else text[: _WORDED_LIMIT - 3] + "..."
+
 
 def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     """Structural diagnostics in node order; an empty list means the instance is valid.
@@ -307,7 +321,7 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
         below = depth[node] + 1
         for child, p in kids:
             if not (numbers or _is_number(p)):
-                found[node].append(f"node {node}: probability {p!r} for child {child} is not a number")
+                found[node].append(f"node {node}: probability {_worded(p)} for child {child} is not a number")
             elif not 0.0 < p <= 1.0:
                 found[node].append(f"node {node}: probability {p!r} for child {child} not in (0, 1]")
             if depth[child] != below:
@@ -335,7 +349,7 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
             if node not in table:
                 found[node].append(f"node {node}: missing {kind} {name}")
             elif not _is_number(value):
-                found[node].append(f"node {node}: {kind} {name} {value!r} is not a number")
+                found[node].append(f"node {node}: {kind} {name} {_worded(value)} is not a number")
             elif not math.isfinite(value):
                 found[node].append(f"node {node}: non-finite {kind} {name}")
             elif math.fabs(value) > PAYOFF_LIMIT:
@@ -403,13 +417,67 @@ def _mix_flaw(mix: Optional[Mix]) -> Optional[str]:
         or not all(map(_is_number, mix))
         or any(p < -PROB_TOL for p in mix)
     ):
-        return f"distribution {mix!r} malformed"
+        return f"distribution {_worded(mix)} malformed"
     total = sum(mix)
     if abs(total - 1.0) > PROB_TOL:
         return f"distribution sums to {total!r}"
     if not all(map(math.isfinite, mix)):  # a NaN passes both tests above
         return f"distribution {mix!r} is not finite"
     return None
+
+
+class Outcome(Enum):
+    """How a frame ends, named by who stops first."""
+
+    SIMULTANEOUS = "simultaneous atom"  # both atoms: (Z1, Z2)
+    TIE = "uniform tie"  # both uniform: the mean of the two first-stopper pairs
+    PLAYER1_FIRST = "player 1 first"  # (X1, X2)
+    PLAYER2_FIRST = "player 2 first"  # (Y1, Y2)
+    SURVIVAL = "survival"  # both wait: the continuation
+
+
+def stop_outcome(a1: StageAction, a2: StageAction) -> Outcome:
+    """The one stop-order rule: how a frame ends when player 1 plays ``a1``
+    and player 2 plays ``a2``.
+
+    A strictly smaller ``_RANK`` stops first; equal actions stop together
+    (two atoms), tie (two uniform stops) or survive (two waits).  Two
+    earlies or two lates share a limit and have no defined order: a
+    ``ValueError``.
+    """
+    if a1 is not a2:  # the ranks differ exactly when the actions do
+        return Outcome.PLAYER1_FIRST if _RANK[a1] < _RANK[a2] else Outcome.PLAYER2_FIRST
+    if a1 is StageAction.WAIT:
+        return Outcome.SURVIVAL
+    if a1 is StageAction.ATOM:
+        return Outcome.SIMULTANEOUS
+    if a1 is StageAction.UNIFORM:
+        return Outcome.TIE
+    raise ValueError(f"({a1.value}, {a2.value}) has no defined stop order")
+
+
+def outcome_payoff(
+    outcome: Outcome, payoffs: PayoffProcess, node: str, continuation: Optional[PayoffPair] = None
+) -> PayoffPair:
+    """Both players' payoffs at ``node`` when its frame ends in ``outcome``.
+
+    ``continuation`` is the value pair of surviving the frame (at a leaf, the
+    terminal pair); only ``Outcome.SURVIVAL`` reads it, and needs it.
+    """
+    if outcome is Outcome.PLAYER1_FIRST:
+        return PayoffPair(payoffs.x1[node], payoffs.x2[node])
+    if outcome is Outcome.PLAYER2_FIRST:
+        return PayoffPair(payoffs.y1[node], payoffs.y2[node])
+    if outcome is Outcome.SIMULTANEOUS:
+        return PayoffPair(payoffs.z1[node], payoffs.z2[node])
+    if outcome is Outcome.TIE:
+        return PayoffPair(
+            0.5 * (payoffs.x1[node] + payoffs.y1[node]),
+            0.5 * (payoffs.x2[node] + payoffs.y2[node]),
+        )
+    if continuation is None:
+        raise ValueError(f"node {node}: (wait, wait) needs a continuation")
+    return continuation
 
 
 def outcome_kernel(
@@ -419,31 +487,20 @@ def outcome_kernel(
     node: str,
     continuation: Optional[PayoffPair] = None,
 ) -> PayoffPair:
-    """Resolve one frame: who stops first and what both players receive.
+    """Resolve one frame: who stops first (``stop_outcome``) and what both
+    players receive (``outcome_payoff``).
 
-    ``continuation`` is the value pair of surviving the frame (at a leaf, the
-    terminal pair); only (wait, wait) reads it, and needs it.  It is the
-    reference the stage formulas are checked against: ``stage_matrices``
-    calls it once per distinct action pair at a node and reads both players'
-    matrices from those pairs, in the invariant runner and in the tests.
+    ``continuation`` is the value pair of surviving the frame; only (wait,
+    wait) reads it, and needs it.  It is the reference the stage formulas
+    are checked against, action pair by action pair, in the tests.
+    ``zerosum.stage_matrices`` resolves its action pairs through the same
+    ``stop_outcome`` once, at import.
     """
-    if a1 is StageAction.WAIT and a2 is StageAction.WAIT:
-        if continuation is None:
-            raise ValueError(f"node {node}: (wait, wait) needs a continuation")
-        return continuation
-    r1, r2 = _RANK[a1], _RANK[a2]
-    if r1 == r2:
-        if a1 is StageAction.ATOM:
-            return PayoffPair(payoffs.z1[node], payoffs.z2[node])
-        if a1 is StageAction.UNIFORM:
-            return PayoffPair(
-                0.5 * (payoffs.x1[node] + payoffs.y1[node]),
-                0.5 * (payoffs.x2[node] + payoffs.y2[node]),
-            )
-        raise ValueError(f"node {node}: ({a1.value}, {a2.value}) has no defined stop order")
-    if r1 < r2:
-        return PayoffPair(payoffs.x1[node], payoffs.x2[node])
-    return PayoffPair(payoffs.y1[node], payoffs.y2[node])
+    try:
+        outcome = stop_outcome(a1, a2)
+    except ValueError as exc:
+        raise ValueError(f"node {node}: {exc}") from None
+    return outcome_payoff(outcome, payoffs, node, continuation)
 
 
 def deviator_lines(

@@ -7,9 +7,11 @@ object.  Profiles map node ids to (atom, uniform, wait) probabilities.
 Files pass through one reader and one writer.  ``read_doc`` parses JSON
 integers as floats and turns every parse failure into a ``SchemaError``;
 ``write_doc`` writes sorted keys and shortest round-trip floats, so
-documents are byte-stable under save/load/save.  ``instance_from_doc``
-checks only the document's shape and copies each value as written;
-``core.validate_instance`` is the one rule for the values, so a file and a
+documents are byte-stable under save/load/save.  Game files (``save``) are
+indented by two spaces; reports are one line from the C encoder.
+``instance_from_doc`` and ``profile_from_doc`` check only the document's
+shape and copy each value as written; ``core.validate_instance`` and
+``core.validate_profile`` are the one rule for the values, so a file and a
 library call reject a bad value with the same words.
 """
 
@@ -28,7 +30,7 @@ from .core import (
     EventTree,
     InstanceError,
     PayoffProcess,
-    _is_number,
+    _worded,
     validate_instance,
 )
 
@@ -195,13 +197,16 @@ def profile_to_doc(profile: BehavioralProfile) -> dict:
 
 
 def profile_from_doc(doc: dict) -> BehavioralProfile:
+    """Check a profile's shape, an object per player holding a list of
+    three per node, and copy each mix as written; ``core.validate_profile``
+    judges the values, so a file and a library call word a bad mix alike."""
     if not isinstance(doc, dict):
         raise SchemaError("profile: expected an object")
     for side in ("player1", "player2"):
         if side not in doc or not isinstance(doc[side], dict):
             raise SchemaError(f"profile.{side}: missing or not an object")
         for node, mix in doc[side].items():
-            if not isinstance(mix, list) or len(mix) != 3 or not all(map(_is_number, mix)):
+            if not isinstance(mix, list) or len(mix) != 3:
                 raise SchemaError(f"profile.{side}.{node}: expected [atom, uniform, wait]")
     return BehavioralProfile(
         player1={n: tuple(m) for n, m in doc["player1"].items()},
@@ -255,12 +260,12 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
     # false equal 1 and 0, so they are ruled out first
     horizon = doc.get("horizon")
     if isinstance(horizon, bool) or horizon != tree.horizon:
-        raise SchemaError(f"horizon: declared {horizon!r}, computed {tree.horizon}")
+        raise SchemaError(f"horizon: declared {_worded(horizon)}, computed {tree.horizon}")
     tables: dict[str, dict] = {table: {} for _, table in _LEAF_FIELDS}
     for node, entry in payload.items():
         declared = entry.get("depth")
         if isinstance(declared, bool) or declared != tree.depth[node]:
-            raise SchemaError(f"node {node}: depth {declared!r} inconsistent with structure")
+            raise SchemaError(f"node {node}: depth {_worded(declared)} inconsistent with structure")
         for name, table in _LEAF_FIELDS if tree.is_leaf(node) else _NODE_FIELDS:
             if name in entry:
                 tables[table][node] = entry[name]
@@ -280,7 +285,7 @@ def save(
     payoffs: PayoffProcess,
     profile: Optional[BehavioralProfile] = None,
 ) -> None:
-    write_doc(path, instance_to_doc(tree, payoffs, profile))
+    write_doc(path, instance_to_doc(tree, payoffs, profile), indent=2)
 
 
 def read_doc(path: Union[str, Path]) -> object:
@@ -292,9 +297,14 @@ def read_doc(path: Union[str, Path]) -> object:
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
-def write_doc(path: Union[str, Path], doc: dict) -> None:
-    """Write one JSON document: sorted keys, indent 2, a trailing newline."""
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def write_doc(path: Union[str, Path], doc: dict, indent: Optional[int] = None) -> None:
+    """Write one JSON document with sorted keys and a trailing newline.
+
+    Without ``indent`` the document is one line, written by the C encoder
+    (``json`` falls back to its pure-Python encoder for any indent): the
+    format of reports.  Game files are written with ``indent=2``.
+    """
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=indent) + "\n", encoding="utf-8")
 
 
 def load(path: Union[str, Path]) -> tuple[EventTree, PayoffProcess, Optional[BehavioralProfile]]:

@@ -36,11 +36,12 @@ from .core import (
     PayoffProcess,
     ProfileError,
     StageAction,
-    _RANK,
     deviator_lines,
+    outcome_payoff,
     require_player,
     require_valid,
     split_frames,
+    stop_outcome,
     validate_profile,
 )
 from .zerosum import (
@@ -292,22 +293,17 @@ def _pure_path_payoff(
         node = path[k2]
         return PayoffPair(payoffs.y1[node], payoffs.y2[node])
     node = path[k1]
-    first = PayoffPair(payoffs.x1[node], payoffs.x2[node])
-    second = PayoffPair(payoffs.y1[node], payoffs.y2[node])
-    if a1 is StageAction.ATOM and a2 is StageAction.ATOM:
-        return PayoffPair(payoffs.z1[node], payoffs.z2[node])
-    if a1 is StageAction.UNIFORM and a2 is StageAction.UNIFORM:
-        return PayoffPair(0.5 * (first.g1 + second.g1), 0.5 * (first.g2 + second.g2))
-    p1, p2 = _RANK[a1], _RANK[a2]
-    if p1 < p2:
-        return first
-    if p2 < p1:
-        return second
-    if ambiguous == "min1":
-        return first if first.g1 <= second.g1 else second
-    if ambiguous == "min2":
-        return first if first.g2 <= second.g2 else second
-    raise ValueError(f"node {node}: unresolved stop order for ({a1.value}, {a2.value})")
+    try:
+        outcome = stop_outcome(a1, a2)
+    except ValueError:  # two earlies or two lates
+        first = PayoffPair(payoffs.x1[node], payoffs.x2[node])
+        second = PayoffPair(payoffs.y1[node], payoffs.y2[node])
+        if ambiguous == "min1":
+            return first if first.g1 <= second.g1 else second
+        if ambiguous == "min2":
+            return first if first.g2 <= second.g2 else second
+        raise ValueError(f"node {node}: unresolved stop order for ({a1.value}, {a2.value})") from None
+    return outcome_payoff(outcome, payoffs, node)
 
 
 def _own_payoff(
@@ -461,13 +457,13 @@ def check_invariants(
     """Run the named solver invariants and report worst violations.
 
     ``minimax_agreement`` makes one backward pass that carries both players'
-    continuations; at each node one ``stage_matrices`` call (one outcome
-    kernel table) gives both players' primal and dual matrices, and each is
-    solved and compared with the other and with the closed-form value.  Its
-    items list player 1's nodes, then player 2's.  ``split_invariance``
-    splits every frame of the input at once and compares both value
-    processes at each input node and at its copy.  The instance and the
-    split tree are each validated once.
+    continuations; at each node one ``stage_matrices`` call (its cells
+    resolved by ``core.stop_outcome``) gives both players' primal and dual
+    matrices, and each is solved and compared with the other and with the
+    closed-form value.  Its items list player 1's nodes, then player 2's.
+    ``split_invariance`` splits every frame of the input at once and
+    compares both value processes at each input node and at its copy.  The
+    instance and the split tree are each validated once.
     """
     require_valid(tree, payoffs)
     tol = payoffs.tolerance(tol)
@@ -496,9 +492,9 @@ def check_invariants(
         # an immediate opponent stop caps the value at max(opp-first, simultaneous)
         add(f"value_opponent_cap_p{i}", [(n, v[n] - max(opp[n], sim[n])) for n in tree.nodes])
 
-    # Both orientations, built through the outcome kernel, must agree with
-    # each other and with the closed-form value the process used.  One pass
-    # builds both players' matrices from one kernel table per node.
+    # Both orientations, built by the stop-order rule, must agree with each
+    # other and with the closed-form value the process used.  One pass
+    # builds both players' matrices, one stage_matrices call per node.
     v1, v2 = values[1].value, values[2].value
     xi1, xi2 = payoffs.side(1).xi, payoffs.side(2).xi
     minimax1: list[tuple[str, float]] = []

@@ -52,8 +52,9 @@ from .core import (
     ATOM_MIX,
     UNIFORM_MIX,
     WAIT_MIX,
-    outcome_kernel,
+    Outcome,
     require_eta,
+    stop_outcome,
 )
 
 Matrix = tuple[tuple[float, ...], ...]
@@ -90,13 +91,19 @@ _GRIDS = (
     [[(c, r) for c in DEVIATOR_ACTIONS] for r in PLAYER_ACTIONS],
     [[(c, r) for c in PLAYER_ACTIONS] for r in DEVIATOR_ACTIONS],
 )
-# The 20 distinct pairs the grids read, in first-seen order.
-_KERNEL_PAIRS = tuple(dict.fromkeys(pair for grid in _GRIDS for row in grid for pair in row))
-# One itemgetter per matrix row, picking its entries by position from the
-# kernel table: keying the table by action pairs would hash two enum members
-# per entry read, which made the layout cost most of what the shared table saves.
+# Where each frame outcome's payoff sits in a player's (Z, X, Y, c) tuple.
+# A grid pairs a mixed (atom, uniform, wait) side with a pure (atom, early,
+# late, wait) side, so no cell is a uniform tie.
+_SLOT = {
+    Outcome.SIMULTANEOUS: 0,
+    Outcome.PLAYER1_FIRST: 1,
+    Outcome.PLAYER2_FIRST: 2,
+    Outcome.SURVIVAL: 3,
+}
+# One itemgetter per matrix row, its cells resolved through ``stop_outcome``
+# here, once: at a node a row is one C-level pick from the player's tuple.
 _PRIMAL1, _DUAL1, _PRIMAL2, _DUAL2 = (
-    tuple(itemgetter(*map(_KERNEL_PAIRS.index, row)) for row in grid) for grid in _GRIDS
+    tuple(itemgetter(*[_SLOT[stop_outcome(a1, a2)] for a1, a2 in row]) for row in grid) for grid in _GRIDS
 )
 
 
@@ -110,17 +117,20 @@ def stage_matrices(
     rows (atom, uniform, wait) against the antagonist's pure columns (atom,
     early, late, wait).  Dual: the roles are transposed, the antagonist
     mixing (atom, uniform, wait) columns against protagonist pure rows.
-    Every entry comes from one ``outcome_kernel`` call per distinct action
-    pair, 20 per node, shared by both players and both orientations.
+    Each cell's outcome comes from ``core.stop_outcome``, the rule
+    ``outcome_kernel`` resolves by, applied once at import; at each node the
+    rows pick their entries from each player's (Z, X, Y, c), the payoffs of
+    a simultaneous atom, of player 1 and of player 2 stopping first, and
+    the continuation, so every entry equals the ``outcome_kernel`` pair's.
     """
-    pairs = [outcome_kernel(a1, a2, payoffs, node, continuation=continuation) for a1, a2 in _KERNEL_PAIRS]
-    g1 = [pair.g1 for pair in pairs]
-    g2 = [pair.g2 for pair in pairs]
+    c1, c2 = continuation
+    own1 = (payoffs.z1[node], payoffs.x1[node], payoffs.y1[node], c1)
+    own2 = (payoffs.z2[node], payoffs.x2[node], payoffs.y2[node], c2)
     # Lists, not generators: ``tuple`` of a generator over-allocates and
     # shrinks, which fills the tuple free lists (about 0.6 MB per process).
     return (
-        (tuple([row(g1) for row in _PRIMAL1]), tuple([row(g1) for row in _DUAL1])),
-        (tuple([row(g2) for row in _PRIMAL2]), tuple([row(g2) for row in _DUAL2])),
+        (tuple([row(own1) for row in _PRIMAL1]), tuple([row(own1) for row in _DUAL1])),
+        (tuple([row(own2) for row in _PRIMAL2]), tuple([row(own2) for row in _DUAL2])),
     )
 
 
@@ -141,11 +151,11 @@ def solve_matrix_game(matrix: Matrix) -> tuple[float, tuple[float, ...], tuple[f
     upper = min(col_exposure)
     if lower != upper:
         raise ModelViolationError(f"matrix game has no pure saddle point: {lower!r} < {upper!r}")
-    r = row_guarantee.index(lower)
-    c = col_exposure.index(upper)
-    row_mix = tuple(1.0 if i == r else 0.0 for i in range(len(row_guarantee)))
-    col_mix = tuple(1.0 if j == c else 0.0 for j in range(len(col_exposure)))
-    return lower, row_mix, col_mix
+    row_mix = [0.0] * len(row_guarantee)
+    row_mix[row_guarantee.index(lower)] = 1.0
+    col_mix = [0.0] * len(col_exposure)
+    col_mix[col_exposure.index(upper)] = 1.0
+    return lower, tuple(row_mix), tuple(col_mix)
 
 
 def stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix, Mix]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import reprlib
 import sys
 from collections.abc import Sequence
 from typing import Optional
@@ -257,6 +258,23 @@ def reference_stage_matrices(
     return primal, dual
 
 
+def reference_solve_matrix_game(matrix) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """``solve_matrix_game`` with its mixes built by generator expressions:
+    the reference it must equal, value and mixes, on every matrix."""
+    rows = [tuple(r) for r in matrix]
+    row_guarantee = list(map(min, rows))
+    col_exposure = list(map(max, zip(*rows)))
+    lower = max(row_guarantee)
+    upper = min(col_exposure)
+    if lower != upper:
+        raise ModelViolationError(f"matrix game has no pure saddle point: {lower!r} < {upper!r}")
+    r = row_guarantee.index(lower)
+    c = col_exposure.index(upper)
+    row_mix = tuple(1.0 if i == r else 0.0 for i in range(len(row_guarantee)))
+    col_mix = tuple(1.0 if j == c else 0.0 for j in range(len(col_exposure)))
+    return lower, row_mix, col_mix
+
+
 def reference_stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix, Mix]:
     """The stage value from the builtins: the lower value as the ``max`` of
     the row guarantees, the upper as the ``min`` of the column exposures, each
@@ -280,6 +298,12 @@ def is_number(value: object) -> bool:
     return isinstance(value, int) and -sys.float_info.max <= value <= sys.float_info.max
 
 
+def worded(value: object) -> str:
+    """How an issue words a value: its ``reprlib`` form, cut to 60 characters."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     """Every structural issue, in node order: the node-by-node reference
     ``validate_instance`` must agree with."""
@@ -294,7 +318,7 @@ def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
                     issues.append(f"node {node}: child probabilities sum to {total!r}, not 1")
             for child, p in kids:
                 if not is_number(p):
-                    issues.append(f"node {node}: probability {p!r} for child {child} is not a number")
+                    issues.append(f"node {node}: probability {worded(p)} for child {child} is not a number")
                 elif not (0.0 < p <= 1.0):
                     issues.append(f"node {node}: probability {p!r} for child {child} not in (0, 1]")
                 if tree.depth[child] != tree.depth[node] + 1:
@@ -306,7 +330,7 @@ def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
                 if node not in table:
                     issues.append(f"node {node}: missing terminal payoff {name}")
                 elif not is_number(table[node]):
-                    issues.append(f"node {node}: terminal payoff {name} {table[node]!r} is not a number")
+                    issues.append(f"node {node}: terminal payoff {name} {worded(table[node])} is not a number")
                 elif not math.isfinite(table[node]):
                     issues.append(f"node {node}: non-finite terminal payoff {name}")
                 elif abs(table[node]) > PAYOFF_LIMIT:
@@ -322,7 +346,7 @@ def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
             if node not in table:
                 issues.append(f"node {node}: missing payoff {name}")
             elif not is_number(table[node]):
-                issues.append(f"node {node}: payoff {name} {table[node]!r} is not a number")
+                issues.append(f"node {node}: payoff {name} {worded(table[node])} is not a number")
             elif not math.isfinite(table[node]):
                 issues.append(f"node {node}: non-finite payoff {name}")
             elif abs(table[node]) > PAYOFF_LIMIT:
@@ -351,7 +375,7 @@ def profile_issues(tree: EventTree, profile: BehavioralProfile) -> list[str]:
                 or not all(map(is_number, mix))
                 or any(p < -PROB_TOL for p in mix)
             ):
-                issues.append(f"node {node}: player {player} distribution {mix!r} malformed")
+                issues.append(f"node {node}: player {player} distribution {worded(mix)} malformed")
                 continue
             if abs(sum(mix) - 1.0) > PROB_TOL:
                 issues.append(f"node {node}: player {player} distribution sums to {sum(mix)!r}")

@@ -51,6 +51,7 @@ from helpers import (
     profile_issues,
     single_node_payoffs,
     uniform_tree,
+    worded,
 )
 
 A, U, W, E, L = (
@@ -108,7 +109,7 @@ def test_a_non_number_payoff_is_an_instance_issue(table, value):
     getattr(payoffs, table)[node] = value
     kind = "terminal payoff" if table.startswith("xi") else "payoff"
     name = table if table.startswith("xi") else table.upper()
-    issues = [f"node {node}: {kind} {name} {value!r} is not a number"]
+    issues = [f"node {node}: {kind} {name} {worded(value)} is not a number"]
     assert validate_instance(tree, payoffs) == instance_issues(tree, payoffs) == issues
     for entry in (construct, construct_pure, check_invariants):
         with pytest.raises(InstanceError, match="is not a number"):
@@ -121,7 +122,7 @@ def test_a_non_number_probability_is_an_instance_issue(value):
     tree, payoffs = generate(GeneratorSpec(depth=2, seed=1))
     child, _ = tree.children[tree.root][0]
     tree.children[tree.root][0] = (child, value)
-    issues = [f"node {tree.root}: probability {value!r} for child {child} is not a number"]
+    issues = [f"node {tree.root}: probability {worded(value)} for child {child} is not a number"]
     assert validate_instance(tree, payoffs) == instance_issues(tree, payoffs) == issues
     for entry in (construct, construct_pure, check_invariants):
         with pytest.raises(InstanceError, match="is not a number"):
@@ -148,7 +149,7 @@ def test_a_non_number_mix_entry_is_a_profile_issue(value):
     tree, payoffs = generate(GeneratorSpec(depth=2, seed=1))
     profile = BehavioralProfile.waiting(tree)
     profile.player2[tree.root] = mix = (value, 0.0, 1.0)
-    issues = [f"node {tree.root}: player 2 distribution {mix!r} malformed"]
+    issues = [f"node {tree.root}: player 2 distribution {worded(mix)} malformed"]
     assert validate_profile(tree, profile) == profile_issues(tree, profile) == issues
     with pytest.raises(ProfileError, match="malformed"):
         deviation_gap(tree, payoffs, profile)

@@ -5,12 +5,15 @@ Every probability is 1, 1/2, 1/4 or 3/4, every payoff a multiple of 1/8 in
 exact in binary and the digest is the same on any Python version and under
 any ``PYTHONHASHSEED``.  A change that moves any case trace, profile,
 payoff, certificate, invariant figure or value process by one ulp moves the
-digest.
+digest.  A second digest covers the ``dynkin`` commands on a few of these
+games and on generated chains, whose every probability is exactly 1.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import random
 
 from dynkin import (
@@ -20,8 +23,10 @@ from dynkin import (
     check_invariants,
     construct,
     construct_pure,
+    save,
     solve_value_process,
 )
+from dynkin.cli import main
 
 ETA = 1 / 16
 GAMES = 120
@@ -121,3 +126,84 @@ def test_golden_digest_of_the_exact_corpus():
         digest.update(b"\n\n")
     assert labels >= REACHED
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# The CLI workflow: every command's exit code, printed lines and files.
+
+# ``generate`` argv tails.  Chains (branching 1) give every child probability
+# exactly 1.0, so the generated bytes do not depend on how ``sum`` rounds.
+CLI_GENERATED = (
+    ("--family", "random", "--seed", "1"),
+    ("--family", "random", "--seed", "3", "--convexity"),
+    ("--family", "war-of-attrition", "--seed", "1"),
+    ("--family", "preemption", "--seed", "0", "--convexity"),
+)
+# ``golden_game`` seeds, saved as game files: A6 roots with each split case,
+# an A2 and an M1 root, branching up to 3; the odd seeds are convex.
+CLI_GOLDEN = (9, 10, 15, 31, 44)
+CLI_SHA256 = "a73d0ec14149e65d14c4cf4adc0a16af24ee7e74191f66d97411496f3961ac6e"
+
+
+def _hex_doc(value):
+    """A parsed document with every float written as ``float.hex``."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, dict):
+        return {key: _hex_doc(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_hex_doc(item) for item in value]
+    return value
+
+
+def cli_lines(capsys, game: str) -> list[str]:
+    """Run every command that reads ``game`` and word what each one left."""
+    lines = []
+
+    def run(*argv: str) -> None:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        lines.append(f"$ {' '.join(argv)} -> {code}\n{captured.out}{captured.err}")
+
+    def report(path: str) -> None:
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as handle:
+                lines.append(json.dumps(_hex_doc(json.load(handle)), sort_keys=True))
+            os.remove(path)
+
+    run("equilibrium", game, "--eta", "0.05", "--out", "report.json")
+    run("verify", game, "--profile", "report.json", "--eta", "0.05")
+    run("verify", game, "--profile", "report.json", "--gap-threshold", "1e-12")
+    report("report.json")
+    run("equilibrium", game, "--eta", "0.05", "--pure", "--out", "pure.json")
+    if os.path.exists("pure.json"):
+        run("verify", game, "--profile", "pure.json", "--eta", "0.05")
+    report("pure.json")
+    run("invariants", game, "--eta", "0.05")
+    run("solve", game, "--eta", "0.05", "--out", "values.csv")
+    with open("values.csv", "rb") as handle:
+        lines.append(handle.read().hex())
+    return lines
+
+
+def test_cli_digest(tmp_path, monkeypatch, capsys):
+    """One SHA-256 over the CLI workflow on small seeded games: ``generate``,
+    then ``equilibrium`` with and without ``--pure``, ``verify --profile``,
+    ``invariants`` and ``solve``.  It hashes each exit code and printed
+    line, the game and CSV bytes, and each report parsed with its floats as
+    ``float.hex``, so a report's layout may change but not its content."""
+    monkeypatch.chdir(tmp_path)  # printed paths are relative
+    digest = hashlib.sha256()
+    games = []
+    for k, tail in enumerate(CLI_GENERATED):
+        games.append(f"g{k}.json")
+        code = main(["generate", "--depth", "5", "--branching", "1", *tail, "--out", games[-1]])
+        digest.update(f"{code} {capsys.readouterr().out}".encode())
+    for seed in CLI_GOLDEN:
+        games.append(f"golden{seed}.json")
+        save(games[-1], *golden_game(seed))
+    for game in games:
+        with open(game, "rb") as handle:
+            digest.update(handle.read())
+        digest.update("\n".join(cli_lines(capsys, game)).encode())
+    assert digest.hexdigest() == CLI_SHA256

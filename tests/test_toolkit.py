@@ -32,8 +32,9 @@ from dynkin import (
     save,
     validate_instance,
 )
-from dynkin import verify
-from dynkin.toolkit import instance_from_doc, instance_to_doc, profile_from_doc, write_report_csv
+from dynkin import cli, verify
+from dynkin.core import validate_profile
+from dynkin.toolkit import instance_from_doc, instance_to_doc, profile_from_doc, profile_to_doc, write_report_csv
 from dynkin.zerosum import check_convexity
 from dynkin.cli import main
 
@@ -303,6 +304,63 @@ class TestCli:
             assert self._run("equilibrium", str(inst), *tol, "--out", str(tmp_path / "r.json")) == 0
             cases.append(re.findall(r"case=(\w+)", capsys.readouterr().out))
         assert cases == [["M1", "M1"], ["A1", "A1"]]
+
+    def test_the_report_is_one_line_of_the_document_built(self, tmp_path, monkeypatch):
+        # reports come from the C encoder: sorted keys, no indent, one line
+        built = []
+        write_doc = cli.write_doc
+
+        def recorded(path, doc, *args, **kwargs):
+            built.append(doc)
+            write_doc(path, doc, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_doc", recorded)
+        inst = tmp_path / "game.json"
+        report = tmp_path / "report.json"
+        assert self._run("generate", "--depth", "4", "--branching", "3", "--seed", "2", "--out", str(inst)) == 0
+        assert self._run("equilibrium", str(inst), "--out", str(report)) == 0
+        text = report.read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text) == built[0]
+        assert text == json.dumps(built[0], sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "mix",
+        [["x", 0.0, 1.0], [True, 0.0, 1.0], [None, 0.0, 1.0], [[[0.5]], 0.0, 0.5], [float("nan"), 0.0, 1.0]],
+        ids=["str", "bool", "null", "array", "nan"],
+    )
+    def test_a_bad_mix_is_worded_alike_from_a_file_and_the_library(self, tmp_path, capsys, mix):
+        tree, payoffs = generate(GeneratorSpec(depth=2, seed=1))
+        inst = tmp_path / "game.json"
+        save(inst, tree, payoffs)
+        profile = BehavioralProfile.waiting(tree)
+        profile.player1[tree.root] = tuple(mix)
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"profile": profile_to_doc(profile)}))
+        capsys.readouterr()
+        assert self._run("verify", str(inst), "--profile", str(path)) == 2
+        assert capsys.readouterr().err == f"schema error: {validate_profile(tree, profile)[0]}\n"
+
+    @pytest.mark.parametrize(
+        "field, words",
+        [("X1", "payoff X1 [[["), ("horizon", "horizon: declared [[[")],
+        ids=["payoff", "horizon"],
+    )
+    def test_a_deeply_nested_value_is_worded_in_a_short_line(self, tmp_path, field, words):
+        # 985 levels load (the parser stops a little deeper); the issue
+        # words the value in a few characters, not its 1,970
+        doc = instance_to_doc(*generate(GeneratorSpec(depth=1, seed=1)))
+        (doc if field == "horizon" else doc["nodes"][0])[field] = "NESTED"
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc).replace('"NESTED"', "[" * 985 + "]" * 985))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynkin.cli", "solve", str(path), "--out", str(tmp_path / "values.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert words in proc.stderr
+        assert all(len(line) < 300 for line in proc.stderr.splitlines())
 
     def test_console_script_installed(self):
         proc = subprocess.run(

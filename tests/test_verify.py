@@ -28,6 +28,7 @@ from dynkin import (
     validate_instance,
 )
 from dynkin import core, verify, zerosum
+from dynkin.toolkit import FAMILIES
 from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX
 from dynkin.verify import _stop_rules
 
@@ -40,6 +41,7 @@ from helpers import (
     dyadic_mixes,
     extend_profile,
     poisoned_deviator_lines,
+    reference_stage_matrices,
     single_node_payoffs,
     uniform_tree,
 )
@@ -392,23 +394,51 @@ class TestInvariantRunner:
         assert check.witness == node
 
     def test_builds_one_kernel_table_per_node(self, monkeypatch):
+        # one stage_matrices call per node, in backward order, and each
+        # node's matrices are the reference's, built by outcome_kernel
         tree, payoffs = generate(GeneratorSpec(depth=4, branching=3, seed=0))
-        matrices = []
-        kernel_calls = []
+        calls = []
 
-        def counted_matrices(*args):
-            matrices.append(args[1])
-            return zerosum.stage_matrices(*args)
+        def recorded(*args):
+            matrices = zerosum.stage_matrices(*args)
+            calls.append((args, matrices))
+            return matrices
 
-        def counted_kernel(*args, **kwargs):
-            kernel_calls.append(args[3])
-            return core.outcome_kernel(*args, **kwargs)
-
-        monkeypatch.setattr(verify, "stage_matrices", counted_matrices)
-        monkeypatch.setattr(zerosum, "outcome_kernel", counted_kernel)
+        monkeypatch.setattr(verify, "stage_matrices", recorded)
         assert check_invariants(tree, payoffs, eta=0.2).all_pass
-        assert matrices == list(reversed(tree.nodes))
-        assert kernel_calls == [n for n in reversed(tree.nodes) for _ in range(20)]
+        assert [args[1] for args, _ in calls] == list(reversed(tree.nodes))
+        for (p, node, cont), matrices in calls:
+            reference = (
+                reference_stage_matrices(p, node, cont.g1, 1),
+                reference_stage_matrices(p, node, cont.g2, 2),
+            )
+            assert repr(matrices) == repr(reference)  # repr tells -0.0 from 0.0
+
+    def test_reports_are_those_of_the_reference_matrices(self, monkeypatch):
+        # every family at depths 1-6, fixed seeds: the runner's report is the
+        # same, to the bit, when each node's matrices come from 24
+        # outcome_kernel calls per player instead
+        games = [
+            generate(GeneratorSpec(family=family, depth=depth, branching=3 if depth < 5 else 2, seed=1500 + depth))
+            for family in FAMILIES
+            for depth in range(1, 7)
+        ]
+
+        def reference(payoffs, node, cont):
+            return (
+                reference_stage_matrices(payoffs, node, cont.g1, 1),
+                reference_stage_matrices(payoffs, node, cont.g2, 2),
+            )
+
+        def reports():
+            return [
+                [(c.name, c.passed, c.worst.hex(), c.witness) for c in check_invariants(t, p, eta=0.05).checks]
+                for t, p in games
+            ]
+
+        fast = reports()
+        monkeypatch.setattr(verify, "stage_matrices", reference)
+        assert reports() == fast
 
 
 class TestGapSplitInvariance:

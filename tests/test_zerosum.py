@@ -28,6 +28,7 @@ from helpers import (
     corpus,
     mirror,
     pure_optimal_strategy,
+    reference_solve_matrix_game,
     reference_stage_matrices,
     reference_stage_value,
     simple_optimal_strategy,
@@ -167,6 +168,34 @@ class TestMatrixGame:
         value, rows, cols = solve_matrix_game([[3.0, 1.0], [0.0, -1.0]])
         assert value == 1.0
         assert rows == (1.0, 0.0) and cols == (0.0, 1.0)
+
+    @staticmethod
+    def _assert_as_reference(matrix):
+        try:
+            expected = reference_solve_matrix_game(matrix)
+        except ModelViolationError as exc:
+            with pytest.raises(ModelViolationError) as caught:
+                solve_matrix_game(matrix)
+            assert str(caught.value) == str(exc)
+            return
+        value, rows, cols = solve_matrix_game(matrix)
+        assert value.hex() == expected[0].hex(), matrix  # the sign of a zero too
+        assert (rows, cols) == expected[1:], matrix
+
+    def test_matches_the_reference_on_a_signed_zero_grid(self):
+        # every 2x2 and 2x3 matrix over levels with both zeros and ties, and
+        # every stage matrix of the stage-value grid: the same value, the
+        # same lowest-index mixes, and the same matrices without a saddle
+        for shape, levels in (((2, 2), (-1.0, -0.0, 0.0, 1.0)), ((2, 3), (-0.0, 0.0, 1.0))):
+            rows, cols = shape
+            for cells in itertools.product(levels, repeat=rows * cols):
+                self._assert_as_reference([cells[r * cols : (r + 1) * cols] for r in range(rows)])
+        grid = (-1.0, -0.0, 0.0, 0.5, 1.0)
+        for x, y, z, c in itertools.product(grid, repeat=4):
+            _, payoffs = single_node_payoffs(x, y, z, 0.0, 0.0, 0.0, 0.0, 0.0)
+            for matrices in stage_matrices(payoffs, "n0", PayoffPair(c, c)):
+                for matrix in matrices:
+                    self._assert_as_reference(matrix)
 
     @pytest.mark.parametrize(
         "matrix",
