@@ -10,11 +10,11 @@ pays the terminal (xi1, xi2) at the reached leaf.
 ``validate_instance`` and ``validate_profile`` check each rule once: one
 loop over the tree's structure, one C-level screen per payoff table, and one
 check per distinct stage mix.  Only a table or mix that fails is worded,
-node by node, each value in at most ``_WORDED_LIMIT`` characters.  Payoffs
-and mix entries must be ints or floats, and payoffs may not exceed
-``PAYOFF_LIMIT`` in magnitude, so no stage sum overflows.  Each entry that
-takes outside input validates it once; the solvers downstream take a valid
-instance unchecked.
+node by node, each value and node id in at most ``_WORDED_LIMIT``
+characters.  Payoffs and mix entries must be ints or floats, and payoffs may
+not exceed ``PAYOFF_LIMIT`` in magnitude, so no stage sum overflows.  Each
+entry that takes outside input validates it once; the solvers downstream
+take a valid instance unchecked.
 """
 
 from __future__ import annotations
@@ -148,13 +148,13 @@ class EventTree:
         for node in order:  # grows as it goes: breadth-first
             for child, _ in children.get(node, ()):
                 if child in depth:
-                    raise InstanceError(f"node {child!r} has more than one parent")
+                    raise InstanceError(f"node {_worded_id(child)!r} has more than one parent")
                 depth[child] = depth[node] + 1
                 order.append(child)
         known = set(order)
         for node in children:
             if node not in known:
-                raise InstanceError(f"node {node!r} is not reachable from the root")
+                raise InstanceError(f"node {_worded_id(node)!r} is not reachable from the root")
         full = {n: list(children.get(n, [])) for n in order}
         return cls(root=root, nodes=order, depth=depth, children=full)
 
@@ -277,17 +277,23 @@ def _is_number(value: object) -> bool:
 
 _PROB = itemgetter(1)
 
-# The longest a value is worded in an issue: a file can hold a string of any
-# length or an array nested hundreds deep.
+# The longest a value or a node id is worded in an issue: a file can hold a
+# string of any length or an array nested hundreds deep.
 _WORDED_LIMIT = 60
+
+
+def _worded_id(node: object) -> str:
+    """A node id for an issue line: as it is if it fits in ``_WORDED_LIMIT``
+    characters, else cut to fit, ending in ``...``."""
+    text = str(node)
+    return text if len(text) <= _WORDED_LIMIT else text[: _WORDED_LIMIT - 3] + "..."
 
 
 def _worded(value: object) -> str:
     """``repr`` of a value for an issue line, at most ``_WORDED_LIMIT``
     characters: ``reprlib`` abbreviates deep, wide and long values, and what
-    is still too long is cut."""
-    text = reprlib.repr(value)
-    return text if len(text) <= _WORDED_LIMIT else text[: _WORDED_LIMIT - 3] + "..."
+    is still too long is cut as an id is."""
+    return _worded_id(reprlib.repr(value))
 
 
 def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
@@ -311,21 +317,21 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
         if not kids:
             leaves.append(node)
             if depth[node] != horizon:
-                found[node].append(f"node {node}: leaf at depth {depth[node]}, horizon is {horizon} (non-uniform horizon)")
+                found[node].append(f"node {_worded_id(node)}: leaf at depth {depth[node]}, horizon is {horizon} (non-uniform horizon)")
             continue
         numbers = all(map(_is_number, map(_PROB, kids)))
         if numbers:  # a sum over a non-number has no meaning, or raises
             total = sum(map(_PROB, kids))
             if abs(total - 1.0) > PROB_TOL:
-                found[node].append(f"node {node}: child probabilities sum to {total!r}, not 1")
+                found[node].append(f"node {_worded_id(node)}: child probabilities sum to {total!r}, not 1")
         below = depth[node] + 1
         for child, p in kids:
             if not (numbers or _is_number(p)):
-                found[node].append(f"node {node}: probability {_worded(p)} for child {child} is not a number")
+                found[node].append(f"node {_worded_id(node)}: probability {_worded(p)} for child {_worded_id(child)} is not a number")
             elif not 0.0 < p <= 1.0:
-                found[node].append(f"node {node}: probability {p!r} for child {child} not in (0, 1]")
+                found[node].append(f"node {_worded_id(node)}: probability {p!r} for child {_worded_id(child)} not in (0, 1]")
             if depth[child] != below:
-                found[node].append(f"node {child}: depth {depth[child]} inconsistent with parent")
+                found[node].append(f"node {_worded_id(child)}: depth {depth[child]} inconsistent with parent")
     for name, table, where, kind in (
         ("xi1", payoffs.xi1, leaves, "terminal payoff"),
         ("xi2", payoffs.xi2, leaves, "terminal payoff"),
@@ -347,13 +353,13 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
         for node in where:
             value = table.get(node)
             if node not in table:
-                found[node].append(f"node {node}: missing {kind} {name}")
+                found[node].append(f"node {_worded_id(node)}: missing {kind} {name}")
             elif not _is_number(value):
-                found[node].append(f"node {node}: {kind} {name} {_worded(value)} is not a number")
+                found[node].append(f"node {_worded_id(node)}: {kind} {name} {_worded(value)} is not a number")
             elif not math.isfinite(value):
-                found[node].append(f"node {node}: non-finite {kind} {name}")
+                found[node].append(f"node {_worded_id(node)}: non-finite {kind} {name}")
             elif math.fabs(value) > PAYOFF_LIMIT:
-                found[node].append(f"node {node}: {kind} {name} {value!r} is above the payoff limit {PAYOFF_LIMIT!r}")
+                found[node].append(f"node {_worded_id(node)}: {kind} {name} {value!r} is above the payoff limit {PAYOFF_LIMIT!r}")
     return [issue for node in nodes for issue in found.get(node, ())] if found else []
 
 
@@ -393,14 +399,14 @@ def validate_profile(tree: EventTree, profile: BehavioralProfile) -> list[str]:
     nodes = tree.nodes
     for player, side in ((1, profile.player1), (2, profile.player2)):
         issues.extend(
-            f"node {node}: not in the tree, yet player {player} has a distribution there"
+            f"node {_worded_id(node)}: not in the tree, yet player {player} has a distribution there"
             for node in filterfalse(tree.depth.__contains__, side)
         )
         mixes = list(map(side.get, nodes))
         flaws = {key: _mix_flaw(mix) for key, mix in dict(zip(map(id, mixes), mixes)).items()}
         if any(flaws.values()):
             issues.extend(
-                f"node {node}: player {player} {flaws[id(mix)]}"
+                f"node {_worded_id(node)}: player {player} {flaws[id(mix)]}"
                 for node, mix in zip(nodes, mixes)
                 if flaws[id(mix)]
             )

@@ -188,12 +188,15 @@ def _construct(
         # holds is the first node per path in either hitting antichain.
         hits1 = hitting_time(tree, payoffs, v1, eta, tol).hits()
         hits2 = hitting_time(tree, payoffs, v2, eta, tol).hits()
+        # Where both hit, the first player to prefer the other stopping (opp
+        # above sim) waits: A64 for player 1, else A65 for player 2.
+        s1, s2 = payoffs.side(1), payoffs.side(2)
         for q in tree.walk(tree.root, hits1 | hits2):
             hit1, hit2 = q in hits1, q in hits2
             if hit1 and hit2:
-                if _strict_gt(payoffs.y1[q], payoffs.z1[q], tol):
+                if _strict_gt(s1.opp[q], s1.sim[q], tol):
                     trace.append(CaseLabel("A64", q))
-                elif _strict_gt(payoffs.x2[q], payoffs.z2[q], tol):
+                elif _strict_gt(s2.opp[q], s2.sim[q], tol):
                     trace.append(CaseLabel("A65", q))
                 else:
                     trace.append(CaseLabel("A66", q))

@@ -31,6 +31,7 @@ from .core import (
     InstanceError,
     PayoffProcess,
     _worded,
+    _worded_id,
     validate_instance,
 )
 
@@ -88,68 +89,59 @@ def generate(spec: GeneratorSpec) -> tuple[EventTree, PayoffProcess]:
     tree = EventTree.build("n0", children)
 
     r = spec.payoff_range
-    x1: dict[str, float] = {}
-    y1: dict[str, float] = {}
-    z1: dict[str, float] = {}
-    x2: dict[str, float] = {}
-    y2: dict[str, float] = {}
-    z2: dict[str, float] = {}
-    xi1: dict[str, float] = {}
-    xi2: dict[str, float] = {}
+    payoffs = PayoffProcess({}, {}, {}, {}, {}, {}, {}, {})
+    # The two families fill each player's own (stop, opp, sim) view, so each
+    # holds for both players.
+    sides = (payoffs.side(1), payoffs.side(2))
 
     if spec.family == "war-of-attrition":
-        # waiting accrues cost; being conceded to beats conceding
+        # waiting accrues cost, and being conceded to beats conceding: each
+        # player's opp lies above their stop
         win = [rng.uniform(0.4, 1.0) * r for _ in (1, 2)]
         cost = [rng.uniform(0.05, 0.2) * r for _ in (1, 2)]
     elif spec.family == "preemption":
+        # stopping first wins a prize that decays with time: each player's
+        # stop lies above their opp
         prize = [rng.uniform(0.4, 1.0) * r for _ in (1, 2)]
         decay = [rng.uniform(0.0, 0.15) * r for _ in (1, 2)]
 
     for node in tree.nodes:
         d = tree.depth[node]
         if spec.family == "random":
-            x1[node] = rng.uniform(-r, r)
-            y1[node] = rng.uniform(-r, r)
-            z1[node] = rng.uniform(-r, r)
-            x2[node] = rng.uniform(-r, r)
-            y2[node] = rng.uniform(-r, r)
-            z2[node] = rng.uniform(-r, r)
+            for table in (payoffs.x1, payoffs.y1, payoffs.z1, payoffs.x2, payoffs.y2, payoffs.z2):
+                table[node] = rng.uniform(-r, r)
         elif spec.family == "war-of-attrition":
-            for x, y, z, k in ((x1, y1, z1, 0), (x2, y2, z2, 1)):
+            for k, own in enumerate(sides):
                 drift = -cost[k] * d + rng.uniform(-0.05, 0.05) * r
-                x[node] = drift - rng.uniform(0.1, 0.5) * r
-                y[node] = drift + win[k]
-                z[node] = rng.uniform(min(x[node], y[node]) - 0.1 * r, max(x[node], y[node]) + 0.1 * r)
+                stop = own.stop[node] = drift - rng.uniform(0.1, 0.5) * r
+                opp = own.opp[node] = drift + win[k]
+                own.sim[node] = rng.uniform(min(stop, opp) - 0.1 * r, max(stop, opp) + 0.1 * r)
         else:
-            for x, y, z, k in ((x1, y1, z1, 0), (x2, y2, z2, 1)):
-                mover = prize[k] - decay[k] * d + rng.uniform(-0.05, 0.05) * r
-                x[node] = mover
-                y[node] = mover - rng.uniform(0.1, 0.6) * r
-                z[node] = rng.uniform(y[node] - 0.1 * r, x[node])
+            for k, own in enumerate(sides):
+                stop = own.stop[node] = prize[k] - decay[k] * d + rng.uniform(-0.05, 0.05) * r
+                opp = own.opp[node] = stop - rng.uniform(0.1, 0.6) * r
+                own.sim[node] = rng.uniform(opp - 0.1 * r, stop)
         if tree.is_leaf(node):
-            if spec.family == "random":
-                xi1[node] = rng.uniform(-r, r)
-                xi2[node] = rng.uniform(-r, r)
-            elif spec.family == "war-of-attrition":
-                xi1[node] = -cost[0] * (d + 1)
-                xi2[node] = -cost[1] * (d + 1)
-            else:
-                xi1[node] = rng.uniform(-0.2, 0.2) * r
-                xi2[node] = rng.uniform(-0.2, 0.2) * r
+            for k, own in enumerate(sides):
+                if spec.family == "random":
+                    own.xi[node] = rng.uniform(-r, r)
+                elif spec.family == "war-of-attrition":
+                    own.xi[node] = -cost[k] * (d + 1)
+                else:
+                    own.xi[node] = rng.uniform(-0.2, 0.2) * r
 
     if spec.convexity:
-        for x, y, z in ((x1, y1, z1), (x2, y2, z2)):
+        for x, y, z in ((payoffs.x1, payoffs.y1, payoffs.z1), (payoffs.x2, payoffs.y2, payoffs.z2)):
             for node in tree.nodes:
                 z[node] = min(max(z[node], min(x[node], y[node])), max(x[node], y[node]))
     if spec.zero_sum:
         for node in tree.nodes:
-            x2[node] = -x1[node]
-            y2[node] = -y1[node]
-            z2[node] = -z1[node]
+            payoffs.x2[node] = -payoffs.x1[node]
+            payoffs.y2[node] = -payoffs.y1[node]
+            payoffs.z2[node] = -payoffs.z1[node]
         for leaf in tree.leaves:
-            xi2[leaf] = -xi1[leaf]
+            payoffs.xi2[leaf] = -payoffs.xi1[leaf]
 
-    payoffs = PayoffProcess(x1=x1, y1=y1, z1=z1, x2=x2, y2=y2, z2=z2, xi1=xi1, xi2=xi2)
     issues = validate_instance(tree, payoffs)
     if issues:  # a payoff_range near the float limit builds payoffs above PAYOFF_LIMIT
         raise ValueError(f"payoff_range {r!r} builds an invalid game: {issues[0]}")
@@ -207,7 +199,7 @@ def profile_from_doc(doc: dict) -> BehavioralProfile:
             raise SchemaError(f"profile.{side}: missing or not an object")
         for node, mix in doc[side].items():
             if not isinstance(mix, list) or len(mix) != 3:
-                raise SchemaError(f"profile.{side}.{node}: expected [atom, uniform, wait]")
+                raise SchemaError(f"profile.{side}.{_worded_id(node)}: expected [atom, uniform, wait]")
     return BehavioralProfile(
         player1={n: tuple(m) for n, m in doc["player1"].items()},
         player2={n: tuple(m) for n, m in doc["player2"].items()},
@@ -238,7 +230,7 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
         if not isinstance(node, str):
             raise SchemaError(f"{where}.id: expected a string")
         if node in payload:
-            raise SchemaError(f"{where}.id: duplicate node id {node!r}")
+            raise SchemaError(f"{where}.id: duplicate node id {_worded_id(node)!r}")
         payload[node] = entry
         if "parent" in entry:
             parent = entry["parent"]
@@ -251,7 +243,7 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
         raise SchemaError(f"nodes: expected exactly one root, found {len(roots)}")
     for parent in children:
         if parent not in payload:
-            raise SchemaError(f"nodes: parent {parent!r} is not a declared node")
+            raise SchemaError(f"nodes: parent {_worded_id(parent)!r} is not a declared node")
     try:
         tree = EventTree.build(roots[0], children)
     except InstanceError as exc:
@@ -265,7 +257,7 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
     for node, entry in payload.items():
         declared = entry.get("depth")
         if isinstance(declared, bool) or declared != tree.depth[node]:
-            raise SchemaError(f"node {node}: depth {_worded(declared)} inconsistent with structure")
+            raise SchemaError(f"node {_worded_id(node)}: depth {_worded(declared)} inconsistent with structure")
         for name, table in _LEAF_FIELDS if tree.is_leaf(node) else _NODE_FIELDS:
             if name in entry:
                 tables[table][node] = entry[name]

@@ -1,7 +1,10 @@
 """Auxiliary zero-sum games: value processes, hitting times, optimal stage play.
 
 For each player i the auxiliary game uses only player i's payoffs, the tables
-of ``PayoffProcess.side(i)``: i maximizes while the opponent minimizes.
+of ``PayoffProcess.side(i)``: i maximizes while the opponent minimizes.  The
+two games differ only by that view, so every function here reads a player's
+payoffs through ``side`` and none names an absolute table; ``stage_matrices``
+builds both players' matrices from one pair of row tables.
 Values are found by backward induction over one-frame stage games; the
 protagonist mixes over (atom, uniform, wait) while the antagonist's pure
 within-frame stops reduce to (atom, early, late, wait).
@@ -53,6 +56,7 @@ from .core import (
     UNIFORM_MIX,
     WAIT_MIX,
     Outcome,
+    _worded_id,
     require_eta,
     stop_outcome,
 )
@@ -83,17 +87,16 @@ class HittingTime:
         return set(self.antichain)
 
 
-# Each stage matrix as a grid of (a1, a2) action pairs, laid out as in the
-# per-player reference: player 2's grids are player 1's, transposed.
+# The primal and dual stage matrices as grids of (protagonist, antagonist)
+# action pairs, shared by both players, each in their own view.
 _GRIDS = (
     [[(r, c) for c in DEVIATOR_ACTIONS] for r in PLAYER_ACTIONS],
     [[(r, c) for c in PLAYER_ACTIONS] for r in DEVIATOR_ACTIONS],
-    [[(c, r) for c in DEVIATOR_ACTIONS] for r in PLAYER_ACTIONS],
-    [[(c, r) for c in PLAYER_ACTIONS] for r in DEVIATOR_ACTIONS],
 )
-# Where each frame outcome's payoff sits in a player's (Z, X, Y, c) tuple.
-# A grid pairs a mixed (atom, uniform, wait) side with a pure (atom, early,
-# late, wait) side, so no cell is a uniform tie.
+# Where each frame outcome's payoff sits in a player's own (sim, stop, opp, c)
+# tuple: ``stop_outcome(protagonist, antagonist)`` reads "player 1 first" as
+# "the protagonist first".  A grid pairs a mixed (atom, uniform, wait) side
+# with a pure (atom, early, late, wait) side, so no cell is a uniform tie.
 _SLOT = {
     Outcome.SIMULTANEOUS: 0,
     Outcome.PLAYER1_FIRST: 1,
@@ -102,8 +105,8 @@ _SLOT = {
 }
 # One itemgetter per matrix row, its cells resolved through ``stop_outcome``
 # here, once: at a node a row is one C-level pick from the player's tuple.
-_PRIMAL1, _DUAL1, _PRIMAL2, _DUAL2 = (
-    tuple(itemgetter(*[_SLOT[stop_outcome(a1, a2)] for a1, a2 in row]) for row in grid) for grid in _GRIDS
+_PRIMAL, _DUAL = (
+    tuple(itemgetter(*[_SLOT[stop_outcome(a, b)] for a, b in row]) for row in grid) for grid in _GRIDS
 )
 
 
@@ -117,20 +120,22 @@ def stage_matrices(
     rows (atom, uniform, wait) against the antagonist's pure columns (atom,
     early, late, wait).  Dual: the roles are transposed, the antagonist
     mixing (atom, uniform, wait) columns against protagonist pure rows.
-    Each cell's outcome comes from ``core.stop_outcome``, the rule
-    ``outcome_kernel`` resolves by, applied once at import; at each node the
-    rows pick their entries from each player's (Z, X, Y, c), the payoffs of
-    a simultaneous atom, of player 1 and of player 2 stopping first, and
-    the continuation, so every entry equals the ``outcome_kernel`` pair's.
+    Both players see the same stage game in their own view, so one pair of
+    row tables serves both: each cell's outcome comes from
+    ``core.stop_outcome``, the rule ``outcome_kernel`` resolves by, applied
+    once at import, and at each node the rows pick their entries from each
+    player's own (sim, stop, opp, c), read through ``PayoffProcess.side``,
+    so every entry equals the ``outcome_kernel`` pair's.
     """
     c1, c2 = continuation
-    own1 = (payoffs.z1[node], payoffs.x1[node], payoffs.y1[node], c1)
-    own2 = (payoffs.z2[node], payoffs.x2[node], payoffs.y2[node], c2)
+    s1, s2 = payoffs.side(1), payoffs.side(2)
+    own1 = (s1.sim[node], s1.stop[node], s1.opp[node], c1)
+    own2 = (s2.sim[node], s2.stop[node], s2.opp[node], c2)
     # Lists, not generators: ``tuple`` of a generator over-allocates and
     # shrinks, which fills the tuple free lists (about 0.6 MB per process).
     return (
-        (tuple([row(own1) for row in _PRIMAL1]), tuple([row(own1) for row in _DUAL1])),
-        (tuple([row(own2) for row in _PRIMAL2]), tuple([row(own2) for row in _DUAL2])),
+        (tuple([row(own1) for row in _PRIMAL]), tuple([row(own1) for row in _DUAL])),
+        (tuple([row(own2) for row in _PRIMAL]), tuple([row(own2) for row in _DUAL])),
     )
 
 
@@ -265,5 +270,5 @@ def check_convexity(payoffs: PayoffProcess, tree: EventTree, player: int, tol: f
         hi = max(stop[node], opp[node])
         if sim[node] < lo - tol or sim[node] > hi + tol:
             raise ConvexityError(
-                f"node {node}: Z{player}={sim[node]!r} outside [{lo!r}, {hi!r}] for player {player}"
+                f"node {_worded_id(node)}: Z{player}={sim[node]!r} outside [{lo!r}, {hi!r}] for player {player}"
             )

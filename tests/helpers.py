@@ -298,10 +298,15 @@ def is_number(value: object) -> bool:
     return isinstance(value, int) and -sys.float_info.max <= value <= sys.float_info.max
 
 
-def worded(value: object) -> str:
-    """How an issue words a value: its ``reprlib`` form, cut to 60 characters."""
-    text = reprlib.repr(value)
+def worded_id(node: object) -> str:
+    """How an issue words a node id: as it is, cut to 60 characters."""
+    text = str(node)
     return text if len(text) <= 60 else text[:57] + "..."
+
+
+def worded(value: object) -> str:
+    """How an issue words a value: its ``reprlib`` form, cut as an id is."""
+    return worded_id(reprlib.repr(value))
 
 
 def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
@@ -315,26 +320,26 @@ def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
             if all(is_number(p) for _, p in kids):
                 total = sum(p for _, p in kids)
                 if abs(total - 1.0) > PROB_TOL:
-                    issues.append(f"node {node}: child probabilities sum to {total!r}, not 1")
+                    issues.append(f"node {worded_id(node)}: child probabilities sum to {total!r}, not 1")
             for child, p in kids:
                 if not is_number(p):
-                    issues.append(f"node {node}: probability {worded(p)} for child {child} is not a number")
+                    issues.append(f"node {worded_id(node)}: probability {worded(p)} for child {worded_id(child)} is not a number")
                 elif not (0.0 < p <= 1.0):
-                    issues.append(f"node {node}: probability {p!r} for child {child} not in (0, 1]")
+                    issues.append(f"node {worded_id(node)}: probability {p!r} for child {worded_id(child)} not in (0, 1]")
                 if tree.depth[child] != tree.depth[node] + 1:
-                    issues.append(f"node {child}: depth {tree.depth[child]} inconsistent with parent")
+                    issues.append(f"node {worded_id(child)}: depth {tree.depth[child]} inconsistent with parent")
         else:
             if tree.depth[node] != horizon:
-                issues.append(f"node {node}: leaf at depth {tree.depth[node]}, horizon is {horizon} (non-uniform horizon)")
+                issues.append(f"node {worded_id(node)}: leaf at depth {tree.depth[node]}, horizon is {horizon} (non-uniform horizon)")
             for name, table in (("xi1", payoffs.xi1), ("xi2", payoffs.xi2)):
                 if node not in table:
-                    issues.append(f"node {node}: missing terminal payoff {name}")
+                    issues.append(f"node {worded_id(node)}: missing terminal payoff {name}")
                 elif not is_number(table[node]):
-                    issues.append(f"node {node}: terminal payoff {name} {worded(table[node])} is not a number")
+                    issues.append(f"node {worded_id(node)}: terminal payoff {name} {worded(table[node])} is not a number")
                 elif not math.isfinite(table[node]):
-                    issues.append(f"node {node}: non-finite terminal payoff {name}")
+                    issues.append(f"node {worded_id(node)}: non-finite terminal payoff {name}")
                 elif abs(table[node]) > PAYOFF_LIMIT:
-                    issues.append(f"node {node}: terminal payoff {name} {table[node]!r} is above the payoff limit {PAYOFF_LIMIT!r}")
+                    issues.append(f"node {worded_id(node)}: terminal payoff {name} {table[node]!r} is above the payoff limit {PAYOFF_LIMIT!r}")
         for name, table in (
             ("X1", payoffs.x1),
             ("Y1", payoffs.y1),
@@ -344,13 +349,13 @@ def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
             ("Z2", payoffs.z2),
         ):
             if node not in table:
-                issues.append(f"node {node}: missing payoff {name}")
+                issues.append(f"node {worded_id(node)}: missing payoff {name}")
             elif not is_number(table[node]):
-                issues.append(f"node {node}: payoff {name} {worded(table[node])} is not a number")
+                issues.append(f"node {worded_id(node)}: payoff {name} {worded(table[node])} is not a number")
             elif not math.isfinite(table[node]):
-                issues.append(f"node {node}: non-finite payoff {name}")
+                issues.append(f"node {worded_id(node)}: non-finite payoff {name}")
             elif abs(table[node]) > PAYOFF_LIMIT:
-                issues.append(f"node {node}: payoff {name} {table[node]!r} is above the payoff limit {PAYOFF_LIMIT!r}")
+                issues.append(f"node {worded_id(node)}: payoff {name} {table[node]!r} is above the payoff limit {PAYOFF_LIMIT!r}")
     return issues
 
 
@@ -360,14 +365,14 @@ def profile_issues(tree: EventTree, profile: BehavioralProfile) -> list[str]:
     issues: list[str] = []
     for player, side in ((1, profile.player1), (2, profile.player2)):
         issues.extend(
-            f"node {node}: not in the tree, yet player {player} has a distribution there"
+            f"node {worded_id(node)}: not in the tree, yet player {player} has a distribution there"
             for node in side
             if node not in tree.depth
         )
         for node in tree.nodes:
             mix = side.get(node)
             if mix is None:
-                issues.append(f"node {node}: player {player} has no stage distribution")
+                issues.append(f"node {worded_id(node)}: player {player} has no stage distribution")
                 continue
             if (
                 not isinstance(mix, Sequence)
@@ -375,12 +380,12 @@ def profile_issues(tree: EventTree, profile: BehavioralProfile) -> list[str]:
                 or not all(map(is_number, mix))
                 or any(p < -PROB_TOL for p in mix)
             ):
-                issues.append(f"node {node}: player {player} distribution {worded(mix)} malformed")
+                issues.append(f"node {worded_id(node)}: player {player} distribution {worded(mix)} malformed")
                 continue
             if abs(sum(mix) - 1.0) > PROB_TOL:
-                issues.append(f"node {node}: player {player} distribution sums to {sum(mix)!r}")
+                issues.append(f"node {worded_id(node)}: player {player} distribution sums to {sum(mix)!r}")
             elif not all(map(math.isfinite, mix)):  # a NaN passes both tests above
-                issues.append(f"node {node}: player {player} distribution {mix!r} is not finite")
+                issues.append(f"node {worded_id(node)}: player {player} distribution {mix!r} is not finite")
     return issues
 
 

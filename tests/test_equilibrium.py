@@ -100,6 +100,34 @@ def _assert_mirrored_reports(report, mreport):
     assert mreport.payoffs == mirror(report.tree, report.payoffs)[1]
 
 
+# How the mirror relabels the trace below an A6 root, contested nodes aside.
+_A6_MIRRORED = {"A6": "A6", "A61": "A62", "A62": "A61", "A63": "A63", "A64": "A65", "A65": "A64", "A66": "A66"}
+
+
+def _contested(payoffs, node, tol):
+    """Both players prefer the other to stop: opp - sim > tol for each."""
+    return all(own.opp[node] - own.sim[node] > tol for own in map(payoffs.side, (1, 2)))
+
+
+def _assert_mirrored_a6_reports(report, mreport, payoffs, eta, tol):
+    """Below an A6 root the mirror's trace is the trace node by node, with
+    A61 and A62 swapped and A64 and A65 swapped.  The exception is a
+    contested A64 node: the rule tries player 1's preference first in both
+    orientations, so it stays A64, and the other player concedes in each.
+    Without one the gaps swap within ``tol``; with one all four gaps stay
+    within the verify threshold."""
+    contested = {c.node for c in report.case_trace if c.label == "A64" and _contested(payoffs, c.node, tol)}
+    assert [(c.label, c.node) for c in mreport.case_trace] == [
+        (c.label if c.node in contested else _A6_MIRRORED[c.label], c.node) for c in report.case_trace
+    ]
+    if contested:
+        bound = 13 * eta + 1e-6 * max(1.0, payoffs.payoff_range)
+        assert max(report.gap1, report.gap2, mreport.gap1, mreport.gap2) <= bound
+    else:
+        assert abs(report.gap1 - mreport.gap2) <= tol
+        assert abs(report.gap2 - mreport.gap1) <= tol
+
+
 def _classify_at(tree, payoffs, eta, tol):
     v1, v2 = (solve_value_process(tree, payoffs, i) for i in (1, 2))
     return classify(tree, payoffs, v1, v2, tol=tol)
@@ -162,9 +190,9 @@ class TestConstruct:
     def test_mirror_equivariance_of_gaps(self):
         # On the overlap where both first-mover chains apply, the two
         # orientations legitimately pick different (zero-gap) constructions,
-        # so only gap equivalence is required there; outside the overlap the
-        # trace mirrors exactly, and below a first-mover root so does the
-        # whole report.
+        # so only gap equivalence is required there.  Below a first-mover
+        # root the whole report mirrors exactly, and below an A6 root the
+        # trace mirrors up to contested A64 nodes.
         for tree, payoffs in corpus(90, seed0=540, depth_hi=4):
             report = construct(tree, payoffs, eta=0.05)
             mtree, mpay = mirror(tree, payoffs)
@@ -180,16 +208,28 @@ class TestConstruct:
             if overlap:
                 assert max(report.gap1, report.gap2) <= tol
                 assert max(mreport.gap1, mreport.gap2) <= tol
+            elif report.case_trace[0].label == "A6":
+                _assert_mirrored_a6_reports(report, mreport, payoffs, 0.05, tol)
             else:
                 assert abs(report.gap1 - mreport.gap2) <= tol
                 assert abs(report.gap2 - mreport.gap1) <= tol
-                first, mfirst = report.case_trace[0].label, mreport.case_trace[0].label
-                if first == "A6":
-                    assert mfirst == "A6"
-                else:
-                    # Building an M root directly equals building the A root
-                    # of the mirrored game, with the players swapped.
-                    _assert_mirrored_reports(report, mreport)
+                # Building an M root directly equals building the A root of
+                # the mirrored game, with the players swapped.
+                _assert_mirrored_reports(report, mreport)
+
+    def test_a_contested_node_stays_a64_under_the_mirror(self):
+        # Game 22 of the mirror corpus: at n1 both players hit and each
+        # prefers the other to stop, so player 2 concedes in both
+        # orientations and the gaps do not swap.
+        tree, payoffs = corpus(90, seed0=540, depth_hi=4)[22]
+        assert (len(tree.nodes), tree.horizon) == (8, 3)
+        report = construct(tree, payoffs, eta=0.05)
+        mreport = construct(*mirror(tree, payoffs), eta=0.05)
+        assert _contested(payoffs, "n1", payoffs.tolerance())
+        assert [(c.label, c.node) for c in report.case_trace] == [("A6", "n0"), ("A64", "n1"), ("A62", "n2")]
+        assert [(c.label, c.node) for c in mreport.case_trace] == [("A6", "n0"), ("A64", "n1"), ("A61", "n2")]
+        assert (report.gap1, report.gap2, mreport.gap1) == (0.0, 0.0, 0.0)
+        assert mreport.gap2 == pytest.approx(0.004533966490356145, rel=1e-9)
 
     def test_masked_stop_survives_a_tempting_simultaneous_payoff(self):
         # If the stopper used a bare atom here, the opponent could collide

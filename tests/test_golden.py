@@ -5,8 +5,8 @@ Every probability is 1, 1/2, 1/4 or 3/4, every payoff a multiple of 1/8 in
 exact in binary and the digest is the same on any Python version and under
 any ``PYTHONHASHSEED``.  A change that moves any case trace, profile,
 payoff, certificate, invariant figure or value process by one ulp moves the
-digest.  A second digest covers the ``dynkin`` commands on a few of these
-games and on generated chains, whose every probability is exactly 1.
+digest.  One more digest per game covers the ``dynkin`` commands on a few
+of these games and on generated chains, whose every probability is exactly 1.
 """
 
 from __future__ import annotations
@@ -142,7 +142,18 @@ CLI_GENERATED = (
 # ``golden_game`` seeds, saved as game files: A6 roots with each split case,
 # an A2 and an M1 root, branching up to 3; the odd seeds are convex.
 CLI_GOLDEN = (9, 10, 15, 31, 44)
-CLI_SHA256 = "a73d0ec14149e65d14c4cf4adc0a16af24ee7e74191f66d97411496f3961ac6e"
+# One SHA-256 per game, keyed by its ``generate`` argv tail or golden seed.
+CLI_SHA256 = {
+    "--family random --seed 1": "1decca11cbf192b1a325b5300f394bd7a0a15509edb424cb599409785720209b",
+    "--family random --seed 3 --convexity": "4854a159e5580e2204f7bd996d02b14d1e1a2b07545197905dc2a81d69b688f9",
+    "--family war-of-attrition --seed 1": "e602fa0edabb8f5907436a2c4bc64e1bf5b00ca9a98ca1040d357650a8f5914f",
+    "--family preemption --seed 0 --convexity": "a1d6eaa4a93429d66e92dedf3462a1df6424b9514ec479533a213d61a15f187d",
+    "golden 9": "7edb659b5493e342196a43a894e26a484435554d77ea264638468f16d2fe2385",
+    "golden 10": "f51003906b72446f431390efe56d9cc3f3a4524c7dd82a1892bffafb19ceaecd",
+    "golden 15": "f8af581bcb462fcc17120a520dc23a98b462d0d2161df4cc9858864c291d9c4f",
+    "golden 31": "203dc356d17d7c712ff61d506d13fc8e9f9127bda706247d22af2f6a2ffa3a26",
+    "golden 44": "49bfc52aceecebef848f158b653b8f131901cd957fb2944905294724ff079c68",
+}
 
 
 def _hex_doc(value):
@@ -187,23 +198,28 @@ def cli_lines(capsys, game: str) -> list[str]:
 
 
 def test_cli_digest(tmp_path, monkeypatch, capsys):
-    """One SHA-256 over the CLI workflow on small seeded games: ``generate``,
-    then ``equilibrium`` with and without ``--pure``, ``verify --profile``,
-    ``invariants`` and ``solve``.  It hashes each exit code and printed
-    line, the game and CSV bytes, and each report parsed with its floats as
-    ``float.hex``, so a report's layout may change but not its content."""
+    """One SHA-256 per game over the CLI workflow on small seeded games:
+    ``generate``, then ``equilibrium`` with and without ``--pure``, ``verify
+    --profile``, ``invariants`` and ``solve``.  Each hashes the game's
+    ``generate`` line (for a generated chain), its bytes, and each exit code
+    and printed line, the CSV bytes and each report parsed with its floats as
+    ``float.hex``, so a report's layout may change but not its content, and a
+    change shows which games it moves."""
     monkeypatch.chdir(tmp_path)  # printed paths are relative
-    digest = hashlib.sha256()
-    games = []
+    games = {}
     for k, tail in enumerate(CLI_GENERATED):
-        games.append(f"g{k}.json")
-        code = main(["generate", "--depth", "5", "--branching", "1", *tail, "--out", games[-1]])
-        digest.update(f"{code} {capsys.readouterr().out}".encode())
+        game = f"g{k}.json"
+        code = main(["generate", "--depth", "5", "--branching", "1", *tail, "--out", game])
+        games[" ".join(tail)] = (game, f"{code} {capsys.readouterr().out}")
     for seed in CLI_GOLDEN:
-        games.append(f"golden{seed}.json")
-        save(games[-1], *golden_game(seed))
-    for game in games:
+        game = f"golden{seed}.json"
+        save(game, *golden_game(seed))
+        games[f"golden {seed}"] = (game, "")
+    digests = {}
+    for key, (game, generated) in games.items():
+        digest = hashlib.sha256(generated.encode())
         with open(game, "rb") as handle:
             digest.update(handle.read())
         digest.update("\n".join(cli_lines(capsys, game)).encode())
-    assert digest.hexdigest() == CLI_SHA256
+        digests[key] = digest.hexdigest()
+    assert digests == CLI_SHA256

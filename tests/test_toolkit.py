@@ -71,11 +71,27 @@ class TestGenerator:
     def test_war_of_attrition_pattern(self):
         tree, payoffs = generate(GeneratorSpec(family="war-of-attrition", depth=3, seed=1))
         assert all(payoffs.y1[n] > payoffs.x1[n] for n in tree.nodes)
-        assert all(payoffs.y2[n] > payoffs.x2[n] for n in tree.nodes)
+        own = payoffs.side(2)
+        assert all(own.opp[n] > own.stop[n] for n in tree.nodes)
 
     def test_preemption_pattern(self):
         tree, payoffs = generate(GeneratorSpec(family="preemption", depth=3, seed=1))
         assert all(payoffs.x1[n] > payoffs.y1[n] for n in tree.nodes)
+        own = payoffs.side(2)
+        assert all(own.stop[n] > own.opp[n] for n in tree.nodes)
+
+    @pytest.mark.parametrize("player", (1, 2))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_families_hold_for_each_player(self, seed, player):
+        # being conceded to beats conceding in a war of attrition, and
+        # stopping first beats being preempted in a preemption game, in each
+        # player's own view
+        tree, payoffs = generate(GeneratorSpec(family="war-of-attrition", depth=4, branching=3, seed=seed))
+        own = payoffs.side(player)
+        assert all(own.opp[n] > own.stop[n] for n in tree.nodes)
+        tree, payoffs = generate(GeneratorSpec(family="preemption", depth=4, branching=3, seed=seed))
+        own = payoffs.side(player)
+        assert all(own.stop[n] > own.opp[n] for n in tree.nodes)
 
     @pytest.mark.parametrize(
         "kw", [{"depth": -1}, {"branching": 0}, {"payoff_range": 0.0}, {"family": "duel"}]
@@ -361,6 +377,48 @@ class TestCli:
         assert proc.returncode == 2
         assert words in proc.stderr
         assert all(len(line) < 300 for line in proc.stderr.splitlines())
+
+    @pytest.mark.parametrize(
+        "command, edit, code",
+        [
+            ("solve", lambda nodes: nodes[0].update(X1="abc"), 2),
+            ("solve", lambda nodes: nodes.append(dict(nodes[0])), 2),
+            ("equilibrium --pure", lambda nodes: nodes[0].update(Z1=abs(nodes[0]["X1"]) + abs(nodes[0]["Y1"]) + 1.0), 1),
+        ],
+        ids=["bad-payoff", "duplicate-id", "pure-non-convex"],
+    )
+    def test_a_long_node_id_is_worded_in_a_short_line(self, tmp_path, capsys, command, edit, code):
+        # the root's id is 100,000 characters long; an issue cuts it to 57
+        # characters and "..."
+        doc = instance_to_doc(*generate(GeneratorSpec(depth=1, seed=1)))
+        long_id = "r" * 100_000
+        for entry in doc["nodes"]:
+            if entry["id"] == "n0":
+                entry["id"] = long_id
+            if entry.get("parent") == "n0":
+                entry["parent"] = long_id
+        edit(doc["nodes"])
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self._run(*command.split(), str(path), "--out", str(tmp_path / "out")) == code
+        err = capsys.readouterr().err
+        assert "r" * 57 + "..." in err
+        assert all(len(line) < 300 for line in err.splitlines())
+
+    def test_a_long_node_id_in_a_profile_is_worded_in_a_short_line(self, tmp_path, capsys):
+        tree, payoffs = generate(GeneratorSpec(depth=1, seed=1))
+        inst = tmp_path / "game.json"
+        save(inst, tree, payoffs)
+        profile = BehavioralProfile.waiting(tree)
+        profile.player2["r" * 100_000] = (0.0, 0.0, 1.0)
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"profile": profile_to_doc(profile)}))
+        capsys.readouterr()
+        assert self._run("verify", str(inst), "--profile", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "r" * 57 + "..." in err
+        assert all(len(line) < 300 for line in err.splitlines())
 
     def test_console_script_installed(self):
         proc = subprocess.run(
