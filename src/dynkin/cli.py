@@ -18,6 +18,7 @@ model violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional
@@ -86,7 +87,10 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call:
+    parsing leaves it unchanged, so every later call reuses it."""
     parser = _Parser(prog="dynkin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

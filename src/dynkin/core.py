@@ -9,12 +9,15 @@ pays the terminal (xi1, xi2) at the reached leaf.
 
 ``validate_instance`` and ``validate_profile`` check each rule once: one
 loop over the tree's structure, one C-level screen per payoff table, and one
-check per distinct stage mix.  Only a table or mix that fails is worded,
-node by node, each value and node id in at most ``_WORDED_LIMIT``
-characters.  Payoffs and mix entries must be ints or floats, and payoffs may
-not exceed ``PAYOFF_LIMIT`` in magnitude, so no stage sum overflows.  Each
-entry that takes outside input validates it once; the solvers downstream
-take a valid instance unchecked.
+check per distinct stage mix object.  The engine's profiles and those
+``toolkit.profile_from_doc`` loads hold one tuple per distinct mix, so a
+profile of hundreds of nodes takes a few mix checks.  Only a table or mix
+that fails is worded, node by node, each value and node id in at most
+``_WORDED_LIMIT`` characters, and an error line words the first
+``_WORDED_ISSUES`` issues and counts the rest.  Payoffs and mix entries
+must be ints or floats, and payoffs may not exceed ``PAYOFF_LIMIT`` in
+magnitude, so no stage sum overflows.  Each entry that takes outside input
+validates it once; the solvers downstream take a valid instance unchecked.
 """
 
 from __future__ import annotations
@@ -366,7 +369,20 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
 def require_valid(tree: EventTree, payoffs: PayoffProcess) -> None:
     issues = validate_instance(tree, payoffs)
     if issues:
-        raise InstanceError("; ".join(issues))
+        raise InstanceError(_issue_line(issues))
+
+
+# The most issues one error line words; the rest are counted, so the line
+# stays short however many values of a game are bad.
+_WORDED_ISSUES = 3
+
+
+def _issue_line(issues: list[str]) -> str:
+    """The issues of one invalid instance as one error line: the first
+    ``_WORDED_ISSUES`` joined by ``"; "``, then a count of the rest."""
+    line = "; ".join(issues[:_WORDED_ISSUES])
+    rest = len(issues) - _WORDED_ISSUES
+    return f"{line}; and {rest} more" if rest > 0 else line
 
 
 def require_eta(eta: float) -> None:
@@ -484,29 +500,6 @@ def outcome_payoff(
     if continuation is None:
         raise ValueError(f"node {node}: (wait, wait) needs a continuation")
     return continuation
-
-
-def outcome_kernel(
-    a1: StageAction,
-    a2: StageAction,
-    payoffs: PayoffProcess,
-    node: str,
-    continuation: Optional[PayoffPair] = None,
-) -> PayoffPair:
-    """Resolve one frame: who stops first (``stop_outcome``) and what both
-    players receive (``outcome_payoff``).
-
-    ``continuation`` is the value pair of surviving the frame; only (wait,
-    wait) reads it, and needs it.  It is the reference the stage formulas
-    are checked against, action pair by action pair, in the tests.
-    ``zerosum.stage_matrices`` resolves its action pairs through the same
-    ``stop_outcome`` once, at import.
-    """
-    try:
-        outcome = stop_outcome(a1, a2)
-    except ValueError as exc:
-        raise ValueError(f"node {node}: {exc}") from None
-    return outcome_payoff(outcome, payoffs, node, continuation)
 
 
 def deviator_lines(

@@ -21,7 +21,9 @@ import csv
 import json
 import math
 import random
+import struct
 from dataclasses import dataclass
+from itertools import chain, starmap
 from pathlib import Path
 from typing import Optional, Union
 
@@ -29,7 +31,9 @@ from .core import (
     BehavioralProfile,
     EventTree,
     InstanceError,
+    Mix,
     PayoffProcess,
+    _issue_line,
     _worded,
     _worded_id,
     validate_instance,
@@ -191,7 +195,9 @@ def profile_to_doc(profile: BehavioralProfile) -> dict:
 def profile_from_doc(doc: dict) -> BehavioralProfile:
     """Check a profile's shape, an object per player holding a list of
     three per node, and copy each mix as written; ``core.validate_profile``
-    judges the values, so a file and a library call word a bad mix alike."""
+    judges the values, so a file and a library call word a bad mix alike.
+    Equal mixes share one tuple (``_shared_mixes``), so that, as for the
+    engine's profiles, each distinct mix is checked once."""
     if not isinstance(doc, dict):
         raise SchemaError("profile: expected an object")
     for side in ("player1", "player2"):
@@ -200,10 +206,28 @@ def profile_from_doc(doc: dict) -> BehavioralProfile:
         for node, mix in doc[side].items():
             if not isinstance(mix, list) or len(mix) != 3:
                 raise SchemaError(f"profile.{side}.{_worded_id(node)}: expected [atom, uniform, wait]")
-    return BehavioralProfile(
-        player1={n: tuple(m) for n, m in doc["player1"].items()},
-        player2={n: tuple(m) for n, m in doc["player2"].items()},
-    )
+    return BehavioralProfile(player1=_shared_mixes(doc["player1"]), player2=_shared_mixes(doc["player2"]))
+
+
+# The bits of three floats: equal keys hold the same floats, -0.0 apart from 0.0.
+_MIX_BITS = struct.Struct("<3d").pack
+
+
+def _shared_mixes(side: dict[str, list]) -> dict[str, Mix]:
+    """One player's mixes as tuples, one tuple per distinct mix.
+
+    Mixes of floats are equal when their bits are.  A player whose mixes
+    hold any other entry (a bool, an int, a string) gets one tuple per list
+    instead: ``(True, 0.0, 0.0) == (1.0, 0.0, 0.0)``, so sharing by value
+    would hide a bool from validation.
+    """
+    lists = side.values()
+    if set(map(type, chain.from_iterable(lists))) <= {float}:
+        keys = list(starmap(_MIX_BITS, lists))
+    else:
+        keys = list(map(id, lists))
+    shared = {key: tuple(mix) for key, mix in dict(zip(keys, lists)).items()}
+    return dict(zip(side, map(shared.__getitem__, keys)))
 
 
 # Each document field and the ``PayoffProcess`` table it fills, as written.
@@ -264,7 +288,7 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
     payoffs = PayoffProcess(**tables)
     issues = validate_instance(tree, payoffs)
     if issues:
-        raise SchemaError("; ".join(issues))
+        raise SchemaError(_issue_line(issues))
     profile = None
     if "profile" in doc:
         profile = profile_from_doc(doc["profile"])

@@ -36,6 +36,7 @@ from .core import (
     PayoffProcess,
     ProfileError,
     StageAction,
+    _worded_id,
     deviator_lines,
     outcome_payoff,
     require_player,
@@ -45,11 +46,11 @@ from .core import (
     validate_profile,
 )
 from .zerosum import (
+    _saddle_value,
     hitting_time,
     pre_hit_region,
     solve_value_process,
     stage_matrices,
-    solve_matrix_game,
 )
 
 BRUTE_FORCE_NODE_LIMIT = 10
@@ -99,7 +100,8 @@ def best_response(
 
     ``opponent`` is the other player's per-node (atom, uniform, wait)
     distribution, defined on the whole tree.  Ties go to the earlier action
-    in the order atom < early < late < wait.
+    in the order atom < early < late < wait.  A line that is not finite is
+    a model violation: ``max`` would drop a NaN that is not the first line.
     """
     stop, opp, sim, xi = payoffs.side(deviator)
     values: dict[str, float] = {}
@@ -108,6 +110,10 @@ def best_response(
         cont = tree.continuation(node, values, xi)
         atom, early, late, _, wait = deviator_lines(stop[node], opp[node], sim[node], opponent[node], cont, cont)
         lines = (atom, early, late, wait)
+        if not all(map(math.isfinite, lines)):
+            raise ModelViolationError(
+                f"player {deviator}: best-response lines {lines!r} at node {_worded_id(node)} are not all finite"
+            )
         best = max(lines)
         values[node] = best
         strategy[node] = DEVIATOR_ACTIONS[lines.index(best)]
@@ -131,6 +137,12 @@ def deviation_gap(
     Raw gaps can dip slightly negative through best-response ties; the
     reported gap is clamped at zero with the raw value kept alongside.  A raw
     gap that is not finite is a model violation, never a certified zero.
+    Every line reaches that test: the profile's value weighs the atom,
+    early, late and wait lines (0.0 times NaN or an infinity is NaN), and
+    the best reply starts from the reply line and lets each earlier line
+    take over only when it is at least as large, which a NaN never is.  So
+    a NaN line carries up to the root, and on finite lines the best reply
+    is still the first largest line.
     """
     issues = validate_profile(tree, profile)
     if issues:
@@ -160,26 +172,24 @@ def deviation_gap(
         a2, u2, w2 = mix2 = mixes2[node]
         atom, early, late, wait, reply = deviator_lines(s1.stop[node], s1.opp[node], s1.sim[node], mix2, c1, b1)
         path1[node] = a1 * atom + u1 * (0.5 * (early + late)) + w1 * wait
-        if early > atom:
-            best, action = early, _EARLY
-        else:
-            best, action = atom, _ATOM
-        if late > best:
+        best, action = reply, _WAIT
+        if late >= best:
             best, action = late, _LATE
-        if reply > best:
-            best, action = reply, _WAIT
+        if early >= best:
+            best, action = early, _EARLY
+        if atom >= best:
+            best, action = atom, _ATOM
         best1[node] = best
         strategy1[node] = action
         atom, early, late, wait, reply = deviator_lines(s2.stop[node], s2.opp[node], s2.sim[node], mix1, c2, b2)
         path2[node] = a2 * atom + u2 * (0.5 * (early + late)) + w2 * wait
-        if early > atom:
-            best, action = early, _EARLY
-        else:
-            best, action = atom, _ATOM
-        if late > best:
+        best, action = reply, _WAIT
+        if late >= best:
             best, action = late, _LATE
-        if reply > best:
-            best, action = reply, _WAIT
+        if early >= best:
+            best, action = early, _EARLY
+        if atom >= best:
+            best, action = atom, _ATOM
         best2[node] = best
         strategy2[node] = action
     root = tree.root
@@ -459,8 +469,10 @@ def check_invariants(
     ``minimax_agreement`` makes one backward pass that carries both players'
     continuations; at each node one ``stage_matrices`` call (its cells
     resolved by ``core.stop_outcome``) gives both players' primal and dual
-    matrices, and each is solved and compared with the other and with the
-    closed-form value.  Its items list player 1's nodes, then player 2's.
+    matrices, and the value of each, by the saddle rule of
+    ``solve_matrix_game`` without its mixes, is compared with the other and
+    with the closed-form value.  Its items list player 1's nodes, then
+    player 2's.
     ``split_invariance`` splits every frame of the input at once and
     compares both value processes at each input node and at its copy.  The
     instance and the split tree are each validated once.
@@ -503,8 +515,8 @@ def check_invariants(
         cont = PayoffPair(tree.continuation(node, v1, xi1), tree.continuation(node, v2, xi2))
         matrices = stage_matrices(payoffs, node, cont)
         for items, v, (primal, dual) in zip((minimax1, minimax2), (v1, v2), matrices):
-            pv = solve_matrix_game(primal)[0]
-            dv = solve_matrix_game(dual)[0]
+            pv = _saddle_value(primal)
+            dv = _saddle_value(dual)
             items.append((node, max(abs(pv - dv), abs(pv - v[node]), abs(dv - v[node]))))
     add("minimax_agreement", minimax1 + minimax2)
 

@@ -122,10 +122,10 @@ def stage_matrices(
     mixing (atom, uniform, wait) columns against protagonist pure rows.
     Both players see the same stage game in their own view, so one pair of
     row tables serves both: each cell's outcome comes from
-    ``core.stop_outcome``, the rule ``outcome_kernel`` resolves by, applied
-    once at import, and at each node the rows pick their entries from each
-    player's own (sim, stop, opp, c), read through ``PayoffProcess.side``,
-    so every entry equals the ``outcome_kernel`` pair's.
+    ``core.stop_outcome``, the one stop-order rule, applied once at import,
+    and at each node the rows pick their entries from each player's own
+    (sim, stop, opp, c), read through ``PayoffProcess.side``.  The tests
+    build the same matrices entry by entry from the stop-order reference.
     """
     c1, c2 = continuation
     s1, s2 = payoffs.side(1), payoffs.side(2)
@@ -143,24 +143,31 @@ def solve_matrix_game(matrix: Matrix) -> tuple[float, tuple[float, ...], tuple[f
     """Value and pure optimal mixes of a zero-sum matrix game with a saddle point.
 
     The row player maximizes; ties go to the lowest index.  A matrix that is
-    empty or ragged is a ``ValueError``.  A game without a pure saddle point
-    is a model violation: every stage game has one.
+    empty or ragged is a ``ValueError``.  The value is ``_saddle_value``'s,
+    and each mix puts its weight on the first row (column) whose guarantee
+    (exposure) reaches it.
     """
     rows = [tuple(r) for r in matrix]
     widths = set(map(len, rows))
     if len(widths) != 1 or 0 in widths:
         raise ValueError(f"matrix must be a non-empty rectangle, got row lengths {[len(r) for r in rows]}")
-    row_guarantee = list(map(min, rows))
-    col_exposure = list(map(max, zip(*rows)))
-    lower = max(row_guarantee)
-    upper = min(col_exposure)
+    value = _saddle_value(rows)
+    row_mix = [0.0] * len(rows)
+    row_mix[list(map(min, rows)).index(value)] = 1.0
+    col_mix = [0.0] * len(rows[0])
+    col_mix[list(map(max, zip(*rows))).index(value)] = 1.0
+    return value, tuple(row_mix), tuple(col_mix)
+
+
+def _saddle_value(rows: Matrix) -> float:
+    """The one saddle rule: the largest row minimum, which must equal the
+    smallest column maximum.  A game without a pure saddle point is a model
+    violation: every stage game has one."""
+    lower = max(map(min, rows))
+    upper = min(map(max, zip(*rows)))
     if lower != upper:
         raise ModelViolationError(f"matrix game has no pure saddle point: {lower!r} < {upper!r}")
-    row_mix = [0.0] * len(row_guarantee)
-    row_mix[row_guarantee.index(lower)] = 1.0
-    col_mix = [0.0] * len(col_exposure)
-    col_mix[col_exposure.index(upper)] = 1.0
-    return lower, tuple(row_mix), tuple(col_mix)
+    return lower
 
 
 def stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix, Mix]:

@@ -20,7 +20,6 @@ from dynkin import (
     PayoffProcess,
     ValueProcess,
     generate,
-    outcome_kernel,
 )
 from dynkin.core import (
     ATOM_MIX,
@@ -33,7 +32,9 @@ from dynkin.core import (
     Mix,
     StageAction,
     deviator_lines,
+    outcome_payoff,
     require_player,
+    stop_outcome,
 )
 from dynkin.zerosum import check_convexity
 
@@ -202,6 +203,29 @@ def zero_sum_push(
     tree: EventTree, payoffs: PayoffProcess, fragment: dict, player: int
 ) -> float:
     return zero_sum_push_table(tree, payoffs, fragment, player)[tree.root]
+
+
+def outcome_kernel(
+    a1: StageAction,
+    a2: StageAction,
+    payoffs: PayoffProcess,
+    node: str,
+    continuation: Optional[PayoffPair] = None,
+) -> PayoffPair:
+    """Resolve one frame: who stops first (``stop_outcome``) and what both
+    players receive (``outcome_payoff``).
+
+    ``continuation`` is the value pair of surviving the frame; only (wait,
+    wait) reads it, and needs it.  It is the stop-order reference the stage
+    formulas are checked against, action pair by action pair.
+    ``zerosum.stage_matrices`` resolves its action pairs through the same
+    ``stop_outcome`` once, at import.
+    """
+    try:
+        outcome = stop_outcome(a1, a2)
+    except ValueError as exc:
+        raise ValueError(f"node {node}: {exc}") from None
+    return outcome_payoff(outcome, payoffs, node, continuation)
 
 
 def kernel_profile_value(
@@ -389,20 +413,16 @@ def profile_issues(tree: EventTree, profile: BehavioralProfile) -> list[str]:
     return issues
 
 
-def poisoned_deviator_lines(tree: EventTree, player: int, certificate: str):
-    """``deviator_lines`` that breaks one certificate of ``deviation_gap``'s
-    pass at the root: ``player``'s profile value (``certificate`` is
-    "evaluate_profile") gets a NaN wait line, or their best response
-    ("best_response") an infinite reply wait line, which every other line
-    loses to.  The other certificate of that call stays finite.
+def root_call(tree: EventTree, player: int) -> int:
+    """The index of ``player``'s ``deviator_lines`` call at the root in
+    ``deviation_gap``'s pass, which visits the root last and makes one call
+    per player and node, player 1's first."""
+    return 2 * (len(tree.nodes) - 1) + (player - 1)
 
-    The pass visits the root last and makes one call per player and node,
-    player 1's first.  A NaN reply line would lose every comparison, and a
-    NaN atom, early or late line would reach the profile's value too, so
-    the best response is broken with an infinity instead.
-    """
-    target = 2 * (len(tree.nodes) - 1) + (player - 1)
-    line, poison = {"evaluate_profile": (3, math.nan), "best_response": (4, math.inf)}[certificate]
+
+def poisoned_deviator_lines(target: int, line: int, poison: float):
+    """``deviator_lines`` whose ``target``-th call returns ``poison`` as its
+    ``line``-th line (atom, early, late, wait, then the reply wait line)."""
     calls = itertools.count()
 
     def lines(*args):

@@ -1,4 +1,4 @@
-"""Model layer: validation, the outcome kernel, evaluation, mirroring, splits."""
+"""Model layer: validation, the stop-order reference, evaluation, mirroring, splits."""
 
 import itertools
 import math
@@ -25,7 +25,6 @@ from dynkin import (
     evaluate_profile,
     evaluate_profile_table,
     generate,
-    outcome_kernel,
     split_frame,
     split_frames,
     validate_instance,
@@ -48,6 +47,7 @@ from helpers import (
     instance_issues,
     kernel_profile_value,
     mirror,
+    outcome_kernel,
     profile_issues,
     single_node_payoffs,
     uniform_tree,

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -32,13 +33,13 @@ from dynkin import (
     save,
     validate_instance,
 )
-from dynkin import cli, verify
-from dynkin.core import validate_profile
-from dynkin.toolkit import instance_from_doc, instance_to_doc, profile_from_doc, profile_to_doc, write_report_csv
+from dynkin import cli, core, verify
+from dynkin.core import ATOM_MIX, validate_profile
+from dynkin.toolkit import instance_from_doc, instance_to_doc, profile_from_doc, profile_to_doc, read_doc, write_report_csv
 from dynkin.zerosum import check_convexity
 from dynkin.cli import main
 
-from helpers import dyadic_mixes, poisoned_deviator_lines, uniform_tree, constant_payoffs, single_node_payoffs
+from helpers import dyadic_mixes, poisoned_deviator_lines, root_call, uniform_tree, constant_payoffs, single_node_payoffs
 
 
 class TestGenerator:
@@ -130,6 +131,41 @@ class TestFileFormat:
         assert loaded is not None
         assert loaded.player1 == profile.player1
         assert loaded.player2 == profile.player2
+
+    def test_equal_mixes_share_one_tuple_that_keeps_its_floats(self, tmp_path):
+        # -0.0 stays apart from 0.0, and true and 1 from 1.0 (a file's
+        # integers load as floats, a library document's do not)
+        path = tmp_path / "profile.json"
+        path.write_text(
+            '{"player1": {"a": [-0.0, 1.0, 0.0], "b": [0.0, 1.0, 0.0], "c": [0.0, 1.0, 0.0]},'
+            ' "player2": {"a": [1.0, 0.0, 0.0], "b": [true, 0, 0], "c": [1.0, 0.0, 0.0]}}'
+        )
+        profile = profile_from_doc(read_doc(path))
+        a, b, c = (profile.player1[n] for n in "abc")
+        assert [x.hex() for x in a] == ["-0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]
+        assert [x.hex() for x in b] == ["0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]
+        assert b is c
+        a, b, c = (profile.player2[n] for n in "abc")
+        assert b[0] is True and a == c  # a player holding a bool keeps one tuple per list
+        ints = profile_from_doc({"player1": {"a": [1, 0, 0], "b": [1.0, 0.0, 0.0]}, "player2": {}})
+        assert list(map(type, ints.player1["a"])) == [int, int, int]
+        assert list(map(type, ints.player1["b"])) == [float, float, float]
+
+    def test_a_report_profile_is_checked_once_per_distinct_mix(self, tmp_path, monkeypatch):
+        tree, payoffs = generate(GeneratorSpec(depth=4, branching=3, seed=2))
+        inst = tmp_path / "game.json"
+        report = tmp_path / "report.json"
+        save(inst, tree, payoffs)
+        assert main(["equilibrium", str(inst), "--out", str(report)]) == 0
+        doc = read_doc(report)
+        split = instance_from_doc(doc["instance"])[0]
+        profile = profile_from_doc(doc["profile"])
+        checked = []
+        flaw = core._mix_flaw
+        monkeypatch.setattr(core, "_mix_flaw", lambda mix: checked.append(mix) or flaw(mix))
+        assert validate_profile(split, profile) == []
+        distinct = [{tuple(map(float.hex, m)) for m in doc["profile"][side].values()} for side in ("player1", "player2")]
+        assert len(checked) == len(distinct[0]) + len(distinct[1]) < len(split.nodes)
 
     def test_malformed_probability_names_the_field(self, tmp_path):
         tree, payoffs = generate(GeneratorSpec(depth=1, seed=1))
@@ -278,7 +314,7 @@ class TestCli:
         payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False)
         inst = tmp_path / "game.json"
         save(inst, tree, payoffs, BehavioralProfile.waiting(tree))
-        monkeypatch.setattr(verify, "deviator_lines", poisoned_deviator_lines(tree, 2, "evaluate_profile"))
+        monkeypatch.setattr(verify, "deviator_lines", poisoned_deviator_lines(root_call(tree, 2), 3, math.nan))
         assert self._run("verify", str(inst)) == 5
         captured = capsys.readouterr()
         assert "gap1" not in captured.out
@@ -342,14 +378,24 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "mix",
-        [["x", 0.0, 1.0], [True, 0.0, 1.0], [None, 0.0, 1.0], [[[0.5]], 0.0, 0.5], [float("nan"), 0.0, 1.0]],
-        ids=["str", "bool", "null", "array", "nan"],
+        [
+            ["x", 0.0, 1.0],
+            [True, 0.0, 1.0],
+            [True, 0.0, 0.0],
+            [None, 0.0, 1.0],
+            [[[0.5]], 0.0, 0.5],
+            [float("nan"), 0.0, 1.0],
+        ],
+        ids=["str", "bool", "bool-beside-its-float", "null", "array", "nan"],
     )
     def test_a_bad_mix_is_worded_alike_from_a_file_and_the_library(self, tmp_path, capsys, mix):
+        # every other node of player 1 holds [1.0, 0.0, 0.0], which equals
+        # [true, 0, 0]: the loader must not let the root share its tuple
         tree, payoffs = generate(GeneratorSpec(depth=2, seed=1))
         inst = tmp_path / "game.json"
         save(inst, tree, payoffs)
         profile = BehavioralProfile.waiting(tree)
+        profile.player1 = {n: ATOM_MIX for n in tree.nodes}
         profile.player1[tree.root] = tuple(mix)
         path = tmp_path / "profile.json"
         path.write_text(json.dumps({"profile": profile_to_doc(profile)}))
@@ -419,6 +465,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert "r" * 57 + "..." in err
         assert all(len(line) < 300 for line in err.splitlines())
+
+    def test_one_process_answers_as_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        # main builds its parser once per process: a valid command, a usage
+        # error, --help and the valid command again each give the exit code,
+        # stdout and stderr of a fresh ``python -m dynkin.cli``
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+        game = str(tmp_path / "game.json")
+        generate_argv = ["generate", "--depth", "2", "--seed", "4", "--out", game]
+        capsys.readouterr()
+        for argv in (generate_argv, ["solve", game, "--eta", "0"], ["--help"], generate_argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", "dynkin.cli", *argv], capture_output=True, text=True)
+            assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+    def test_a_game_with_many_bad_values_is_one_short_error_line(self, tmp_path, capsys):
+        # every X1 of a 22-node game is a string: the line words the first
+        # three issues and counts the other 19, and the library's list holds all 22
+        doc = instance_to_doc(*generate(GeneratorSpec(depth=6, branching=3, seed=1)))
+        for entry in doc["nodes"]:
+            entry["X1"] = "abc"
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        issues = validate_instance(*_raw_instance(doc))
+        assert len(issues) == 22
+        line = "; ".join(issues[:3]) + "; and 19 more"
+        capsys.readouterr()
+        assert self._run("solve", str(path), "--out", str(tmp_path / "values.csv")) == 2
+        err = capsys.readouterr().err
+        assert err == f"schema error: {line}\n" and len(err) < 300
+        with pytest.raises(InstanceError) as caught:
+            construct(*_raw_instance(doc), eta=0.05)
+        assert str(caught.value) == line
 
     def test_console_script_installed(self):
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Best-response DP, deviation gaps, brute-force oracles, invariant runner."""
 
+import math
 import random
 
 import pytest
@@ -42,6 +43,7 @@ from helpers import (
     extend_profile,
     poisoned_deviator_lines,
     reference_stage_matrices,
+    root_call,
     single_node_payoffs,
     uniform_tree,
 )
@@ -108,13 +110,36 @@ class TestDeviationGap:
     @pytest.mark.parametrize("source", ["evaluate_profile", "best_response"])
     def test_non_finite_raw_gap_is_a_model_violation(self, monkeypatch, source):
         # max(0.0, nan) is 0.0: a NaN gap must raise, never certify as zero;
-        # an infinite best response must raise too, never certify as a gap
-        raw = {"evaluate_profile": "nan", "best_response": "inf"}[source]
+        # an infinite best response must raise too, never certify as a gap.
+        # The profile's value gets a NaN wait line, the best response an
+        # infinite reply line, which every other line loses to.
+        line, poison = {"evaluate_profile": (3, math.nan), "best_response": (4, math.inf)}[source]
         tree = uniform_tree(1)
         payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False)
-        monkeypatch.setattr(verify, "deviator_lines", poisoned_deviator_lines(tree, 1, source))
-        with pytest.raises(ModelViolationError, match=f"player 1: deviation gap {raw} is not finite"):
+        monkeypatch.setattr(verify, "deviator_lines", poisoned_deviator_lines(root_call(tree, 1), line, poison))
+        with pytest.raises(ModelViolationError, match=f"player 1: deviation gap {poison!r} is not finite"):
             deviation_gap(tree, payoffs, BehavioralProfile.waiting(tree))
+
+    @pytest.mark.parametrize("player", [1, 2])
+    @pytest.mark.parametrize("line", range(5), ids=["atom", "early", "late", "wait", "reply"])
+    def test_a_nan_line_at_the_root_is_a_model_violation(self, monkeypatch, line, player):
+        # every line, the best reply's own wait line included, reaches the
+        # non-finite-gap test: none certifies a gap of 0.0
+        tree = uniform_tree(1)
+        payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False)
+        monkeypatch.setattr(verify, "deviator_lines", poisoned_deviator_lines(root_call(tree, player), line, math.nan))
+        with pytest.raises(ModelViolationError, match=f"player {player}: deviation gap nan is not finite"):
+            deviation_gap(tree, payoffs, BehavioralProfile.waiting(tree))
+
+    @pytest.mark.parametrize("line", [0, 1, 2, 4], ids=["atom", "early", "late", "wait"])
+    def test_best_response_rejects_a_nan_line(self, monkeypatch, line):
+        # one deviator_lines call per node, the root's last; the reference
+        # reads its wait line from the fifth line
+        tree = uniform_tree(1)
+        payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False)
+        monkeypatch.setattr(verify, "deviator_lines", poisoned_deviator_lines(len(tree.nodes) - 1, line, math.nan))
+        with pytest.raises(ModelViolationError, match=f"player 1: best-response lines .* at node {tree.root} are not all finite"):
+            best_response(tree, payoffs, BehavioralProfile.waiting(tree).player2, 1)
 
 
 def _certificate_hex(certificates):

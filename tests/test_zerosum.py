@@ -21,6 +21,7 @@ from dynkin import (
     stage_value,
 )
 from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX
+from dynkin.zerosum import _saddle_value
 
 from helpers import (
     chain_tree,
@@ -163,6 +164,8 @@ class TestMatrixGame:
     def test_matching_pennies_has_no_saddle_point(self):
         with pytest.raises(ModelViolationError, match="saddle"):
             solve_matrix_game([[1.0, -1.0], [-1.0, 1.0]])
+        with pytest.raises(ModelViolationError, match="saddle"):
+            _saddle_value(((1.0, -1.0), (-1.0, 1.0)))
 
     def test_saddle_point(self):
         value, rows, cols = solve_matrix_game([[3.0, 1.0], [0.0, -1.0]])
@@ -177,10 +180,14 @@ class TestMatrixGame:
             with pytest.raises(ModelViolationError) as caught:
                 solve_matrix_game(matrix)
             assert str(caught.value) == str(exc)
+            with pytest.raises(ModelViolationError) as caught:
+                _saddle_value(matrix)
+            assert str(caught.value) == str(exc)
             return
         value, rows, cols = solve_matrix_game(matrix)
         assert value.hex() == expected[0].hex(), matrix  # the sign of a zero too
         assert (rows, cols) == expected[1:], matrix
+        assert _saddle_value(matrix).hex() == value.hex(), matrix  # the invariant runner's value
 
     def test_matches_the_reference_on_a_signed_zero_grid(self):
         # every 2x2 and 2x3 matrix over levels with both zeros and ties, and
