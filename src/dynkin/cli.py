@@ -58,23 +58,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(text: str) -> float:
-    """Argument type for --eta, --gap-threshold and --range: a finite number above zero."""
+    """Argument type for --eta and --gap-threshold: a finite number above zero."""
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"expected a finite number above zero, got {text!r}")
     return value
-
-
-def _integer_at_least(lowest: int):
-    """Argument type for --depth and --branching: an integer at or above ``lowest``."""
-
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < lowest:
-            raise argparse.ArgumentTypeError(f"expected an integer at or above {lowest}, got {text!r}")
-        return value
-
-    return integer
 
 
 def _tolerance(text: str) -> float:
@@ -96,9 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="emit a seeded instance file")
     gen.add_argument("--family", choices=FAMILIES, default="random")
-    gen.add_argument("--depth", type=_integer_at_least(0), default=3)
-    gen.add_argument("--branching", type=_integer_at_least(1), default=2)
-    gen.add_argument("--range", dest="payoff_range", type=_positive, default=1.0)
+    gen.add_argument("--depth", type=int, default=3)
+    gen.add_argument("--branching", type=int, default=2)
+    gen.add_argument("--range", dest="payoff_range", type=float, default=1.0)
     gen.add_argument("--zero-sum", action="store_true")
     gen.add_argument("--convexity", action="store_true")
     gen.add_argument("--seed", type=int, default=0)

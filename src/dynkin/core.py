@@ -193,24 +193,6 @@ class EventTree:
             total += p * value[child]
         return total
 
-    def paths(self) -> Iterator[list[str]]:
-        """Root-to-leaf node lists, in leaf order."""
-        for leaf in self._leaves:
-            path = [leaf]
-            while self.parent[path[-1]] is not None:
-                path.append(self.parent[path[-1]])
-            path.reverse()
-            yield path
-
-    def path_probability(self, leaf: str) -> float:
-        """Product of the edge probabilities, taken from ``leaf`` up to the root."""
-        prob = 1.0
-        node = leaf
-        while self.parent[node] is not None:
-            prob *= self._edge[node]
-            node = self.parent[node]
-        return prob
-
 
 @dataclass
 class PayoffProcess:
@@ -373,8 +355,10 @@ def require_valid(tree: EventTree, payoffs: PayoffProcess) -> None:
 
 
 # The most issues one error line words; the rest are counted, so the line
-# stays short however many values of a game are bad.
-_WORDED_ISSUES = 3
+# stays short however many values of a game are bad.  An issue holds up to
+# three fields of ``_WORDED_LIMIT`` characters, so one issue is at most about
+# 230 characters, and two could pass 300.
+_WORDED_ISSUES = 1
 
 
 def _issue_line(issues: list[str]) -> str:
@@ -562,16 +546,6 @@ def evaluate_profile(
     return evaluate_profile_table(tree, payoffs, profile)[tree.root]
 
 
-def _fresh_id(base: str, taken: set[str]) -> str:
-    candidate = base
-    k = 0
-    while candidate in taken:
-        k += 1
-        candidate = f"{base}{k}"
-    taken.add(candidate)
-    return candidate
-
-
 def split_frame(
     tree: EventTree, payoffs: PayoffProcess, node: str
 ) -> tuple[EventTree, PayoffProcess, dict[str, str]]:
@@ -590,8 +564,10 @@ def split_frames(
     whose root path holds fewer targets than the most any path holds is
     padded with that many identity frames, so the horizon grows by that
     most.  Repeated targets split once.  The child map and each payoff table
-    start as shallow copies of the input's: only the inserted copies get new
-    entries, and only the nodes they sit below get new child lists.
+    start as shallow copies of the input's, and each copy is written as it
+    is inserted: its child list, taken over from the node above it, and its
+    six stage payoffs, read from that node.  Only the nodes the copies sit
+    below get new child lists.
 
     Original ids survive unchanged.  The third item maps each node that
     received a payoff-identical copy directly below it to the copy's id:
@@ -611,15 +587,21 @@ def split_frames(
 
     taken = set(tree.nodes)
     children = dict(tree.children)  # lists are replaced below, never mutated
-    source: dict[str, str] = {}  # each copy -> the input node it repeats
+    stage = {t: dict(getattr(payoffs, t)) for t in ("x1", "y1", "z1", "x2", "y2", "z2")}
+    tables = stage.values()
     inserted: dict[str, str] = {}
 
     def insert_below(src: str) -> str:
-        copy_id = _fresh_id(f"{src}b", taken)
+        copy_id, k = f"{src}b", 0
+        while copy_id in taken:
+            k += 1
+            copy_id = f"{src}b{k}"
+        taken.add(copy_id)
         inserted[src] = copy_id
-        source[copy_id] = source.get(src, src)
         children[copy_id] = children.get(src, [])
         children[src] = [(copy_id, 1.0)]
+        for table in tables:
+            table[copy_id] = table[src]
         return copy_id
 
     for node in targets:
@@ -635,12 +617,5 @@ def split_frames(
             xi2[bottom] = xi2.pop(leaf)
 
     new_tree = EventTree.build(tree.root, children)
-
-    def extend(table: dict[str, float]) -> dict[str, float]:
-        out = dict(table)
-        out.update((copy, table[src]) for copy, src in source.items())
-        return out
-
-    stage = {t: extend(getattr(payoffs, t)) for t in ("x1", "y1", "z1", "x2", "y2", "z2")}
     new_payoffs = PayoffProcess(**stage, xi1=xi1, xi2=xi2)
     return new_tree, new_payoffs, inserted

@@ -25,6 +25,8 @@ from .core import (
     PayoffPair,
     PayoffProcess,
     UNIFORM_MIX,
+    WAIT_MIX,
+    _worded_id,
     require_eta,
     require_valid,
     split_frames,
@@ -226,11 +228,11 @@ def _construct(
     trace.extend(CaseLabel("A63", leaf) for leaf in infinite)
 
     certificates = deviation_gap(stree, spay, profile)
-    if pure:
+    if pure:  # a pure stop or a wait; a uniform stop is a randomized time
         for side in (profile.player1, profile.player2):
             for node, mix in side.items():
-                if any(p not in (0.0, 1.0) for p in mix):
-                    raise ModelViolationError(f"node {node}: non-deterministic stage mix {mix!r}")
+                if mix != ATOM_MIX and mix != WAIT_MIX:
+                    raise ModelViolationError(f"node {_worded_id(node)}: stage mix {mix!r} is neither a pure stop nor a wait")
     return EquilibriumReport(
         case_trace=trace,
         profile=profile,

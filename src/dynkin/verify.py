@@ -14,9 +14,10 @@ frame-split invariance on one split of every frame of the input.
 
 Brute-force enumerators over explicit stopping rules provide independent
 cross-checks on small trees.  Each call builds one table of the tree's
-root-to-leaf paths, with their probabilities, every rule's first stop on each
-path, and each path's payoff terms per pair of first stops; the rules it
-enumerates are exactly the reduced stopping rules of ``_stop_rules``.
+root-to-leaf paths, each with its probability from one upward walk per leaf,
+every rule's first stop on each path, and each path's payoff terms per pair
+of first stops; the rules it enumerates are exactly the reduced stopping
+rules of ``_stop_rules``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .core import (
 from .zerosum import (
     _saddle_value,
     hitting_time,
-    pre_hit_region,
     solve_value_process,
     stage_matrices,
 )
@@ -260,8 +260,16 @@ class _PathTable:
 
     def __init__(self, tree: EventTree, actions: tuple[StageAction, ...]) -> None:
         self.actions = actions
-        self.paths = list(tree.paths())
-        self.probs = [tree.path_probability(path[-1]) for path in self.paths]
+        self.paths: list[list[str]] = []
+        self.probs: list[float] = []
+        for leaf in tree.leaves:  # one upward walk per leaf, in leaf order
+            path, prob = [leaf], 1.0
+            while (up := tree.parent[path[-1]]) is not None:
+                prob *= tree._edge[path[-1]]  # from the leaf up to the root
+                path.append(up)
+            path.reverse()
+            self.paths.append(path)
+            self.probs.append(prob)
         self.stops: list[list[_Stop]] = [
             [(k, act) for k in range(len(path)) for act in actions] + [(len(path), None)]
             for path in self.paths
@@ -524,7 +532,8 @@ def check_invariants(
         v = values[i].value
         stop, opp, _, xi = payoffs.side(i)
         hit = hits[i].hits()
-        region = pre_hit_region(tree, hit)
+        # the pre-hit region: every node before the hit, never-hit paths whole
+        region = [n for n in tree.walk(tree.root, hit) if n not in hit]
         sub = [(n, v[n] - tree.continuation(n, v, xi)) for n in region if not tree.is_leaf(n)]
         add(f"submartingale_p{i}", sub)
         add(

@@ -252,12 +252,6 @@ def hitting_time(
     return HittingTime(player=player, eta=eta, antichain=tuple(antichain), infinite_leaves=tuple(infinite))
 
 
-def pre_hit_region(tree: EventTree, hits: set[str]) -> list[str]:
-    """Nodes visited before a hitting antichain, given as the set of its
-    nodes (``HittingTime.hits``), including whole never-hit paths."""
-    return [n for n in tree.walk(tree.root, hits) if n not in hits]
-
-
 def punishment_strategy(tree: EventTree, punisher: int, node: str, value: ValueProcess) -> dict[str, Mix]:
     """Minimizing stage play holding the opponent to their value on a subtree.
 

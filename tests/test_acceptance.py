@@ -24,7 +24,7 @@ from dynkin import (
 )
 from dynkin.core import BehavioralProfile, PayoffPair
 from dynkin.verify import deviation_gap
-from dynkin.zerosum import pre_hit_region, stage_matrices
+from dynkin.zerosum import stage_matrices
 
 from helpers import (
     DYADIC_SHAPES,
@@ -112,7 +112,9 @@ def test_criterion_3_value_bounds_and_hit_inequalities(solved_corpus):
                 for q in hit.antichain:
                     if stop[q] < process.value[q] - eta - tol:
                         violations += 1
-                for n in pre_hit_region(tree, hit.hits()):
+                hits = hit.hits()
+                pre_hit = [n for n in tree.walk(tree.root, hits) if n not in hits]
+                for n in pre_hit:
                     own = stop[n]
                     if own >= process.value[n] - eta - tol:
                         violations += 1  # the condition must fail strictly here

@@ -25,6 +25,7 @@ from dynkin import (
     validate_instance,
 )
 from dynkin import core, equilibrium, verify, zerosum
+from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX
 from dynkin.zerosum import ValueProcess
 
 from helpers import constant_payoffs, corpus, mirror, single_node_payoffs, uniform_tree
@@ -399,9 +400,21 @@ class TestConstructPure:
             report = construct_pure(tree, payoffs, eta=0.05)
             for side in (report.profile.player1, report.profile.player2):
                 for mix in side.values():
-                    assert all(p in (0.0, 1.0) for p in mix)
+                    assert mix in (ATOM_MIX, WAIT_MIX)
             bound = 13 * 0.05 + 1e-6 * max(1.0, payoffs.payoff_range)
             assert report.gap1 <= bound and report.gap2 <= bound
+
+    def test_rejects_a_uniform_stop_in_a_pure_profile(self, monkeypatch):
+        # every entry of a uniform stop is 0 or 1, yet it is a randomized
+        # stopping time: a punishment that places one must not pass as pure
+        def uniform_punishment(tree, punisher, node, value):
+            return {n: UNIFORM_MIX for n in tree.walk(node)}
+
+        tree, payoffs = generate(GeneratorSpec(depth=3, branching=2, seed=0, convexity=True))
+        assert _classify(tree, payoffs).label == "A1"
+        monkeypatch.setattr(equilibrium, "punishment_strategy", uniform_punishment)
+        with pytest.raises(ModelViolationError, match=r"node n0b: stage mix \(0\.0, 1\.0, 0\.0\) is neither a pure stop nor a wait"):
+            construct_pure(tree, payoffs, eta=0.05)
 
     def test_constant_game(self):
         tree = uniform_tree(1)

@@ -232,7 +232,8 @@ class TestFileFormat:
         assert issues
         with pytest.raises(SchemaError) as caught:
             load(path)
-        assert str(caught.value) == "; ".join(issues)
+        more = len(issues) - 1  # the line words the first issue and counts the rest
+        assert str(caught.value) == (f"{issues[0]}; and {more} more" if more else issues[0])
 
     def test_json_integers_load_as_floats(self, tmp_path):
         # a chain, so the one probability is the integer 1 too
@@ -482,7 +483,7 @@ class TestCli:
 
     def test_a_game_with_many_bad_values_is_one_short_error_line(self, tmp_path, capsys):
         # every X1 of a 22-node game is a string: the line words the first
-        # three issues and counts the other 19, and the library's list holds all 22
+        # issue and counts the other 21, and the library's list holds all 22
         doc = instance_to_doc(*generate(GeneratorSpec(depth=6, branching=3, seed=1)))
         for entry in doc["nodes"]:
             entry["X1"] = "abc"
@@ -490,7 +491,7 @@ class TestCli:
         path.write_text(json.dumps(doc))
         issues = validate_instance(*_raw_instance(doc))
         assert len(issues) == 22
-        line = "; ".join(issues[:3]) + "; and 19 more"
+        line = issues[0] + "; and 21 more"
         capsys.readouterr()
         assert self._run("solve", str(path), "--out", str(tmp_path / "values.csv")) == 2
         err = capsys.readouterr().err
@@ -498,6 +499,24 @@ class TestCli:
         with pytest.raises(InstanceError) as caught:
             construct(*_raw_instance(doc), eta=0.05)
         assert str(caught.value) == line
+
+    def test_many_issues_with_long_fields_are_one_short_error_line(self, tmp_path, capsys):
+        # every id is 100 characters long and every probability a
+        # 100-character string: an issue words up to three fields in 60
+        # characters each, so the line words one issue and counts the rest
+        doc = instance_to_doc(*generate(GeneratorSpec(depth=2, branching=3, seed=1)))
+        long = {entry["id"]: entry["id"].ljust(100, "x") for entry in doc["nodes"]}
+        for entry in doc["nodes"]:
+            entry["id"] = long[entry["id"]]
+            if "parent" in entry:
+                entry.update(parent=long[entry["parent"]], prob="p" * 100)
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        assert len(validate_instance(*_raw_instance(doc))) > 1
+        capsys.readouterr()
+        assert self._run("solve", str(path), "--out", str(tmp_path / "values.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 300
 
     def test_console_script_installed(self):
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Best-response DP, deviation gaps, brute-force oracles, invariant runner."""
 
+import hashlib
 import math
 import random
 
@@ -285,6 +286,42 @@ class TestBruteForce:
                 process = solve_value_process(tree, payoffs, player)
                 assert process.value[tree.root] == brute_force_value(tree, payoffs, player)
 
+    def test_oracle_floats_are_pinned_off_dyadic_inputs(self):
+        # The exact tests above use dyadic inputs, on which a reordered sum or
+        # product rounds the same, and the float test compares within a
+        # tolerance.  So one SHA-256 over every oracle float, as float.hex,
+        # pins each oracle's arithmetic order, with seeded non-dyadic mixes:
+        # all three oracles on generated games of at most 7 nodes, then the
+        # payoff and both best responses on 10-node trees whose deepest paths
+        # cross three branching edges, the fewest on which the order of a
+        # path's probability product shows.
+        digest = hashlib.sha256()
+        games = []
+        for seed in range(36):
+            spec = GeneratorSpec(family=FAMILIES[seed % 3], depth=1 + seed % 3, branching=2, seed=7100 + seed)
+            tree, payoffs = generate(spec)
+            if len(tree.nodes) <= 7:
+                games.append((tree, payoffs, True))
+        for seed in range(4):
+            rng = random.Random(seed)
+            children = {}
+            for node, kids in {"r": "ab", "a": "cd", "b": "e", "c": "fg", "d": "h", "e": "i"}.items():
+                p = rng.uniform(0.2, 0.8)
+                children[node] = [(kids[0], p), (kids[1], 1.0 - p)] if len(kids) == 2 else [(kids, 1.0)]
+            tree = EventTree.build("r", children)
+            tables = {k: {n: rng.uniform(-1, 1) for n in tree.nodes} for k in ("x1", "y1", "z1", "x2", "y2", "z2")}
+            terms = {k: {n: rng.uniform(-1, 1) for n in tree.leaves} for k in ("xi1", "xi2")}
+            games.append((tree, PayoffProcess(**tables, **terms), False))
+        assert len(games) == 34
+        for k, (tree, payoffs, small) in enumerate(games):
+            profile = BehavioralProfile(player1=_random_mixes(tree, 2 * k), player2=_random_mixes(tree, 2 * k + 1))
+            floats = [*brute_force_payoff(tree, payoffs, profile)]
+            floats += [brute_force_best_response(tree, payoffs, profile.side(3 - i), i) for i in (1, 2)]
+            if small:  # the value oracle squares the rule count, about 1,400 on the deep trees
+                floats += [brute_force_value(tree, payoffs, i) for i in (1, 2)]
+            digest.update(" ".join(map(float.hex, floats)).encode() + b"\n")
+        assert digest.hexdigest() == ORACLE_SHA256
+
     def test_float_instances_agree_within_tolerance(self):
         # general float payoffs: agreement within the scaled tolerance
         from dynkin import GeneratorSpec, generate
@@ -303,6 +340,10 @@ class TestBruteForce:
             for player in (1, 2):
                 process = solve_value_process(tree, payoffs, player)
                 assert abs(process.value[tree.root] - brute_force_value(tree, payoffs, player)) <= tol
+
+
+# The oracle digest of ``test_oracle_floats_are_pinned_off_dyadic_inputs``.
+ORACLE_SHA256 = "2e195ddc9a9cfb8a01891a1824771bca5e46fe30109b477257f6964681f609d1"
 
 
 @st.composite
