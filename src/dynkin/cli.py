@@ -139,13 +139,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    # as in construct, --tol reaches the hitting and root tests; the solver has none
+    # as in construct, --tol is resolved once and reaches the hitting and root
+    # tests; the solver has none
     tree, payoffs, _ = load(args.instance)
+    tol = payoffs.tolerance(args.tol)
     v1 = solve_value_process(tree, payoffs, 1)
     v2 = solve_value_process(tree, payoffs, 2)
-    h1 = hitting_time(tree, payoffs, v1, args.eta, args.tol)
-    h2 = hitting_time(tree, payoffs, v2, args.eta, args.tol)
-    case = classify(tree, payoffs, v1, v2, tol=args.tol)
+    h1 = hitting_time(tree, payoffs, v1, args.eta, tol)
+    h2 = hitting_time(tree, payoffs, v2, args.eta, tol)
+    case = classify(tree, payoffs, v1, v2, tol=tol)
     write_report_csv(
         args.out,
         tree,

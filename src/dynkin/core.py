@@ -26,12 +26,12 @@ import math
 import reprlib
 import sys
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, filterfalse, repeat
 from operator import itemgetter
-from typing import Container, Iterator, Mapping, NamedTuple, Optional
+from typing import Container, NamedTuple, Optional
 
 PROB_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-9
@@ -122,44 +122,45 @@ class EventTree:
 
     ``nodes`` is breadth-first (parents before children); ``children`` maps a
     node to its (child, probability) list, probabilities summing to one.
+    ``build`` is the one constructor: it derives every map in one sweep.
     """
 
     root: str
     nodes: list[str]
     depth: dict[str, int]
     children: dict[str, list[tuple[str, float]]]
-    parent: dict[str, Optional[str]] = field(init=False, repr=False)
-    _edge: dict[str, float] = field(init=False, repr=False)  # child -> its probability
-    _leaves: list[str] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        parent: dict[str, Optional[str]] = {self.root: None}
-        edge: dict[str, float] = {}
-        for node in self.nodes:
-            for child, p in self.children.get(node, ()):
-                parent[child] = node
-                edge[child] = p
-        self.parent = parent
-        self._edge = edge
-        self._leaves = [n for n in self.nodes if not self.children.get(n)]
+    parent: dict[str, Optional[str]] = field(repr=False)
+    _edge: dict[str, float] = field(repr=False)  # child -> its probability
+    _leaves: list[str] = field(repr=False)
 
     @classmethod
     def build(cls, root: str, children: dict[str, list[tuple[str, float]]]) -> "EventTree":
-        """Derive depths and breadth-first order from a child map."""
+        """Derive the breadth-first order, depths, parents, edge probabilities,
+        leaves and an owned copy of every child list from a child map, in one
+        breadth-first sweep."""
         depth = {root: 0}
+        parent: dict[str, Optional[str]] = {root: None}
+        edge: dict[str, float] = {}
+        owned: dict[str, list[tuple[str, float]]] = {}
+        leaves: list[str] = []
         order = [root]
         for node in order:  # grows as it goes: breadth-first
-            for child, _ in children.get(node, ()):
+            kids = owned[node] = list(children.get(node, ()))
+            if not kids:
+                leaves.append(node)
+                continue
+            below = depth[node] + 1
+            for child, p in kids:
                 if child in depth:
                     raise InstanceError(f"node {_worded_id(child)!r} has more than one parent")
-                depth[child] = depth[node] + 1
+                depth[child] = below
+                parent[child] = node
+                edge[child] = p
                 order.append(child)
-        known = set(order)
-        for node in children:
-            if node not in known:
-                raise InstanceError(f"node {_worded_id(node)!r} is not reachable from the root")
-        full = {n: list(children.get(n, [])) for n in order}
-        return cls(root=root, nodes=order, depth=depth, children=full)
+        if not children.keys() <= depth.keys():
+            stray = next(filterfalse(depth.__contains__, children))
+            raise InstanceError(f"node {_worded_id(stray)!r} is not reachable from the root")
+        return cls(root, order, depth, owned, parent, edge, leaves)
 
     def is_leaf(self, node: str) -> bool:
         return not self.children.get(node)
@@ -172,13 +173,14 @@ class EventTree:
     def horizon(self) -> int:
         return max(map(self.depth.__getitem__, self._leaves))
 
-    def walk(self, start: str, stop: Container[str] = ()) -> Iterator[str]:
+    def walk(self, start: str, stop: Container[str] = ()) -> list[str]:
         """Breadth-first nodes from ``start``, not descending below ``stop`` nodes."""
         order = [start]
+        kids_of = self.children.get
         for node in order:  # grows as it goes: breadth-first
-            yield node
             if node not in stop:
-                order.extend(child for child, _ in self.children.get(node, ()))
+                order.extend(map(_CHILD, kids_of(node, ())))
+        return order
 
     def continuation(self, node: str, value: Mapping[str, float], terminal: Mapping[str, float]) -> float:
         """Value of surviving ``node``'s frame: the terminal payoff at a leaf,
@@ -186,8 +188,9 @@ class EventTree:
         kids = self.children.get(node)
         if not kids:
             return terminal[node]
-        # a plain running sum, the same on every interpreter as the fused
-        # pass of ``verify.deviation_gap`` (``sum`` compensates from 3.12 on)
+        # a plain running sum, the same on every interpreter as the inline
+        # sums of ``verify.deviation_gap``, ``evaluate_profile_table`` and
+        # ``zerosum.solve_value_process`` (``sum`` compensates from 3.12 on)
         total = 0.0
         for child, p in kids:
             total += p * value[child]
@@ -242,14 +245,13 @@ class BehavioralProfile:
     @classmethod
     def waiting(cls, tree: EventTree) -> "BehavioralProfile":
         """Both players wait at every node."""
-        return cls(
-            player1={n: WAIT_MIX for n in tree.nodes},
-            player2={n: WAIT_MIX for n in tree.nodes},
-        )
+        return cls(player1=dict.fromkeys(tree.nodes, WAIT_MIX), player2=dict.fromkeys(tree.nodes, WAIT_MIX))
 
 
 # The exact types a clean payoff table holds; any other entry is worded.
 _NUMBER_TYPES = {float, int}
+# The exact type of a clean child probability.
+_FLOAT_TYPE = {float}
 
 
 def _is_number(value: object) -> bool:
@@ -260,6 +262,7 @@ def _is_number(value: object) -> bool:
     return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
+_CHILD = itemgetter(0)
 _PROB = itemgetter(1)
 
 # The longest a value or a node id is worded in an issue: a file can hold a
@@ -304,7 +307,8 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
             if depth[node] != horizon:
                 found[node].append(f"node {_worded_id(node)}: leaf at depth {depth[node]}, horizon is {horizon} (non-uniform horizon)")
             continue
-        numbers = all(map(_is_number, map(_PROB, kids)))
+        # exact floats are numbers; any other type takes the one rule, edge by edge
+        numbers = set(map(type, map(_PROB, kids))) <= _FLOAT_TYPE or all(map(_is_number, map(_PROB, kids)))
         if numbers:  # a sum over a non-number has no meaning, or raises
             total = sum(map(_PROB, kids))
             if abs(total - 1.0) > PROB_TOL:
@@ -390,14 +394,18 @@ def require_player(player: int) -> None:
 def validate_profile(tree: EventTree, profile: BehavioralProfile) -> list[str]:
     """Diagnostics of a profile on ``tree``; an empty list means it fits.
 
-    Each player needs a distribution at every tree node and at no other node:
-    a sequence of three finite numbers (as ``_is_number``), none below
-    -PROB_TOL, summing to one within PROB_TOL.  Each distinct mix object is
+    Each player's side must be a mapping with a distribution at every tree
+    node and at no other node: a sequence of three finite numbers (as
+    ``_is_number``), none below -PROB_TOL, summing to one within PROB_TOL.
+    A side that is not a mapping is one issue.  Each distinct mix object is
     checked once, and the nodes are worded only when some mix is flawed.
     """
     issues: list[str] = []
     nodes = tree.nodes
     for player, side in ((1, profile.player1), (2, profile.player2)):
+        if not isinstance(side, Mapping):
+            issues.append(f"player {player} profile is a {type(side).__name__}, not a mapping of nodes to distributions")
+            continue
         issues.extend(
             f"node {_worded_id(node)}: not in the tree, yet player {player} has a distribution there"
             for node in filterfalse(tree.depth.__contains__, side)
@@ -579,11 +587,13 @@ def split_frames(
         if node not in tree.depth:
             raise KeyError(f"unknown node {node!r}")
     marked = set(targets)
+    parent = tree.parent
     on_path: dict[str, int] = {}
     for node in tree.nodes:
-        up = tree.parent[node]
+        up = parent[node]
         on_path[node] = (0 if up is None else on_path[up]) + (node in marked)
-    most = max(on_path[leaf] for leaf in tree.leaves)
+    leaves = tree._leaves
+    most = max(map(on_path.__getitem__, leaves))
 
     taken = set(tree.nodes)
     children = dict(tree.children)  # lists are replaced below, never mutated
@@ -608,7 +618,7 @@ def split_frames(
         insert_below(node)
     xi1 = dict(payoffs.xi1)
     xi2 = dict(payoffs.xi2)
-    for leaf in tree.leaves:
+    for leaf in leaves:
         bottom = inserted.get(leaf, leaf)
         for _ in range(most - on_path[leaf]):
             bottom = insert_below(bottom)

@@ -221,10 +221,17 @@ def solve_value_process(tree: EventTree, payoffs: PayoffProcess, player: int) ->
     Takes a valid instance, unchecked (see the module docstring).
     """
     stop, opp, sim, xi = payoffs.side(player)
+    kids_of = tree.children.get
     value: dict[str, float] = {}
     min_mix: dict[str, Mix] = {}
     for node in reversed(tree.nodes):
-        cont = tree.continuation(node, value, xi)
+        kids = kids_of(node)
+        if kids:  # ``EventTree.continuation``'s running sum, inline
+            cont = 0.0
+            for child, p in kids:
+                cont += p * value[child]
+        else:
+            cont = xi[node]
         value[node], _, min_mix[node] = stage_value(stop[node], opp[node], sim[node], cont)
     return ValueProcess(player=player, value=value, min_mix=min_mix)
 
@@ -260,7 +267,8 @@ def punishment_strategy(tree: EventTree, punisher: int, node: str, value: ValueP
     """
     if value.player != 3 - punisher:
         raise ValueError(f"value process is for player {value.player}, expected {3 - punisher}")
-    return {n: value.min_mix[n] for n in tree.walk(node)}
+    nodes = tree.walk(node)
+    return dict(zip(nodes, map(value.min_mix.__getitem__, nodes)))
 
 
 def check_convexity(payoffs: PayoffProcess, tree: EventTree, player: int, tol: float) -> None:

@@ -7,14 +7,15 @@ import math
 import random
 import reprlib
 import sys
-from collections.abc import Sequence
-from typing import Optional
+from collections.abc import Mapping, Sequence
+from typing import Container, Iterator, Optional
 
 from dynkin import (
     BehavioralProfile,
     EventTree,
     GeneratorSpec,
     HittingTime,
+    InstanceError,
     ModelViolationError,
     PayoffPair,
     PayoffProcess,
@@ -313,6 +314,63 @@ def reference_stage_value(x: float, y: float, z: float, cont: float) -> tuple[fl
     return lo, mixes[rows.index(lo)], mixes[cols.index(hi)]
 
 
+def reference_tree_maps(root: str, children: dict[str, list[tuple[str, float]]]) -> dict[str, list]:
+    """The two-pass derivation ``EventTree.build`` does in one sweep: a
+    breadth-first pass for the order and depths, a set for the reachability
+    check and a copy of every child list, then a second pass over the copy
+    for the parents, edge probabilities and leaves.  Each map comes back as
+    its items in insertion order; the errors are worded as ``build``'s."""
+    depth = {root: 0}
+    order = [root]
+    for node in order:
+        for child, _ in children.get(node, ()):
+            if child in depth:
+                raise InstanceError(f"node {worded_id(child)!r} has more than one parent")
+            depth[child] = depth[node] + 1
+            order.append(child)
+    known = set(order)
+    for node in children:
+        if node not in known:
+            raise InstanceError(f"node {worded_id(node)!r} is not reachable from the root")
+    full = {n: list(children.get(n, [])) for n in order}
+    parent: dict[str, Optional[str]] = {root: None}
+    edge: dict[str, float] = {}
+    for node in order:
+        for child, p in full.get(node, ()):
+            parent[child] = node
+            edge[child] = p
+    return {
+        "nodes": order,
+        "depth": list(depth.items()),
+        "children": list(full.items()),
+        "parent": list(parent.items()),
+        "_edge": list(edge.items()),
+        "leaves": [n for n in order if not full.get(n)],
+    }
+
+
+def tree_maps(tree: EventTree) -> dict[str, list]:
+    """A built tree's maps in the form of ``reference_tree_maps``."""
+    return {
+        "nodes": tree.nodes,
+        "depth": list(tree.depth.items()),
+        "children": list(tree.children.items()),
+        "parent": list(tree.parent.items()),
+        "_edge": list(tree._edge.items()),
+        "leaves": tree.leaves,
+    }
+
+
+def reference_walk(tree: EventTree, start: str, stop: Container[str] = ()) -> Iterator[str]:
+    """Breadth-first nodes from ``start``, not below ``stop`` nodes, as a
+    generator; ``EventTree.walk`` must return the same list."""
+    order = [start]
+    for node in order:
+        yield node
+        if node not in stop:
+            order.extend(child for child, _ in tree.children.get(node, ()))
+
+
 def is_number(value: object) -> bool:
     """A float, or an int in the float range; a bool is not a number."""
     if isinstance(value, bool):
@@ -388,6 +446,9 @@ def profile_issues(tree: EventTree, profile: BehavioralProfile) -> list[str]:
     node-by-node reference ``validate_profile`` must agree with."""
     issues: list[str] = []
     for player, side in ((1, profile.player1), (2, profile.player2)):
+        if not isinstance(side, Mapping):
+            issues.append(f"player {player} profile is a {type(side).__name__}, not a mapping of nodes to distributions")
+            continue
         issues.extend(
             f"node {worded_id(node)}: not in the tree, yet player {player} has a distribution there"
             for node in side

@@ -49,10 +49,14 @@ from helpers import (
     mirror,
     outcome_kernel,
     profile_issues,
+    reference_tree_maps,
+    reference_walk,
     single_node_payoffs,
+    tree_maps,
     uniform_tree,
     worded,
 )
+from test_golden import GAMES, golden_game
 
 A, U, W, E, L = (
     StageAction.ATOM,
@@ -169,6 +173,24 @@ def test_a_mix_that_is_not_a_sequence_is_a_profile_issue(mix):
     for entry in (deviation_gap, evaluate_profile):
         with pytest.raises(ProfileError, match="malformed"):
             entry(tree, payoffs, profile)
+
+
+@pytest.mark.parametrize("side", [[WAIT_MIX] * 3, None, "n0", (("n0", WAIT_MIX),)], ids=["list", "none", "str", "pairs"])
+def test_a_profile_side_that_is_not_a_mapping_is_a_profile_issue(side):
+    # one issue per player naming the type, and a ProfileError from the
+    # entries that take a profile, never a bare AttributeError or TypeError
+    tree, payoffs = generate(GeneratorSpec(depth=1, seed=1))
+    waiting = BehavioralProfile.waiting(tree).player1
+    word = f"profile is a {type(side).__name__}, not a mapping of nodes to distributions"
+    for profile, issues in (
+        (BehavioralProfile(player1=side, player2=waiting), [f"player 1 {word}"]),
+        (BehavioralProfile(player1=waiting, player2=side), [f"player 2 {word}"]),
+        (BehavioralProfile(player1=side, player2=side), [f"player 1 {word}", f"player 2 {word}"]),
+    ):
+        assert validate_profile(tree, profile) == profile_issues(tree, profile) == issues
+        for entry in (deviation_gap, evaluate_profile_table):
+            with pytest.raises(ProfileError, match=f"^{issues[0]}$"):
+                entry(tree, payoffs, profile)
 
 
 _TABLES = ("x1", "y1", "z1", "x2", "y2", "z2", "xi1", "xi2")
@@ -547,3 +569,66 @@ def test_split_preserves_profile_evaluation_exactly():
         for stree, spay, _ in splits:
             extended = extend_profile(profile, stree)
             assert evaluate_profile(stree, spay, extended) == before
+
+
+def test_build_rejects_a_child_under_two_parents():
+    # the parent check runs in breadth-first order, before the reachability
+    # check, so an unreachable entry listed first does not word the error
+    children = {"z": [("y", 1.0)], "r": [("a", 0.5), ("b", 0.5)], "a": [("c", 1.0)], "b": [("c", 1.0)]}
+    text = "node 'c' has more than one parent"
+    with pytest.raises(InstanceError, match=f"^{text}$"):
+        EventTree.build("r", children)
+    with pytest.raises(InstanceError, match=f"^{text}$"):
+        reference_tree_maps("r", children)
+
+
+@pytest.mark.parametrize(
+    "children, text",
+    [
+        ({"r": [("a", 1.0)], "w": [("v", 1.0)], "b": [("c", 1.0)]}, "node 'w' is not reachable from the root"),
+        ({"r": [("a", 1.0)], "c": [("b", 1.0)], "b": [("c", 1.0)]}, "node 'c' is not reachable from the root"),
+        ({"r": [("a", 1.0)], "s": [("s", 1.0)]}, "node 's' is not reachable from the root"),
+        # a cycle back to the root meets the root as a second child: two parents
+        ({"r": [("a", 1.0)], "a": [("r", 1.0)]}, "node 'r' has more than one parent"),
+    ],
+    ids=["stray-entries", "detached-cycle", "own-parent", "cycle-to-root"],
+)
+def test_build_words_the_first_stray_node_in_child_map_order(children, text):
+    with pytest.raises(InstanceError, match=f"^{text}$"):
+        EventTree.build("r", children)
+    with pytest.raises(InstanceError, match=f"^{text}$"):
+        reference_tree_maps("r", children)
+
+
+def _built_trees():
+    """Trees of every kind the engine builds, from the golden corpus and
+    generated games of all three families: the input, its split with every
+    frame split, a split of a third of its nodes (padding the other leaves)
+    and its ``construct`` report tree (padding the never-hit A63 leaves)."""
+    rng = random.Random(5)
+    games = [golden_game(seed) for seed in range(GAMES)]
+    games += corpus(60, seed0=700, depth_lo=0, depth_hi=6)
+    padded = 0
+    for tree, payoffs in games:
+        yield tree
+        yield split_frames(tree, payoffs, tree.nodes)[0]
+        targets = rng.sample(tree.nodes, k=1 + len(tree.nodes) // 3)
+        split, _, inserted = split_frames(tree, payoffs, targets)
+        padded += len(inserted) > len(targets)
+        yield split
+        yield construct(tree, payoffs, 0.05).tree
+    assert padded > len(games) // 2
+
+
+def test_build_derives_the_maps_of_the_two_pass_reference():
+    rng = random.Random(6)
+    for tree in _built_trees():
+        assert tree_maps(tree) == reference_tree_maps(tree.root, tree.children)
+        # from a map of the internal nodes only, in shuffled key order
+        inner = [(node, kids) for node, kids in tree.children.items() if kids]
+        rng.shuffle(inner)
+        assert tree_maps(EventTree.build(tree.root, dict(inner))) == tree_maps(tree)
+        stop = set(rng.sample(tree.nodes, k=len(tree.nodes) // 3))
+        for start in (tree.root, tree.nodes[len(tree.nodes) // 2], tree.nodes[-1]):
+            for stops in ((), stop, set(tree.leaves), set(tree.nodes)):
+                assert tree.walk(start, stops) == list(reference_walk(tree, start, stops))

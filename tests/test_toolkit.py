@@ -358,6 +358,33 @@ class TestCli:
             cases.append(re.findall(r"case=(\w+)", capsys.readouterr().out))
         assert cases == [["M1", "M1"], ["A1", "A1"]]
 
+    @pytest.mark.parametrize("tol, scans", [([], 1), (["--tol", "0.001"], 0)], ids=["default", "given"])
+    def test_solve_finds_the_tolerance_once(self, tmp_path, monkeypatch, tol, scans):
+        # the default tolerance scans every payoff table; the hitting and
+        # root tests take the one found, as construct's do
+        inst = tmp_path / "game.json"
+        assert self._run("generate", "--depth", "3", "--seed", "3", "--out", str(inst)) == 0
+        calls = []
+        scan = PayoffProcess.payoff_range.fget
+        monkeypatch.setattr(PayoffProcess, "payoff_range", property(lambda self: calls.append(1) or scan(self)))
+        assert self._run("solve", str(inst), *tol, "--out", str(tmp_path / "v.csv")) == 0
+        assert len(calls) == scans
+
+    @pytest.mark.parametrize(
+        "links, stray", [((("b", "c"), ("c", "b")), "c"), ((("s", "s"),), "s")], ids=["two-cycle", "own-parent"]
+    )
+    def test_a_parent_cycle_in_a_game_file_is_a_schema_error(self, tmp_path, capsys, links, stray):
+        doc = instance_to_doc(*generate(GeneratorSpec(depth=2, branching=2, seed=3)))
+        leaf = doc["nodes"][-1]
+        doc["nodes"] += [{**leaf, "id": node, "parent": parent} for node, parent in links]
+        inst = tmp_path / "game.json"
+        inst.write_text(json.dumps(doc))
+        out = tmp_path / "v.csv"
+        capsys.readouterr()
+        assert self._run("solve", str(inst), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"schema error: nodes: node {stray!r} is not reachable from the root\n"
+        assert not out.exists()
+
     def test_the_report_is_one_line_of_the_document_built(self, tmp_path, monkeypatch):
         # reports come from the C encoder: sorted keys, no indent, one line
         built = []
