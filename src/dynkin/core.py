@@ -5,7 +5,10 @@ Frame d covers the real-time interval [d, d+1); every payoff process is
 constant on each frame, so all timing questions inside a frame reduce to a
 small set of stage actions.  Player 1 stopping first pays (X1, X2), player 2
 first pays (Y1, Y2), a simultaneous atom pays (Z1, Z2), and never stopping
-pays the terminal (xi1, xi2) at the reached leaf.
+pays the terminal (xi1, xi2) at the reached leaf.  ``STAGE_TABLES`` and
+``TERMINAL_TABLES`` are the one list of these eight tables, each with its
+name in files and issue lines and its ``PayoffProcess`` field: validation,
+the frame split, the payoff range and the file format read them.
 
 ``validate_instance`` and ``validate_profile`` check each rule once: one
 loop over the tree's structure, one C-level screen per payoff table, and one
@@ -152,6 +155,8 @@ class EventTree:
             below = depth[node] + 1
             for child, p in kids:
                 if child in depth:
+                    if child == root:
+                        raise InstanceError(f"node {_worded_id(root)!r} is the root, yet node {_worded_id(node)!r} lists it as a child")
                     raise InstanceError(f"node {_worded_id(child)!r} has more than one parent")
                 depth[child] = below
                 parent[child] = node
@@ -197,9 +202,18 @@ class EventTree:
         return total
 
 
+# The one list of the eight payoff tables: each table's name in game files
+# and issue lines, and the ``PayoffProcess`` field that holds it.  A stage
+# table holds an entry at every node, a terminal table one at every leaf.
+STAGE_TABLES = (("X1", "x1"), ("Y1", "y1"), ("Z1", "z1"), ("X2", "x2"), ("Y2", "y2"), ("Z2", "z2"))
+TERMINAL_TABLES = (("xi1", "xi1"), ("xi2", "xi2"))
+PAYOFF_TABLES = STAGE_TABLES + TERMINAL_TABLES
+
+
 @dataclass
 class PayoffProcess:
-    """Per-node payoffs (X, Y, Z per player) and per-leaf terminal payoffs."""
+    """Per-node payoffs (X, Y, Z per player) and per-leaf terminal payoffs,
+    one field per entry of ``PAYOFF_TABLES``."""
 
     x1: dict[str, float]
     y1: dict[str, float]
@@ -213,7 +227,7 @@ class PayoffProcess:
     @property
     def payoff_range(self) -> float:
         """Max absolute payoff; tolerances scale with it."""
-        tables = (self.x1, self.y1, self.z1, self.x2, self.y2, self.z2, self.xi1, self.xi2)
+        tables = (getattr(self, field) for _, field in PAYOFF_TABLES)
         return max(map(abs, chain.from_iterable(t.values() for t in tables)), default=0.0)
 
     def tolerance(self, tol: Optional[float] = None) -> float:
@@ -321,34 +335,27 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
                 found[node].append(f"node {_worded_id(node)}: probability {p!r} for child {_worded_id(child)} not in (0, 1]")
             if depth[child] != below:
                 found[node].append(f"node {_worded_id(child)}: depth {depth[child]} inconsistent with parent")
-    for name, table, where, kind in (
-        ("xi1", payoffs.xi1, leaves, "terminal payoff"),
-        ("xi2", payoffs.xi2, leaves, "terminal payoff"),
-        ("X1", payoffs.x1, nodes, "payoff"),
-        ("Y1", payoffs.y1, nodes, "payoff"),
-        ("Z1", payoffs.z1, nodes, "payoff"),
-        ("X2", payoffs.x2, nodes, "payoff"),
-        ("Y2", payoffs.y2, nodes, "payoff"),
-        ("Z2", payoffs.z2, nodes, "payoff"),
-    ):
-        # a sum of magnitudes is at least each of them, and a missing (NaN
-        # default) or non-finite entry leaves it non-finite
-        column = tuple(map(table.get, where, repeat(math.nan)))
-        try:
-            if set(map(type, column)) <= _NUMBER_TYPES and sum(map(math.fabs, column)) <= PAYOFF_LIMIT:
-                continue
-        except OverflowError:  # an int beyond the float range
-            pass
-        for node in where:
-            value = table.get(node)
-            if node not in table:
-                found[node].append(f"node {_worded_id(node)}: missing {kind} {name}")
-            elif not _is_number(value):
-                found[node].append(f"node {_worded_id(node)}: {kind} {name} {_worded(value)} is not a number")
-            elif not math.isfinite(value):
-                found[node].append(f"node {_worded_id(node)}: non-finite {kind} {name}")
-            elif math.fabs(value) > PAYOFF_LIMIT:
-                found[node].append(f"node {_worded_id(node)}: {kind} {name} {value!r} is above the payoff limit {PAYOFF_LIMIT!r}")
+    for where, kind, schema in ((leaves, "terminal payoff", TERMINAL_TABLES), (nodes, "payoff", STAGE_TABLES)):
+        for name, field in schema:
+            table = getattr(payoffs, field)
+            # a sum of magnitudes is at least each of them, and a missing (NaN
+            # default) or non-finite entry leaves it non-finite
+            column = tuple(map(table.get, where, repeat(math.nan)))
+            try:
+                if set(map(type, column)) <= _NUMBER_TYPES and sum(map(math.fabs, column)) <= PAYOFF_LIMIT:
+                    continue
+            except OverflowError:  # an int beyond the float range
+                pass
+            for node in where:
+                value = table.get(node)
+                if node not in table:
+                    found[node].append(f"node {_worded_id(node)}: missing {kind} {name}")
+                elif not _is_number(value):
+                    found[node].append(f"node {_worded_id(node)}: {kind} {name} {_worded(value)} is not a number")
+                elif not math.isfinite(value):
+                    found[node].append(f"node {_worded_id(node)}: non-finite {kind} {name}")
+                elif math.fabs(value) > PAYOFF_LIMIT:
+                    found[node].append(f"node {_worded_id(node)}: {kind} {name} {value!r} is above the payoff limit {PAYOFF_LIMIT!r}")
     return [issue for node in nodes for issue in found.get(node, ())] if found else []
 
 
@@ -470,13 +477,11 @@ def stop_outcome(a1: StageAction, a2: StageAction) -> Outcome:
     raise ValueError(f"({a1.value}, {a2.value}) has no defined stop order")
 
 
-def outcome_payoff(
-    outcome: Outcome, payoffs: PayoffProcess, node: str, continuation: Optional[PayoffPair] = None
-) -> PayoffPair:
-    """Both players' payoffs at ``node`` when its frame ends in ``outcome``.
+def outcome_payoff(outcome: Outcome, payoffs: PayoffProcess, node: str) -> PayoffPair:
+    """Both players' payoffs at ``node`` when its frame ends in a stop.
 
-    ``continuation`` is the value pair of surviving the frame (at a leaf, the
-    terminal pair); only ``Outcome.SURVIVAL`` reads it, and needs it.
+    ``Outcome.SURVIVAL`` pays the continuation, which is no payoff of the
+    node: a ``ValueError``.
     """
     if outcome is Outcome.PLAYER1_FIRST:
         return PayoffPair(payoffs.x1[node], payoffs.x2[node])
@@ -489,9 +494,7 @@ def outcome_payoff(
             0.5 * (payoffs.x1[node] + payoffs.y1[node]),
             0.5 * (payoffs.x2[node] + payoffs.y2[node]),
         )
-    if continuation is None:
-        raise ValueError(f"node {node}: (wait, wait) needs a continuation")
-    return continuation
+    raise ValueError(f"node {node}: survival pays the continuation, not a payoff of the node")
 
 
 def deviator_lines(
@@ -595,20 +598,18 @@ def split_frames(
     leaves = tree._leaves
     most = max(map(on_path.__getitem__, leaves))
 
-    taken = set(tree.nodes)
     children = dict(tree.children)  # lists are replaced below, never mutated
-    stage = {t: dict(getattr(payoffs, t)) for t in ("x1", "y1", "z1", "x2", "y2", "z2")}
+    stage = {field: dict(getattr(payoffs, field)) for _, field in STAGE_TABLES}
     tables = stage.values()
     inserted: dict[str, str] = {}
 
     def insert_below(src: str) -> str:
         copy_id, k = f"{src}b", 0
-        while copy_id in taken:
+        while copy_id in children:  # every input id and every copy so far
             k += 1
             copy_id = f"{src}b{k}"
-        taken.add(copy_id)
         inserted[src] = copy_id
-        children[copy_id] = children.get(src, [])
+        children[copy_id] = children[src]
         children[src] = [(copy_id, 1.0)]
         for table in tables:
             table[copy_id] = table[src]
@@ -616,16 +617,15 @@ def split_frames(
 
     for node in targets:
         insert_below(node)
-    xi1 = dict(payoffs.xi1)
-    xi2 = dict(payoffs.xi2)
+    terminal = {field: dict(getattr(payoffs, field)) for _, field in TERMINAL_TABLES}
     for leaf in leaves:
         bottom = inserted.get(leaf, leaf)
         for _ in range(most - on_path[leaf]):
             bottom = insert_below(bottom)
         if bottom != leaf:  # the terminal payoffs move down to the new leaf
-            xi1[bottom] = xi1.pop(leaf)
-            xi2[bottom] = xi2.pop(leaf)
+            for table in terminal.values():
+                table[bottom] = table.pop(leaf)
 
     new_tree = EventTree.build(tree.root, children)
-    new_payoffs = PayoffProcess(**stage, xi1=xi1, xi2=xi2)
+    new_payoffs = PayoffProcess(**stage, **terminal)
     return new_tree, new_payoffs, inserted

@@ -12,7 +12,10 @@ indented by two spaces; reports are one line from the C encoder.
 ``instance_from_doc`` and ``profile_from_doc`` check only the document's
 shape and copy each value as written; ``core.validate_instance`` and
 ``core.validate_profile`` are the one rule for the values, so a file and a
-library call reject a bad value with the same words.
+library call reject a bad value with the same words.  The reader, the
+writer and the ``random`` generator take the payoff tables from ``core``'s
+schema (``STAGE_TABLES``, ``TERMINAL_TABLES``), so a file key is the name
+an issue gives the table.
 """
 
 from __future__ import annotations
@@ -32,7 +35,10 @@ from .core import (
     EventTree,
     InstanceError,
     Mix,
+    PAYOFF_TABLES,
     PayoffProcess,
+    STAGE_TABLES,
+    TERMINAL_TABLES,
     _issue_line,
     _worded,
     _worded_id,
@@ -109,10 +115,11 @@ def generate(spec: GeneratorSpec) -> tuple[EventTree, PayoffProcess]:
         prize = [rng.uniform(0.4, 1.0) * r for _ in (1, 2)]
         decay = [rng.uniform(0.0, 0.15) * r for _ in (1, 2)]
 
+    stage = [getattr(payoffs, field) for _, field in STAGE_TABLES]
     for node in tree.nodes:
         d = tree.depth[node]
         if spec.family == "random":
-            for table in (payoffs.x1, payoffs.y1, payoffs.z1, payoffs.x2, payoffs.y2, payoffs.z2):
+            for table in stage:
                 table[node] = rng.uniform(-r, r)
         elif spec.family == "war-of-attrition":
             for k, own in enumerate(sides):
@@ -159,25 +166,20 @@ def generate(spec: GeneratorSpec) -> tuple[EventTree, PayoffProcess]:
 def instance_to_doc(
     tree: EventTree, payoffs: PayoffProcess, profile: Optional[BehavioralProfile] = None
 ) -> dict:
+    stage = [(name, getattr(payoffs, field)) for name, field in STAGE_TABLES]
+    terminal = [(name, getattr(payoffs, field)) for name, field in TERMINAL_TABLES]
     nodes = []
     for node in tree.nodes:
-        entry: dict[str, object] = {
-            "id": node,
-            "depth": tree.depth[node],
-            "X1": payoffs.x1[node],
-            "Y1": payoffs.y1[node],
-            "Z1": payoffs.z1[node],
-            "X2": payoffs.x2[node],
-            "Y2": payoffs.y2[node],
-            "Z2": payoffs.z2[node],
-        }
+        entry: dict[str, object] = {"id": node, "depth": tree.depth[node]}
+        for name, table in stage:
+            entry[name] = table[node]
         parent = tree.parent[node]
         if parent is not None:
             entry["parent"] = parent
             entry["prob"] = tree._edge[node]
         if tree.is_leaf(node):
-            entry["xi1"] = payoffs.xi1[node]
-            entry["xi2"] = payoffs.xi2[node]
+            for name, table in terminal:
+                entry[name] = table[node]
         nodes.append(entry)
     doc: dict[str, object] = {"horizon": tree.horizon, "nodes": nodes, "meta": {}}
     if profile is not None:
@@ -230,11 +232,6 @@ def _shared_mixes(side: dict[str, list]) -> dict[str, Mix]:
     return dict(zip(side, map(shared.__getitem__, keys)))
 
 
-# Each document field and the ``PayoffProcess`` table it fills, as written.
-_NODE_FIELDS = (("X1", "x1"), ("Y1", "y1"), ("Z1", "z1"), ("X2", "x2"), ("Y2", "y2"), ("Z2", "z2"))
-_LEAF_FIELDS = _NODE_FIELDS + (("xi1", "xi1"), ("xi2", "xi2"))
-
-
 def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[BehavioralProfile]]:
     """Check a document's shape and copy its values as written; then
     ``validate_instance`` judges every value, and its issues are the error."""
@@ -277,14 +274,14 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
     horizon = doc.get("horizon")
     if isinstance(horizon, bool) or horizon != tree.horizon:
         raise SchemaError(f"horizon: declared {_worded(horizon)}, computed {tree.horizon}")
-    tables: dict[str, dict] = {table: {} for _, table in _LEAF_FIELDS}
+    tables: dict[str, dict] = {field: {} for _, field in PAYOFF_TABLES}
     for node, entry in payload.items():
         declared = entry.get("depth")
         if isinstance(declared, bool) or declared != tree.depth[node]:
             raise SchemaError(f"node {_worded_id(node)}: depth {_worded(declared)} inconsistent with structure")
-        for name, table in _LEAF_FIELDS if tree.is_leaf(node) else _NODE_FIELDS:
+        for name, field in PAYOFF_TABLES if tree.is_leaf(node) else STAGE_TABLES:
             if name in entry:
-                tables[table][node] = entry[name]
+                tables[field][node] = entry[name]
     payoffs = PayoffProcess(**tables)
     issues = validate_instance(tree, payoffs)
     if issues:

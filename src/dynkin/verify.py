@@ -304,10 +304,11 @@ def _pure_path_payoff(
     leaf = path[-1]
     if a1 is None and a2 is None:
         return PayoffPair(payoffs.xi1[leaf], payoffs.xi2[leaf])
-    if k1 < k2 or (k1 == k2 and a2 is None):
+    # a never-stop sits at len(path), after every real stop, so equal k share a frame
+    if k1 < k2:
         node = path[k1]
         return PayoffPair(payoffs.x1[node], payoffs.x2[node])
-    if k2 < k1 or (k1 == k2 and a1 is None):
+    if k2 < k1:
         node = path[k2]
         return PayoffPair(payoffs.y1[node], payoffs.y2[node])
     node = path[k1]

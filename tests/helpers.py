@@ -31,6 +31,7 @@ from dynkin.core import (
     UNIFORM_MIX,
     WAIT_MIX,
     Mix,
+    Outcome,
     StageAction,
     deviator_lines,
     outcome_payoff,
@@ -214,11 +215,12 @@ def outcome_kernel(
     continuation: Optional[PayoffPair] = None,
 ) -> PayoffPair:
     """Resolve one frame: who stops first (``stop_outcome``) and what both
-    players receive (``outcome_payoff``).
+    players receive (``outcome_payoff`` for a stop).
 
     ``continuation`` is the value pair of surviving the frame; only (wait,
-    wait) reads it, and needs it.  It is the stop-order reference the stage
-    formulas are checked against, action pair by action pair.
+    wait) reads it, and needs it: survival pays the continuation.  It is
+    the stop-order reference the stage formulas are checked against, action
+    pair by action pair.
     ``zerosum.stage_matrices`` resolves its action pairs through the same
     ``stop_outcome`` once, at import.
     """
@@ -226,7 +228,11 @@ def outcome_kernel(
         outcome = stop_outcome(a1, a2)
     except ValueError as exc:
         raise ValueError(f"node {node}: {exc}") from None
-    return outcome_payoff(outcome, payoffs, node, continuation)
+    if outcome is Outcome.SURVIVAL:
+        if continuation is None:
+            raise ValueError(f"node {node}: (wait, wait) needs a continuation")
+        return continuation
+    return outcome_payoff(outcome, payoffs, node)
 
 
 def kernel_profile_value(
@@ -324,6 +330,8 @@ def reference_tree_maps(root: str, children: dict[str, list[tuple[str, float]]])
     order = [root]
     for node in order:
         for child, _ in children.get(node, ()):
+            if child == root:
+                raise InstanceError(f"node {worded_id(root)!r} is the root, yet node {worded_id(node)!r} lists it as a child")
             if child in depth:
                 raise InstanceError(f"node {worded_id(child)!r} has more than one parent")
             depth[child] = depth[node] + 1

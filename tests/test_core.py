@@ -34,6 +34,8 @@ from dynkin.core import (
     ATOM_MIX,
     UNIFORM_MIX,
     WAIT_MIX,
+    Outcome,
+    outcome_payoff,
 )
 
 from helpers import (
@@ -375,6 +377,13 @@ def test_kernel_player_two_first(kernel_instance, a1, a2):
     assert outcome_kernel(a1, a2, payoffs, "n0") == PayoffPair(2.0, -2.0)
 
 
+def test_outcome_payoff_has_no_pair_for_survival(kernel_instance):
+    # survival pays the continuation, which only the reference kernel holds
+    _, payoffs = kernel_instance
+    with pytest.raises(ValueError, match="^node n0: survival pays the continuation"):
+        outcome_payoff(Outcome.SURVIVAL, payoffs, "n0")
+
+
 @pytest.mark.parametrize("act", [E, L])
 def test_kernel_rejects_identical_endpoint_limits(kernel_instance, act):
     _, payoffs = kernel_instance
@@ -544,6 +553,21 @@ def test_split_keeps_horizon_uniform_and_pads_other_paths():
     assert set(mapping) == {"a", "b"}
 
 
+def test_split_ids_step_past_every_taken_id():
+    # the copy below "a" would be "ab", an input id, so it is "ab1", and the
+    # padded leaf "ab" then takes "abb"
+    tree = EventTree.build("r", {"r": [("a", 0.5), ("ab", 0.5)]})
+    stree, spay, inserted = split_frames(tree, constant_payoffs(tree, 1, 2, 3, 4), ["a"])
+    assert inserted == {"a": "ab1", "ab": "abb"}
+    assert stree.nodes == ["r", "a", "ab", "ab1", "abb"]
+    assert spay.xi1 == {"ab1": 4, "abb": 4}
+    # a leaf two targets short is padded by a chain of two copies
+    tree = EventTree.build("r", {"r": [("p", 0.5), ("q", 0.5)], "p": [("a", 1.0)], "q": [("z", 1.0)]})
+    stree, _, inserted = split_frames(tree, constant_payoffs(tree, 1, 2, 3, 4), ["p", "a"])
+    assert inserted == {"p": "pb", "a": "ab", "z": "zb", "zb": "zbb"}
+    assert stree.leaves == ["ab", "zbb"]
+
+
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(generated_games())
 def test_splitting_every_frame_doubles_each_path(game):
@@ -588,8 +612,8 @@ def test_build_rejects_a_child_under_two_parents():
         ({"r": [("a", 1.0)], "w": [("v", 1.0)], "b": [("c", 1.0)]}, "node 'w' is not reachable from the root"),
         ({"r": [("a", 1.0)], "c": [("b", 1.0)], "b": [("c", 1.0)]}, "node 'c' is not reachable from the root"),
         ({"r": [("a", 1.0)], "s": [("s", 1.0)]}, "node 's' is not reachable from the root"),
-        # a cycle back to the root meets the root as a second child: two parents
-        ({"r": [("a", 1.0)], "a": [("r", 1.0)]}, "node 'r' has more than one parent"),
+        # a cycle back to the root meets the root as a child, and the root has no parent
+        ({"r": [("a", 1.0)], "a": [("r", 1.0)]}, "node 'r' is the root, yet node 'a' lists it as a child"),
     ],
     ids=["stray-entries", "detached-cycle", "own-parent", "cycle-to-root"],
 )

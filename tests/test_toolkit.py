@@ -330,6 +330,35 @@ class TestCli:
         bad.write_text("{}")
         assert self._run("solve", str(bad), "--out", str(tmp_path / "x.csv")) == 2
 
+    @pytest.mark.parametrize(
+        "name, field, kind",
+        [
+            ("X1", "x1", "payoff"),
+            ("Y1", "y1", "payoff"),
+            ("Z1", "z1", "payoff"),
+            ("X2", "x2", "payoff"),
+            ("Y2", "y2", "payoff"),
+            ("Z2", "z2", "payoff"),
+            ("xi1", "xi1", "terminal payoff"),
+            ("xi2", "xi2", "terminal payoff"),
+        ],
+    )
+    def test_each_table_is_worded_by_its_file_key(self, tmp_path, capsys, name, field, kind):
+        # a file without the key and a library table without the entry
+        # word the same issue, naming the table as the file does
+        tree, payoffs = generate(GeneratorSpec(depth=2, branching=2, seed=3))
+        node = tree.leaves[-1] if kind == "terminal payoff" else tree.nodes[1]
+        issue = f"node {node}: missing {kind} {name}"
+        doc = instance_to_doc(tree, payoffs)
+        next(entry for entry in doc["nodes"] if entry["id"] == node).pop(name)
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self._run("solve", str(path), "--out", str(tmp_path / "values.csv")) == 2
+        assert capsys.readouterr().err == f"schema error: {issue}\n"
+        del getattr(payoffs, field)[node]
+        assert validate_instance(tree, payoffs) == [issue]
+
     @pytest.mark.parametrize("seed", [4, 62])
     def test_verify_certifies_a_report_against_its_split_instance(self, tmp_path, capsys, seed):
         inst = tmp_path / "game.json"
@@ -1012,6 +1041,37 @@ def test_runtime_imports_only_the_standard_library():
             top = {name.split(".")[0] for name in names}
             outside += [(source.name, t) for t in top if t != "dynkin" and t not in sys.stdlib_module_names]
     assert outside == []
+
+
+# Every name of a payoff table: its file and issue name and its field.
+_TABLE_NAMES = {"X1", "Y1", "Z1", "X2", "Y2", "Z2", "x1", "y1", "z1", "x2", "y2", "z2", "xi1", "xi2"}
+
+
+def test_payoff_table_names_are_written_only_in_the_schema():
+    # ``core``'s schema is the one list of the eight payoff tables: a string
+    # that names a table anywhere else in the package is a second list to
+    # keep in step by hand
+    package = Path(__file__).resolve().parent.parent / "src" / "dynkin"
+    stray = []
+    schema = set()
+    for source in sorted(package.glob("*.py")):
+        module = ast.parse(source.read_text(encoding="utf-8"))
+        allowed = set()
+        if source.name == "core.py":
+            for statement in module.body:
+                if isinstance(statement, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id in ("STAGE_TABLES", "TERMINAL_TABLES")
+                    for target in statement.targets
+                ):
+                    allowed |= set(map(id, ast.walk(statement)))
+        for node in ast.walk(module):
+            if isinstance(node, ast.Constant) and node.value in _TABLE_NAMES:
+                if id(node) in allowed:
+                    schema.add(node.value)
+                else:
+                    stray.append((source.name, node.lineno, node.value))
+    assert schema == _TABLE_NAMES
+    assert stray == []
 
 
 def test_benchmark_checkers_pass_their_self_test():

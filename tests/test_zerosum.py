@@ -294,6 +294,16 @@ class TestHittingTime:
         hit = hitting_time(tree, payoffs, process, eta=0.1)
         assert hit.antichain == ("n1",)
 
+    @pytest.mark.parametrize("x2, tol, antichain", [(0.5, 1e-9, ()), (2.0**30, 1e-9 * 2**30, ("n0",))])
+    def test_one_tolerance_per_game_reads_both_players_tables(self, x2, tol, antichain):
+        # one tolerance for both players: player 1's stop-first payoff sits
+        # 0.5 below v1 - eta, so player 2's range alone decides the hit
+        tree, payoffs = single_node_payoffs(x1=0.0, y1=1.0, z1=0.0, xi1=0.55, x2=x2, y2=0.0, z2=0.0, xi2=0.0)
+        process = solve_value_process(tree, payoffs, 1)
+        assert process.value["n0"] == 0.55
+        assert payoffs.tolerance() == tol
+        assert hitting_time(tree, payoffs, process, eta=0.05).antichain == antichain
+
     def test_rejects_nonpositive_eta(self):
         tree = uniform_tree(1)
         payoffs = constant_payoffs(tree, 0, 0, 0, 0)
