@@ -407,25 +407,39 @@ def validate_profile(tree: EventTree, profile: BehavioralProfile) -> list[str]:
     A side that is not a mapping is one issue.  Each distinct mix object is
     checked once, and the nodes are worded only when some mix is flawed.
     """
-    issues: list[str] = []
+    return side_issues(tree, profile.player1, 1) + side_issues(tree, profile.player2, 2)
+
+
+def require_side(tree: EventTree, side: dict[str, Mix], player: int) -> None:
+    """Raise ``ProfileError`` on the first issue of ``player``'s side."""
+    issues = side_issues(tree, side, player)
+    if issues:
+        raise ProfileError(issues[0])
+
+
+def side_issues(tree: EventTree, side: dict[str, Mix], player: int) -> list[str]:
+    """Diagnostics of one player's side of a profile, as ``validate_profile``
+    words them."""
+    if not isinstance(side, Mapping):
+        return [f"player {player} profile is a {type(side).__name__}, not a mapping of nodes to distributions"]
     nodes = tree.nodes
-    for player, side in ((1, profile.player1), (2, profile.player2)):
-        if not isinstance(side, Mapping):
-            issues.append(f"player {player} profile is a {type(side).__name__}, not a mapping of nodes to distributions")
-            continue
+    issues = [
+        f"node {_worded_id(node)}: not in the tree, yet player {player} has a distribution there"
+        for node in filterfalse(tree.depth.__contains__, side)
+    ]
+    mixes = list(map(side.get, nodes))
+    flaws = {key: _mix_flaw(mix) for key, mix in dict(zip(map(id, mixes), mixes)).items()}
+    if any(flaws.values()):
         issues.extend(
-            f"node {_worded_id(node)}: not in the tree, yet player {player} has a distribution there"
-            for node in filterfalse(tree.depth.__contains__, side)
+            f"node {_worded_id(node)}: player {player} {flaws[id(mix)]}"
+            for node, mix in zip(nodes, mixes)
+            if flaws[id(mix)]
         )
-        mixes = list(map(side.get, nodes))
-        flaws = {key: _mix_flaw(mix) for key, mix in dict(zip(map(id, mixes), mixes)).items()}
-        if any(flaws.values()):
-            issues.extend(
-                f"node {_worded_id(node)}: player {player} {flaws[id(mix)]}"
-                for node, mix in zip(nodes, mixes)
-                if flaws[id(mix)]
-            )
     return issues
+
+
+# True for a mix entry below zero by more than PROB_TOL (and never for a NaN).
+_BELOW_ZERO = (-PROB_TOL).__gt__
 
 
 def _mix_flaw(mix: Optional[Mix]) -> Optional[str]:
@@ -435,8 +449,9 @@ def _mix_flaw(mix: Optional[Mix]) -> Optional[str]:
     if (
         not isinstance(mix, Sequence)  # a float has no len(), a set no order
         or len(mix) != 3
-        or not all(map(_is_number, mix))
-        or any(p < -PROB_TOL for p in mix)
+        # exact floats are numbers; any other type takes the one rule, entry by entry
+        or not (set(map(type, mix)) <= _FLOAT_TYPE or all(map(_is_number, mix)))
+        or any(map(_BELOW_ZERO, mix))
     ):
         return f"distribution {_worded(mix)} malformed"
     total = sum(mix)

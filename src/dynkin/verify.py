@@ -15,9 +15,11 @@ frame-split invariance on one split of every frame of the input.
 Brute-force enumerators over explicit stopping rules provide independent
 cross-checks on small trees.  Each call builds one table of the tree's
 root-to-leaf paths, each with its probability from one upward walk per leaf,
-every rule's first stop on each path, and each path's payoff terms per pair
-of first stops; the rules it enumerates are exactly the reduced stopping
-rules of ``_stop_rules``.
+and each path's terms one row per first stop, by frame order: an earlier
+opponent stop pays its frame's opponent-first entry, a later one or none the
+stop-first entry, and only a shared frame reads ``stop_outcome``.  First
+stops come from the table's node-to-path index; the rules it enumerates are
+exactly the reduced stopping rules of ``_stop_rules``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .core import (
     EventTree,
     Mix,
     ModelViolationError,
+    Outcome,
     PayoffPair,
     PayoffProcess,
     ProfileError,
@@ -41,6 +44,7 @@ from .core import (
     deviator_lines,
     outcome_payoff,
     require_player,
+    require_side,
     require_valid,
     split_frames,
     stop_outcome,
@@ -99,11 +103,13 @@ def best_response(
     """Exact best-response values and a pure argmax strategy per node.
 
     ``opponent`` is the other player's per-node (atom, uniform, wait)
-    distribution, defined on the whole tree.  Ties go to the earlier action
-    in the order atom < early < late < wait.  A line that is not finite is
-    a model violation: ``max`` would drop a NaN that is not the first line.
+    distribution, defined on the whole tree and checked as player
+    ``3 - deviator``'s side of a profile.  Ties go to the earlier action in
+    the order atom < early < late < wait.  A line that is not finite is a
+    model violation: ``max`` would drop a NaN that is not the first line.
     """
     stop, opp, sim, xi = payoffs.side(deviator)
+    require_side(tree, opponent, 3 - deviator)
     values: dict[str, float] = {}
     strategy: dict[str, StageAction] = {}
     for node in reversed(tree.nodes):
@@ -253,89 +259,111 @@ _Stop = tuple[int, Optional[StageAction]]
 class _PathTable:
     """The root-to-leaf paths of one brute-force call, built once.
 
-    ``stops[p]`` lists every first stop a rule over ``actions`` can make on
-    path ``p``: ``(k, act)`` at the path's k-th node, then ``(len(path), None)``
-    for no stop.  A rule is reduced to its index into that list on each path.
+    ``stops[p][k]`` lists the first stops a rule over ``actions`` can make in
+    frame ``k`` of path ``p``: ``(k, act)`` at the path's k-th node, and
+    ``(len(path), None)`` for no stop in frame ``len(path)``.  A rule is
+    reduced to its index into the flattened list on each path, and ``on``
+    maps each node to the (path, index of its first stop) pairs it lies on.
     """
 
     def __init__(self, tree: EventTree, actions: tuple[StageAction, ...]) -> None:
-        self.actions = actions
+        width = len(actions)
         self.paths: list[list[str]] = []
         self.probs: list[float] = []
-        for leaf in tree.leaves:  # one upward walk per leaf, in leaf order
+        self.on = on = {node: [] for node in tree.nodes}
+        for p, leaf in enumerate(tree.leaves):  # one upward walk per leaf, in leaf order
             path, prob = [leaf], 1.0
             while (up := tree.parent[path[-1]]) is not None:
                 prob *= tree._edge[path[-1]]  # from the leaf up to the root
                 path.append(up)
             path.reverse()
+            for k, node in enumerate(path):
+                on[node].append((p, k * width))
             self.paths.append(path)
             self.probs.append(prob)
-        self.stops: list[list[_Stop]] = [
-            [(k, act) for k in range(len(path)) for act in actions] + [(len(path), None)]
-            for path in self.paths
-        ]
+        frames = [[(k, act) for act in actions] for k in range(tree.horizon + 1)]
+        self.stops: list[list[list[_Stop]]] = [frames[: len(path)] + [[(len(path), None)]] for path in self.paths]
+        self._none = [len(path) * width for path in self.paths]
+        self._index = {act: i for i, act in enumerate(actions)}
 
     def first_stops(self, rule: dict[str, StageAction]) -> tuple[int, ...]:
-        """The index of the rule's first stop on every path."""
-        width = len(self.actions)
-        ids = []
-        for path in self.paths:
-            k = next((k for k, node in enumerate(path) if node in rule), len(path))
-            ids.append(k * width + (self.actions.index(rule[path[k]]) if k < len(path) else 0))
+        """The index of the rule's first stop on every path.  A reduced rule
+        stops at most once on each path, so each of its stops is written onto
+        the paths through its node, and every other path keeps no stop."""
+        ids = self._none.copy()
+        for node, act in rule.items():
+            i = self._index[act]
+            for p, base in self.on[node]:
+                ids[p] = base + i
         return tuple(ids)
 
 
+def _stop_order(a1: StageAction, a2: StageAction) -> Optional[Outcome]:
+    try:
+        return stop_outcome(a1, a2)
+    except ValueError:  # two earlies or two lates have no defined order
+        return None
+
+
+# Every pair of stage actions resolved through ``stop_outcome`` once, at
+# import, as ``zerosum`` resolves its matrix cells; None marks no order.
+_ORDER = {(a1, a2): _stop_order(a1, a2) for a1 in StageAction for a2 in StageAction}
+
+
 def _pure_path_payoff(
-    payoffs: PayoffProcess,
-    path: list[str],
-    stop1: _Stop,
-    stop2: _Stop,
-    ambiguous: str,
-) -> PayoffPair:
-    """Payoff pair on one path for two explicit stopping rules.
+    payoffs: PayoffProcess, path: list[str], mine: _Stop, theirs: _Stop, player: int, resolve: bool
+) -> float:
+    """``player``'s payoff on one path when they first stop at ``mine`` and
+    the opponent at ``theirs`` in the same frame, or neither stops.
 
     Stops at the same node with the same interior limit (two earlies or two
-    lates) have no canonical order; ``ambiguous`` selects the resolution:
-    the ordering parameter is chosen against player 1 ("min1"), against
-    player 2 ("min2"), or the case is rejected ("forbid").
+    lates) have no canonical order: with ``resolve`` the ordering parameter
+    is chosen against ``player``, else the case is rejected.
     """
-    k1, a1 = stop1
-    k2, a2 = stop2
-    leaf = path[-1]
-    if a1 is None and a2 is None:
-        return PayoffPair(payoffs.xi1[leaf], payoffs.xi2[leaf])
-    # a never-stop sits at len(path), after every real stop, so equal k share a frame
-    if k1 < k2:
-        node = path[k1]
-        return PayoffPair(payoffs.x1[node], payoffs.x2[node])
-    if k2 < k1:
-        node = path[k2]
-        return PayoffPair(payoffs.y1[node], payoffs.y2[node])
-    node = path[k1]
-    try:
-        outcome = stop_outcome(a1, a2)
-    except ValueError:  # two earlies or two lates
-        first = PayoffPair(payoffs.x1[node], payoffs.x2[node])
-        second = PayoffPair(payoffs.y1[node], payoffs.y2[node])
-        if ambiguous == "min1":
-            return first if first.g1 <= second.g1 else second
-        if ambiguous == "min2":
-            return first if first.g2 <= second.g2 else second
-        raise ValueError(f"node {node}: unresolved stop order for ({a1.value}, {a2.value})") from None
-    return outcome_payoff(outcome, payoffs, node)
+    k, act = mine
+    if act is None:  # no stop shares its frame only with no stop
+        return (payoffs.xi1 if player == 1 else payoffs.xi2)[path[-1]]
+    node = path[k]
+    outcome = _ORDER[act, theirs[1]] if player == 1 else _ORDER[theirs[1], act]
+    if outcome is not None:
+        return outcome_payoff(outcome, payoffs, node)[player - 1]
+    if not resolve:
+        raise ValueError(f"node {node}: unresolved stop order for ({act.value}, {act.value})")
+    first = outcome_payoff(Outcome.PLAYER1_FIRST, payoffs, node)[player - 1]
+    second = outcome_payoff(Outcome.PLAYER2_FIRST, payoffs, node)[player - 1]
+    return first if first <= second else second
 
 
-def _own_payoff(
-    payoffs: PayoffProcess, path: list[str], mine: _Stop, theirs: _Stop, player: int, ambiguous: str
-) -> float:
-    """``player``'s payoff on one path when they first stop at ``mine``."""
-    if player == 1:
-        return _pure_path_payoff(payoffs, path, mine, theirs, ambiguous).g1
-    return _pure_path_payoff(payoffs, path, theirs, mine, ambiguous).g2
+def _path_rows(
+    payoffs: PayoffProcess, path: list[str], stops: list[list[_Stop]],
+    theirs: list[list[tuple[_Stop, float]]], player: int, resolve: bool,
+) -> list[list[float]]:
+    """``player``'s terms on one path, one row per first stop in ``stops``.
 
+    ``stops[k]`` and ``theirs[k]`` hold the player's and the opponent's first
+    stops in frame ``k`` (``len(path)`` is no stop), the opponent's weighted.
+    Against a stop in frame k, an opponent stop in an earlier frame j pays
+    the player's opponent-first entry at ``path[j]``, a later one or none
+    their stop-first entry at ``path[k]``; only frame k's own cells ask
+    ``_pure_path_payoff``.  Each term is the weight times the entry.
+    """
+    stop, opp = payoffs.side(player)[:2]
 
-def _scaled(prob: float, pair: PayoffPair) -> PayoffPair:
-    return PayoffPair(prob * pair.g1, prob * pair.g2)
+    def shared(k: int) -> list[list[float]]:  # the cells of frame k, one row per first stop
+        return [
+            [w * _pure_path_payoff(payoffs, path, mine, other, player, resolve) for other, w in theirs[k]]
+            for mine in stops[k]
+        ]
+
+    rows: list[list[float]] = []
+    lead: list[float] = []  # the terms against the opponent's stops before frame k
+    for k, node in enumerate(path):
+        entry = stop[node]
+        tail = [w * entry for frame in theirs[k + 1 :] for _, w in frame]
+        rows += [lead + row + tail for row in shared(k)]
+        entry = opp[node]
+        lead += [w * entry for _, w in theirs[k]]
+    return rows + [lead + row for row in shared(len(path))]
 
 
 def _rule_probability(tree: EventTree, rule: dict[str, StageAction], side: dict[str, Mix]) -> float:
@@ -360,32 +388,37 @@ def brute_force_payoff(
 
     Every pair of (atom, uniform) stopping rules of nonzero probability is
     enumerated.  One path table per call holds each path's probability times
-    its payoff pair for every pair of first stops; a rule pair's payoff adds
-    up its entries path by path.
+    each player's payoff, as a float, for every pair of first stops; a rule
+    pair's payoff adds up its entries path by path.  The profile is checked
+    as ``validate_profile`` checks it.
     """
     _check_size(tree)
+    require_side(tree, profile.player1, 1)
+    require_side(tree, profile.player2, 2)
     stoppers = (StageAction.ATOM, StageAction.UNIFORM)
     table = _PathTable(tree, stoppers)
-    terms = [  # terms[p][i1][i2]
-        [[_scaled(prob, _pure_path_payoff(payoffs, path, s1, s2, "forbid")) for s2 in stops] for s1 in stops]
-        for path, prob, stops in zip(table.paths, table.probs, table.stops)
-    ]
+    terms1, terms2 = [], []  # terms1[p][i1][i2] and terms2[p][i1][i2]
+    for path, prob, stops in zip(table.paths, table.probs, table.stops):
+        every = [[(stop, prob) for stop in frame] for frame in stops]
+        terms1.append(_path_rows(payoffs, path, stops, every, 1, False))
+        terms2.append(list(zip(*_path_rows(payoffs, path, stops, every, 2, False))))
     rules = list(_stop_rules(tree, tree.root, stoppers))
     weights2 = [_rule_probability(tree, rule, profile.player2) for rule in rules]
     side2 = [(p2, table.first_stops(rule)) for rule, p2 in zip(rules, weights2) if p2 != 0.0]
+    columns = list(zip(*(stops2 for _, stops2 in side2)))  # columns[p]: each player-2 rule's first stop on path p
     g1 = g2 = 0.0
     for rule1 in rules:
         p1 = _rule_probability(tree, rule1, profile.player1)
         if p1 == 0.0:
             continue
-        rows = [path_terms[i] for path_terms, i in zip(terms, table.first_stops(rule1))]
-        for p2, stops2 in side2:
-            pair1 = pair2 = 0.0
-            for row, i in zip(rows, stops2):
-                pair1 += row[i].g1
-                pair2 += row[i].g2
-            g1 += p1 * p2 * pair1
-            g2 += p1 * p2 * pair2
+        pays1 = pays2 = [0.0] * len(side2)
+        for path1, path2, i, column in zip(terms1, terms2, table.first_stops(rule1), columns):
+            row1, row2 = path1[i], path2[i]
+            pays1 = [pay + row1[j] for pay, j in zip(pays1, column)]
+            pays2 = [pay + row2[j] for pay, j in zip(pays2, column)]
+        for (p2, _), pay1, pay2 in zip(side2, pays1, pays2):
+            g1 += p1 * p2 * pay1
+            g2 += p1 * p2 * pay2
     return PayoffPair(g1, g2)
 
 
@@ -400,32 +433,27 @@ def brute_force_best_response(
     Every (atom, early, late) rule is enumerated against the opponent's stop
     node and kind along each path.  One path table per call holds, for each
     path and deviator stop, the list of weighted opponent terms; a rule's
-    payoff adds up its lists path by path.
+    payoff adds up its lists path by path.  ``opponent`` is checked as
+    player ``3 - deviator``'s side of a profile.
     """
     require_player(deviator)
     _check_size(tree)
+    require_side(tree, opponent, 3 - deviator)
     stoppers = (StageAction.ATOM, StageAction.EARLY, StageAction.LATE)
     table = _PathTable(tree, stoppers)
-    terms = []  # terms[p][i]: the terms on path p when the deviator first stops at stops[p][i]
+    terms = []  # terms[p][i]: the terms on path p when the deviator first stops at the i-th stop
     for path, prob, stops in zip(table.paths, table.probs, table.stops):
-        weighted: list[tuple[_Stop, float]] = []  # the opponent's stops with their weights
+        weighted: list[list[tuple[_Stop, float]]] = [[] for _ in stops]  # the opponent's stops per frame
         alive = 1.0
         for k, node in enumerate(path):
             a, u, w = opponent[node]
-            for act, p in ((StageAction.ATOM, a), (StageAction.UNIFORM, u)):
-                if p != 0.0:
-                    weighted.append(((k, act), prob * alive * p))
+            weighted[k] = [((k, act), prob * alive * p) for act, p in ((_ATOM, a), (StageAction.UNIFORM, u)) if p != 0.0]
             alive *= w
             if alive == 0.0:
                 break
         else:
-            weighted.append(((len(path), None), prob * alive))
-        terms.append(
-            [
-                [weight * _own_payoff(payoffs, path, dev, opp, deviator, "forbid") for opp, weight in weighted]
-                for dev in stops
-            ]
-        )
+            weighted[-1] = [((len(path), None), prob * alive)]
+        terms.append(_path_rows(payoffs, path, stops, weighted, deviator, False))
     values = []
     for rule in _stop_rules(tree, tree.root, stoppers):
         value = 0.0
@@ -448,10 +476,9 @@ def brute_force_value(tree: EventTree, payoffs: PayoffProcess, player: int) -> f
     require_player(player)
     _check_size(tree)
     stoppers = (StageAction.ATOM, StageAction.EARLY, StageAction.LATE)
-    ambiguous = "min1" if player == 1 else "min2"
     table = _PathTable(tree, stoppers)
     terms = [  # terms[p][mine][theirs]
-        [[prob * _own_payoff(payoffs, path, mine, theirs, player, ambiguous) for theirs in stops] for mine in stops]
+        _path_rows(payoffs, path, stops, [[(stop, prob) for stop in frame] for frame in stops], player, True)
         for path, prob, stops in zip(table.paths, table.probs, table.stops)
     ]
     rules = [table.first_stops(rule) for rule in _stop_rules(tree, tree.root, stoppers)]

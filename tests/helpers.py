@@ -379,6 +379,21 @@ def reference_walk(tree: EventTree, start: str, stop: Container[str] = ()) -> It
             order.extend(child for child, _ in tree.children.get(node, ()))
 
 
+def reference_first_stops(
+    paths: list[list[str]], actions: tuple[StageAction, ...], rule: dict[str, StageAction]
+) -> tuple[int, ...]:
+    """A rule's first-stop index on every path, by a scan of each path from
+    the root: ``k * len(actions)`` plus the action's place at the first node
+    ``k`` the rule names, else ``len(path) * len(actions)`` for no stop.
+    ``verify._PathTable.first_stops`` must return the same tuple."""
+    width = len(actions)
+    ids = []
+    for path in paths:
+        k = next((k for k, node in enumerate(path) if node in rule), len(path))
+        ids.append(k * width + (actions.index(rule[path[k]]) if k < len(path) else 0))
+    return tuple(ids)
+
+
 def is_number(value: object) -> bool:
     """A float, or an int in the float range; a bool is not a number."""
     if isinstance(value, bool):

@@ -14,6 +14,7 @@ from dynkin import (
     GeneratorSpec,
     ModelViolationError,
     PayoffProcess,
+    ProfileError,
     StageAction,
     best_response,
     brute_force_best_response,
@@ -28,11 +29,12 @@ from dynkin import (
     solve_value_process,
     split_frame,
     validate_instance,
+    validate_profile,
 )
 from dynkin import core, verify, zerosum
 from dynkin.toolkit import FAMILIES
 from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX
-from dynkin.verify import _stop_rules
+from dynkin.verify import _PathTable, _stop_rules
 
 from helpers import (
     DYADIC_MIXES,
@@ -43,6 +45,7 @@ from helpers import (
     dyadic_mixes,
     extend_profile,
     poisoned_deviator_lines,
+    reference_first_stops,
     reference_stage_matrices,
     root_call,
     single_node_payoffs,
@@ -340,6 +343,47 @@ class TestBruteForce:
             for player in (1, 2):
                 process = solve_value_process(tree, payoffs, player)
                 assert abs(process.value[tree.root] - brute_force_value(tree, payoffs, player)) <= tol
+
+    def test_first_stops_match_the_path_scan(self):
+        # every suite shape, and the shape of the digest test's 10-node trees
+        deep = {"r": "ab", "a": "cd", "b": "e", "c": "fg", "d": "h", "e": "i"}
+        shapes = [*DYADIC_SHAPES, {node: [(kid, 1.0 / len(kids)) for kid in kids] for node, kids in deep.items()}]
+        for shape in shapes:
+            tree = EventTree.build("r", shape)
+            for actions in (
+                (StageAction.ATOM, StageAction.UNIFORM),
+                (StageAction.ATOM, StageAction.EARLY, StageAction.LATE),
+            ):
+                table = _PathTable(tree, actions)
+                for rule in _stop_rules(tree, tree.root, actions):
+                    # a reduced rule stops at most once on each path
+                    assert all(sum(node in rule for node in path) <= 1 for path in table.paths)
+                    assert table.first_stops(rule) == reference_first_stops(table.paths, actions, rule)
+
+    @pytest.mark.parametrize("bad", ["missing node", "list", "nan mix"])
+    @pytest.mark.parametrize("oracle", ["best_response", "brute_force_best_response", "brute_force_payoff"])
+    def test_a_malformed_profile_side_is_a_profile_error(self, oracle, bad):
+        # the issue ``validate_profile`` words first, as ``deviation_gap`` raises it
+        tree, payoffs = dyadic_instance({"r": [("a", 0.5), ("b", 0.5)]}, 0)
+        good = dict.fromkeys(tree.nodes, (0.25, 0.25, 0.5))
+        side = {
+            "missing node": {"r": good["r"], "a": good["a"]},
+            "list": list(good.values()),
+            "nan mix": {**good, "b": (math.nan, 0.5, 0.5)},
+        }[bad]
+        if oracle == "brute_force_payoff":
+            profile = BehavioralProfile(player1=side, player2=good)
+            cases = [(profile, brute_force_payoff, (tree, payoffs, profile))]
+        else:  # one side, checked as the opponent's: player 3 - deviator
+            call = {"best_response": best_response, "brute_force_best_response": brute_force_best_response}[oracle]
+            cases = [
+                (BehavioralProfile(player1=side, player2=good), call, (tree, payoffs, side, 2)),
+                (BehavioralProfile(player1=good, player2=side), call, (tree, payoffs, side, 1)),
+            ]
+        for profile, call, args in cases:
+            with pytest.raises(ProfileError) as caught:
+                call(*args)
+            assert str(caught.value) == validate_profile(tree, profile)[0]
 
 
 # The oracle digest of ``test_oracle_floats_are_pinned_off_dyadic_inputs``.
