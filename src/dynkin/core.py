@@ -21,6 +21,10 @@ that fails is worded, node by node, each value and node id in at most
 must be ints or floats, and payoffs may not exceed ``PAYOFF_LIMIT`` in
 magnitude, so no stage sum overflows.  Each entry that takes outside input
 validates it once; the solvers downstream take a valid instance unchecked.
+
+``EventTree``, ``PayoffProcess`` and ``BehavioralProfile`` are plain
+``__slots__`` classes: callers assign to their fields, and each compares
+field by field.  ``PayoffProcess.__slots__`` is the schema's field list.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import reprlib
 import sys
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, filterfalse, repeat
 from operator import itemgetter
@@ -119,22 +122,44 @@ class Side(NamedTuple):
     xi: dict[str, float]
 
 
-@dataclass
-class EventTree:
+class _Record:
+    """Slotted fields, compared field by field with a record of the same
+    class and shown by the ``_shown`` ones (all by default); defining
+    ``__eq__`` leaves it unhashable."""
+
+    __slots__ = ()
+    _shown: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self.__slots__
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown or self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class EventTree(_Record):
     """Finite filtered tree; every leaf sits at the same depth (the horizon).
 
     ``nodes`` is breadth-first (parents before children); ``children`` maps a
     node to its (child, probability) list, probabilities summing to one.
+    ``parent`` maps a node to its parent (the root to None), ``_edge`` a
+    child to its probability, and ``_leaves`` lists the leaves in order.
     ``build`` is the one constructor: it derives every map in one sweep.
     """
 
-    root: str
-    nodes: list[str]
-    depth: dict[str, int]
-    children: dict[str, list[tuple[str, float]]]
-    parent: dict[str, Optional[str]] = field(repr=False)
-    _edge: dict[str, float] = field(repr=False)  # child -> its probability
-    _leaves: list[str] = field(repr=False)
+    __slots__ = ("root", "nodes", "depth", "children", "parent", "_edge", "_leaves")
+    _shown = __slots__[:4]
+
+    def __init__(
+        self, root: str, nodes: list[str], depth: dict[str, int], children: dict[str, list[tuple[str, float]]],
+        parent: dict[str, Optional[str]], _edge: dict[str, float], _leaves: list[str],
+    ) -> None:
+        self.root, self.nodes, self.depth, self.children = root, nodes, depth, children
+        self.parent, self._edge, self._leaves = parent, _edge, _leaves
 
     @classmethod
     def build(cls, root: str, children: dict[str, list[tuple[str, float]]]) -> "EventTree":
@@ -210,19 +235,18 @@ TERMINAL_TABLES = (("xi1", "xi1"), ("xi2", "xi2"))
 PAYOFF_TABLES = STAGE_TABLES + TERMINAL_TABLES
 
 
-@dataclass
-class PayoffProcess:
+class PayoffProcess(_Record):
     """Per-node payoffs (X, Y, Z per player) and per-leaf terminal payoffs,
-    one field per entry of ``PAYOFF_TABLES``."""
+    one field per entry of ``PAYOFF_TABLES``, each a dict from node to payoff."""
 
-    x1: dict[str, float]
-    y1: dict[str, float]
-    z1: dict[str, float]
-    x2: dict[str, float]
-    y2: dict[str, float]
-    z2: dict[str, float]
-    xi1: dict[str, float]
-    xi2: dict[str, float]
+    __slots__ = tuple(field for _, field in PAYOFF_TABLES)
+
+    def __init__(
+        self, x1: dict[str, float], y1: dict[str, float], z1: dict[str, float], x2: dict[str, float],
+        y2: dict[str, float], z2: dict[str, float], xi1: dict[str, float], xi2: dict[str, float],
+    ) -> None:
+        self.x1, self.y1, self.z1, self.x2, self.y2, self.z2 = x1, y1, z1, x2, y2, z2
+        self.xi1, self.xi2 = xi1, xi2
 
     @property
     def payoff_range(self) -> float:
@@ -245,12 +269,13 @@ class PayoffProcess:
         return Side(self.y2, self.x2, self.z2, self.xi2)
 
 
-@dataclass
-class BehavioralProfile:
+class BehavioralProfile(_Record):
     """Per-node stop distributions over (atom, uniform, wait), one per player."""
 
-    player1: dict[str, Mix]
-    player2: dict[str, Mix]
+    __slots__ = ("player1", "player2")
+
+    def __init__(self, player1: dict[str, Mix], player2: dict[str, Mix]) -> None:
+        self.player1, self.player2 = player1, player2
 
     def side(self, player: int) -> dict[str, Mix]:
         require_player(player)
@@ -472,6 +497,13 @@ class Outcome(Enum):
     SURVIVAL = "survival"  # both wait: the continuation
 
 
+# The members as module globals, for the stop-order rule and the payoffs it
+# names: on Python 3.11 a read through the class (``Outcome.TIE``) takes
+# about ten times as long as a global read.
+_SIMULTANEOUS, _TIE, _PLAYER1_FIRST, _PLAYER2_FIRST, _SURVIVAL = Outcome
+_ATOM, _UNIFORM, _WAIT = PLAYER_ACTIONS
+
+
 def stop_outcome(a1: StageAction, a2: StageAction) -> Outcome:
     """The one stop-order rule: how a frame ends when player 1 plays ``a1``
     and player 2 plays ``a2``.
@@ -482,13 +514,13 @@ def stop_outcome(a1: StageAction, a2: StageAction) -> Outcome:
     ``ValueError``.
     """
     if a1 is not a2:  # the ranks differ exactly when the actions do
-        return Outcome.PLAYER1_FIRST if _RANK[a1] < _RANK[a2] else Outcome.PLAYER2_FIRST
-    if a1 is StageAction.WAIT:
-        return Outcome.SURVIVAL
-    if a1 is StageAction.ATOM:
-        return Outcome.SIMULTANEOUS
-    if a1 is StageAction.UNIFORM:
-        return Outcome.TIE
+        return _PLAYER1_FIRST if _RANK[a1] < _RANK[a2] else _PLAYER2_FIRST
+    if a1 is _WAIT:
+        return _SURVIVAL
+    if a1 is _ATOM:
+        return _SIMULTANEOUS
+    if a1 is _UNIFORM:
+        return _TIE
     raise ValueError(f"({a1.value}, {a2.value}) has no defined stop order")
 
 
@@ -498,13 +530,13 @@ def outcome_payoff(outcome: Outcome, payoffs: PayoffProcess, node: str) -> Payof
     ``Outcome.SURVIVAL`` pays the continuation, which is no payoff of the
     node: a ``ValueError``.
     """
-    if outcome is Outcome.PLAYER1_FIRST:
+    if outcome is _PLAYER1_FIRST:
         return PayoffPair(payoffs.x1[node], payoffs.x2[node])
-    if outcome is Outcome.PLAYER2_FIRST:
+    if outcome is _PLAYER2_FIRST:
         return PayoffPair(payoffs.y1[node], payoffs.y2[node])
-    if outcome is Outcome.SIMULTANEOUS:
+    if outcome is _SIMULTANEOUS:
         return PayoffPair(payoffs.z1[node], payoffs.z2[node])
-    if outcome is Outcome.TIE:
+    if outcome is _TIE:
         return PayoffPair(
             0.5 * (payoffs.x1[node] + payoffs.y1[node]),
             0.5 * (payoffs.x2[node] + payoffs.y2[node]),

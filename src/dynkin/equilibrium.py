@@ -9,12 +9,12 @@ players' roles swapped: each reads its payoffs through ``PayoffProcess.side``.
 Off-path behavior is the opponent's exact minimizing strategy in the
 deviator's auxiliary zero-sum game, started one frame after the scheduled
 stop; frames are split so that "one frame after" is a real node.
+``CaseLabel`` and ``EquilibriumReport`` are ``NamedTuple`` records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     ATOM_MIX,
@@ -41,16 +41,14 @@ from .zerosum import (
 )
 
 
-@dataclass(frozen=True)
-class CaseLabel:
+class CaseLabel(NamedTuple):
     """A classification outcome attached to the node where it applies."""
 
     label: str
     node: str
 
 
-@dataclass
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """Constructed profile with recomputed certification.
 
     The profile lives on a frame-split transform of the input, where original

@@ -15,7 +15,8 @@ shape and copy each value as written; ``core.validate_instance`` and
 library call reject a bad value with the same words.  The reader, the
 writer and the ``random`` generator take the payoff tables from ``core``'s
 schema (``STAGE_TABLES``, ``TERMINAL_TABLES``), so a file key is the name
-an issue gives the table.
+an issue gives the table.  ``GeneratorSpec`` is a ``NamedTuple`` with a
+default for each field.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ import json
 import math
 import random
 import struct
-from dataclasses import dataclass
 from itertools import chain, starmap
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import (
     BehavioralProfile,
@@ -52,8 +52,7 @@ class SchemaError(ValueError):
     """A game document violates the file schema."""
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """Deterministic instance recipe; the same spec and seed give identical bytes."""
 
     family: str = "random"
@@ -76,6 +75,7 @@ def generate(spec: GeneratorSpec) -> tuple[EventTree, PayoffProcess]:
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
     rng = random.Random(spec.seed)
+    family, branching = spec.family, spec.branching  # read once, not per node
 
     children: dict[str, list[tuple[str, float]]] = {}
     counter = 0
@@ -83,7 +83,7 @@ def generate(spec: GeneratorSpec) -> tuple[EventTree, PayoffProcess]:
     for d in range(spec.depth):
         next_frontier = []
         for node in frontier:
-            width = rng.randint(1, spec.branching)
+            width = rng.randint(1, branching)
             kids = []
             weights = [rng.random() + 0.1 for _ in range(width)]
             total = sum(weights)
@@ -104,12 +104,12 @@ def generate(spec: GeneratorSpec) -> tuple[EventTree, PayoffProcess]:
     # holds for both players.
     sides = (payoffs.side(1), payoffs.side(2))
 
-    if spec.family == "war-of-attrition":
+    if family == "war-of-attrition":
         # waiting accrues cost, and being conceded to beats conceding: each
         # player's opp lies above their stop
         win = [rng.uniform(0.4, 1.0) * r for _ in (1, 2)]
         cost = [rng.uniform(0.05, 0.2) * r for _ in (1, 2)]
-    elif spec.family == "preemption":
+    elif family == "preemption":
         # stopping first wins a prize that decays with time: each player's
         # stop lies above their opp
         prize = [rng.uniform(0.4, 1.0) * r for _ in (1, 2)]
@@ -118,10 +118,10 @@ def generate(spec: GeneratorSpec) -> tuple[EventTree, PayoffProcess]:
     stage = [getattr(payoffs, field) for _, field in STAGE_TABLES]
     for node in tree.nodes:
         d = tree.depth[node]
-        if spec.family == "random":
+        if family == "random":
             for table in stage:
                 table[node] = rng.uniform(-r, r)
-        elif spec.family == "war-of-attrition":
+        elif family == "war-of-attrition":
             for k, own in enumerate(sides):
                 drift = -cost[k] * d + rng.uniform(-0.05, 0.05) * r
                 stop = own.stop[node] = drift - rng.uniform(0.1, 0.5) * r
@@ -134,9 +134,9 @@ def generate(spec: GeneratorSpec) -> tuple[EventTree, PayoffProcess]:
                 own.sim[node] = rng.uniform(opp - 0.1 * r, stop)
         if tree.is_leaf(node):
             for k, own in enumerate(sides):
-                if spec.family == "random":
+                if family == "random":
                     own.xi[node] = rng.uniform(-r, r)
-                elif spec.family == "war-of-attrition":
+                elif family == "war-of-attrition":
                     own.xi[node] = -cost[k] * (d + 1)
                 else:
                     own.xi[node] = rng.uniform(-0.2, 0.2) * r

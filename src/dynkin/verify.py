@@ -20,14 +20,17 @@ opponent stop pays its frame's opponent-first entry, a later one or none the
 stop-first entry, and only a shared frame reads ``stop_outcome``.  First
 stops come from the table's node-to-path index; the rules it enumerates are
 exactly the reduced stopping rules of ``_stop_rules``.
+
+``GapCertificate``, ``InvariantCheck`` and ``InvariantReport`` are
+``NamedTuple`` records.  A check fails on a violation above its tolerance or
+on one that is not finite: a NaN compares false with every bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import (
     DEVIATOR_ACTIONS,
@@ -60,10 +63,10 @@ from .zerosum import (
 BRUTE_FORCE_NODE_LIMIT = 10
 
 _ATOM, _EARLY, _LATE, _WAIT = DEVIATOR_ACTIONS
+_UNIFORM = StageAction.UNIFORM  # a module global reads faster than the class attribute
 
 
-@dataclass
-class GapCertificate:
+class GapCertificate(NamedTuple):
     """One player's certified deviation gap, with the witnessing strategy."""
 
     player: int
@@ -74,16 +77,14 @@ class GapCertificate:
     strategy: dict[str, StageAction]
 
 
-@dataclass
-class InvariantCheck:
+class InvariantCheck(NamedTuple):
     name: str
     passed: bool
     worst: float
     witness: Optional[str]
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(NamedTuple):
     checks: list[InvariantCheck]
 
     @property
@@ -374,7 +375,7 @@ def _rule_probability(tree: EventTree, rule: dict[str, StageAction], side: dict[
         node = stack.pop()
         a, u, w = side[node]
         if node in rule:
-            prob *= a if rule[node] is StageAction.ATOM else u
+            prob *= a if rule[node] is _ATOM else u
         else:
             prob *= w
             stack.extend(child for child, _ in tree.children.get(node, ()))
@@ -395,7 +396,7 @@ def brute_force_payoff(
     _check_size(tree)
     require_side(tree, profile.player1, 1)
     require_side(tree, profile.player2, 2)
-    stoppers = (StageAction.ATOM, StageAction.UNIFORM)
+    stoppers = (_ATOM, _UNIFORM)
     table = _PathTable(tree, stoppers)
     terms1, terms2 = [], []  # terms1[p][i1][i2] and terms2[p][i1][i2]
     for path, prob, stops in zip(table.paths, table.probs, table.stops):
@@ -439,7 +440,7 @@ def brute_force_best_response(
     require_player(deviator)
     _check_size(tree)
     require_side(tree, opponent, 3 - deviator)
-    stoppers = (StageAction.ATOM, StageAction.EARLY, StageAction.LATE)
+    stoppers = (_ATOM, _EARLY, _LATE)
     table = _PathTable(tree, stoppers)
     terms = []  # terms[p][i]: the terms on path p when the deviator first stops at the i-th stop
     for path, prob, stops in zip(table.paths, table.probs, table.stops):
@@ -447,7 +448,7 @@ def brute_force_best_response(
         alive = 1.0
         for k, node in enumerate(path):
             a, u, w = opponent[node]
-            weighted[k] = [((k, act), prob * alive * p) for act, p in ((_ATOM, a), (StageAction.UNIFORM, u)) if p != 0.0]
+            weighted[k] = [((k, act), prob * alive * p) for act, p in ((_ATOM, a), (_UNIFORM, u)) if p != 0.0]
             alive *= w
             if alive == 0.0:
                 break
@@ -475,7 +476,7 @@ def brute_force_value(tree: EventTree, payoffs: PayoffProcess, player: int) -> f
     """
     require_player(player)
     _check_size(tree)
-    stoppers = (StageAction.ATOM, StageAction.EARLY, StageAction.LATE)
+    stoppers = (_ATOM, _EARLY, _LATE)
     table = _PathTable(tree, stoppers)
     terms = [  # terms[p][mine][theirs]
         _path_rows(payoffs, path, stops, [[(stop, prob) for stop in frame] for frame in stops], player, True)
@@ -520,11 +521,15 @@ def check_invariants(
     hits = {i: hitting_time(tree, payoffs, values[i], eta, tol) for i in (1, 2)}
 
     def add(name: str, items: list[tuple[str, float]]) -> None:
-        worst, witness = 0.0, None
+        # the largest violation and its first node; the first one that is not
+        # finite (a NaN compares false with everything) ends the search and fails
+        worst, witness, floor = 0.0, None, -math.inf
         for node, violation in items:
-            if violation > worst:
+            if not floor < violation <= worst:
                 worst, witness = violation, node
-        checks.append(InvariantCheck(name, worst <= tol, worst, witness))
+                if not math.isfinite(violation):
+                    break
+        checks.append(InvariantCheck(name, math.isfinite(worst) and worst <= tol, worst, witness))
 
     for i in (1, 2):
         v = values[i].value
@@ -553,7 +558,10 @@ def check_invariants(
         for items, v, (primal, dual) in zip((minimax1, minimax2), (v1, v2), matrices):
             pv = _saddle_value(primal)
             dv = _saddle_value(dual)
-            items.append((node, max(abs(pv - dv), abs(pv - v[node]), abs(dv - v[node]))))
+            gaps = abs(pv - dv), abs(pv - v[node]), abs(dv - v[node])
+            # ``max`` drops a NaN that is not its first argument; a sum of
+            # gaps at or above zero is NaN exactly when one of them is
+            items.append((node, math.nan if math.isnan(sum(gaps)) else max(gaps)))
     add("minimax_agreement", minimax1 + minimax2)
 
     for i in (1, 2):

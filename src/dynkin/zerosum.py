@@ -35,13 +35,14 @@ mixes go to the first action that reaches the value.
 Every function here takes a valid instance (``core.require_valid``) and does
 not check it again: the entries that take outside input (``toolkit.load``,
 ``construct``, ``construct_pure`` and ``check_invariants``) validate it once.
+``ValueProcess`` and ``HittingTime`` are ``NamedTuple`` records: the
+solvers read their fields once per call, never per node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     DEVIATOR_ACTIONS,
@@ -64,8 +65,7 @@ from .core import (
 Matrix = tuple[tuple[float, ...], ...]
 
 
-@dataclass
-class ValueProcess:
+class ValueProcess(NamedTuple):
     """Per-node zero-sum value with the minimizer's optimal stage mix."""
 
     player: int
@@ -73,8 +73,7 @@ class ValueProcess:
     min_mix: dict[str, Mix]
 
 
-@dataclass
-class HittingTime:
+class HittingTime(NamedTuple):
     """First nodes, per path, where a player's stop-first payoff is within
     ``eta`` of the value; paths that never qualify are recorded by their leaf."""
 
@@ -248,7 +247,8 @@ def hitting_time(
     tol = payoffs.tolerance(tol)
     player = value.player
     stop = payoffs.side(player).stop
-    hit = {n for n in tree.nodes if stop[n] - (value.value[n] - eta) >= -tol}
+    v = value.value
+    hit = {n for n in tree.nodes if stop[n] - (v[n] - eta) >= -tol}
     antichain: list[str] = []
     infinite: list[str] = []
     for node in tree.walk(tree.root, hit):

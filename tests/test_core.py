@@ -12,12 +12,19 @@ from hypothesis import strategies as st
 
 from dynkin import (
     BehavioralProfile,
+    CaseLabel,
+    EquilibriumReport,
     EventTree,
+    GapCertificate,
     GeneratorSpec,
+    HittingTime,
     InstanceError,
+    InvariantReport,
     PayoffPair,
+    PayoffProcess,
     ProfileError,
     StageAction,
+    ValueProcess,
     check_invariants,
     construct,
     construct_pure,
@@ -32,11 +39,13 @@ from dynkin import (
 )
 from dynkin.core import (
     ATOM_MIX,
+    PAYOFF_TABLES,
     UNIFORM_MIX,
     WAIT_MIX,
     Outcome,
     outcome_payoff,
 )
+from dynkin.verify import InvariantCheck
 
 from helpers import (
     DYADIC_MIXES,
@@ -656,3 +665,78 @@ def test_build_derives_the_maps_of_the_two_pass_reference():
         for start in (tree.root, tree.nodes[len(tree.nodes) // 2], tree.nodes[-1]):
             for stops in ((), stop, set(tree.leaves), set(tree.nodes)):
                 assert tree.walk(start, stops) == list(reference_walk(tree, start, stops))
+
+
+# One instance of each of the package's record classes: its fields by name,
+# in constructor order.
+_TREE_FIELDS = dict(
+    root="r", nodes=["r", "a"], depth={"r": 0, "a": 1}, children={"r": [("a", 1.0)], "a": []},
+    parent={"r": None, "a": "r"}, _edge={"a": 1.0}, _leaves=["a"],
+)
+_PROFILE_FIELDS = dict(player1={"r": ATOM_MIX}, player2={"r": WAIT_MIX})
+_CHECK_FIELDS = dict(name="minimax_agreement", passed=True, worst=0.0, witness=None)
+_CERTIFICATE_FIELDS = dict(
+    player=1, best_response_value=1.0, path_value=0.5, gap=0.5, raw_gap=0.5, strategy={"r": StageAction.ATOM}
+)
+RECORDS = {
+    EventTree: _TREE_FIELDS,
+    PayoffProcess: {field: {"r": float(k)} for k, (_, field) in enumerate(PAYOFF_TABLES)},
+    BehavioralProfile: _PROFILE_FIELDS,
+    CaseLabel: dict(label="A6", node="r"),
+    GeneratorSpec: dict(family="preemption", depth=4, branching=3, payoff_range=2.0, zero_sum=True, convexity=True, seed=7),
+    ValueProcess: dict(player=1, value={"r": 0.5}, min_mix={"r": ATOM_MIX}),
+    HittingTime: dict(player=2, eta=0.1, antichain=("r",), infinite_leaves=("a",)),
+    GapCertificate: _CERTIFICATE_FIELDS,
+    InvariantCheck: _CHECK_FIELDS,
+    InvariantReport: dict(checks=[InvariantCheck(**_CHECK_FIELDS)]),
+    EquilibriumReport: dict(
+        case_trace=[CaseLabel("A6", "r")], profile=BehavioralProfile(**_PROFILE_FIELDS), payoff=PayoffPair(0.5, 0.25),
+        certificates=(GapCertificate(**_CERTIFICATE_FIELDS), GapCertificate(**_CERTIFICATE_FIELDS)), eta=0.1,
+        tol=1e-9, tree=EventTree(**_TREE_FIELDS), payoffs=PayoffProcess({}, {}, {}, {}, {}, {}, {}, {}), second_half={},
+    ),
+}
+_IMMUTABLE = (CaseLabel, GeneratorSpec)
+_ASSIGNABLE = (EventTree, PayoffProcess, BehavioralProfile)
+_RECORD_CASES = [
+    pytest.param(cls, case, id=f"{cls.__name__}-{case}")
+    for cls in RECORDS
+    for case, applies in (
+        ("construction", True),
+        ("immutable", cls in _IMMUTABLE),
+        ("hashable", cls in _IMMUTABLE),
+        ("assignable", cls in _ASSIGNABLE),
+        ("equality", True),
+    )
+    if applies
+]
+
+
+@pytest.mark.parametrize("cls, case", _RECORD_CASES)
+def test_records_keep_the_behaviour_callers_use(cls, case):
+    fields = RECORDS[cls]
+    record = cls(**fields)
+    if case == "construction":  # by keyword and by position, each field read back as passed
+        for built in (record, cls(*fields.values())):
+            assert all(getattr(built, name) is value for name, value in fields.items())
+    elif case == "immutable":
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, fields[name])
+    elif case == "hashable":
+        assert hash(record) == hash(cls(**fields)) and len({record, cls(**fields)}) == 1
+    elif case == "assignable":
+        for name in fields:
+            value = object()
+            setattr(record, name, value)
+            assert getattr(record, name) is value
+    else:  # field by field: equal copies, and unequal when any one field differs
+        assert record == cls(**fields) and not record != cls(**fields)
+        for name in fields:
+            assert record != cls(**{**fields, name: object()}), name
+
+
+def test_generator_spec_defaults():
+    assert GeneratorSpec() == GeneratorSpec(
+        family="random", depth=3, branching=2, payoff_range=1.0, zero_sum=False, convexity=False, seed=0
+    )
+    assert [getattr(GeneratorSpec(), name) for name in RECORDS[GeneratorSpec]] == ["random", 3, 2, 1.0, False, False, 0]

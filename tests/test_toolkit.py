@@ -8,6 +8,7 @@ import inspect
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -1041,6 +1042,21 @@ def test_runtime_imports_only_the_standard_library():
             top = {name.split(".")[0] for name in names}
             outside += [(source.name, t) for t in top if t != "dynkin" and t not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Every command and every benchmark set-up starts by importing the
+    # package: ``dataclasses`` would load ``inspect`` (and with it ``ast``,
+    # ``dis`` and ``tokenize``) and generate methods with ``exec`` at import.
+    root = Path(__file__).resolve().parent.parent
+    probe = "import sys; before = set(sys.modules); import dynkin; print(*sorted(set(sys.modules) - before))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], cwd=root, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "dynkin.core" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 # Every name of a payoff table: its file and issue name and its field.

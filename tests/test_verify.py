@@ -26,12 +26,14 @@ from dynkin import (
     evaluate_profile,
     evaluate_profile_table,
     generate,
+    save,
     solve_value_process,
     split_frame,
     validate_instance,
     validate_profile,
 )
 from dynkin import core, verify, zerosum
+from dynkin.cli import main
 from dynkin.toolkit import FAMILIES
 from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX
 from dynkin.verify import _PathTable, _stop_rules
@@ -502,6 +504,28 @@ class TestInvariantRunner:
         check = next(c for c in check_invariants(tree, payoffs, eta=0.2).checks if c.name == "minimax_agreement")
         assert not check.passed and check.worst == pytest.approx(0.5)
         assert check.witness == node
+
+    def test_a_nan_value_fails_its_checks_at_its_node(self, monkeypatch, tmp_path, capsys):
+        # a NaN compares false with every bound, so a check that kept only
+        # violations above the worst so far certified it with worst 0.0
+        tree, payoffs = generate(GeneratorSpec(depth=3, branching=2, seed=3))
+        real = verify.solve_value_process
+
+        def poisoned(t, p, player):
+            process = real(t, p, player)
+            if len(t.nodes) == len(tree.nodes) and player == 1:  # the input tree, not the split one
+                process.value[t.root] = math.nan
+            return process
+
+        monkeypatch.setattr(verify, "solve_value_process", poisoned)
+        checks = {c.name: c for c in check_invariants(tree, payoffs, eta=0.2).checks}
+        for name in ("value_lower_bound_p1", "value_upper_bound_p1", "value_opponent_cap_p1", "minimax_agreement", "split_invariance"):
+            assert not checks[name].passed and math.isnan(checks[name].worst), name
+            assert checks[name].witness == tree.root, name
+        game = tmp_path / "game.json"
+        save(game, tree, payoffs)
+        assert main(["invariants", str(game), "--eta", "0.2"]) == 3
+        assert f"FAIL value_lower_bound_p1: worst=nan at {tree.root}\n" in capsys.readouterr().out
 
     def test_builds_one_kernel_table_per_node(self, monkeypatch):
         # one stage_matrices call per node, in backward order, and each
