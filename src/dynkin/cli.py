@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 usage (including an --eta, --gap-threshold or
 --range that is not a finite number above zero, a --tol that is not a finite
 number at or above zero, a --depth below 0 or a --branching below 1, a
 generate whose game would hold a payoff above core.PAYOFF_LIMIT, which writes
-no file, and --pure on a game that breaks convexity), 2 schema violation
+no file, and --pure on a game that breaks convexity, or whose Z lies above
+max(X, Y) by no more than --tol where a punishment would be a uniform stop),
+2 schema violation
 (including a file that is not readable JSON, a payoff above
 core.PAYOFF_LIMIT, a profile that does not fit its tree, and a report
 without second_half or whose instance is not the game split at those

@@ -435,11 +435,18 @@ def validate_profile(tree: EventTree, profile: BehavioralProfile) -> list[str]:
     return side_issues(tree, profile.player1, 1) + side_issues(tree, profile.player2, 2)
 
 
+def require_profile(tree: EventTree, profile: BehavioralProfile) -> None:
+    """Raise ``ProfileError`` on the issues of ``validate_profile``, as one line."""
+    issues = validate_profile(tree, profile)
+    if issues:
+        raise ProfileError(_issue_line(issues))
+
+
 def require_side(tree: EventTree, side: dict[str, Mix], player: int) -> None:
-    """Raise ``ProfileError`` on the first issue of ``player``'s side."""
+    """Raise ``ProfileError`` on the issues of ``player``'s side, as one line."""
     issues = side_issues(tree, side, player)
     if issues:
-        raise ProfileError(issues[0])
+        raise ProfileError(_issue_line(issues))
 
 
 def side_issues(tree: EventTree, side: dict[str, Mix], player: int) -> list[str]:
@@ -497,31 +504,31 @@ class Outcome(Enum):
     SURVIVAL = "survival"  # both wait: the continuation
 
 
-# The members as module globals, for the stop-order rule and the payoffs it
-# names: on Python 3.11 a read through the class (``Outcome.TIE``) takes
-# about ten times as long as a global read.
+# The members as module globals, for the payoffs ``outcome_payoff`` names:
+# on Python 3.11 a read through the class (``Outcome.TIE``) takes about ten
+# times as long as a global read.
 _SIMULTANEOUS, _TIE, _PLAYER1_FIRST, _PLAYER2_FIRST, _SURVIVAL = Outcome
-_ATOM, _UNIFORM, _WAIT = PLAYER_ACTIONS
+
+# The one stop-order table: how a frame ends when player 1 plays ``a1`` and
+# player 2 plays ``a2``.  A strictly smaller ``_RANK`` stops first; equal
+# actions stop together (two atoms), tie (two uniform stops) or survive (two
+# waits).  Two earlies or two lates share a limit and have no defined order:
+# None.
+_TOGETHER = {StageAction.ATOM: _SIMULTANEOUS, StageAction.UNIFORM: _TIE, StageAction.WAIT: _SURVIVAL}
+STOP_ORDER: dict[tuple[StageAction, StageAction], Optional[Outcome]] = {
+    (a1, a2): _TOGETHER.get(a1) if a1 is a2 else _PLAYER1_FIRST if _RANK[a1] < _RANK[a2] else _PLAYER2_FIRST
+    for a1 in StageAction
+    for a2 in StageAction
+}
 
 
 def stop_outcome(a1: StageAction, a2: StageAction) -> Outcome:
-    """The one stop-order rule: how a frame ends when player 1 plays ``a1``
-    and player 2 plays ``a2``.
-
-    A strictly smaller ``_RANK`` stops first; equal actions stop together
-    (two atoms), tie (two uniform stops) or survive (two waits).  Two
-    earlies or two lates share a limit and have no defined order: a
-    ``ValueError``.
-    """
-    if a1 is not a2:  # the ranks differ exactly when the actions do
-        return _PLAYER1_FIRST if _RANK[a1] < _RANK[a2] else _PLAYER2_FIRST
-    if a1 is _WAIT:
-        return _SURVIVAL
-    if a1 is _ATOM:
-        return _SIMULTANEOUS
-    if a1 is _UNIFORM:
-        return _TIE
-    raise ValueError(f"({a1.value}, {a2.value}) has no defined stop order")
+    """``STOP_ORDER``'s outcome for player 1 playing ``a1`` and player 2
+    ``a2``; a pair with no defined order is a ``ValueError``."""
+    outcome = STOP_ORDER[a1, a2]
+    if outcome is None:
+        raise ValueError(f"({a1.value}, {a2.value}) has no defined stop order")
+    return outcome
 
 
 def outcome_payoff(outcome: Outcome, payoffs: PayoffProcess, node: str) -> PayoffPair:
@@ -573,9 +580,7 @@ def evaluate_profile_table(
     other's mix by their own mix, a uniform stop taking the mean of early
     and late.
     """
-    issues = validate_profile(tree, profile)
-    if issues:
-        raise ProfileError(issues[0])
+    require_profile(tree, profile)
     s1, s2 = payoffs.side(1), payoffs.side(2)
     table: dict[str, PayoffPair] = {}
     for node in reversed(tree.nodes):

@@ -19,6 +19,7 @@ from typing import NamedTuple, Optional
 from .core import (
     ATOM_MIX,
     BehavioralProfile,
+    ConvexityError,
     EventTree,
     Mix,
     ModelViolationError,
@@ -136,7 +137,8 @@ def construct_pure(
     """Build a deterministic equilibrium profile (all stage probabilities 0/1).
 
     Requires the simultaneous payoff to lie weakly between the two unilateral
-    payoffs for both players at every node.
+    payoffs for both players at every node; a Z above max(X, Y) within
+    ``tol`` that makes a punishment a uniform stop is a ``ConvexityError`` too.
     """
     return _construct(tree, payoffs, eta, tol, pure=True)
 
@@ -221,6 +223,13 @@ def _construct(
         if stops.count(None) == 1:
             punisher = stops.index(None) + 1
             fill = punishment_strategy(tree, punisher, q, v2 if punisher == 1 else v1)
+            if pure and UNIFORM_MIX in fill.values():  # Z above max(X, Y), within tol
+                i = 3 - punisher
+                stop, opp, sim, _ = payoffs.side(i)
+                for node, mix in fill.items():  # in walk order
+                    top = max(stop[node], opp[node])
+                    if mix == UNIFORM_MIX and sim[node] > top:
+                        raise ConvexityError(f"node {_worded_id(node)}: Z{i}={sim[node]!r} above max(X{i}, Y{i})={top!r}, so player {3 - i} punishes with a uniform stop")
             fill[second[q]] = fill.pop(q)
             profile.side(punisher).update(fill)
     trace.extend(CaseLabel("A63", leaf) for leaf in infinite)

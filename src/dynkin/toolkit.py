@@ -53,7 +53,7 @@ class SchemaError(ValueError):
 
 
 class GeneratorSpec(NamedTuple):
-    """Deterministic instance recipe; the same spec and seed give identical bytes."""
+    """Deterministic instance recipe; the same spec and seed give identical bytes on every interpreter."""
 
     family: str = "random"
     depth: int = 3
@@ -86,9 +86,14 @@ def generate(spec: GeneratorSpec) -> tuple[EventTree, PayoffProcess]:
             width = rng.randint(1, branching)
             kids = []
             weights = [rng.random() + 0.1 for _ in range(width)]
-            total = sum(weights)
+            total = 0.0  # plain += sums, as 3.10 and 3.11 add: ``sum`` compensates from 3.12 on
+            for w in weights:
+                total += w
             probs = [w / total for w in weights]
-            probs[-1] = 1.0 - sum(probs[:-1])
+            head = 0.0
+            for p in probs[:-1]:
+                head += p
+            probs[-1] = 1.0 - head
             for p in probs:
                 counter += 1
                 kid = f"n{counter}"

@@ -17,7 +17,7 @@ cross-checks on small trees.  Each call builds one table of the tree's
 root-to-leaf paths, each with its probability from one upward walk per leaf,
 and each path's terms one row per first stop, by frame order: an earlier
 opponent stop pays its frame's opponent-first entry, a later one or none the
-stop-first entry, and only a shared frame reads ``stop_outcome``.  First
+stop-first entry, and only a shared frame reads ``core.STOP_ORDER``.  First
 stops come from the table's node-to-path index; the rules it enumerates are
 exactly the reduced stopping rules of ``_stop_rules``.
 
@@ -41,17 +41,16 @@ from .core import (
     Outcome,
     PayoffPair,
     PayoffProcess,
-    ProfileError,
+    STOP_ORDER,
     StageAction,
     _worded_id,
     deviator_lines,
     outcome_payoff,
     require_player,
+    require_profile,
     require_side,
     require_valid,
     split_frames,
-    stop_outcome,
-    validate_profile,
 )
 from .zerosum import (
     _saddle_value,
@@ -139,7 +138,7 @@ def deviation_gap(
     continuations: the profile's value as in ``evaluate_profile_table`` (the
     player's lines weighed by their own mix) and the best response as in
     ``best_response`` (the largest line, found by comparisons, ties to the
-    earlier action).  The profile is validated once.
+    earlier action).  The profile is validated once (``require_profile``).
 
     Raw gaps can dip slightly negative through best-response ties; the
     reported gap is clamped at zero with the raw value kept alongside.  A raw
@@ -151,9 +150,7 @@ def deviation_gap(
     a NaN line carries up to the root, and on finite lines the best reply
     is still the first largest line.
     """
-    issues = validate_profile(tree, profile)
-    if issues:
-        raise ProfileError(issues[0])
+    require_profile(tree, profile)
     s1, s2 = payoffs.side(1), payoffs.side(2)
     mixes1, mixes2 = profile.player1, profile.player2
     kids_of = tree.children.get
@@ -299,37 +296,22 @@ class _PathTable:
         return tuple(ids)
 
 
-def _stop_order(a1: StageAction, a2: StageAction) -> Optional[Outcome]:
-    try:
-        return stop_outcome(a1, a2)
-    except ValueError:  # two earlies or two lates have no defined order
-        return None
-
-
-# Every pair of stage actions resolved through ``stop_outcome`` once, at
-# import, as ``zerosum`` resolves its matrix cells; None marks no order.
-_ORDER = {(a1, a2): _stop_order(a1, a2) for a1 in StageAction for a2 in StageAction}
-
-
-def _pure_path_payoff(
-    payoffs: PayoffProcess, path: list[str], mine: _Stop, theirs: _Stop, player: int, resolve: bool
-) -> float:
+def _pure_path_payoff(payoffs: PayoffProcess, path: list[str], mine: _Stop, theirs: _Stop, player: int) -> float:
     """``player``'s payoff on one path when they first stop at ``mine`` and
     the opponent at ``theirs`` in the same frame, or neither stops.
 
     Stops at the same node with the same interior limit (two earlies or two
-    lates) have no canonical order: with ``resolve`` the ordering parameter
-    is chosen against ``player``, else the case is rejected.
+    lates) have no canonical order (``STOP_ORDER`` holds None): the ordering
+    parameter is chosen against ``player``.  Only ``brute_force_value``,
+    which pairs (atom, early, late) rules on both sides, meets such a pair.
     """
     k, act = mine
     if act is None:  # no stop shares its frame only with no stop
         return (payoffs.xi1 if player == 1 else payoffs.xi2)[path[-1]]
     node = path[k]
-    outcome = _ORDER[act, theirs[1]] if player == 1 else _ORDER[theirs[1], act]
+    outcome = STOP_ORDER[act, theirs[1]] if player == 1 else STOP_ORDER[theirs[1], act]
     if outcome is not None:
         return outcome_payoff(outcome, payoffs, node)[player - 1]
-    if not resolve:
-        raise ValueError(f"node {node}: unresolved stop order for ({act.value}, {act.value})")
     first = outcome_payoff(Outcome.PLAYER1_FIRST, payoffs, node)[player - 1]
     second = outcome_payoff(Outcome.PLAYER2_FIRST, payoffs, node)[player - 1]
     return first if first <= second else second
@@ -337,7 +319,7 @@ def _pure_path_payoff(
 
 def _path_rows(
     payoffs: PayoffProcess, path: list[str], stops: list[list[_Stop]],
-    theirs: list[list[tuple[_Stop, float]]], player: int, resolve: bool,
+    theirs: list[list[tuple[_Stop, float]]], player: int,
 ) -> list[list[float]]:
     """``player``'s terms on one path, one row per first stop in ``stops``.
 
@@ -352,7 +334,7 @@ def _path_rows(
 
     def shared(k: int) -> list[list[float]]:  # the cells of frame k, one row per first stop
         return [
-            [w * _pure_path_payoff(payoffs, path, mine, other, player, resolve) for other, w in theirs[k]]
+            [w * _pure_path_payoff(payoffs, path, mine, other, player) for other, w in theirs[k]]
             for mine in stops[k]
         ]
 
@@ -391,18 +373,17 @@ def brute_force_payoff(
     enumerated.  One path table per call holds each path's probability times
     each player's payoff, as a float, for every pair of first stops; a rule
     pair's payoff adds up its entries path by path.  The profile is checked
-    as ``validate_profile`` checks it.
+    by ``require_profile``.
     """
     _check_size(tree)
-    require_side(tree, profile.player1, 1)
-    require_side(tree, profile.player2, 2)
+    require_profile(tree, profile)
     stoppers = (_ATOM, _UNIFORM)
     table = _PathTable(tree, stoppers)
     terms1, terms2 = [], []  # terms1[p][i1][i2] and terms2[p][i1][i2]
     for path, prob, stops in zip(table.paths, table.probs, table.stops):
         every = [[(stop, prob) for stop in frame] for frame in stops]
-        terms1.append(_path_rows(payoffs, path, stops, every, 1, False))
-        terms2.append(list(zip(*_path_rows(payoffs, path, stops, every, 2, False))))
+        terms1.append(_path_rows(payoffs, path, stops, every, 1))
+        terms2.append(list(zip(*_path_rows(payoffs, path, stops, every, 2))))
     rules = list(_stop_rules(tree, tree.root, stoppers))
     weights2 = [_rule_probability(tree, rule, profile.player2) for rule in rules]
     side2 = [(p2, table.first_stops(rule)) for rule, p2 in zip(rules, weights2) if p2 != 0.0]
@@ -454,7 +435,7 @@ def brute_force_best_response(
                 break
         else:
             weighted[-1] = [((len(path), None), prob * alive)]
-        terms.append(_path_rows(payoffs, path, stops, weighted, deviator, False))
+        terms.append(_path_rows(payoffs, path, stops, weighted, deviator))
     values = []
     for rule in _stop_rules(tree, tree.root, stoppers):
         value = 0.0
@@ -479,7 +460,7 @@ def brute_force_value(tree: EventTree, payoffs: PayoffProcess, player: int) -> f
     stoppers = (_ATOM, _EARLY, _LATE)
     table = _PathTable(tree, stoppers)
     terms = [  # terms[p][mine][theirs]
-        _path_rows(payoffs, path, stops, [[(stop, prob) for stop in frame] for frame in stops], player, True)
+        _path_rows(payoffs, path, stops, [[(stop, prob) for stop in frame] for frame in stops], player)
         for path, prob, stops in zip(table.paths, table.probs, table.stops)
     ]
     rules = [table.first_stops(rule) for rule in _stop_rules(tree, tree.root, stoppers)]
@@ -505,7 +486,7 @@ def check_invariants(
 
     ``minimax_agreement`` makes one backward pass that carries both players'
     continuations; at each node one ``stage_matrices`` call (its cells
-    resolved by ``core.stop_outcome``) gives both players' primal and dual
+    resolved by ``core.STOP_ORDER``) gives both players' primal and dual
     matrices, and the value of each, by the saddle rule of
     ``solve_matrix_game`` without its mixes, is compared with the other and
     with the closed-form value.  Its items list player 1's nodes, then

@@ -30,7 +30,7 @@ Only max and min of the same floats are taken, so the equality is exact.
 ``stage_value`` takes them by explicit comparisons, not the builtins, and
 keeps the builtins' float at every tie: min(a, b) is a unless b < a and
 max(a, b) is a unless b > a, so -0.0 and 0.0 come out as they would, and the
-mixes go to the first action that reaches the value.
+minimizer's mix goes to the first action that reaches the value.
 
 Every function here takes a valid instance (``core.require_valid``) and does
 not check it again: the entries that take outside input (``toolkit.load``,
@@ -56,10 +56,10 @@ from .core import (
     ATOM_MIX,
     UNIFORM_MIX,
     WAIT_MIX,
+    STOP_ORDER,
     Outcome,
     _worded_id,
     require_eta,
-    stop_outcome,
 )
 
 Matrix = tuple[tuple[float, ...], ...]
@@ -93,7 +93,7 @@ _GRIDS = (
     [[(r, c) for c in PLAYER_ACTIONS] for r in DEVIATOR_ACTIONS],
 )
 # Where each frame outcome's payoff sits in a player's own (sim, stop, opp, c)
-# tuple: ``stop_outcome(protagonist, antagonist)`` reads "player 1 first" as
+# tuple: ``STOP_ORDER[protagonist, antagonist]`` reads "player 1 first" as
 # "the protagonist first".  A grid pairs a mixed (atom, uniform, wait) side
 # with a pure (atom, early, late, wait) side, so no cell is a uniform tie.
 _SLOT = {
@@ -102,10 +102,10 @@ _SLOT = {
     Outcome.PLAYER2_FIRST: 2,
     Outcome.SURVIVAL: 3,
 }
-# One itemgetter per matrix row, its cells resolved through ``stop_outcome``
+# One itemgetter per matrix row, its cells resolved through ``STOP_ORDER``
 # here, once: at a node a row is one C-level pick from the player's tuple.
 _PRIMAL, _DUAL = (
-    tuple(itemgetter(*[_SLOT[stop_outcome(a, b)] for a, b in row]) for row in grid) for grid in _GRIDS
+    tuple(itemgetter(*[_SLOT[STOP_ORDER[cell]] for cell in row]) for row in grid) for grid in _GRIDS
 )
 
 
@@ -121,7 +121,7 @@ def stage_matrices(
     mixing (atom, uniform, wait) columns against protagonist pure rows.
     Both players see the same stage game in their own view, so one pair of
     row tables serves both: each cell's outcome comes from
-    ``core.stop_outcome``, the one stop-order rule, applied once at import,
+    ``core.STOP_ORDER``, the one stop-order table, read once at import,
     and at each node the rows pick their entries from each player's own
     (sim, stop, opp, c), read through ``PayoffProcess.side``.  The tests
     build the same matrices entry by entry from the stop-order reference.
@@ -169,8 +169,8 @@ def _saddle_value(rows: Matrix) -> float:
     return lower
 
 
-def stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix, Mix]:
-    """Saddle value of one stage game, with the maximizer's and minimizer's mixes.
+def stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix]:
+    """Saddle value of one stage game, with the minimizer's mix.
 
     ``x``, ``y`` and ``z`` are the protagonist's stop-first, opponent-first and
     simultaneous payoffs at one node (``stop``, ``opp`` and ``sim`` of their
@@ -189,15 +189,11 @@ def stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix, 
     else:
         uniform_row, uniform_col = y, x
     wait_row = cont if cont < y else y
-    if uniform_row > atom_row:
-        if wait_row > uniform_row:
-            lo, max_mix = wait_row, WAIT_MIX
-        else:
-            lo, max_mix = uniform_row, UNIFORM_MIX
-    elif wait_row > atom_row:
-        lo, max_mix = wait_row, WAIT_MIX
-    else:
-        lo, max_mix = atom_row, ATOM_MIX
+    lo = atom_row
+    if uniform_row > lo:
+        lo = uniform_row
+    if wait_row > lo:
+        lo = wait_row
     atom_col = y if y > z else z
     wait_col = cont if cont > x else x
     if uniform_col < atom_col:
@@ -211,7 +207,7 @@ def stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix, 
         hi, min_mix = atom_col, ATOM_MIX
     if lo != hi:
         raise ModelViolationError(f"stage game has no saddle point: {lo!r} vs {hi!r}")
-    return lo, max_mix, min_mix
+    return lo, min_mix
 
 
 def solve_value_process(tree: EventTree, payoffs: PayoffProcess, player: int) -> ValueProcess:
@@ -231,7 +227,7 @@ def solve_value_process(tree: EventTree, payoffs: PayoffProcess, player: int) ->
                 cont += p * value[child]
         else:
             cont = xi[node]
-        value[node], _, min_mix[node] = stage_value(stop[node], opp[node], sim[node], cont)
+        value[node], min_mix[node] = stage_value(stop[node], opp[node], sim[node], cont)
     return ValueProcess(player=player, value=value, min_mix=min_mix)
 
 

@@ -221,8 +221,8 @@ def outcome_kernel(
     wait) reads it, and needs it: survival pays the continuation.  It is
     the stop-order reference the stage formulas are checked against, action
     pair by action pair.
-    ``zerosum.stage_matrices`` resolves its action pairs through the same
-    ``stop_outcome`` once, at import.
+    ``zerosum.stage_matrices`` resolves its action pairs through the
+    ``STOP_ORDER`` table that ``stop_outcome`` reads, once, at import.
     """
     try:
         outcome = stop_outcome(a1, a2)
@@ -310,7 +310,7 @@ def reference_stage_value(x: float, y: float, z: float, cont: float) -> tuple[fl
     """The stage value from the builtins: the lower value as the ``max`` of
     the row guarantees, the upper as the ``min`` of the column exposures, each
     mix at the first action reaching it (``.index``).  ``zerosum.stage_value``
-    must return the same float and the same mix objects."""
+    must return the same float and the same minimizer's mix object."""
     rows = (min(z, x), min(y, x), min(y, cont))
     cols = (max(z, y), max(x, y), max(x, cont))
     lo, hi = max(rows), min(cols)

@@ -40,10 +40,13 @@ from dynkin import (
 from dynkin.core import (
     ATOM_MIX,
     PAYOFF_TABLES,
+    STOP_ORDER,
     UNIFORM_MIX,
     WAIT_MIX,
     Outcome,
+    _issue_line,
     outcome_payoff,
+    stop_outcome,
 )
 from dynkin.verify import InvariantCheck
 
@@ -200,8 +203,9 @@ def test_a_profile_side_that_is_not_a_mapping_is_a_profile_issue(side):
     ):
         assert validate_profile(tree, profile) == profile_issues(tree, profile) == issues
         for entry in (deviation_gap, evaluate_profile_table):
-            with pytest.raises(ProfileError, match=f"^{issues[0]}$"):
+            with pytest.raises(ProfileError) as caught:
                 entry(tree, payoffs, profile)
+            assert str(caught.value) == _issue_line(issues)
 
 
 _TABLES = ("x1", "y1", "z1", "x2", "y2", "z2", "xi1", "xi2")
@@ -398,6 +402,22 @@ def test_kernel_rejects_identical_endpoint_limits(kernel_instance, act):
     _, payoffs = kernel_instance
     with pytest.raises(ValueError):
         outcome_kernel(act, act, payoffs, "n0")
+
+
+def test_stop_order_table_holds_every_pair():
+    # all 25 action pairs: the ten ordered pairs each way, three equal pairs
+    # that stop together, tie or survive, and two with no defined order
+    expected = {pair: Outcome.PLAYER1_FIRST for pair in FIRST_MOVER_PAIRS}
+    expected.update({(a2, a1): Outcome.PLAYER2_FIRST for a1, a2 in FIRST_MOVER_PAIRS})
+    expected.update({(A, A): Outcome.SIMULTANEOUS, (U, U): Outcome.TIE, (W, W): Outcome.SURVIVAL, (E, E): None, (L, L): None})
+    assert len(expected) == 25
+    assert STOP_ORDER == expected
+    for (a1, a2), outcome in expected.items():
+        if outcome is None:
+            with pytest.raises(ValueError, match=rf"^\({a1.value}, {a2.value}\) has no defined stop order$"):
+                stop_outcome(a1, a2)
+        else:
+            assert stop_outcome(a1, a2) is outcome
 
 
 def test_kernel_mirror_antisymmetry(kernel_instance):

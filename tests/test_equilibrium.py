@@ -416,6 +416,18 @@ class TestConstructPure:
         with pytest.raises(ModelViolationError, match=r"node n0b: stage mix \(0\.0, 1\.0, 0\.0\) is neither a pure stop nor a wait"):
             construct_pure(tree, payoffs, eta=0.05)
 
+    def test_a_tolerated_z_above_max_x_y_is_a_convexity_error(self):
+        # Z1 tops max(X1, Y1) by 1e-12, within the default tol, so the gate
+        # lets the game through; player 2's punishment at the copy would be
+        # a uniform stop, which a pure profile cannot hold
+        tree, payoffs = single_node_payoffs(
+            x1=1.0 - 1e-12, y1=1.0, z1=1.0 + 1e-12, xi1=2.0, x2=0.5, y2=0.0, z2=0.2, xi2=0.0
+        )
+        report = construct(tree, payoffs, eta=0.05)
+        assert report.case_trace[0].label == "A1" and report.profile.player2["n0b"] == UNIFORM_MIX
+        with pytest.raises(ConvexityError, match=r"^node n0: Z1=1\.000000000001 above max\(X1, Y1\)=1\.0, so player 2 punishes"):
+            construct_pure(tree, payoffs, eta=0.05)
+
     def test_constant_game(self):
         tree = uniform_tree(1)
         payoffs = constant_payoffs(tree, 0.4, 0.4, 0.4, 0.4, zero_sum=False)

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import functools
+import hashlib
 import importlib.util
 import inspect
 import io
@@ -51,6 +52,15 @@ class TestGenerator:
             save(a, *generate(spec))
             save(b, *generate(spec))
             assert a.read_bytes() == b.read_bytes()
+
+    def test_bytes_are_the_same_on_every_interpreter(self, tmp_path):
+        # the child probabilities add with plain += loops: the builtin sum
+        # compensates from Python 3.12 on and would move this game's bytes
+        out = tmp_path / "game.json"
+        argv = ["generate", "--family", "war-of-attrition", "--depth", "6", "--branching", "3", "--seed", "62"]
+        assert main([*argv, "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "a01afd25958e48bab85fb05e5a6b8a8d161496de58e1442b350f57f406882014"
 
     def test_instances_are_valid(self):
         for seed in range(10):
@@ -301,6 +311,17 @@ class TestCli:
         for side in report["profile"].values():
             for mix in side.values():
                 assert all(p in (0.0, 1.0) for p in mix)
+
+    def test_pure_on_a_tolerated_z_above_max_x_y_is_exit_1(self, tmp_path, capsys):
+        # --tol 2.0 lets the game through the convexity gate; a punishment
+        # that would stop uniformly is a convexity error, not exit 5
+        inst = tmp_path / "game.json"
+        argv = ("generate", "--family", "random", "--depth", "3", "--branching", "2", "--seed", "1")
+        assert self._run(*argv, "--out", str(inst)) == 0
+        code = self._run("equilibrium", str(inst), "--pure", "--tol", "2.0", "--out", str(tmp_path / "pure.json"))
+        assert code == 1
+        assert "above max(X1, Y1)" in capsys.readouterr().err
+        assert not (tmp_path / "pure.json").exists()
 
     def test_gap_threshold_exceeded_is_exit_4(self, tmp_path):
         # waiting forever is not an equilibrium when stopping pays more

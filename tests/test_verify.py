@@ -35,7 +35,7 @@ from dynkin import (
 from dynkin import core, verify, zerosum
 from dynkin.cli import main
 from dynkin.toolkit import FAMILIES
-from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX
+from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX, _issue_line
 from dynkin.verify import _PathTable, _stop_rules
 
 from helpers import (
@@ -365,7 +365,7 @@ class TestBruteForce:
     @pytest.mark.parametrize("bad", ["missing node", "list", "nan mix"])
     @pytest.mark.parametrize("oracle", ["best_response", "brute_force_best_response", "brute_force_payoff"])
     def test_a_malformed_profile_side_is_a_profile_error(self, oracle, bad):
-        # the issue ``validate_profile`` words first, as ``deviation_gap`` raises it
+        # the issues ``validate_profile`` finds, as one line, as ``deviation_gap`` raises them
         tree, payoffs = dyadic_instance({"r": [("a", 0.5), ("b", 0.5)]}, 0)
         good = dict.fromkeys(tree.nodes, (0.25, 0.25, 0.5))
         side = {
@@ -385,7 +385,16 @@ class TestBruteForce:
         for profile, call, args in cases:
             with pytest.raises(ProfileError) as caught:
                 call(*args)
-            assert str(caught.value) == validate_profile(tree, profile)[0]
+            assert str(caught.value) == _issue_line(validate_profile(tree, profile))
+
+    @pytest.mark.parametrize("call", [deviation_gap, evaluate_profile_table, brute_force_payoff])
+    def test_a_profile_error_words_the_first_issue_and_counts_the_rest(self, call):
+        tree, payoffs = dyadic_instance({"r": [("a", 0.5), ("b", 0.5)]}, 0)
+        profile = BehavioralProfile.waiting(tree)
+        profile.player1.update(dict.fromkeys(tree.nodes, (0.5, 0.5, 0.5)))
+        with pytest.raises(ProfileError) as caught:
+            call(tree, payoffs, profile)
+        assert str(caught.value) == "node r: player 1 distribution sums to 1.5; and 2 more"
 
 
 # The oracle digest of ``test_oracle_floats_are_pinned_off_dyadic_inputs``.

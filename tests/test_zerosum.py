@@ -20,7 +20,7 @@ from dynkin import (
     stage_matrices,
     stage_value,
 )
-from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX
+from dynkin.core import ATOM_MIX, UNIFORM_MIX
 from dynkin.zerosum import _saddle_value
 
 from helpers import (
@@ -104,17 +104,15 @@ class TestStageMatrices:
 
 class TestStageValue:
     def test_waiting_carries_the_terminal_value(self):
-        value, max_mix, _ = stage_value(x=0.0, y=2.0, z=2.0, cont=1.0)
+        value, _ = stage_value(x=0.0, y=2.0, z=2.0, cont=1.0)
         assert value == 1.0
-        assert max_mix == WAIT_MIX
 
     def test_constant_game(self):
         assert stage_value(0.5, 0.5, 0.5, 0.5)[0] == 0.5
 
     def test_delay_beats_bad_simultaneity(self):
-        value, max_mix, _ = stage_value(x=1.0, y=1.0, z=0.0, cont=0.0)
+        value, _ = stage_value(x=1.0, y=1.0, z=0.0, cont=0.0)
         assert value == 1.0
-        assert max_mix == UNIFORM_MIX
 
     def test_orientation_agreement_on_random_stages(self):
         rng = random.Random(12345)
@@ -134,18 +132,18 @@ class TestStageValue:
             else:  # player 2 stops first for Y2 and is preempted for X2
                 _, payoffs = single_node_payoffs(0.0, 0.0, 0.0, 0.0, y, x, z, 0.0)
             primal, dual = stage_matrices(payoffs, "n0", PayoffPair(c, c))[player - 1]
-            pv, argmax_row, _ = solve_matrix_game(primal)
+            pv = solve_matrix_game(primal)[0]
             dv, _, argmin_col = solve_matrix_game(dual)
-            value, max_mix, min_mix = stage_value(x, y, z, c)
+            value, min_mix = stage_value(x, y, z, c)
             assert value == pv and value == dv
-            assert max_mix == argmax_row and min_mix == argmin_col
+            assert min_mix == argmin_col
 
     @staticmethod
     def _assert_as_reference(args):
-        value, max_mix, min_mix = stage_value(*args)
-        ref_value, ref_max, ref_min = reference_stage_value(*args)
+        value, min_mix = stage_value(*args)
+        ref_value, _, ref_min = reference_stage_value(*args)
         assert value.hex() == ref_value.hex(), args
-        assert max_mix is ref_max and min_mix is ref_min, args
+        assert min_mix is ref_min, args
 
     def test_comparisons_match_the_builtins_on_a_signed_zero_grid(self):
         # the comparison form keeps the float and the first-index mix that
