@@ -327,11 +327,13 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     """Structural diagnostics in node order; an empty list means the instance is valid.
 
     One loop checks the child probabilities, the depths and the horizon, and
-    C-level passes over each table's column check its entries (every entry
-    present, an int or a float, and the magnitudes summing to a finite total
-    within the limit); only a table that fails its passes is worded node by
-    node.  A child probability must be a number too (as ``_is_number``); a
-    node with one that is not gets no sum check.
+    C-level passes screen each table: one key-set comparison against its
+    nodes (or leaves), then its entries are each an int or a float, and
+    their magnitudes sum to a finite total within the limit.  A table with
+    other keys is screened by its column over its nodes instead; only a
+    table that fails its screen is worded node by node.  A child
+    probability must be a number too (as ``_is_number``); a node with one
+    that is not gets no sum check.
     """
     nodes = tree.nodes
     depth = tree.depth
@@ -360,12 +362,17 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
                 found[node].append(f"node {_worded_id(node)}: probability {p!r} for child {_worded_id(child)} not in (0, 1]")
             if depth[child] != below:
                 found[node].append(f"node {_worded_id(child)}: depth {depth[child]} inconsistent with parent")
-    for where, kind, schema in ((leaves, "terminal payoff", TERMINAL_TABLES), (nodes, "payoff", STAGE_TABLES)):
+    for where, keys, kind, schema in (
+        (leaves, set(leaves), "terminal payoff", TERMINAL_TABLES),
+        (nodes, depth.keys(), "payoff", STAGE_TABLES),
+    ):
         for name, field in schema:
             table = getattr(payoffs, field)
-            # a sum of magnitudes is at least each of them, and a missing (NaN
-            # default) or non-finite entry leaves it non-finite
-            column = tuple(map(table.get, where, repeat(math.nan)))
+            # A float sum of magnitudes is at least each of them, in any
+            # order, and a non-finite entry leaves it non-finite.  A table
+            # keyed by exactly its nodes is screened by its values; any other
+            # by its column over them, a missing entry read as NaN.
+            column = table.values() if table.keys() == keys else tuple(map(table.get, where, repeat(math.nan)))
             try:
                 if set(map(type, column)) <= _NUMBER_TYPES and sum(map(math.fabs, column)) <= PAYOFF_LIMIT:
                     continue

@@ -10,7 +10,8 @@ players in one backward pass, one ``deviator_lines`` call per player and
 node pricing both; ``best_response`` and
 ``core.evaluate_profile_table`` stay as the one-program references that the
 tests and the brute-force oracles hold it to.  The invariant runner checks
-frame-split invariance on one split of every frame of the input.
+each invariant as one column of violations over its nodes, by C-level
+passes, and frame-split invariance on one split of every frame of the input.
 
 Brute-force enumerators over explicit stopping rules provide independent
 cross-checks on small trees.  Each call builds one table of the tree's
@@ -29,8 +30,9 @@ on one that is not finite: a NaN compares false with every bound.
 from __future__ import annotations
 
 import math
-from itertools import product
-from typing import Iterator, NamedTuple, Optional
+from itertools import chain, compress, count, filterfalse, product, repeat
+from operator import sub
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     DEVIATOR_ACTIONS,
@@ -53,10 +55,10 @@ from .core import (
     split_frames,
 )
 from .zerosum import (
-    _saddle_value,
     hitting_time,
+    saddle_values,
     solve_value_process,
-    stage_matrices,
+    stage_columns,
 )
 
 BRUTE_FORCE_NODE_LIMIT = 10
@@ -484,13 +486,16 @@ def check_invariants(
 ) -> InvariantReport:
     """Run the named solver invariants and report worst violations.
 
-    ``minimax_agreement`` makes one backward pass that carries both players'
-    continuations; at each node one ``stage_matrices`` call (its cells
-    resolved by ``core.STOP_ORDER``) gives both players' primal and dual
-    matrices, and the value of each, by the saddle rule of
-    ``solve_matrix_game`` without its mixes, is compared with the other and
-    with the closed-form value.  Its items list player 1's nodes, then
-    player 2's.
+    Each check's violations are one column over its nodes, built by C-level
+    ``map`` passes; only the continuations and the expected-value target,
+    backward recursions, take a loop over the nodes.
+    ``minimax_agreement`` takes both players' continuations in one backward
+    pass, builds both players' primal and dual matrices over all nodes at
+    once (``stage_columns``, its cells resolved by ``core.STOP_ORDER``) and
+    solves all four by the one saddle rule (``saddle_values``); at each node
+    the two values are compared with each other and with the closed-form
+    value.  Its items list player 1's nodes in reverse breadth-first order,
+    then player 2's.
     ``split_invariance`` splits every frame of the input at once and
     compares both value processes at each input node and at its copy.  The
     instance and the split tree are each validated once.
@@ -500,82 +505,92 @@ def check_invariants(
     checks: list[InvariantCheck] = []
     values = {i: solve_value_process(tree, payoffs, i) for i in (1, 2)}
     hits = {i: hitting_time(tree, payoffs, values[i], eta, tol) for i in (1, 2)}
+    nodes = tree.nodes
 
-    def add(name: str, items: list[tuple[str, float]]) -> None:
-        # the largest violation and its first node; the first one that is not
-        # finite (a NaN compares false with everything) ends the search and fails
-        worst, witness, floor = 0.0, None, -math.inf
-        for node, violation in items:
-            if not floor < violation <= worst:
-                worst, witness = violation, node
-                if not math.isfinite(violation):
-                    break
-        checks.append(InvariantCheck(name, math.isfinite(worst) and worst <= tol, worst, witness))
+    def add(name: str, where: Sequence[str], violations: list[float]) -> None:
+        # the largest violation and its first node in item order, by C-level
+        # passes; the first one that is not finite (a NaN compares false with
+        # everything) ends the search and fails the check at its node
+        if not all(map(math.isfinite, violations)):
+            end = list(map(math.isfinite, violations)).index(False)
+            checks.append(InvariantCheck(name, False, violations[end], where[end]))
+            return
+        worst = max([0.0, *violations])  # 0.0 unless one is larger; else the first of the largest
+        checks.append(InvariantCheck(name, worst <= tol, worst, where[violations.index(worst)] if worst else None))
 
     for i in (1, 2):
-        v = values[i].value
         stop, opp, sim, _ = payoffs.side(i)
-        add(
-            f"value_lower_bound_p{i}",
-            [(n, min(stop[n], opp[n]) - v[n]) for n in tree.nodes],
-        )
-        add(
-            f"value_upper_bound_p{i}",
-            [(n, v[n] - max(stop[n], opp[n])) for n in tree.nodes],
-        )
+        v, x, y, z = (list(map(table.__getitem__, nodes)) for table in (values[i].value, stop, opp, sim))
+        add(f"value_lower_bound_p{i}", nodes, list(map(sub, map(min, x, y), v)))
+        add(f"value_upper_bound_p{i}", nodes, list(map(sub, v, map(max, x, y))))
         # an immediate opponent stop caps the value at max(opp-first, simultaneous)
-        add(f"value_opponent_cap_p{i}", [(n, v[n] - max(opp[n], sim[n])) for n in tree.nodes])
+        add(f"value_opponent_cap_p{i}", nodes, list(map(sub, v, map(max, y, z))))
 
     # Both orientations, built by the stop-order rule, must agree with each
-    # other and with the closed-form value the process used.  One pass
-    # builds both players' matrices, one stage_matrices call per node.
+    # other and with the closed-form value the process used.
     v1, v2 = values[1].value, values[2].value
     xi1, xi2 = payoffs.side(1).xi, payoffs.side(2).xi
-    minimax1: list[tuple[str, float]] = []
-    minimax2: list[tuple[str, float]] = []
-    for node in reversed(tree.nodes):
-        cont = PayoffPair(tree.continuation(node, v1, xi1), tree.continuation(node, v2, xi2))
-        matrices = stage_matrices(payoffs, node, cont)
-        for items, v, (primal, dual) in zip((minimax1, minimax2), (v1, v2), matrices):
-            pv = _saddle_value(primal)
-            dv = _saddle_value(dual)
-            gaps = abs(pv - dv), abs(pv - v[node]), abs(dv - v[node])
-            # ``max`` drops a NaN that is not its first argument; a sum of
-            # gaps at or above zero is NaN exactly when one of them is
-            items.append((node, math.nan if math.isnan(sum(gaps)) else max(gaps)))
-    add("minimax_agreement", minimax1 + minimax2)
+    back = nodes[::-1]
+    cont1: list[float] = []
+    cont2: list[float] = []
+    kids_of = tree.children.get
+    for node in back:  # ``EventTree.continuation``'s running sums, inline
+        kids = kids_of(node)
+        if kids:
+            c1 = c2 = 0.0
+            for child, p in kids:
+                c1 += p * v1[child]
+                c2 += p * v2[child]
+        else:
+            c1, c2 = xi1[node], xi2[node]
+        cont1.append(c1)
+        cont2.append(c2)
+    (primal1, dual1), (primal2, dual2) = stage_columns(payoffs, back, PayoffPair(cont1, cont2))
+    lowers = saddle_values([primal1, dual1, primal2, dual2])
+    minimax: list[float] = []
+    for v, pv, dv in ((v1, lowers[0], lowers[1]), (v2, lowers[2], lowers[3])):
+        at = list(map(v.__getitem__, back))
+        gaps = [list(map(abs, map(sub, a, b))) for a, b in ((pv, dv), (pv, at), (dv, at))]
+        worst = list(map(max, *gaps))
+        # ``max`` drops a NaN that is not its first argument; a sum of gaps
+        # at or above zero is NaN exactly when one of them is
+        if math.isnan(sum(map(sum, gaps))):
+            for k in compress(count(), map(math.isnan, map(sum, zip(*gaps)))):
+                worst[k] = math.nan
+        minimax += worst
+    add("minimax_agreement", back + back, minimax)
 
+    continuations = {1: dict(zip(back, cont1)), 2: dict(zip(back, cont2))}
     for i in (1, 2):
         v = values[i].value
         stop, opp, _, xi = payoffs.side(i)
         hit = hits[i].hits()
         # the pre-hit region: every node before the hit, never-hit paths whole
-        region = [n for n in tree.walk(tree.root, hit) if n not in hit]
-        sub = [(n, v[n] - tree.continuation(n, v, xi)) for n in region if not tree.is_leaf(n)]
-        add(f"submartingale_p{i}", sub)
+        region = list(filterfalse(hit.__contains__, tree.walk(tree.root, hit)))
+        inner = list(filter(kids_of, region))
+        add(f"submartingale_p{i}", inner, list(map(sub, map(v.__getitem__, inner), map(continuations[i].__getitem__, inner))))
+        antichain = hits[i].antichain
         add(
             f"hit_condition_p{i}",
-            [
-                (q, (v[q] - eta) - stop[q])
-                for q in hits[i].antichain
-            ],
+            antichain,
+            list(map(sub, map(sub, map(v.__getitem__, antichain), repeat(eta)), map(stop.__getitem__, antichain))),
         )
-        add(f"pre_hit_ordering_p{i}", [(n, stop[n] - opp[n]) for n in region])
-        add(f"expected_value_bound_p{i}", _expected_value_items(tree, v, xi, hit, region))
+        add(f"pre_hit_ordering_p{i}", region, list(map(sub, map(stop.__getitem__, region), map(opp.__getitem__, region))))
+        add(f"expected_value_bound_p{i}", *_expected_value_items(tree, v, xi, hit, region))
 
     # Splitting every frame doubles each root path; both halves of a frame
     # must keep the input's value, as the stage value is idempotent.
-    stree, spay, inserted = split_frames(tree, payoffs, tree.nodes)
+    stree, spay, inserted = split_frames(tree, payoffs, nodes)
     require_valid(stree, spay)
-    split_items = []
+    copies = list(map(inserted.__getitem__, nodes))
+    split: list[float] = []
     for i in (1, 2):
-        before = values[i].value
-        after = solve_value_process(stree, spay, i).value
-        for n in tree.nodes:
-            copy = inserted[n]
-            split_items.append((n, abs(after[n] - before[n])))
-            split_items.append((copy, abs(after[copy] - before[n])))
-    add("split_invariance", split_items)
+        before = list(map(values[i].value.__getitem__, nodes))
+        after = solve_value_process(stree, spay, i).value.__getitem__
+        drift = map(abs, map(sub, map(after, nodes), before))
+        drift_copy = map(abs, map(sub, map(after, copies), before))
+        split += chain.from_iterable(zip(drift, drift_copy))  # each node, then its copy
+    add("split_invariance", list(chain.from_iterable(zip(nodes, copies))) * 2, split)
 
     from .equilibrium import classify  # local import to avoid a module cycle
 
@@ -589,18 +604,16 @@ def check_invariants(
 
 def _expected_value_items(
     tree: EventTree, value: dict[str, float], xi: dict[str, float], hits: set[str], region: list[str]
-) -> list[tuple[str, float]]:
+) -> tuple[list[str], list[float]]:
     """value(n) must not exceed the expected value at the hit, xi beyond it;
-    ``region`` is the pre-hit region of the hit set ``hits``."""
+    ``region`` is the pre-hit region of the hit set ``hits``.  Returns the
+    covered nodes in backward order and their violations."""
     covered = hits.union(region)
     target: dict[str, float] = {}
-    items: list[tuple[str, float]] = []
-    for node in reversed(tree.nodes):
-        if node not in covered:
-            continue
+    where = list(filter(covered.__contains__, reversed(tree.nodes)))
+    for node in where:
         if node in hits:
             target[node] = value[node]
         else:
             target[node] = tree.continuation(node, target, xi)
-        items.append((node, value[node] - target[node]))
-    return items
+    return where, list(map(sub, map(value.__getitem__, where), map(target.__getitem__, where)))

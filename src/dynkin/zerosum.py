@@ -41,8 +41,8 @@ solvers read their fields once per call, never per node.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import NamedTuple, Optional
+from operator import itemgetter, ne
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import (
     DEVIATOR_ACTIONS,
@@ -63,6 +63,7 @@ from .core import (
 )
 
 Matrix = tuple[tuple[float, ...], ...]
+ColumnMatrix = tuple[tuple[list[float], ...], ...]  # each cell a column over nodes
 
 
 class ValueProcess(NamedTuple):
@@ -102,8 +103,10 @@ _SLOT = {
     Outcome.PLAYER2_FIRST: 2,
     Outcome.SURVIVAL: 3,
 }
-# One itemgetter per matrix row, its cells resolved through ``STOP_ORDER``
-# here, once: at a node a row is one C-level pick from the player's tuple.
+# The one slot table, ``_SLOT[STOP_ORDER[cell]]`` for each grid cell, read
+# into one itemgetter per matrix row, once: a row is one C-level pick from a
+# player's (sim, stop, opp, c), of floats at one node (``stage_matrices``) or
+# of columns over many (``stage_columns``).
 _PRIMAL, _DUAL = (
     tuple(itemgetter(*[_SLOT[STOP_ORDER[cell]] for cell in row]) for row in grid) for grid in _GRIDS
 )
@@ -138,6 +141,24 @@ def stage_matrices(
     )
 
 
+def stage_columns(
+    payoffs: PayoffProcess, nodes: list[str], continuation: PayoffPair
+) -> tuple[tuple[ColumnMatrix, ColumnMatrix], tuple[ColumnMatrix, ColumnMatrix]]:
+    """``stage_matrices`` at every node of ``nodes`` at once, cell by cell.
+
+    ``continuation`` holds each player's continuation values, one list in
+    the order of ``nodes``.  Each cell of a returned matrix is one list over
+    ``nodes``, the player's Z, X, Y or continuation column, picked by the
+    same row itemgetters, so entry ``k`` of every cell is
+    ``stage_matrices``' entry at ``nodes[k]``.
+    """
+    matrices = []
+    for (stop, opp, sim, _), cont in zip((payoffs.side(1), payoffs.side(2)), continuation):
+        own = (list(map(sim.__getitem__, nodes)), list(map(stop.__getitem__, nodes)), list(map(opp.__getitem__, nodes)), cont)
+        matrices.append((tuple([row(own) for row in _PRIMAL]), tuple([row(own) for row in _DUAL])))
+    return matrices[0], matrices[1]
+
+
 def solve_matrix_game(matrix: Matrix) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     """Value and pure optimal mixes of a zero-sum matrix game with a saddle point.
 
@@ -158,15 +179,50 @@ def solve_matrix_game(matrix: Matrix) -> tuple[float, tuple[float, ...], tuple[f
     return value, tuple(row_mix), tuple(col_mix)
 
 
+def saddle_values(matrices: list[ColumnMatrix]) -> list[list[float]]:
+    """The one saddle rule, over many games at once: each matrix's lower
+    value, the largest row minimum, at every node, which must equal its upper
+    value, the smallest column maximum.
+
+    Each cell of a matrix is a column over the same nodes.  The builtins
+    take each node's row minima and column maxima in the order of
+    ``max(map(min, rows))`` and ``min(map(max, zip(*rows)))``, so every
+    float is theirs, signed zeros and NaN included.  Two shortcuts keep
+    each float.  A repeated cell is passed once: after an argument the
+    running minimum is that argument or one it does not beat, later steps
+    only lower it, and ``<`` on ints and floats is transitive and false
+    whenever a NaN takes part, so a later copy never beats it (the same for
+    the maximum).  And a fold of the same cells is taken once, across rows,
+    columns and matrices.  The lower and upper
+    values are compared as floats (``operator.ne``: a NaN differs from
+    itself), and a game without a pure saddle point is a model violation,
+    raised at the first node and, there, at the first matrix: every stage
+    game has one.
+    """
+    folded: dict[tuple, list[float]] = {}  # keyed by the fold and its cells' ids; holds every column it keys
+
+    def fold(pick: Callable[..., float], cells: Iterable[list[float]]) -> list[float]:
+        cells = tuple({id(cell): cell for cell in cells}.values())
+        key = (pick, *map(id, cells))
+        if key not in folded:
+            folded[key] = list(map(pick, *cells)) if len(cells) > 1 else cells[0]
+        return folded[key]
+
+    bounds = [
+        (fold(max, [fold(min, row) for row in matrix]), fold(min, [fold(max, col) for col in zip(*matrix)]))
+        for matrix in matrices
+    ]
+    if any(any(map(ne, lower, upper)) for lower, upper in bounds):
+        flags = [list(map(ne, lower, upper)) for lower, upper in bounds]
+        k, m = min((where.index(True), m) for m, where in enumerate(flags) if True in where)
+        lower, upper = bounds[m]
+        raise ModelViolationError(f"matrix game has no pure saddle point: {lower[k]!r} < {upper[k]!r}")
+    return [lower for lower, _ in bounds]
+
+
 def _saddle_value(rows: Matrix) -> float:
-    """The one saddle rule: the largest row minimum, which must equal the
-    smallest column maximum.  A game without a pure saddle point is a model
-    violation: every stage game has one."""
-    lower = max(map(min, rows))
-    upper = min(map(max, zip(*rows)))
-    if lower != upper:
-        raise ModelViolationError(f"matrix game has no pure saddle point: {lower!r} < {upper!r}")
-    return lower
+    """``saddle_values`` of one matrix at one node."""
+    return saddle_values([[[[cell] for cell in row] for row in rows]])[0][0]
 
 
 def stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix]:

@@ -289,6 +289,26 @@ def reference_stage_matrices(
     return primal, dual
 
 
+def column_matrix(matrices: Sequence) -> tuple[tuple[list[float], ...], ...]:
+    """Per-node matrices of one shape as one matrix of columns, a fresh list
+    per cell: entry ``k`` of each cell is that cell of ``matrices[k]``."""
+    rows, cols = len(matrices[0]), len(matrices[0][0])
+    return tuple(tuple([m[r][c] for m in matrices] for c in range(cols)) for r in range(rows))
+
+
+def reference_stage_columns(payoffs: PayoffProcess, nodes: list[str], continuation: PayoffPair):
+    """``zerosum.stage_columns`` assembled from ``reference_stage_matrices``,
+    node by node, each cell a fresh list: no two cells share a column."""
+    per_node = [
+        (reference_stage_matrices(payoffs, node, c1, 1), reference_stage_matrices(payoffs, node, c2, 2))
+        for node, c1, c2 in zip(nodes, *continuation)
+    ]
+    return tuple(
+        tuple(column_matrix([matrices[player][orientation] for matrices in per_node]) for orientation in (0, 1))
+        for player in (0, 1)
+    )
+
+
 def reference_solve_matrix_game(matrix) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     """``solve_matrix_game`` with its mixes built by generator expressions:
     the reference it must equal, value and mixes, on every matrix."""

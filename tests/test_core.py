@@ -265,6 +265,25 @@ def test_instance_screen_passes_exactly_the_clean_instances(instance):
     assert validate_instance(tree, payoffs) == instance_issues(tree, payoffs)
 
 
+def test_a_table_with_other_keys_is_screened_over_its_nodes():
+    # a table keyed by exactly its nodes is screened by its values; an entry
+    # under any other key is never read, so a bad one there leaves the game
+    # valid, while the same entry at a node or leaf is worded
+    tree, payoffs = generate(GeneratorSpec(depth=2, branching=2, seed=1))
+    leaf = tree.leaves[0]
+    payoffs.xi1[tree.root] = math.nan  # an inner node: not a terminal key
+    payoffs.x1["stray"] = "bad"
+    assert validate_instance(tree, payoffs) == [] == instance_issues(tree, payoffs)
+    payoffs.xi2[leaf] = math.inf
+    payoffs.y1[tree.root] = "bad"
+    issues = validate_instance(tree, payoffs)
+    assert issues == instance_issues(tree, payoffs)
+    assert issues == [
+        f"node {tree.root}: payoff Y1 'bad' is not a number",
+        f"node {leaf}: non-finite terminal payoff xi2",
+    ]
+
+
 _BAD_MIXES = (
     (math.nan, 0.0, 1.0),
     (0.0, math.inf, 0.0),

@@ -48,6 +48,7 @@ from helpers import (
     extend_profile,
     poisoned_deviator_lines,
     reference_first_stops,
+    reference_stage_columns,
     reference_stage_matrices,
     root_call,
     single_node_payoffs,
@@ -399,6 +400,8 @@ class TestBruteForce:
 
 # The oracle digest of ``test_oracle_floats_are_pinned_off_dyadic_inputs``.
 ORACLE_SHA256 = "2e195ddc9a9cfb8a01891a1824771bca5e46fe30109b477257f6964681f609d1"
+# The invariant digest of ``test_reports_are_pinned_off_dyadic_inputs``.
+INVARIANT_SHA256 = "a91b99d21c3c72a2b73a131036068d7f7cf1d6a52c3d579de3b99f31e79eb388"
 
 
 @st.composite
@@ -537,41 +540,50 @@ class TestInvariantRunner:
         assert f"FAIL value_lower_bound_p1: worst=nan at {tree.root}\n" in capsys.readouterr().out
 
     def test_builds_one_kernel_table_per_node(self, monkeypatch):
-        # one stage_matrices call per node, in backward order, and each
-        # node's matrices are the reference's, built by outcome_kernel
+        # one stage_columns call over every node in backward order, with each
+        # player's continuations, and entry k of each cell is the reference
+        # matrices' entry at node k, built by outcome_kernel
         tree, payoffs = generate(GeneratorSpec(depth=4, branching=3, seed=0))
         calls = []
 
         def recorded(*args):
-            matrices = zerosum.stage_matrices(*args)
+            matrices = zerosum.stage_columns(*args)
             calls.append((args, matrices))
             return matrices
 
-        monkeypatch.setattr(verify, "stage_matrices", recorded)
+        monkeypatch.setattr(verify, "stage_columns", recorded)
         assert check_invariants(tree, payoffs, eta=0.2).all_pass
-        assert [args[1] for args, _ in calls] == list(reversed(tree.nodes))
-        for (p, node, cont), matrices in calls:
+        assert len(calls) == 1
+        (p, nodes, cont), matrices = calls[0]
+        assert nodes == list(reversed(tree.nodes))
+        values = [solve_value_process(tree, payoffs, i).value for i in (1, 2)]
+        for k, node in enumerate(nodes):
+            assert cont.g1[k] == tree.continuation(node, values[0], payoffs.xi1)
+            assert cont.g2[k] == tree.continuation(node, values[1], payoffs.xi2)
             reference = (
-                reference_stage_matrices(p, node, cont.g1, 1),
-                reference_stage_matrices(p, node, cont.g2, 2),
+                reference_stage_matrices(p, node, cont.g1[k], 1),
+                reference_stage_matrices(p, node, cont.g2[k], 2),
             )
-            assert repr(matrices) == repr(reference)  # repr tells -0.0 from 0.0
+            at_node = tuple(
+                tuple(tuple(tuple(cell[k] for cell in row) for row in matrix) for matrix in pair) for pair in matrices
+            )
+            assert repr(at_node) == repr(reference)  # repr tells -0.0 from 0.0
 
     def test_reports_are_those_of_the_reference_matrices(self, monkeypatch):
         # every family at depths 1-6, fixed seeds: the runner's report is the
         # same, to the bit, when each node's matrices come from 24
-        # outcome_kernel calls per player instead
+        # outcome_kernel calls per player instead, each cell its own column,
+        # so that the saddle rule shares no fold between cells
         games = [
             generate(GeneratorSpec(family=family, depth=depth, branching=3 if depth < 5 else 2, seed=1500 + depth))
             for family in FAMILIES
             for depth in range(1, 7)
         ]
+        calls = []
 
-        def reference(payoffs, node, cont):
-            return (
-                reference_stage_matrices(payoffs, node, cont.g1, 1),
-                reference_stage_matrices(payoffs, node, cont.g2, 2),
-            )
+        def reference(payoffs, nodes, cont):
+            calls.append(len(nodes))
+            return reference_stage_columns(payoffs, nodes, cont)
 
         def reports():
             return [
@@ -580,8 +592,85 @@ class TestInvariantRunner:
             ]
 
         fast = reports()
-        monkeypatch.setattr(verify, "stage_matrices", reference)
+        monkeypatch.setattr(verify, "stage_columns", reference)
         assert reports() == fast
+        assert calls == [len(t.nodes) for t, _ in games]
+
+    def test_reports_are_pinned_off_dyadic_inputs(self, monkeypatch):
+        # One SHA-256 over every report line, as float.hex, on generated games
+        # (not dyadic): every family at depths 1-6, fixed seeds, two etas.  On
+        # these valid games every check's worst is 0.0, so the same games run
+        # again with each value process skewed by a seeded amount near the
+        # tolerance: then the bounds, the minimax agreement, the split and the
+        # hit checks each report a worst float and a witness to pin.
+        real = verify.solve_value_process
+
+        def skewed(t, p, player):
+            process = real(t, p, player)
+            rng = random.Random(10 * len(t.nodes) + player)
+            for node in t.nodes:
+                process.value[node] += rng.uniform(-2e-9, 2e-9)
+            return process
+
+        digest = hashlib.sha256()
+        for solve in (real, skewed):
+            monkeypatch.setattr(verify, "solve_value_process", solve)
+            for family in FAMILIES:
+                for depth in range(1, 7):
+                    spec = GeneratorSpec(family=family, depth=depth, branching=3 if depth < 5 else 2, seed=2300 + depth)
+                    tree, payoffs = generate(spec)
+                    for eta in (0.05, 0.3):
+                        for c in check_invariants(tree, payoffs, eta=eta).checks:
+                            digest.update(f"{c.name} {c.passed} {c.worst.hex()} {c.witness}\n".encode())
+        assert digest.hexdigest() == INVARIANT_SHA256
+
+    def test_the_first_of_equal_largest_violations_is_the_witness(self, monkeypatch):
+        # player 2's value is 2.0 at every node; leaves n3 and n5 skewed by
+        # 0.5 each violate by exactly 0.5.  The bounds list the nodes
+        # breadth-first, the minimax agreement in reverse, and the split each
+        # node before its copy.
+        tree = uniform_tree(2)
+        payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False)
+        real = verify.solve_value_process
+
+        def skewed(t, p, player):
+            process = real(t, p, player)
+            if t is tree and player == 2:
+                process.value["n3"] += 0.5
+                process.value["n5"] += 0.5
+            return process
+
+        monkeypatch.setattr(verify, "solve_value_process", skewed)
+        checks = {c.name: c for c in check_invariants(tree, payoffs, eta=0.2).checks}
+        for name, witness in (("value_upper_bound_p2", "n3"), ("minimax_agreement", "n5"), ("split_invariance", "n3")):
+            assert (checks[name].passed, checks[name].worst, checks[name].witness) == (False, 0.5, witness), name
+
+    def test_the_first_infinite_violation_ends_the_search(self, monkeypatch):
+        # player 1's value is 1.0 at every node; n0 skewed by 5.0 violates
+        # finitely, then n1 at +inf and n6 at -inf violate without bound in
+        # either sign: the first infinite one fails the check at its node,
+        # and a later one, or a larger finite one before it, is not read
+        tree = uniform_tree(2)
+        payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False)
+        real = verify.solve_value_process
+
+        def skewed(t, p, player):
+            process = real(t, p, player)
+            if t is tree and player == 1:
+                process.value["n0"] += 5.0
+                process.value["n1"] = math.inf
+                process.value["n6"] = -math.inf
+            return process
+
+        monkeypatch.setattr(verify, "solve_value_process", skewed)
+        checks = {c.name: c for c in check_invariants(tree, payoffs, eta=0.2).checks}
+        for name, worst, witness in (
+            ("value_lower_bound_p1", -math.inf, "n1"),  # -6.0 at n0, then -inf at n1 and +inf at n6
+            ("value_upper_bound_p1", math.inf, "n1"),  # 4.0 at n0, then +inf at n1 and -inf at n6
+            ("value_opponent_cap_p1", math.inf, "n1"),
+            ("minimax_agreement", math.inf, "n6"),  # reverse breadth-first: n6 comes first
+        ):
+            assert (checks[name].passed, checks[name].worst, checks[name].witness) == (False, worst, witness), name
 
 
 class TestGapSplitInvariance:

@@ -1,6 +1,7 @@
 """Value processes, stage games, hitting times, and guarantee strategies."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from dynkin import (
     stage_value,
 )
 from dynkin.core import ATOM_MIX, UNIFORM_MIX
-from dynkin.zerosum import _saddle_value
+from dynkin.zerosum import _saddle_value, saddle_values, stage_columns
 
 from helpers import (
     chain_tree,
@@ -29,6 +30,7 @@ from helpers import (
     corpus,
     mirror,
     pure_optimal_strategy,
+    column_matrix,
     reference_solve_matrix_game,
     reference_stage_matrices,
     reference_stage_value,
@@ -50,7 +52,37 @@ def _payoffs_for_stage(x, y, z):
     return payoffs
 
 
+def _grid_columns():
+    """Every point (x, y, z, c) of a signed-zero grid as one node of one
+    game: player 1 sees (X, Y, Z, c), player 2 stop-first z, opponent-first
+    x, simultaneous y and continuation -c.  Returns the payoffs, the nodes
+    and ``stage_columns`` over them."""
+    grid = (-1.0, -0.0, 0.0, 0.5, 1.0)
+    points = list(itertools.product(grid, repeat=4))
+    nodes = [f"n{k}" for k in range(len(points))]
+    tables = {field: {} for field in ("x1", "y1", "z1", "x2", "y2", "z2", "xi1", "xi2")}
+    for node, (x, y, z, c) in zip(nodes, points):
+        for field, entry in zip(("x1", "y1", "z1", "y2", "x2", "z2"), (x, y, z, z, x, y)):
+            tables[field][node] = entry
+    payoffs = PayoffProcess(**tables)
+    cont = PayoffPair([c for *_, c in points], [-c for *_, c in points])
+    return payoffs, nodes, cont, stage_columns(payoffs, nodes, cont)
+
+
+def _at_node(matrices, k):
+    """Entry ``k`` of every cell of ``stage_columns``' matrices."""
+    return tuple(tuple(tuple(tuple(cell[k] for cell in row) for row in m) for m in pair) for pair in matrices)
+
+
 class TestStageMatrices:
+    def test_columns_hold_each_nodes_matrices(self):
+        # one stage_columns call over the whole grid, both players: entry k
+        # of each cell is stage_matrices' at node k, signed zeros included
+        payoffs, nodes, cont, columns = _grid_columns()
+        for k, node in enumerate(nodes):
+            expected = stage_matrices(payoffs, node, PayoffPair(cont.g1[k], cont.g2[k]))
+            assert repr(_at_node(columns, k)) == repr(expected)
+
     def test_flat_example_rows(self):
         payoffs = _payoffs_for_stage(x=0.0, y=2.0, z=2.0)
         (primal, _), _ = stage_matrices(payoffs, "n0", PayoffPair(1.0, 1.0))
@@ -164,6 +196,61 @@ class TestMatrixGame:
             solve_matrix_game([[1.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(ModelViolationError, match="saddle"):
             _saddle_value(((1.0, -1.0), (-1.0, 1.0)))
+
+    def test_a_nan_value_differs_from_itself(self):
+        # lower and upper are the same NaN object here; a list comparison
+        # would call them equal, the float comparison does not
+        for matrix in (((math.nan,),), ((math.nan, math.nan), (math.nan, math.nan))):
+            with pytest.raises(ModelViolationError, match="nan < nan"):
+                _saddle_value(matrix)
+            with pytest.raises(ModelViolationError, match="nan < nan"):
+                saddle_values([column_matrix([matrix, matrix])])
+
+    def test_saddle_values_are_each_nodes_rule_on_the_stage_grid(self):
+        # the stage columns share cells across rows, columns, orientations
+        # and rows of one matrix, so each distinct fold runs once: every
+        # value is still the per-node rule's, to the bit
+        _, nodes, _, columns = _grid_columns()
+        values = saddle_values([m for pair in columns for m in pair])
+        for k in range(len(nodes)):
+            matrices = [m for pair in _at_node(columns, k) for m in pair]
+            assert [v[k].hex() for v in values] == [reference_solve_matrix_game(m)[0].hex() for m in matrices]
+
+    def test_saddle_values_are_each_nodes_rule_on_shared_random_cells(self):
+        # random matrices over a few columns, shared between cells at random,
+        # with signed zeros and NaN: the values of every matrix at every
+        # node, or the error of the first node and, there, the first matrix
+        rng = random.Random(11)
+        levels = (-1.0, -0.0, 0.0, 1.0, 1.0, 2.0, math.nan)
+        raised = 0
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            pool = [[rng.choice(levels) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            matrices = [
+                tuple(tuple(rng.choice(pool) for _ in range(cols)) for _ in range(rows))
+                for rows, cols in ((rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
+            ]
+            per_node = [[[[cell[k] for cell in row] for row in m] for m in matrices] for k in range(n)]
+            expected = None
+            for games in per_node:
+                for game in games:
+                    try:
+                        reference_solve_matrix_game(game)
+                    except ModelViolationError as exc:
+                        expected = str(exc)
+                        break
+                if expected:
+                    break
+            if expected:
+                raised += 1
+                with pytest.raises(ModelViolationError) as caught:
+                    saddle_values(matrices)
+                assert str(caught.value) == expected
+            else:
+                values = saddle_values(matrices)
+                for k, games in enumerate(per_node):
+                    assert [v[k].hex() for v in values] == [reference_solve_matrix_game(g)[0].hex() for g in games]
+        assert 50 < raised < 350
 
     def test_saddle_point(self):
         value, rows, cols = solve_matrix_game([[3.0, 1.0], [0.0, -1.0]])
