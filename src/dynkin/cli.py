@@ -12,9 +12,10 @@ max(X, Y) by no more than --tol where a punishment would be a uniform stop),
 2 schema violation
 (including a file that is not readable JSON, a payoff above
 core.PAYOFF_LIMIT, a profile that does not fit its tree, and a report
-without second_half or whose instance is not the game split at those
-nodes), 3 invariant failure, 4 deviation gap above threshold, 5 internal
-model violation.
+without second_half, whose second_half does not map each of its game nodes
+to the copy the split inserts below it, or whose instance is not the game
+split at those nodes), 3 invariant failure, 4 deviation gap above
+threshold, 5 internal model violation.
 """
 
 from __future__ import annotations
@@ -201,13 +202,16 @@ def _cert_doc(cert) -> dict:
 def _report_instance(doc: dict, tree: EventTree, payoffs: PayoffProcess) -> tuple[EventTree, PayoffProcess]:
     """The frame-split instance a report's profile lives on.
 
-    The split is rebuilt from the game at the report's ``second_half`` nodes,
-    and the report's embedded instance must equal it entry for entry.
+    The split is rebuilt from the game at the report's ``second_half`` nodes;
+    each of them must map to the copy the split inserted below it, and the
+    report's embedded instance must equal the split entry for entry.
     """
     targets = doc.get("second_half")
-    if not isinstance(targets, dict) or not all(map(tree.depth.__contains__, targets)):
+    inserted = None
+    if isinstance(targets, dict) and all(map(tree.depth.__contains__, targets)):
+        stree, spay, inserted = split_frames(tree, payoffs, list(targets))
+    if inserted is None or any(inserted[node] != copy for node, copy in targets.items()):
         raise SchemaError("report: second_half must map game nodes to their split copies")
-    stree, spay, _ = split_frames(tree, payoffs, list(targets))
     if instance_to_doc(stree, spay) != doc["instance"]:
         raise SchemaError("report instance differs from the game split at its second_half nodes")
     return stree, spay

@@ -35,7 +35,7 @@ import sys
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from enum import Enum
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse
 from operator import itemgetter
 from typing import Container, NamedTuple, Optional
 
@@ -214,13 +214,17 @@ class EventTree(_Record):
 
     def continuation(self, node: str, value: Mapping[str, float], terminal: Mapping[str, float]) -> float:
         """Value of surviving ``node``'s frame: the terminal payoff at a leaf,
-        else the children's ``value`` weighted by their probabilities."""
+        else the children's ``value`` weighted by their probabilities.
+
+        The one backward step of every per-node recursion off the two hot
+        loops: ``evaluate_profile_table``, ``verify.best_response`` and the
+        invariant runner's continuations and expected-value target."""
         kids = self.children.get(node)
         if not kids:
             return terminal[node]
         # a plain running sum, the same on every interpreter as the inline
-        # sums of ``verify.deviation_gap``, ``evaluate_profile_table`` and
-        # ``zerosum.solve_value_process`` (``sum`` compensates from 3.12 on)
+        # sums of ``verify.deviation_gap`` and ``zerosum.solve_value_process``
+        # (``sum`` compensates from 3.12 on)
         total = 0.0
         for child, p in kids:
             total += p * value[child]
@@ -327,13 +331,12 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     """Structural diagnostics in node order; an empty list means the instance is valid.
 
     One loop checks the child probabilities, the depths and the horizon, and
-    C-level passes screen each table: one key-set comparison against its
-    nodes (or leaves), then its entries are each an int or a float, and
-    their magnitudes sum to a finite total within the limit.  A table with
-    other keys is screened by its column over its nodes instead; only a
-    table that fails its screen is worded node by node.  A child
-    probability must be a number too (as ``_is_number``); a node with one
-    that is not gets no sum check.
+    C-level passes screen each table keyed by exactly its nodes (or
+    leaves): its entries are each an int or a float, and their magnitudes
+    sum to a finite total within the limit.  A table with other keys, or
+    one that fails its screen, is worded node by node.  A child probability
+    must be a number too (as ``_is_number``); a node with one that is not
+    gets no sum check.
     """
     nodes = tree.nodes
     depth = tree.depth
@@ -368,13 +371,12 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     ):
         for name, field in schema:
             table = getattr(payoffs, field)
+            column = table.values()
             # A float sum of magnitudes is at least each of them, in any
-            # order, and a non-finite entry leaves it non-finite.  A table
-            # keyed by exactly its nodes is screened by its values; any other
-            # by its column over them, a missing entry read as NaN.
-            column = table.values() if table.keys() == keys else tuple(map(table.get, where, repeat(math.nan)))
+            # order, and a non-finite entry leaves it non-finite.  Only a
+            # table keyed by exactly its nodes is screened.
             try:
-                if set(map(type, column)) <= _NUMBER_TYPES and sum(map(math.fabs, column)) <= PAYOFF_LIMIT:
+                if table.keys() == keys and set(map(type, column)) <= _NUMBER_TYPES and sum(map(math.fabs, column)) <= PAYOFF_LIMIT:
                     continue
             except OverflowError:  # an int beyond the float range
                 pass
@@ -588,25 +590,20 @@ def evaluate_profile_table(
     and late.
     """
     require_profile(tree, profile)
-    s1, s2 = payoffs.side(1), payoffs.side(2)
-    table: dict[str, PayoffPair] = {}
-    for node in reversed(tree.nodes):
-        kids = tree.children.get(node)
-        if kids:
-            c1 = c2 = 0.0
-            for child, p in kids:
-                c1 += p * table[child].g1
-                c2 += p * table[child].g2
-        else:
-            c1, c2 = s1.xi[node], s2.xi[node]
-        a1, u1, w1 = mix1 = profile.player1[node]
-        a2, u2, w2 = mix2 = profile.player2[node]
-        atom, early, late, wait, _ = deviator_lines(s1.stop[node], s1.opp[node], s1.sim[node], mix2, c1, c1)
-        g1 = a1 * atom + u1 * (0.5 * (early + late)) + w1 * wait
-        atom, early, late, wait, _ = deviator_lines(s2.stop[node], s2.opp[node], s2.sim[node], mix1, c2, c2)
-        g2 = a2 * atom + u2 * (0.5 * (early + late)) + w2 * wait
-        table[node] = PayoffPair(g1, g2)
-    return table
+    values = []
+    for (stop, opp, sim, xi), own, other in (
+        (payoffs.side(1), profile.player1, profile.player2),
+        (payoffs.side(2), profile.player2, profile.player1),
+    ):
+        value: dict[str, float] = {}
+        for node in reversed(tree.nodes):
+            cont = tree.continuation(node, value, xi)
+            a, u, w = own[node]
+            atom, early, late, wait, _ = deviator_lines(stop[node], opp[node], sim[node], other[node], cont, cont)
+            value[node] = a * atom + u * (0.5 * (early + late)) + w * wait
+        values.append(value)
+    g1, g2 = values
+    return {node: PayoffPair(g1[node], g2[node]) for node in g1}
 
 
 def evaluate_profile(

@@ -9,18 +9,22 @@ prices the profile from.  ``deviation_gap`` runs both programs for both
 players in one backward pass, one ``deviator_lines`` call per player and
 node pricing both; ``best_response`` and
 ``core.evaluate_profile_table`` stay as the one-program references that the
-tests and the brute-force oracles hold it to.  The invariant runner checks
-each invariant as one column of violations over its nodes, by C-level
-passes, and frame-split invariance on one split of every frame of the input.
+tests and the brute-force oracles hold it to, each stepping back through
+``EventTree.continuation``.  The invariant runner checks each invariant as
+one column of violations over its nodes, by C-level passes, and
+frame-split invariance on one split of every frame of the input.
 
 Brute-force enumerators over explicit stopping rules provide independent
 cross-checks on small trees.  Each call builds one table of the tree's
 root-to-leaf paths, each with its probability from one upward walk per leaf,
 and each path's terms one row per first stop, by frame order: an earlier
 opponent stop pays its frame's opponent-first entry, a later one or none the
-stop-first entry, and only a shared frame reads ``core.STOP_ORDER``.  First
-stops come from the table's node-to-path index; the rules it enumerates are
-exactly the reduced stopping rules of ``_stop_rules``.
+stop-first entry, and only a shared frame reads ``core.STOP_ORDER``.  The
+table also refuses a tree above ``BRUTE_FORCE_NODE_LIMIT`` nodes and
+enumerates the reduced stopping rules of ``_stop_rules``, each with its
+first stop on every path from a node-to-path index.  One path-by-path sum,
+``_rule_payoffs``, prices a rule against every opponent rule for
+``brute_force_payoff`` (both players) and ``brute_force_value``.
 
 ``GapCertificate``, ``InvariantCheck`` and ``InvariantReport`` are
 ``NamedTuple`` records.  A check fails on a violation above its tolerance or
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, compress, count, filterfalse, product, repeat
-from operator import sub
+from operator import getitem, sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -227,13 +231,6 @@ def deviation_gap(
 # Brute-force oracles (small trees only)
 
 
-def _check_size(tree: EventTree) -> None:
-    if len(tree.nodes) > BRUTE_FORCE_NODE_LIMIT:
-        raise ValueError(
-            f"brute force refused: {len(tree.nodes)} nodes exceeds {BRUTE_FORCE_NODE_LIMIT}"
-        )
-
-
 def _stop_rules(
     tree: EventTree, node: str, actions: tuple[StageAction, ...]
 ) -> Iterator[dict[str, StageAction]]:
@@ -257,20 +254,26 @@ _Stop = tuple[int, Optional[StageAction]]
 
 
 class _PathTable:
-    """The root-to-leaf paths of one brute-force call, built once.
+    """The root-to-leaf paths and the reduced stopping rules of one
+    brute-force call, built once; a tree of more than
+    ``BRUTE_FORCE_NODE_LIMIT`` nodes is a ``ValueError``.
 
     ``stops[p][k]`` lists the first stops a rule over ``actions`` can make in
     frame ``k`` of path ``p``: ``(k, act)`` at the path's k-th node, and
-    ``(len(path), None)`` for no stop in frame ``len(path)``.  A rule is
-    reduced to its index into the flattened list on each path, and ``on``
-    maps each node to the (path, index of its first stop) pairs it lies on.
+    ``(len(path), None)`` for no stop in frame ``len(path)``.  ``rules``
+    holds every rule of ``_stop_rules``, and ``firsts[r]`` the index of rule
+    r's first stop into the flattened list on every path.  A reduced rule
+    stops at most once on each path, so each of its stops is written onto
+    the paths through its node, and every other path keeps no stop.
     """
 
     def __init__(self, tree: EventTree, actions: tuple[StageAction, ...]) -> None:
+        if len(tree.nodes) > BRUTE_FORCE_NODE_LIMIT:
+            raise ValueError(f"brute force refused: {len(tree.nodes)} nodes exceeds {BRUTE_FORCE_NODE_LIMIT}")
         width = len(actions)
         self.paths: list[list[str]] = []
         self.probs: list[float] = []
-        self.on = on = {node: [] for node in tree.nodes}
+        on: dict[str, list[tuple[int, int]]] = {node: [] for node in tree.nodes}  # (path, index of its first stop)
         for p, leaf in enumerate(tree.leaves):  # one upward walk per leaf, in leaf order
             path, prob = [leaf], 1.0
             while (up := tree.parent[path[-1]]) is not None:
@@ -283,19 +286,49 @@ class _PathTable:
             self.probs.append(prob)
         frames = [[(k, act) for act in actions] for k in range(tree.horizon + 1)]
         self.stops: list[list[list[_Stop]]] = [frames[: len(path)] + [[(len(path), None)]] for path in self.paths]
-        self._none = [len(path) * width for path in self.paths]
-        self._index = {act: i for i, act in enumerate(actions)}
+        self.rules = list(_stop_rules(tree, tree.root, actions))
+        none = [len(path) * width for path in self.paths]
+        self.firsts: list[tuple[int, ...]] = []
+        for rule in self.rules:
+            ids = none.copy()
+            for node, act in rule.items():
+                for p, base in on[node]:
+                    ids[p] = base + actions.index(act)
+            self.firsts.append(tuple(ids))
 
-    def first_stops(self, rule: dict[str, StageAction]) -> tuple[int, ...]:
-        """The index of the rule's first stop on every path.  A reduced rule
-        stops at most once on each path, so each of its stops is written onto
-        the paths through its node, and every other path keeps no stop."""
-        ids = self._none.copy()
-        for node, act in rule.items():
-            i = self._index[act]
-            for p, base in self.on[node]:
-                ids[p] = base + i
-        return tuple(ids)
+    def rows(
+        self, payoffs: PayoffProcess, player: int, theirs: Optional[list[list[list[tuple[_Stop, float]]]]] = None
+    ) -> list[list[list[float]]]:
+        """``player``'s terms on every path, one row per first stop:
+        ``rows[p][i]`` when the player first stops at the i-th stop of path p.
+
+        ``theirs[p][k]`` holds the opponent's first stops in frame ``k`` of
+        path p (``len(path)`` is no stop), weighted; by default every stop,
+        at the path's probability.  Against a stop in frame k, an opponent
+        stop in an earlier frame j pays the player's opponent-first entry at
+        ``path[j]``, a later one or none their stop-first entry at
+        ``path[k]``; only frame k's own cells ask ``_pure_path_payoff``.
+        Each term is the weight times the entry.
+        """
+        stop, opp = payoffs.side(player)[:2]
+        if theirs is None:
+            theirs = [[[(s, prob) for s in frame] for frame in stops] for prob, stops in zip(self.probs, self.stops)]
+        table = []
+        for path, stops, weighted in zip(self.paths, self.stops, theirs):
+            shared = [  # the cells of each frame, one row per first stop
+                [[w * _pure_path_payoff(payoffs, path, mine, other, player) for other, w in weighted[k]] for mine in frame]
+                for k, frame in enumerate(stops)
+            ]
+            rows: list[list[float]] = []
+            lead: list[float] = []  # the terms against the opponent's stops before frame k
+            for k, node in enumerate(path):
+                entry = stop[node]
+                tail = [w * entry for frame in weighted[k + 1 :] for _, w in frame]
+                rows += [lead + row + tail for row in shared[k]]
+                entry = opp[node]
+                lead += [w * entry for _, w in weighted[k]]
+            table.append(rows + [lead + row for row in shared[-1]])
+        return table
 
 
 def _pure_path_payoff(payoffs: PayoffProcess, path: list[str], mine: _Stop, theirs: _Stop, player: int) -> float:
@@ -319,36 +352,15 @@ def _pure_path_payoff(payoffs: PayoffProcess, path: list[str], mine: _Stop, thei
     return first if first <= second else second
 
 
-def _path_rows(
-    payoffs: PayoffProcess, path: list[str], stops: list[list[_Stop]],
-    theirs: list[list[tuple[_Stop, float]]], player: int,
-) -> list[list[float]]:
-    """``player``'s terms on one path, one row per first stop in ``stops``.
-
-    ``stops[k]`` and ``theirs[k]`` hold the player's and the opponent's first
-    stops in frame ``k`` (``len(path)`` is no stop), the opponent's weighted.
-    Against a stop in frame k, an opponent stop in an earlier frame j pays
-    the player's opponent-first entry at ``path[j]``, a later one or none
-    their stop-first entry at ``path[k]``; only frame k's own cells ask
-    ``_pure_path_payoff``.  Each term is the weight times the entry.
-    """
-    stop, opp = payoffs.side(player)[:2]
-
-    def shared(k: int) -> list[list[float]]:  # the cells of frame k, one row per first stop
-        return [
-            [w * _pure_path_payoff(payoffs, path, mine, other, player) for other, w in theirs[k]]
-            for mine in stops[k]
-        ]
-
-    rows: list[list[float]] = []
-    lead: list[float] = []  # the terms against the opponent's stops before frame k
-    for k, node in enumerate(path):
-        entry = stop[node]
-        tail = [w * entry for frame in theirs[k + 1 :] for _, w in frame]
-        rows += [lead + row + tail for row in shared(k)]
-        entry = opp[node]
-        lead += [w * entry for _, w in theirs[k]]
-    return rows + [lead + row for row in shared(len(path))]
+def _rule_payoffs(terms: list[list[list[float]]], mine: tuple[int, ...], columns: list[tuple[int, ...]]) -> list[float]:
+    """The payoff of the rule with first stops ``mine`` against each rule
+    whose first stop on path p is its entry of ``columns[p]``: its terms
+    ``terms[p][mine[p]]`` added up path by path."""
+    pays = [0.0] * len(columns[0])
+    for path_terms, i, column in zip(terms, mine, columns):
+        row = path_terms[i]
+        pays = [pay + row[j] for pay, j in zip(pays, column)]
+    return pays
 
 
 def _rule_probability(tree: EventTree, rule: dict[str, StageAction], side: dict[str, Mix]) -> float:
@@ -377,29 +389,21 @@ def brute_force_payoff(
     pair's payoff adds up its entries path by path.  The profile is checked
     by ``require_profile``.
     """
-    _check_size(tree)
+    table = _PathTable(tree, (_ATOM, _UNIFORM))
     require_profile(tree, profile)
-    stoppers = (_ATOM, _UNIFORM)
-    table = _PathTable(tree, stoppers)
-    terms1, terms2 = [], []  # terms1[p][i1][i2] and terms2[p][i1][i2]
-    for path, prob, stops in zip(table.paths, table.probs, table.stops):
-        every = [[(stop, prob) for stop in frame] for frame in stops]
-        terms1.append(_path_rows(payoffs, path, stops, every, 1))
-        terms2.append(list(zip(*_path_rows(payoffs, path, stops, every, 2))))
-    rules = list(_stop_rules(tree, tree.root, stoppers))
-    weights2 = [_rule_probability(tree, rule, profile.player2) for rule in rules]
-    side2 = [(p2, table.first_stops(rule)) for rule, p2 in zip(rules, weights2) if p2 != 0.0]
-    columns = list(zip(*(stops2 for _, stops2 in side2)))  # columns[p]: each player-2 rule's first stop on path p
+    terms1 = table.rows(payoffs, 1)  # terms1[p][i1][i2]
+    # terms2[p][i1][i2], each row a list like every row ``_rule_payoffs``
+    # reads: one row type keeps its indexing specialized (Python 3.11+)
+    terms2 = [list(map(list, zip(*rows))) for rows in table.rows(payoffs, 2)]
+    weights2 = [_rule_probability(tree, rule, profile.player2) for rule in table.rules]
+    side2 = [(p2, firsts) for p2, firsts in zip(weights2, table.firsts) if p2 != 0.0]
+    columns = list(zip(*(firsts for _, firsts in side2)))  # columns[p]: each player-2 rule's first stop on path p
     g1 = g2 = 0.0
-    for rule1 in rules:
+    for rule1, firsts1 in zip(table.rules, table.firsts):
         p1 = _rule_probability(tree, rule1, profile.player1)
         if p1 == 0.0:
             continue
-        pays1 = pays2 = [0.0] * len(side2)
-        for path1, path2, i, column in zip(terms1, terms2, table.first_stops(rule1), columns):
-            row1, row2 = path1[i], path2[i]
-            pays1 = [pay + row1[j] for pay, j in zip(pays1, column)]
-            pays2 = [pay + row2[j] for pay, j in zip(pays2, column)]
+        pays1, pays2 = _rule_payoffs(terms1, firsts1, columns), _rule_payoffs(terms2, firsts1, columns)
         for (p2, _), pay1, pay2 in zip(side2, pays1, pays2):
             g1 += p1 * p2 * pay1
             g2 += p1 * p2 * pay2
@@ -421,13 +425,11 @@ def brute_force_best_response(
     player ``3 - deviator``'s side of a profile.
     """
     require_player(deviator)
-    _check_size(tree)
+    table = _PathTable(tree, (_ATOM, _EARLY, _LATE))
     require_side(tree, opponent, 3 - deviator)
-    stoppers = (_ATOM, _EARLY, _LATE)
-    table = _PathTable(tree, stoppers)
-    terms = []  # terms[p][i]: the terms on path p when the deviator first stops at the i-th stop
+    theirs = []  # theirs[p][k]: the opponent's weighted first stops in frame k of path p
     for path, prob, stops in zip(table.paths, table.probs, table.stops):
-        weighted: list[list[tuple[_Stop, float]]] = [[] for _ in stops]  # the opponent's stops per frame
+        weighted: list[list[tuple[_Stop, float]]] = [[] for _ in stops]
         alive = 1.0
         for k, node in enumerate(path):
             a, u, w = opponent[node]
@@ -437,13 +439,13 @@ def brute_force_best_response(
                 break
         else:
             weighted[-1] = [((len(path), None), prob * alive)]
-        terms.append(_path_rows(payoffs, path, stops, weighted, deviator))
+        theirs.append(weighted)
+    terms = table.rows(payoffs, deviator, theirs)  # terms[p][i]: the terms on path p when the deviator first stops at the i-th stop
     values = []
-    for rule in _stop_rules(tree, tree.root, stoppers):
+    for firsts in table.firsts:
         value = 0.0
-        for path_terms, i in zip(terms, table.first_stops(rule)):
-            for term in path_terms[i]:
-                value += term
+        for term in chain.from_iterable(map(getitem, terms, firsts)):  # path by path
+            value += term
         values.append(value)
     return max(values)
 
@@ -458,23 +460,10 @@ def brute_force_value(tree: EventTree, payoffs: PayoffProcess, player: int) -> f
     of first stops; a rule pair's payoff adds up its entries path by path.
     """
     require_player(player)
-    _check_size(tree)
-    stoppers = (_ATOM, _EARLY, _LATE)
-    table = _PathTable(tree, stoppers)
-    terms = [  # terms[p][mine][theirs]
-        _path_rows(payoffs, path, stops, [[(stop, prob) for stop in frame] for frame in stops], player)
-        for path, prob, stops in zip(table.paths, table.probs, table.stops)
-    ]
-    rules = [table.first_stops(rule) for rule in _stop_rules(tree, tree.root, stoppers)]
-    columns = list(zip(*rules))  # columns[p]: every rule's first stop on path p
-    worst = []
-    for mine in rules:
-        pays = [0.0] * len(rules)
-        for path_terms, i, column in zip(terms, mine, columns):
-            row = path_terms[i]
-            pays = [pay + row[j] for pay, j in zip(pays, column)]
-        worst.append(min(pays))
-    return max(worst)
+    table = _PathTable(tree, (_ATOM, _EARLY, _LATE))
+    terms = table.rows(payoffs, player)  # terms[p][mine][theirs]
+    columns = list(zip(*table.firsts))  # columns[p]: every rule's first stop on path p
+    return max(min(_rule_payoffs(terms, mine, columns)) for mine in table.firsts)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +476,10 @@ def check_invariants(
     """Run the named solver invariants and report worst violations.
 
     Each check's violations are one column over its nodes, built by C-level
-    ``map`` passes; only the continuations and the expected-value target,
-    backward recursions, take a loop over the nodes.
+    ``map`` passes; only the continuations and the expected-value target
+    take a loop over the nodes, each a call of ``EventTree.continuation``.
+    The continuations are taken from the reported value processes, not the
+    solver's own sums, so a skewed value shows in the checks.
     ``minimax_agreement`` takes both players' continuations in one backward
     pass, builds both players' primal and dual matrices over all nodes at
     once (``stage_columns``, its cells resolved by ``core.STOP_ORDER``) and
@@ -531,20 +522,8 @@ def check_invariants(
     v1, v2 = values[1].value, values[2].value
     xi1, xi2 = payoffs.side(1).xi, payoffs.side(2).xi
     back = nodes[::-1]
-    cont1: list[float] = []
-    cont2: list[float] = []
-    kids_of = tree.children.get
-    for node in back:  # ``EventTree.continuation``'s running sums, inline
-        kids = kids_of(node)
-        if kids:
-            c1 = c2 = 0.0
-            for child, p in kids:
-                c1 += p * v1[child]
-                c2 += p * v2[child]
-        else:
-            c1, c2 = xi1[node], xi2[node]
-        cont1.append(c1)
-        cont2.append(c2)
+    cont1 = [tree.continuation(node, v1, xi1) for node in back]
+    cont2 = [tree.continuation(node, v2, xi2) for node in back]
     (primal1, dual1), (primal2, dual2) = stage_columns(payoffs, back, PayoffPair(cont1, cont2))
     lowers = saddle_values([primal1, dual1, primal2, dual2])
     minimax: list[float] = []
@@ -567,7 +546,7 @@ def check_invariants(
         hit = hits[i].hits()
         # the pre-hit region: every node before the hit, never-hit paths whole
         region = list(filterfalse(hit.__contains__, tree.walk(tree.root, hit)))
-        inner = list(filter(kids_of, region))
+        inner = list(filter(tree.children.get, region))
         add(f"submartingale_p{i}", inner, list(map(sub, map(v.__getitem__, inner), map(continuations[i].__getitem__, inner))))
         antichain = hits[i].antichain
         add(
@@ -576,7 +555,16 @@ def check_invariants(
             list(map(sub, map(sub, map(v.__getitem__, antichain), repeat(eta)), map(stop.__getitem__, antichain))),
         )
         add(f"pre_hit_ordering_p{i}", region, list(map(sub, map(stop.__getitem__, region), map(opp.__getitem__, region))))
-        add(f"expected_value_bound_p{i}", *_expected_value_items(tree, v, xi, hit, region))
+        # the value must not exceed the expected value at the hit, xi beyond it
+        covered = hit.union(region)
+        target: dict[str, float] = {}
+        where = list(filter(covered.__contains__, back))
+        for node in where:
+            if node in hit:
+                target[node] = v[node]
+            else:
+                target[node] = tree.continuation(node, target, xi)
+        add(f"expected_value_bound_p{i}", where, list(map(sub, map(v.__getitem__, where), map(target.__getitem__, where))))
 
     # Splitting every frame doubles each root path; both halves of a frame
     # must keep the input's value, as the stage value is idempotent.
@@ -600,20 +588,3 @@ def check_invariants(
     except ModelViolationError as exc:
         checks.append(InvariantCheck("classification_total", False, float("inf"), str(exc)))
     return InvariantReport(checks)
-
-
-def _expected_value_items(
-    tree: EventTree, value: dict[str, float], xi: dict[str, float], hits: set[str], region: list[str]
-) -> tuple[list[str], list[float]]:
-    """value(n) must not exceed the expected value at the hit, xi beyond it;
-    ``region`` is the pre-hit region of the hit set ``hits``.  Returns the
-    covered nodes in backward order and their violations."""
-    covered = hits.union(region)
-    target: dict[str, float] = {}
-    where = list(filter(covered.__contains__, reversed(tree.nodes)))
-    for node in where:
-        if node in hits:
-            target[node] = value[node]
-        else:
-            target[node] = tree.continuation(node, target, xi)
-    return where, list(map(sub, map(value.__getitem__, where), map(target.__getitem__, where)))

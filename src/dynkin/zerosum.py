@@ -3,8 +3,9 @@
 For each player i the auxiliary game uses only player i's payoffs, the tables
 of ``PayoffProcess.side(i)``: i maximizes while the opponent minimizes.  The
 two games differ only by that view, so every function here reads a player's
-payoffs through ``side`` and none names an absolute table; ``stage_matrices``
-builds both players' matrices from one pair of row tables.
+payoffs through ``side`` and none names an absolute table; ``stage_columns``
+builds both players' matrices from one pair of row tables, and
+``stage_matrices`` reads them at one node.
 Values are found by backward induction over one-frame stage games; the
 protagonist mixes over (atom, uniform, wait) while the antagonist's pure
 within-frame stops reduce to (atom, early, late, wait).
@@ -105,52 +106,31 @@ _SLOT = {
 }
 # The one slot table, ``_SLOT[STOP_ORDER[cell]]`` for each grid cell, read
 # into one itemgetter per matrix row, once: a row is one C-level pick from a
-# player's (sim, stop, opp, c), of floats at one node (``stage_matrices``) or
-# of columns over many (``stage_columns``).
+# player's (sim, stop, opp, c), each a column over nodes.
 _PRIMAL, _DUAL = (
     tuple(itemgetter(*[_SLOT[STOP_ORDER[cell]] for cell in row]) for row in grid) for grid in _GRIDS
 )
 
 
-def stage_matrices(
-    payoffs: PayoffProcess, node: str, continuation: PayoffPair
-) -> tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]]:
-    """Both orientations of the one-frame game, for both protagonists.
-
-    ``continuation`` holds each player's own continuation value.  Returns
-    ``((primal1, dual1), (primal2, dual2))``.  Primal: the protagonist mixes
-    rows (atom, uniform, wait) against the antagonist's pure columns (atom,
-    early, late, wait).  Dual: the roles are transposed, the antagonist
-    mixing (atom, uniform, wait) columns against protagonist pure rows.
-    Both players see the same stage game in their own view, so one pair of
-    row tables serves both: each cell's outcome comes from
-    ``core.STOP_ORDER``, the one stop-order table, read once at import,
-    and at each node the rows pick their entries from each player's own
-    (sim, stop, opp, c), read through ``PayoffProcess.side``.  The tests
-    build the same matrices entry by entry from the stop-order reference.
-    """
-    c1, c2 = continuation
-    s1, s2 = payoffs.side(1), payoffs.side(2)
-    own1 = (s1.sim[node], s1.stop[node], s1.opp[node], c1)
-    own2 = (s2.sim[node], s2.stop[node], s2.opp[node], c2)
-    # Lists, not generators: ``tuple`` of a generator over-allocates and
-    # shrinks, which fills the tuple free lists (about 0.6 MB per process).
-    return (
-        (tuple([row(own1) for row in _PRIMAL]), tuple([row(own1) for row in _DUAL])),
-        (tuple([row(own2) for row in _PRIMAL]), tuple([row(own2) for row in _DUAL])),
-    )
-
-
 def stage_columns(
     payoffs: PayoffProcess, nodes: list[str], continuation: PayoffPair
 ) -> tuple[tuple[ColumnMatrix, ColumnMatrix], tuple[ColumnMatrix, ColumnMatrix]]:
-    """``stage_matrices`` at every node of ``nodes`` at once, cell by cell.
+    """Both orientations of the one-frame game, for both protagonists, at
+    every node of ``nodes`` at once.
 
-    ``continuation`` holds each player's continuation values, one list in
-    the order of ``nodes``.  Each cell of a returned matrix is one list over
-    ``nodes``, the player's Z, X, Y or continuation column, picked by the
-    same row itemgetters, so entry ``k`` of every cell is
-    ``stage_matrices``' entry at ``nodes[k]``.
+    ``continuation`` holds each player's own continuation values, one list
+    in the order of ``nodes``.  Returns ``((primal1, dual1), (primal2,
+    dual2))``.  Primal: the protagonist mixes rows (atom, uniform, wait)
+    against the antagonist's pure columns (atom, early, late, wait).  Dual:
+    the roles are transposed, the antagonist mixing (atom, uniform, wait)
+    columns against protagonist pure rows.  Both players see the same stage
+    game in their own view, so one pair of row tables serves both: each
+    cell's outcome comes from ``core.STOP_ORDER``, the one stop-order
+    table, read once at import, and the rows pick their cells from each
+    player's own (sim, stop, opp, c) columns, read through
+    ``PayoffProcess.side``.  Each cell is one list over ``nodes``.  The
+    tests build the same matrices entry by entry from the stop-order
+    reference.
     """
     matrices = []
     for (stop, opp, sim, _), cont in zip((payoffs.side(1), payoffs.side(2)), continuation):
@@ -159,19 +139,31 @@ def stage_columns(
     return matrices[0], matrices[1]
 
 
+def stage_matrices(
+    payoffs: PayoffProcess, node: str, continuation: PayoffPair
+) -> tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]]:
+    """``stage_columns`` at one node, each cell read at entry 0;
+    ``continuation`` holds each player's own continuation value."""
+    c1, c2 = continuation
+    columns = stage_columns(payoffs, [node], PayoffPair([c1], [c2]))
+    return tuple(
+        tuple(tuple(tuple(cell[0] for cell in row) for row in matrix) for matrix in pair) for pair in columns
+    )
+
+
 def solve_matrix_game(matrix: Matrix) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     """Value and pure optimal mixes of a zero-sum matrix game with a saddle point.
 
     The row player maximizes; ties go to the lowest index.  A matrix that is
-    empty or ragged is a ``ValueError``.  The value is ``_saddle_value``'s,
-    and each mix puts its weight on the first row (column) whose guarantee
-    (exposure) reaches it.
+    empty or ragged is a ``ValueError``.  The value is ``saddle_values``' at
+    one node, and each mix puts its weight on the first row (column) whose
+    guarantee (exposure) reaches it.
     """
     rows = [tuple(r) for r in matrix]
     widths = set(map(len, rows))
     if len(widths) != 1 or 0 in widths:
         raise ValueError(f"matrix must be a non-empty rectangle, got row lengths {[len(r) for r in rows]}")
-    value = _saddle_value(rows)
+    value = saddle_values([[[[cell] for cell in row] for row in rows]])[0][0]
     row_mix = [0.0] * len(rows)
     row_mix[list(map(min, rows)).index(value)] = 1.0
     col_mix = [0.0] * len(rows[0])
@@ -218,11 +210,6 @@ def saddle_values(matrices: list[ColumnMatrix]) -> list[list[float]]:
         lower, upper = bounds[m]
         raise ModelViolationError(f"matrix game has no pure saddle point: {lower[k]!r} < {upper[k]!r}")
     return [lower for lower, _ in bounds]
-
-
-def _saddle_value(rows: Matrix) -> float:
-    """``saddle_values`` of one matrix at one node."""
-    return saddle_values([[[[cell] for cell in row] for row in rows]])[0][0]
 
 
 def stage_value(x: float, y: float, z: float, cont: float) -> tuple[float, Mix]:

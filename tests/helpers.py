@@ -405,7 +405,7 @@ def reference_first_stops(
     """A rule's first-stop index on every path, by a scan of each path from
     the root: ``k * len(actions)`` plus the action's place at the first node
     ``k`` the rule names, else ``len(path) * len(actions)`` for no stop.
-    ``verify._PathTable.first_stops`` must return the same tuple."""
+    ``verify._PathTable.firsts`` must hold the same tuple for the rule."""
     width = len(actions)
     ids = []
     for path in paths:

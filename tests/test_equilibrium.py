@@ -26,6 +26,7 @@ from dynkin import (
 )
 from dynkin import core, equilibrium, verify, zerosum
 from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX
+from dynkin.toolkit import FAMILIES
 from dynkin.zerosum import ValueProcess
 
 from helpers import constant_payoffs, corpus, mirror, single_node_payoffs, uniform_tree
@@ -427,6 +428,23 @@ class TestConstructPure:
         assert report.case_trace[0].label == "A1" and report.profile.player2["n0b"] == UNIFORM_MIX
         with pytest.raises(ConvexityError, match=r"^node n0: Z1=1\.000000000001 above max\(X1, Y1\)=1\.0, so player 2 punishes"):
             construct_pure(tree, payoffs, eta=0.05)
+
+    def test_a_uniform_minimizer_mix_comes_only_with_z_above_max_x_y(self):
+        # the stage value picks the uniform column only when max(X, Y) is
+        # below max(Y, Z), so Z tops max(X, Y) at every node where a value
+        # process's minimizer, a punisher, mixes uniformly
+        uniform = 0
+        for family in FAMILIES:
+            for zero_sum in (False, True):
+                for seed in range(20):
+                    tree, payoffs = generate(GeneratorSpec(family=family, depth=3, branching=3, zero_sum=zero_sum, seed=seed))
+                    for player in (1, 2):
+                        stop, opp, sim, _ = payoffs.side(player)
+                        for node, mix in solve_value_process(tree, payoffs, player).min_mix.items():
+                            if mix == UNIFORM_MIX:
+                                uniform += 1
+                                assert sim[node] > max(stop[node], opp[node]), (family, zero_sum, seed, player, node)
+        assert uniform > 100
 
     def test_constant_game(self):
         tree = uniform_tree(1)

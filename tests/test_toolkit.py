@@ -397,6 +397,21 @@ class TestCli:
             report["gaps"]["player2"]["gap"],
         )
 
+    @pytest.mark.parametrize("bogus", ["no-such-node", 7, "another-copy"])
+    def test_verify_rejects_a_second_half_that_is_not_the_split_copies(self, tmp_path, capsys, bogus):
+        # an A6 root: the report splits four frames, each keyed to its copy
+        inst, report_path = tmp_path / "game.json", tmp_path / "report.json"
+        assert self._run("generate", "--depth", "2", "--branching", "2", "--seed", "17", "--out", str(inst)) == 0
+        assert self._run("equilibrium", str(inst), "--out", str(report_path)) == 0
+        assert self._run("verify", str(inst), "--profile", str(report_path)) == 0
+        report = json.loads(report_path.read_text())
+        first, second = list(report["second_half"])[:2]
+        report["second_half"][first] = report["second_half"][second] if bogus == "another-copy" else bogus
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert self._run("verify", str(inst), "--profile", str(report_path)) == 2
+        assert capsys.readouterr().err == "schema error: report: second_half must map game nodes to their split copies\n"
+
     def test_solve_and_equilibrium_read_tol_alike(self, tmp_path, capsys):
         # At --tol 1000 every root test passes, so the root is A1 for both.
         inst = tmp_path / "game.json"

@@ -358,10 +358,11 @@ class TestBruteForce:
                 (StageAction.ATOM, StageAction.EARLY, StageAction.LATE),
             ):
                 table = _PathTable(tree, actions)
-                for rule in _stop_rules(tree, tree.root, actions):
+                assert table.rules == list(_stop_rules(tree, tree.root, actions))
+                for rule, firsts in zip(table.rules, table.firsts, strict=True):
                     # a reduced rule stops at most once on each path
                     assert all(sum(node in rule for node in path) <= 1 for path in table.paths)
-                    assert table.first_stops(rule) == reference_first_stops(table.paths, actions, rule)
+                    assert firsts == reference_first_stops(table.paths, actions, rule)
 
     @pytest.mark.parametrize("bad", ["missing node", "list", "nan mix"])
     @pytest.mark.parametrize("oracle", ["best_response", "brute_force_best_response", "brute_force_payoff"])
