@@ -204,7 +204,12 @@ class EventTree(_Record):
         return max(map(self.depth.__getitem__, self._leaves))
 
     def walk(self, start: str, stop: Container[str] = ()) -> list[str]:
-        """Breadth-first nodes from ``start``, not descending below ``stop`` nodes."""
+        """Breadth-first nodes from ``start``, not descending below ``stop`` nodes.
+
+        From the root with no stop this is ``build``'s own sweep, so it is a
+        copy of ``nodes``."""
+        if start == self.root and not stop:
+            return self.nodes.copy()
         order = [start]
         kids_of = self.children.get
         for node in order:  # grows as it goes: breadth-first
@@ -223,7 +228,7 @@ class EventTree(_Record):
         if not kids:
             return terminal[node]
         # a plain running sum, the same on every interpreter as the inline
-        # sums of ``verify.deviation_gap`` and ``zerosum.solve_value_process``
+        # sums of ``verify._certify`` and ``zerosum.solve_value_process``
         # (``sum`` compensates from 3.12 on)
         total = 0.0
         for child, p in kids:

@@ -9,6 +9,9 @@ players' roles swapped: each reads its payoffs through ``PayoffProcess.side``.
 Off-path behavior is the opponent's exact minimizing strategy in the
 deviator's auxiliary zero-sum game, started one frame after the scheduled
 stop; frames are split so that "one frame after" is a real node.
+The instance is checked once, on entry; the profile built here from the
+value processes' own mixes is certified by ``verify._certify``, the pass
+behind ``deviation_gap``, without checking it again.
 ``CaseLabel`` and ``EquilibriumReport`` are ``NamedTuple`` records.
 """
 
@@ -32,7 +35,7 @@ from .core import (
     require_valid,
     split_frames,
 )
-from .verify import GapCertificate, deviation_gap
+from .verify import GapCertificate, _certify
 from .zerosum import (
     ValueProcess,
     check_convexity,
@@ -234,7 +237,7 @@ def _construct(
             profile.side(punisher).update(fill)
     trace.extend(CaseLabel("A63", leaf) for leaf in infinite)
 
-    certificates = deviation_gap(stree, spay, profile)
+    certificates = _certify(stree, spay, profile)  # built here from the value processes' mixes: no re-check
     if pure:  # a pure stop or a wait; a uniform stop is a randomized time
         for side in (profile.player1, profile.player2):
             for node, mix in side.items():

@@ -5,9 +5,11 @@ is affine in their stop position inside the frame, so only the endpoint
 limits matter: the deviator's action set is (atom, early, late, wait) and the
 best response is an exact backward dynamic program over
 ``core.deviator_lines``, the same stage lines that ``evaluate_profile``
-prices the profile from.  ``deviation_gap`` runs both programs for both
-players in one backward pass, one ``deviator_lines`` call per player and
-node pricing both; ``best_response`` and
+prices the profile from.  ``deviation_gap`` checks its profile, which is
+outside input, and ``_certify`` then runs both programs for both players in
+one backward pass, one ``deviator_lines`` call per player and node pricing
+both; ``equilibrium.construct`` runs ``_certify`` directly on the profile it
+has just built, so that profile is never checked again.  ``best_response`` and
 ``core.evaluate_profile_table`` stay as the one-program references that the
 tests and the brute-force oracles hold it to, each stepping back through
 ``EventTree.continuation``.  The invariant runner checks each invariant as
@@ -137,6 +139,20 @@ def deviation_gap(
 ) -> tuple[GapCertificate, GapCertificate]:
     """Certified gaps for both players, recomputed from scratch.
 
+    The profile is outside input here: it is checked once
+    (``require_profile``, raising ``ProfileError``) and then priced by
+    ``_certify``.  ``equilibrium.construct`` calls ``_certify`` directly on
+    the profile it has just built from the value processes' own mixes.
+    """
+    require_profile(tree, profile)
+    return _certify(tree, payoffs, profile)
+
+
+def _certify(
+    tree: EventTree, payoffs: PayoffProcess, profile: BehavioralProfile
+) -> tuple[GapCertificate, GapCertificate]:
+    """``deviation_gap`` on a profile that fits ``tree``; it checks nothing.
+
     One backward pass serves both players.  At each node one loop over the
     children adds up four continuations, the profile's and the best
     response's for each player, and one ``deviator_lines`` call per player,
@@ -144,7 +160,8 @@ def deviation_gap(
     continuations: the profile's value as in ``evaluate_profile_table`` (the
     player's lines weighed by their own mix) and the best response as in
     ``best_response`` (the largest line, found by comparisons, ties to the
-    earlier action).  The profile is validated once (``require_profile``).
+    earlier action).  Each player's four tables are bound once per call, as
+    in ``solve_value_process``.
 
     Raw gaps can dip slightly negative through best-response ties; the
     reported gap is clamped at zero with the raw value kept alongside.  A raw
@@ -156,8 +173,8 @@ def deviation_gap(
     a NaN line carries up to the root, and on finite lines the best reply
     is still the first largest line.
     """
-    require_profile(tree, profile)
-    s1, s2 = payoffs.side(1), payoffs.side(2)
+    stop1, opp1, sim1, xi1 = payoffs.side(1)
+    stop2, opp2, sim2, xi2 = payoffs.side(2)
     mixes1, mixes2 = profile.player1, profile.player2
     kids_of = tree.children.get
     path1: dict[str, float] = {}
@@ -176,11 +193,11 @@ def deviation_gap(
                 b1 += p * best1[child]
                 b2 += p * best2[child]
         else:
-            c1 = b1 = s1.xi[node]
-            c2 = b2 = s2.xi[node]
+            c1 = b1 = xi1[node]
+            c2 = b2 = xi2[node]
         a1, u1, w1 = mix1 = mixes1[node]
         a2, u2, w2 = mix2 = mixes2[node]
-        atom, early, late, wait, reply = deviator_lines(s1.stop[node], s1.opp[node], s1.sim[node], mix2, c1, b1)
+        atom, early, late, wait, reply = deviator_lines(stop1[node], opp1[node], sim1[node], mix2, c1, b1)
         path1[node] = a1 * atom + u1 * (0.5 * (early + late)) + w1 * wait
         best, action = reply, _WAIT
         if late >= best:
@@ -191,7 +208,7 @@ def deviation_gap(
             best, action = atom, _ATOM
         best1[node] = best
         strategy1[node] = action
-        atom, early, late, wait, reply = deviator_lines(s2.stop[node], s2.opp[node], s2.sim[node], mix1, c2, b2)
+        atom, early, late, wait, reply = deviator_lines(stop2[node], opp2[node], sim2[node], mix1, c2, b2)
         path2[node] = a2 * atom + u2 * (0.5 * (early + late)) + w2 * wait
         best, action = reply, _WAIT
         if late >= best:

@@ -706,6 +706,15 @@ def test_build_derives_the_maps_of_the_two_pass_reference():
                 assert tree.walk(start, stops) == list(reference_walk(tree, start, stops))
 
 
+def test_the_whole_walk_is_a_copy_of_the_breadth_first_order():
+    # from the root with no stop nodes, walk is build's own sweep: a copy of
+    # nodes, so a caller that changes the list leaves the tree alone
+    for tree in _built_trees():
+        for stops in ((), set(), frozenset(), {}):
+            walked = tree.walk(tree.root, stops)
+            assert walked == tree.nodes and walked is not tree.nodes
+
+
 # One instance of each of the package's record classes: its fields by name,
 # in constructor order.
 _TREE_FIELDS = dict(

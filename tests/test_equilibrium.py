@@ -23,6 +23,7 @@ from dynkin import (
     hitting_time,
     solve_value_process,
     validate_instance,
+    validate_profile,
 )
 from dynkin import core, equilibrium, verify, zerosum
 from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX
@@ -30,6 +31,7 @@ from dynkin.toolkit import FAMILIES
 from dynkin.zerosum import ValueProcess
 
 from helpers import constant_payoffs, corpus, mirror, single_node_payoffs, uniform_tree
+from test_golden import GAMES, golden_game
 
 
 def _classify(tree, payoffs):
@@ -233,6 +235,23 @@ class TestConstruct:
         assert (report.gap1, report.gap2, mreport.gap1) == (0.0, 0.0, 0.0)
         assert mreport.gap2 == pytest.approx(0.004533966490356145, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "y1_a, label",
+        [(1.0, "A66"), (1.0 + 1e-12, "A66"), (1.25, "A64")],
+        ids=["tie", "within-tol", "above-tol"],
+    )
+    def test_a_contested_node_goes_to_player_1_only_above_tol(self, y1_a, label):
+        # both players hit at a; player 1 waits (A64) only when their
+        # opponent-first payoff tops the simultaneous one by more than tol.
+        # At a tie, or within tol, player 2's own test fails too (opp 0.5,
+        # sim 1), so both stop (A66).  Player 2's tables mirror player 1's.
+        tree = EventTree.build("r", {"r": [("a", 1.0)]})
+        x1, y1, z1, xi1 = {"r": 0.0, "a": 0.5}, {"r": 2.0, "a": y1_a}, {"r": 0.0, "a": 1.0}, {"a": 0.0}
+        payoffs = PayoffProcess(x1=x1, y1=y1, z1=z1, x2=dict(y1), y2=dict(x1), z2=dict(z1), xi1=xi1, xi2=dict(xi1))
+        report = construct(tree, payoffs, eta=0.05)
+        assert [(c.label, c.node) for c in report.case_trace] == [("A6", "r"), (label, "a")]
+        assert report.tol == 2e-9
+
     def test_masked_stop_survives_a_tempting_simultaneous_payoff(self):
         # If the stopper used a bare atom here, the opponent could collide
         # with it for 10 instead of 0; the delay removes that deviation.
@@ -327,8 +346,9 @@ class TestConstruct:
 
     @pytest.mark.parametrize("root_case", ["A1", "A6", "M1"])
     def test_certifies_in_one_pass(self, monkeypatch, root_case):
-        # deviation_gap evaluates the profile and both best responses itself;
-        # the one-program references stay off the construct path
+        # the certifying pass evaluates the profile and both best responses
+        # itself; the one-program references stay off the construct path, and
+        # so does the profile check: construct built the profile it certifies
         tree = uniform_tree(2)
         payoffs = {
             "A1": constant_payoffs(tree, 0.3, 0.3, 0.3, 0.3, zero_sum=False),
@@ -355,7 +375,34 @@ class TestConstruct:
                     monkeypatch.setattr(module, name, counted)
         report = construct(tree, payoffs, eta=0.05)
         assert report.case_trace[0].label == root_case
-        assert calls == {"split_frames": 1, "validate_profile": 1}
+        assert calls == {"split_frames": 1}
+
+    def test_every_built_profile_passes_the_check_it_skips(self):
+        # construct certifies the profile it built without checking it again
+        # (verify._certify): the profile check finds nothing on any report,
+        # pure or not, over the golden games and generated games of all three
+        # families, whose roots reach the A and M chains and A6, with paths
+        # that never hit padded to the split horizon (A63)
+        games = [golden_game(seed) for seed in range(GAMES)]
+        for family in FAMILIES:
+            for depth in (2, 3, 4):
+                for seed in range(8):
+                    for convexity in (False, True):
+                        spec = GeneratorSpec(family=family, depth=depth, branching=3, seed=seed, convexity=convexity)
+                        games.append(generate(spec))
+        labels, padded = Counter(), 0
+        for tree, payoffs in games:
+            for build in (construct, construct_pure):
+                try:
+                    report = build(tree, payoffs, 0.05)
+                except ConvexityError:
+                    assert build is construct_pure
+                    continue
+                assert validate_profile(report.tree, report.profile) == []
+                labels.update(c.label for c in report.case_trace)
+                padded += sum(1 for c in report.case_trace if c.label == "A63" and report.tree.children.get(c.node))
+        assert set(labels) >= {"A1", "A2", "A3", "A4", "M1", "M2", "M4", "A6", "A61", "A62", "A63", "A64", "A65", "A66"}
+        assert padded >= 100
 
     def test_validates_the_instance_once(self, monkeypatch):
         tree = uniform_tree(2)

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -1135,3 +1136,32 @@ def test_benchmark_checkers_pass_their_self_test():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "13 of 13" in proc.stdout
+
+
+def _console_script_commands(workflow: Path) -> list[str]:
+    """The ``run`` lines of the workflow's "dynkin console script" step."""
+    lines = workflow.read_text(encoding="utf-8").splitlines()
+    step = [k for k, line in enumerate(lines) if line.strip() == "- name: dynkin console script"]
+    assert len(step) == 1, "the workflow has no single dynkin console script step"
+    run = next(k for k in range(step[0] + 1, len(lines)) if lines[k].strip() == "run: |")
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    commands = []
+    for line in lines[run + 1 :]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        if line.strip():
+            commands.append(line.strip())
+    return commands
+
+
+def test_the_ci_console_script_step_runs(tmp_path, monkeypatch, capsys):
+    # the workflow's console-script step, command by command, through the
+    # CLI entry point in an empty folder: each must exit 0, as the step needs
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+    commands = _console_script_commands(workflow)
+    assert commands, "the console-script step runs no command"
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        argv = shlex.split(command)
+        assert argv[0] == "dynkin", command
+        assert main(argv[1:]) == 0, (command, capsys.readouterr())
