@@ -16,6 +16,10 @@ without second_half, whose second_half does not map each of its game nodes
 to the copy the split inserts below it, or whose instance is not the game
 split at those nodes), 3 invariant failure, 4 deviation gap above
 threshold, 5 internal model violation.
+
+Each command checks its game once, in ``toolkit.load``; equilibrium and
+invariants then run the engine's private bodies (``equilibrium._construct``,
+``verify._check_invariants``), which do not check the game again.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import sys
 from typing import Optional
 
 from .core import ConvexityError, EventTree, InstanceError, ModelViolationError, PayoffProcess, ProfileError, require_tol, split_frames
-from .equilibrium import classify, construct, construct_pure
+from .equilibrium import _construct, classify
 from .toolkit import (
     FAMILIES,
     GeneratorSpec,
@@ -42,7 +46,7 @@ from .toolkit import (
     write_doc,
     write_report_csv,
 )
-from .verify import check_invariants, deviation_gap
+from .verify import _check_invariants, deviation_gap
 from .zerosum import hitting_time, solve_value_process
 
 EXIT_OK = 0
@@ -166,8 +170,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
     tree, payoffs, _ = load(args.instance)
-    build = construct_pure if args.pure else construct
-    report = build(tree, payoffs, args.eta, args.tol)
+    report = _construct(tree, payoffs, args.eta, args.tol, pure=args.pure)
     doc = {
         "eta": report.eta,
         "tol": report.tol,
@@ -241,7 +244,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     tree, payoffs, _ = load(args.instance)
-    report = check_invariants(tree, payoffs, args.eta, args.tol)
+    report = _check_invariants(tree, payoffs, args.eta, args.tol)
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         witness = f" at {check.witness}" if check.witness else ""

@@ -9,9 +9,12 @@ players' roles swapped: each reads its payoffs through ``PayoffProcess.side``.
 Off-path behavior is the opponent's exact minimizing strategy in the
 deviator's auxiliary zero-sum game, started one frame after the scheduled
 stop; frames are split so that "one frame after" is a real node.
-The instance is checked once, on entry; the profile built here from the
-value processes' own mixes is certified by ``verify._certify``, the pass
-behind ``deviation_gap``, without checking it again.
+``construct`` and ``construct_pure`` check the instance once, on entry,
+and then run ``_construct``, which checks nothing: the ``dynkin
+equilibrium`` command calls it directly on the game ``toolkit.load`` has
+just validated.  The profile built here from the value processes' own mixes
+is certified by ``verify._certify``, the pass behind ``deviation_gap``,
+without checking it again.
 ``CaseLabel`` and ``EquilibriumReport`` are ``NamedTuple`` records.
 """
 
@@ -38,8 +41,8 @@ from .core import (
 from .verify import GapCertificate, _certify
 from .zerosum import (
     ValueProcess,
+    _first_hits,
     check_convexity,
-    hitting_time,
     punishment_strategy,
     solve_value_process,
 )
@@ -131,6 +134,7 @@ def construct(
     tree: EventTree, payoffs: PayoffProcess, eta: float, tol: Optional[float] = None
 ) -> EquilibriumReport:
     """Build and certify an eta-level equilibrium profile."""
+    require_valid(tree, payoffs)
     return _construct(tree, payoffs, eta, tol, pure=False)
 
 
@@ -143,6 +147,7 @@ def construct_pure(
     payoffs for both players at every node; a Z above max(X, Y) within
     ``tol`` that makes a punishment a uniform stop is a ``ConvexityError`` too.
     """
+    require_valid(tree, payoffs)
     return _construct(tree, payoffs, eta, tol, pure=True)
 
 
@@ -177,7 +182,8 @@ def _construct(
     tol: Optional[float],
     pure: bool,
 ) -> EquilibriumReport:
-    require_valid(tree, payoffs)
+    """``construct`` (or, with ``pure``, ``construct_pure``) on a valid
+    instance; it checks ``eta`` and ``tol`` but not the instance."""
     require_eta(eta)
     tol = payoffs.tolerance(tol)
     if pure:
@@ -190,13 +196,13 @@ def _construct(
     infinite: list[str] = []
     if root_case.label == "A6":
         # The first node per path where either player's hitting condition
-        # holds is the first node per path in either hitting antichain.
-        hits1 = hitting_time(tree, payoffs, v1, eta, tol).hits()
-        hits2 = hitting_time(tree, payoffs, v2, eta, tol).hits()
+        # holds is the first node per path in either hitting antichain; a
+        # path where neither holds ends at a leaf that waits forever (A63).
+        (hits1, hits2), firsts, infinite = _first_hits(tree, payoffs, (v1, v2), eta, tol)
         # Where both hit, the first player to prefer the other stopping (opp
         # above sim) waits: A64 for player 1, else A65 for player 2.
         s1, s2 = payoffs.side(1), payoffs.side(2)
-        for q in tree.walk(tree.root, hits1 | hits2):
+        for q in firsts:
             hit1, hit2 = q in hits1, q in hits2
             if hit1 and hit2:
                 if _strict_gt(s1.opp[q], s1.sim[q], tol):
@@ -205,10 +211,8 @@ def _construct(
                     trace.append(CaseLabel("A65", q))
                 else:
                     trace.append(CaseLabel("A66", q))
-            elif hit1 or hit2:
+            else:
                 trace.append(CaseLabel("A61" if hit1 else "A62", q))
-            elif tree.is_leaf(q):
-                infinite.append(q)
     targets = [c.node for c in trace]
     stree, spay, inserted = split_frames(tree, payoffs, targets)
     second = {q: inserted[q] for q in targets}

@@ -12,11 +12,13 @@ indented by two spaces; reports are one line from the C encoder.
 ``instance_from_doc`` and ``profile_from_doc`` check only the document's
 shape and copy each value as written; ``core.validate_instance`` and
 ``core.validate_profile`` are the one rule for the values, so a file and a
-library call reject a bad value with the same words.  The reader, the
-writer and the ``random`` generator take the payoff tables from ``core``'s
-schema (``STAGE_TABLES``, ``TERMINAL_TABLES``), so a file key is the name
-an issue gives the table.  ``GeneratorSpec`` is a ``NamedTuple`` with a
-default for each field.
+library call reject a bad value with the same words.  ``load``'s check is
+the last one a ``dynkin`` command makes on its game: the command hands the
+validated game to the engine's private bodies, which do not check it
+again.  The reader, the writer and the ``random`` generator take the payoff
+tables from ``core``'s schema (``STAGE_TABLES``, ``TERMINAL_TABLES``), so a
+file key is the name an issue gives the table.  ``GeneratorSpec`` is a
+``NamedTuple`` with a default for each field.
 """
 
 from __future__ import annotations
@@ -173,16 +175,17 @@ def instance_to_doc(
 ) -> dict:
     stage = [(name, getattr(payoffs, field)) for name, field in STAGE_TABLES]
     terminal = [(name, getattr(payoffs, field)) for name, field in TERMINAL_TABLES]
+    depth, parent_of, edge, kids_of = tree.depth, tree.parent, tree._edge, tree.children.get
     nodes = []
     for node in tree.nodes:
-        entry: dict[str, object] = {"id": node, "depth": tree.depth[node]}
+        entry: dict[str, object] = {"id": node, "depth": depth[node]}
         for name, table in stage:
             entry[name] = table[node]
-        parent = tree.parent[node]
+        parent = parent_of[node]
         if parent is not None:
             entry["parent"] = parent
-            entry["prob"] = tree._edge[node]
-        if tree.is_leaf(node):
+            entry["prob"] = edge[node]
+        if not kids_of(node):  # a leaf
             for name, table in terminal:
                 entry[name] = table[node]
         nodes.append(entry)
@@ -245,24 +248,29 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
         raise SchemaError("nodes: expected a non-empty array")
+    # Per node, the two loops below only test and copy: an error's location
+    # is worded only when it is raised.
     children: dict[str, list[tuple[str, float]]] = {}
     roots = []
     payload: dict[str, dict] = {}
     for idx, entry in enumerate(nodes):
-        where = f"nodes[{idx}]"
         if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: expected an object")
+            raise SchemaError(f"nodes[{idx}]: expected an object")
         node = entry.get("id")
         if not isinstance(node, str):
-            raise SchemaError(f"{where}.id: expected a string")
+            raise SchemaError(f"nodes[{idx}].id: expected a string")
         if node in payload:
-            raise SchemaError(f"{where}.id: duplicate node id {_worded_id(node)!r}")
+            raise SchemaError(f"nodes[{idx}].id: duplicate node id {_worded_id(node)!r}")
         payload[node] = entry
         if "parent" in entry:
             parent = entry["parent"]
             if not isinstance(parent, str):
-                raise SchemaError(f"{where}.parent: expected a string")
-            children.setdefault(parent, []).append((node, entry.get("prob")))
+                raise SchemaError(f"nodes[{idx}].parent: expected a string")
+            kids = children.get(parent)
+            if kids is None:
+                children[parent] = [(node, entry.get("prob"))]
+            else:
+                kids.append((node, entry.get("prob")))
         else:
             roots.append(node)
     if len(roots) != 1:
@@ -280,13 +288,16 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
     if isinstance(horizon, bool) or horizon != tree.horizon:
         raise SchemaError(f"horizon: declared {_worded(horizon)}, computed {tree.horizon}")
     tables: dict[str, dict] = {field: {} for _, field in PAYOFF_TABLES}
+    every = [(name, tables[field]) for name, field in PAYOFF_TABLES]
+    stage = every[: len(STAGE_TABLES)]
+    depth, kids_of = tree.depth, tree.children.get
     for node, entry in payload.items():
         declared = entry.get("depth")
-        if isinstance(declared, bool) or declared != tree.depth[node]:
+        if isinstance(declared, bool) or declared != depth[node]:
             raise SchemaError(f"node {_worded_id(node)}: depth {_worded(declared)} inconsistent with structure")
-        for name, field in PAYOFF_TABLES if tree.is_leaf(node) else STAGE_TABLES:
+        for name, table in stage if kids_of(node) else every:
             if name in entry:
-                tables[field][node] = entry[name]
+                table[node] = entry[name]
     payoffs = PayoffProcess(**tables)
     issues = validate_instance(tree, payoffs)
     if issues:
@@ -306,11 +317,19 @@ def save(
     write_doc(path, instance_to_doc(tree, payoffs, profile), indent=2)
 
 
+# The one decoder of every read: integers parse as floats.
+_DECODER = json.JSONDecoder(parse_int=float)
+
+
 def read_doc(path: Union[str, Path]) -> object:
     """Parse one JSON file, integers as floats; any parse failure, deep
-    nesting included, is a schema error."""
+    nesting included, is a schema error.  As ``json.loads`` does, a leading
+    byte order mark is refused by name."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+        text = Path(path).read_text(encoding="utf-8")
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 decoding
         raise SchemaError(f"invalid JSON: {exc}") from exc
 

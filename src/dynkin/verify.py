@@ -9,12 +9,16 @@ prices the profile from.  ``deviation_gap`` checks its profile, which is
 outside input, and ``_certify`` then runs both programs for both players in
 one backward pass, one ``deviator_lines`` call per player and node pricing
 both; ``equilibrium.construct`` runs ``_certify`` directly on the profile it
-has just built, so that profile is never checked again.  ``best_response`` and
-``core.evaluate_profile_table`` stay as the one-program references that the
-tests and the brute-force oracles hold it to, each stepping back through
-``EventTree.continuation``.  The invariant runner checks each invariant as
-one column of violations over its nodes, by C-level passes, and
-frame-split invariance on one split of every frame of the input.
+has just built, so that profile is never checked again.  In the same way
+``check_invariants`` checks its instance and then runs
+``_check_invariants``, which the ``dynkin invariants`` command calls
+directly on the game ``toolkit.load`` has just validated.
+``best_response`` and ``core.evaluate_profile_table`` stay as the
+one-program references that the tests and the brute-force oracles hold it
+to, each stepping back through ``EventTree.continuation``.  The invariant
+runner checks each invariant as one column of violations over its nodes, by
+C-level passes, and frame-split invariance on one split of every frame of
+the input.
 
 Brute-force enumerators over explicit stopping rules provide independent
 cross-checks on small trees.  Each call builds one table of the tree's
@@ -509,6 +513,14 @@ def check_invariants(
     instance and the split tree are each validated once.
     """
     require_valid(tree, payoffs)
+    return _check_invariants(tree, payoffs, eta, tol)
+
+
+def _check_invariants(
+    tree: EventTree, payoffs: PayoffProcess, eta: float, tol: Optional[float] = None
+) -> InvariantReport:
+    """``check_invariants`` on a valid instance: it does not check the
+    instance, and still validates its own split of every frame."""
     tol = payoffs.tolerance(tol)
     checks: list[InvariantCheck] = []
     values = {i: solve_value_process(tree, payoffs, i) for i in (1, 2)}

@@ -40,6 +40,7 @@ from dynkin import (
 from dynkin.core import (
     ATOM_MIX,
     PAYOFF_TABLES,
+    STAGE_TABLES,
     STOP_ORDER,
     UNIFORM_MIX,
     WAIT_MIX,
@@ -614,6 +615,30 @@ def test_split_ids_step_past_every_taken_id():
     stree, _, inserted = split_frames(tree, constant_payoffs(tree, 1, 2, 3, 4), ["p", "a"])
     assert inserted == {"p": "pb", "a": "ab", "z": "zb", "zb": "zbb"}
     assert stree.leaves == ["ab", "zbb"]
+
+
+def test_split_copies_stage_payoffs_down_a_chain_of_padding_copies():
+    # one branch split at two depths pads the other branch's leaf by two
+    # frames, the second a copy of the first: every inserted node carries
+    # the six stage payoffs of the node it was copied from, and the
+    # terminal payoffs sit on the new leaves only
+    tree = EventTree.build("r", {"r": [("p", 0.5), ("q", 0.5)], "p": [("a", 1.0)], "q": [("z", 1.0)]})
+    fields = [field for _, field in STAGE_TABLES]
+    stage = {field: {node: 10.0 * k + j for j, node in enumerate(tree.nodes)} for k, field in enumerate(fields)}
+    payoffs = PayoffProcess(**stage, xi1={"a": -1.0, "z": -2.0}, xi2={"a": -3.0, "z": -4.0})
+    stree, spay, inserted = split_frames(tree, payoffs, ["p", "a"])
+    assert inserted == {"p": "pb", "a": "ab", "z": "zb", "zb": "zbb"}
+    for field in fields:
+        table, before = getattr(spay, field), stage[field]
+        assert set(table) == set(stree.nodes)
+        assert {copy: table[copy] for copy in inserted.values()} == {
+            "pb": before["p"], "ab": before["a"], "zb": before["z"], "zbb": before["z"]
+        }
+        assert all(table[node] == before[node] for node in tree.nodes)
+    assert stree.leaves == ["ab", "zbb"]
+    assert spay.xi1 == {"ab": -1.0, "zbb": -2.0} and spay.xi2 == {"ab": -3.0, "zbb": -4.0}
+    assert payoffs.xi1 == {"a": -1.0, "z": -2.0} and set(payoffs.x1) == set(tree.nodes)  # the input is untouched
+    assert validate_instance(stree, spay) == []
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)

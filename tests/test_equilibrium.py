@@ -318,6 +318,37 @@ class TestConstruct:
         assert (report.gap1, report.gap2) == (0.0, 0.0)
         assert report.payoff == PayoffPair(0.45043497836402735, 0.5179488917067716)
 
+    def test_a6_stops_sit_at_the_first_nodes_of_either_hitting_antichain(self):
+        # below an A6 root, construct stops at the first node per path where
+        # either player hits: the nodes it labels A61..A66 are, in
+        # breadth-first order, the nodes of the union of the two
+        # hitting_time antichains with no ancestor in that union
+        stops = {"A61", "A62", "A64", "A65", "A66"}
+        games = 0
+        for family in FAMILIES:
+            for depth in (2, 3, 4):
+                for seed in range(40):
+                    tree, payoffs = generate(GeneratorSpec(family=family, depth=depth, branching=3, seed=seed))
+                    for eta in (0.05, 0.3):
+                        report = construct(tree, payoffs, eta)
+                        if report.case_trace[0].label != "A6":
+                            continue
+                        tol = payoffs.tolerance()
+                        union = set()
+                        for player in (1, 2):
+                            value = solve_value_process(tree, payoffs, player)
+                            union |= set(hitting_time(tree, payoffs, value, eta, tol).antichain)
+                        first = []
+                        for node in tree.nodes:
+                            up = tree.parent[node]
+                            while up is not None and up not in union:
+                                up = tree.parent[up]
+                            if node in union and up is None:
+                                first.append(node)
+                        assert [c.node for c in report.case_trace if c.label in stops] == first
+                        games += 1
+        assert games >= 50
+
     @pytest.mark.parametrize("root_case", ["A1", "A6", "M1"])
     def test_solves_each_value_process_once(self, monkeypatch, root_case):
         tree = uniform_tree(2)

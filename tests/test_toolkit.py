@@ -36,7 +36,7 @@ from dynkin import (
     save,
     validate_instance,
 )
-from dynkin import cli, core, verify
+from dynkin import cli, core, equilibrium, toolkit, verify
 from dynkin.core import ATOM_MIX, validate_profile
 from dynkin.toolkit import instance_from_doc, instance_to_doc, profile_from_doc, profile_to_doc, read_doc, write_report_csv
 from dynkin.zerosum import check_convexity
@@ -1165,3 +1165,76 @@ def test_the_ci_console_script_step_runs(tmp_path, monkeypatch, capsys):
         argv = shlex.split(command)
         assert argv[0] == "dynkin", command
         assert main(argv[1:]) == 0, (command, capsys.readouterr())
+
+
+def test_a_failing_property_test_is_reported_and_the_session_goes_on(tmp_path):
+    # Every warning is an error here, yet Hypothesis's pytest plugin imports
+    # libcst to write a failing example's patch, and that import warns from
+    # mypy_extensions.  Under the repo's own warning settings a failing
+    # property test must show its falsifying example and fail alone: the
+    # test after it still runs, and pytest exits 1, not 3 (internal error).
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 10\n\n\n"
+        "def test_after():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    argv = ["-c", str(config), "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-v", "test_property.py"]
+    proc = subprocess.run([sys.executable, "-m", "pytest", *argv], cwd=tmp_path, capture_output=True, text=True)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "test_property.py::test_after PASSED" in out
+
+
+def test_each_command_checks_its_game_once(tmp_path, monkeypatch, capsys):
+    # load's check is the last one a command makes on its game: equilibrium
+    # (pure or not), verify --profile and solve check it once, and
+    # invariants checks it once and then its own split of every frame, which
+    # doubles the node count
+    tree, payoffs = generate(GeneratorSpec(depth=3, branching=3, seed=1, convexity=True))
+    game, report = tmp_path / "game.json", tmp_path / "report.json"
+    save(game, tree, payoffs)
+    checked = []
+    original = core.validate_instance
+
+    def counted(tree, payoffs):
+        checked.append(len(tree.nodes))
+        return original(tree, payoffs)
+
+    for module in (core, toolkit, cli, equilibrium, verify):
+        if getattr(module, "validate_instance", None) is original:
+            monkeypatch.setattr(module, "validate_instance", counted)
+    n = len(tree.nodes)
+    for argv, expected in (
+        (["equilibrium", str(game), "--out", str(report)], [n]),
+        (["verify", str(game), "--profile", str(report)], [n]),
+        (["equilibrium", str(game), "--pure", "--out", str(report)], [n]),
+        (["verify", str(game), "--profile", str(report)], [n]),
+        (["solve", str(game), "--out", str(tmp_path / "values.csv")], [n]),
+        (["invariants", str(game)], [n, 2 * n]),
+    ):
+        checked.clear()
+        assert main(argv) == 0, (argv, capsys.readouterr())
+        assert checked == expected, argv
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["\ufeff{}", "", "{", "[1] 2", '{"a": 1,}', '{"a" 1}', "[" * 100000],
+    ids=["byte-order-mark", "empty", "unclosed", "extra-data", "trailing-comma", "missing-colon", "deep"],
+)
+def test_read_doc_words_a_parse_failure_as_json_loads_does(tmp_path, text):
+    # the reader's one module-level decoder refuses what json.loads refuses,
+    # in the same words, a leading byte order mark included
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises((ValueError, RecursionError)) as parsed:
+        json.loads(text, parse_int=float)
+    with pytest.raises(SchemaError) as caught:
+        read_doc(path)
+    assert str(caught.value) == f"invalid JSON: {parsed.value}"

@@ -34,6 +34,7 @@ from helpers import (
     reference_solve_matrix_game,
     reference_stage_matrices,
     reference_stage_value,
+    reference_walk,
     simple_optimal_strategy,
     single_node_payoffs,
     uniform_tree,
@@ -411,6 +412,23 @@ class TestHittingTime:
                             break
                         node = tree.parent[node]
                     assert found, (q, coarse)
+
+    @pytest.mark.parametrize("eta", [0.02, 0.1, 0.5])
+    def test_the_walk_tests_only_down_to_the_first_hits(self, eta):
+        # hitting_time tests the hit condition level by level and stops
+        # below each hit; the reference tests every node, then walks from
+        # the root to the hit set: the same antichain and never-hit leaves,
+        # in the same breadth-first order
+        for tree, payoffs in corpus(40, seed0=300, depth_hi=6):
+            tol = payoffs.tolerance()
+            for player in (1, 2):
+                process = solve_value_process(tree, payoffs, player)
+                stop, v = payoffs.side(player).stop, process.value
+                hit = {n for n in tree.nodes if stop[n] - (v[n] - eta) >= -tol}
+                walked = list(reference_walk(tree, tree.root, hit))
+                found = hitting_time(tree, payoffs, process, eta, tol)
+                assert found.antichain == tuple(n for n in walked if n in hit)
+                assert found.infinite_leaves == tuple(n for n in walked if n not in hit and tree.is_leaf(n))
 
 
 class TestGuaranteeStrategies:
