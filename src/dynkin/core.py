@@ -518,9 +518,9 @@ class Outcome(Enum):
     SURVIVAL = "survival"  # both wait: the continuation
 
 
-# The members as module globals, for the payoffs ``outcome_payoff`` names:
-# on Python 3.11 a read through the class (``Outcome.TIE``) takes about ten
-# times as long as a global read.
+# The members as module globals, for the stop-order table below and the
+# brute-force oracles' cells: on Python 3.11 a read through the class
+# (``Outcome.TIE``) takes about ten times as long as a global read.
 _SIMULTANEOUS, _TIE, _PLAYER1_FIRST, _PLAYER2_FIRST, _SURVIVAL = Outcome
 
 # The one stop-order table: how a frame ends when player 1 plays ``a1`` and
@@ -534,35 +534,6 @@ STOP_ORDER: dict[tuple[StageAction, StageAction], Optional[Outcome]] = {
     for a1 in StageAction
     for a2 in StageAction
 }
-
-
-def stop_outcome(a1: StageAction, a2: StageAction) -> Outcome:
-    """``STOP_ORDER``'s outcome for player 1 playing ``a1`` and player 2
-    ``a2``; a pair with no defined order is a ``ValueError``."""
-    outcome = STOP_ORDER[a1, a2]
-    if outcome is None:
-        raise ValueError(f"({a1.value}, {a2.value}) has no defined stop order")
-    return outcome
-
-
-def outcome_payoff(outcome: Outcome, payoffs: PayoffProcess, node: str) -> PayoffPair:
-    """Both players' payoffs at ``node`` when its frame ends in a stop.
-
-    ``Outcome.SURVIVAL`` pays the continuation, which is no payoff of the
-    node: a ``ValueError``.
-    """
-    if outcome is _PLAYER1_FIRST:
-        return PayoffPair(payoffs.x1[node], payoffs.x2[node])
-    if outcome is _PLAYER2_FIRST:
-        return PayoffPair(payoffs.y1[node], payoffs.y2[node])
-    if outcome is _SIMULTANEOUS:
-        return PayoffPair(payoffs.z1[node], payoffs.z2[node])
-    if outcome is _TIE:
-        return PayoffPair(
-            0.5 * (payoffs.x1[node] + payoffs.y1[node]),
-            0.5 * (payoffs.x2[node] + payoffs.y2[node]),
-        )
-    raise ValueError(f"node {node}: survival pays the continuation, not a payoff of the node")
 
 
 def deviator_lines(

@@ -25,12 +25,14 @@ cross-checks on small trees.  Each call builds one table of the tree's
 root-to-leaf paths, each with its probability from one upward walk per leaf,
 and each path's terms one row per first stop, by frame order: an earlier
 opponent stop pays its frame's opponent-first entry, a later one or none the
-stop-first entry, and only a shared frame reads ``core.STOP_ORDER``.  The
-table also refuses a tree above ``BRUTE_FORCE_NODE_LIMIT`` nodes and
-enumerates the reduced stopping rules of ``_stop_rules``, each with its
-first stop on every path from a node-to-path index.  One path-by-path sum,
-``_rule_payoffs``, prices a rule against every opponent rule for
-``brute_force_payoff`` (both players) and ``brute_force_value``.
+stop-first entry, and only a shared frame reads ``core.STOP_ORDER``, once
+per cell, and then one entry of each priced player's X, Y or Z table.
+``brute_force_payoff`` prices both players in that one pass, both term
+tables laid out by player 1's first stop.  The table also refuses a tree
+above ``BRUTE_FORCE_NODE_LIMIT`` nodes and enumerates the reduced stopping
+rules in one recursion, each with its first stop on every path.  One
+path-by-path sum, ``_rule_payoffs``, prices a rule against every opponent
+rule for ``brute_force_payoff`` (both players) and ``brute_force_value``.
 
 ``GapCertificate``, ``InvariantCheck`` and ``InvariantReport`` are
 ``NamedTuple`` records.  A check fails on a violation above its tolerance or
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from itertools import chain, compress, count, filterfalse, product, repeat
 from operator import getitem, sub
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     DEVIATOR_ACTIONS,
@@ -55,9 +57,12 @@ from .core import (
     PayoffProcess,
     STOP_ORDER,
     StageAction,
+    _PLAYER1_FIRST,
+    _PLAYER2_FIRST,
+    _SIMULTANEOUS,
+    _TIE,
     _worded_id,
     deviator_lines,
-    outcome_payoff,
     require_player,
     require_profile,
     require_side,
@@ -252,124 +257,152 @@ def _certify(
 # Brute-force oracles (small trees only)
 
 
-def _stop_rules(
-    tree: EventTree, node: str, actions: tuple[StageAction, ...]
-) -> Iterator[dict[str, StageAction]]:
-    """All reduced stopping rules on the subtree: a first-stop antichain with
-    one action each; the empty rule never stops."""
-    for act in actions:
-        yield {node: act}
-    kids = tree.children.get(node, ())
-    if not kids:
-        yield {}
-        return
-    child_rules = [list(_stop_rules(tree, child, actions)) for child, _ in kids]
-    for combo in product(*child_rules):
-        merged: dict[str, StageAction] = {}
-        for part in combo:
-            merged.update(part)
-        yield merged
-
-
-_Stop = tuple[int, Optional[StageAction]]
-
-
 class _PathTable:
     """The root-to-leaf paths and the reduced stopping rules of one
     brute-force call, built once; a tree of more than
     ``BRUTE_FORCE_NODE_LIMIT`` nodes is a ``ValueError``.
 
-    ``stops[p][k]`` lists the first stops a rule over ``actions`` can make in
-    frame ``k`` of path ``p``: ``(k, act)`` at the path's k-th node, and
-    ``(len(path), None)`` for no stop in frame ``len(path)``.  ``rules``
-    holds every rule of ``_stop_rules``, and ``firsts[r]`` the index of rule
-    r's first stop into the flattened list on every path.  A reduced rule
-    stops at most once on each path, so each of its stops is written onto
-    the paths through its node, and every other path keeps no stop.
+    One depth-first recursion enumerates the rules: at each node, a stop
+    with each action, then (at a leaf) the empty rule that never stops, or
+    every combination of one rule per child subtree, the last child varying
+    fastest.  A reduced rule is a first-stop antichain, so it stops at most
+    once on each path.  The leaves below a node are contiguous in the
+    recursion's leaf order, so each rule carries its first stops on the
+    subtree's paths as one tuple: a stop at the node fills its whole run of
+    paths, and a combination joins its children's runs.  ``rules`` holds
+    the rules and ``firsts[r]`` rule r's first stop on every path: ``k *
+    len(actions)`` plus the action's place for a stop at the path's k-th
+    node, ``len(path) * len(actions)`` for none.
+
+    ``paths`` lists the paths in the recursion's leaf order, which is the
+    tree's leaf order when the horizon is uniform, each with its probability
+    in ``probs`` from one upward walk per leaf.
     """
 
     def __init__(self, tree: EventTree, actions: tuple[StageAction, ...]) -> None:
         if len(tree.nodes) > BRUTE_FORCE_NODE_LIMIT:
             raise ValueError(f"brute force refused: {len(tree.nodes)} nodes exceeds {BRUTE_FORCE_NODE_LIMIT}")
+        self.actions = actions
         width = len(actions)
+        depth, kids_of = tree.depth, tree.children.get
+        leaves: list[str] = []
+
+        def subtree_rules(node: str) -> list[tuple[dict[str, StageAction], tuple[int, ...]]]:
+            kids = kids_of(node)
+            if kids:
+                start = len(leaves)
+                below = [subtree_rules(child) for child, _ in kids]
+                combos = []
+                for combo in product(*below):
+                    merged: dict[str, StageAction] = {}
+                    ids: tuple[int, ...] = ()
+                    for rule, part in combo:
+                        merged.update(rule)
+                        ids += part
+                    combos.append((merged, ids))
+                run = len(leaves) - start
+            else:
+                leaves.append(node)
+                combos = [({}, ((depth[node] + 1) * width,))]
+                run = 1
+            base = depth[node] * width
+            return [({node: act}, (base + i,) * run) for i, act in enumerate(actions)] + combos
+
+        self.rules: list[dict[str, StageAction]] = []
+        self.firsts: list[tuple[int, ...]] = []
+        for rule, ids in subtree_rules(tree.root):
+            self.rules.append(rule)
+            self.firsts.append(ids)
         self.paths: list[list[str]] = []
         self.probs: list[float] = []
-        on: dict[str, list[tuple[int, int]]] = {node: [] for node in tree.nodes}  # (path, index of its first stop)
-        for p, leaf in enumerate(tree.leaves):  # one upward walk per leaf, in leaf order
+        for leaf in leaves:  # one upward walk per leaf
             path, prob = [leaf], 1.0
             while (up := tree.parent[path[-1]]) is not None:
                 prob *= tree._edge[path[-1]]  # from the leaf up to the root
                 path.append(up)
             path.reverse()
-            for k, node in enumerate(path):
-                on[node].append((p, k * width))
             self.paths.append(path)
             self.probs.append(prob)
-        frames = [[(k, act) for act in actions] for k in range(tree.horizon + 1)]
-        self.stops: list[list[list[_Stop]]] = [frames[: len(path)] + [[(len(path), None)]] for path in self.paths]
-        self.rules = list(_stop_rules(tree, tree.root, actions))
-        none = [len(path) * width for path in self.paths]
-        self.firsts: list[tuple[int, ...]] = []
-        for rule in self.rules:
-            ids = none.copy()
-            for node, act in rule.items():
-                for p, base in on[node]:
-                    ids[p] = base + actions.index(act)
-            self.firsts.append(tuple(ids))
 
     def rows(
-        self, payoffs: PayoffProcess, player: int, theirs: Optional[list[list[list[tuple[_Stop, float]]]]] = None
-    ) -> list[list[list[float]]]:
-        """``player``'s terms on every path, one row per first stop:
-        ``rows[p][i]`` when the player first stops at the i-th stop of path p.
+        self,
+        payoffs: PayoffProcess,
+        row: int,
+        players: tuple[int, ...],
+        theirs: Optional[list[list[list[tuple[Optional[StageAction], float]]]]] = None,
+    ) -> list[list[list[list[float]]]]:
+        """One table of terms for each of ``players``, every row indexed by
+        the first stop of the row player ``row``: ``table[p][i][j]`` when the
+        row player first stops at the i-th stop of path p and the opponent
+        at the j-th of ``theirs[p]``.
 
         ``theirs[p][k]`` holds the opponent's first stops in frame ``k`` of
-        path p (``len(path)`` is no stop), weighted; by default every stop,
-        at the path's probability.  Against a stop in frame k, an opponent
-        stop in an earlier frame j pays the player's opponent-first entry at
-        ``path[j]``, a later one or none their stop-first entry at
-        ``path[k]``; only frame k's own cells ask ``_pure_path_payoff``.
-        Each term is the weight times the entry.
+        path p, each an action (None for no stop, in frame ``len(path)``)
+        with its weight; by default every stop, at the path's probability.
+        Against a row stop in frame k, an opponent stop in an earlier frame j
+        pays the entry of the opponent stopping first at ``path[j]``, a later
+        one or none the entry of the row player stopping first at
+        ``path[k]``; only frame k's own cells read ``STOP_ORDER``, once per
+        cell for every player.  Each term is the weight times the entry.
         """
-        stop, opp = payoffs.side(player)[:2]
         if theirs is None:
-            theirs = [[[(s, prob) for s in frame] for frame in stops] for prob, stops in zip(self.probs, self.stops)]
-        table = []
-        for path, stops, weighted in zip(self.paths, self.stops, theirs):
-            shared = [  # the cells of each frame, one row per first stop
-                [[w * _pure_path_payoff(payoffs, path, mine, other, player) for other, w in weighted[k]] for mine in frame]
-                for k, frame in enumerate(stops)
+            theirs = [
+                [[(act, prob) for act in self.actions]] * len(path) + [[(None, prob)]]
+                for path, prob in zip(self.paths, self.probs)
             ]
-            rows: list[list[float]] = []
-            lead: list[float] = []  # the terms against the opponent's stops before frame k
+        views = []  # each player's tables: the row player first, the opponent first, then X, Y, Z and xi
+        for player in players:
+            x, y, z, xi = (
+                (payoffs.x1, payoffs.y1, payoffs.z1, payoffs.xi1)
+                if player == 1
+                else (payoffs.x2, payoffs.y2, payoffs.z2, payoffs.xi2)
+            )
+            views.append((x, y, x, y, z, xi) if row == 1 else (y, x, x, y, z, xi))
+        tables: list[list[list[list[float]]]] = [[] for _ in players]
+        for path, weighted in zip(self.paths, theirs):
+            path_rows: list[list[list[float]]] = [[] for _ in players]
+            leads: list[list[float]] = [[] for _ in players]  # the terms against the opponent's stops before frame k
             for k, node in enumerate(path):
-                entry = stop[node]
-                tail = [w * entry for frame in weighted[k + 1 :] for _, w in frame]
-                rows += [lead + row + tail for row in shared[k]]
-                entry = opp[node]
-                lead += [w * entry for _, w in weighted[k]]
-            table.append(rows + [lead + row for row in shared[-1]])
-        return table
+                here = weighted[k]
+                later = [w for frame in weighted[k + 1 :] for _, w in frame]
+                cells = [  # the outcome and weight of each cell of the frame, one row per row stop
+                    [(STOP_ORDER[mine, other] if row == 1 else STOP_ORDER[other, mine], w) for other, w in here]
+                    for mine in self.actions
+                ]
+                for (first, second, x, y, z, _), rows, lead in zip(views, path_rows, leads):
+                    entry = first[node]
+                    tail = [w * entry for w in later]
+                    rows += [lead + [w * _pure_path_payoff(o, x, y, z, node) for o, w in cell] + tail for cell in cells]
+                    entry = second[node]
+                    lead += [w * entry for _, w in here]
+            for (*_, xi), rows, lead, table in zip(views, path_rows, leads, tables):
+                entry = xi[path[-1]]  # neither stops: the terminal payoff
+                rows.append(lead + [w * entry for _, w in weighted[-1]])
+                table.append(rows)
+        return tables
 
 
-def _pure_path_payoff(payoffs: PayoffProcess, path: list[str], mine: _Stop, theirs: _Stop, player: int) -> float:
-    """``player``'s payoff on one path when they first stop at ``mine`` and
-    the opponent at ``theirs`` in the same frame, or neither stops.
+def _pure_path_payoff(
+    outcome: Optional[Outcome], x: dict[str, float], y: dict[str, float], z: dict[str, float], node: str
+) -> float:
+    """One player's payoff at ``node`` when a frame ends in ``outcome``,
+    read from their X (player 1 first), Y (player 2 first) and Z tables.
 
-    Stops at the same node with the same interior limit (two earlies or two
-    lates) have no canonical order (``STOP_ORDER`` holds None): the ordering
-    parameter is chosen against ``player``.  Only ``brute_force_value``,
-    which pairs (atom, early, late) rules on both sides, meets such a pair.
+    A uniform tie pays the mean of X and Y.  Stops with the same interior
+    limit (two earlies or two lates) have no canonical order (``STOP_ORDER``
+    holds None): the ordering is chosen against the player, ``X`` on a tie,
+    so of two equal zeros X's comes out.  Only ``brute_force_value``, which
+    pairs (atom, early, late) rules on both sides, meets such a pair.
     """
-    k, act = mine
-    if act is None:  # no stop shares its frame only with no stop
-        return (payoffs.xi1 if player == 1 else payoffs.xi2)[path[-1]]
-    node = path[k]
-    outcome = STOP_ORDER[act, theirs[1]] if player == 1 else STOP_ORDER[theirs[1], act]
-    if outcome is not None:
-        return outcome_payoff(outcome, payoffs, node)[player - 1]
-    first = outcome_payoff(Outcome.PLAYER1_FIRST, payoffs, node)[player - 1]
-    second = outcome_payoff(Outcome.PLAYER2_FIRST, payoffs, node)[player - 1]
+    if outcome is _PLAYER1_FIRST:
+        return x[node]
+    if outcome is _PLAYER2_FIRST:
+        return y[node]
+    if outcome is _SIMULTANEOUS:
+        return z[node]
+    if outcome is _TIE:
+        return 0.5 * (x[node] + y[node])
+    first, second = x[node], y[node]
     return first if first <= second else second
 
 
@@ -412,10 +445,7 @@ def brute_force_payoff(
     """
     table = _PathTable(tree, (_ATOM, _UNIFORM))
     require_profile(tree, profile)
-    terms1 = table.rows(payoffs, 1)  # terms1[p][i1][i2]
-    # terms2[p][i1][i2], each row a list like every row ``_rule_payoffs``
-    # reads: one row type keeps its indexing specialized (Python 3.11+)
-    terms2 = [list(map(list, zip(*rows))) for rows in table.rows(payoffs, 2)]
+    terms1, terms2 = table.rows(payoffs, 1, (1, 2))  # terms1[p][i1][i2], terms2[p][i1][i2]
     weights2 = [_rule_probability(tree, rule, profile.player2) for rule in table.rules]
     side2 = [(p2, firsts) for p2, firsts in zip(weights2, table.firsts) if p2 != 0.0]
     columns = list(zip(*(firsts for _, firsts in side2)))  # columns[p]: each player-2 rule's first stop on path p
@@ -449,19 +479,20 @@ def brute_force_best_response(
     table = _PathTable(tree, (_ATOM, _EARLY, _LATE))
     require_side(tree, opponent, 3 - deviator)
     theirs = []  # theirs[p][k]: the opponent's weighted first stops in frame k of path p
-    for path, prob, stops in zip(table.paths, table.probs, table.stops):
-        weighted: list[list[tuple[_Stop, float]]] = [[] for _ in stops]
+    for path, prob in zip(table.paths, table.probs):
+        weighted: list[list[tuple[Optional[StageAction], float]]] = [[] for _ in range(len(path) + 1)]
         alive = 1.0
         for k, node in enumerate(path):
             a, u, w = opponent[node]
-            weighted[k] = [((k, act), prob * alive * p) for act, p in ((_ATOM, a), (_UNIFORM, u)) if p != 0.0]
+            weighted[k] = [(act, prob * alive * p) for act, p in ((_ATOM, a), (_UNIFORM, u)) if p != 0.0]
             alive *= w
             if alive == 0.0:
                 break
         else:
-            weighted[-1] = [((len(path), None), prob * alive)]
+            weighted[-1] = [(None, prob * alive)]
         theirs.append(weighted)
-    terms = table.rows(payoffs, deviator, theirs)  # terms[p][i]: the terms on path p when the deviator first stops at the i-th stop
+    # terms[p][i]: the terms on path p when the deviator first stops at the i-th stop
+    (terms,) = table.rows(payoffs, deviator, (deviator,), theirs)
     values = []
     for firsts in table.firsts:
         value = 0.0
@@ -482,7 +513,7 @@ def brute_force_value(tree: EventTree, payoffs: PayoffProcess, player: int) -> f
     """
     require_player(player)
     table = _PathTable(tree, (_ATOM, _EARLY, _LATE))
-    terms = table.rows(payoffs, player)  # terms[p][mine][theirs]
+    (terms,) = table.rows(payoffs, player, (player,))  # terms[p][mine][theirs]
     columns = list(zip(*table.firsts))  # columns[p]: every rule's first stop on path p
     return max(min(_rule_payoffs(terms, mine, columns)) for mine in table.firsts)
 

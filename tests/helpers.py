@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
 import reprlib
 import sys
 from collections.abc import Mapping, Sequence
-from typing import Container, Iterator, Optional
+from typing import Callable, Container, Iterator, Optional
 
 from dynkin import (
     BehavioralProfile,
@@ -30,13 +31,12 @@ from dynkin.core import (
     PROB_TOL,
     UNIFORM_MIX,
     WAIT_MIX,
+    STOP_ORDER,
     Mix,
     Outcome,
     StageAction,
     deviator_lines,
-    outcome_payoff,
     require_player,
-    stop_outcome,
 )
 from dynkin.zerosum import check_convexity
 
@@ -207,6 +207,35 @@ def zero_sum_push(
     return zero_sum_push_table(tree, payoffs, fragment, player)[tree.root]
 
 
+def stop_outcome(a1: StageAction, a2: StageAction) -> Outcome:
+    """``STOP_ORDER``'s outcome for player 1 playing ``a1`` and player 2
+    ``a2``; a pair with no defined order is a ``ValueError``."""
+    outcome = STOP_ORDER[a1, a2]
+    if outcome is None:
+        raise ValueError(f"({a1.value}, {a2.value}) has no defined stop order")
+    return outcome
+
+
+def outcome_payoff(outcome: Outcome, payoffs: PayoffProcess, node: str) -> PayoffPair:
+    """Both players' payoffs at ``node`` when its frame ends in a stop.
+
+    ``Outcome.SURVIVAL`` pays the continuation, which is no payoff of the
+    node: a ``ValueError``.
+    """
+    if outcome is Outcome.PLAYER1_FIRST:
+        return PayoffPair(payoffs.x1[node], payoffs.x2[node])
+    if outcome is Outcome.PLAYER2_FIRST:
+        return PayoffPair(payoffs.y1[node], payoffs.y2[node])
+    if outcome is Outcome.SIMULTANEOUS:
+        return PayoffPair(payoffs.z1[node], payoffs.z2[node])
+    if outcome is Outcome.TIE:
+        return PayoffPair(
+            0.5 * (payoffs.x1[node] + payoffs.y1[node]),
+            0.5 * (payoffs.x2[node] + payoffs.y2[node]),
+        )
+    raise ValueError(f"node {node}: survival pays the continuation, not a payoff of the node")
+
+
 def outcome_kernel(
     a1: StageAction,
     a2: StageAction,
@@ -222,7 +251,8 @@ def outcome_kernel(
     the stop-order reference the stage formulas are checked against, action
     pair by action pair.
     ``zerosum.stage_matrices`` resolves its action pairs through the
-    ``STOP_ORDER`` table that ``stop_outcome`` reads, once, at import.
+    ``STOP_ORDER`` table that ``stop_outcome`` reads, once, at import, and
+    the brute-force oracles read it once per cell.
     """
     try:
         outcome = stop_outcome(a1, a2)
@@ -399,6 +429,26 @@ def reference_walk(tree: EventTree, start: str, stop: Container[str] = ()) -> It
             order.extend(child for child, _ in tree.children.get(node, ()))
 
 
+def _stop_rules(
+    tree: EventTree, node: str, actions: tuple[StageAction, ...]
+) -> Iterator[dict[str, StageAction]]:
+    """All reduced stopping rules on the subtree: a first-stop antichain with
+    one action each; the empty rule never stops.  ``verify._PathTable.rules``
+    must list the same rules in the same order."""
+    for act in actions:
+        yield {node: act}
+    kids = tree.children.get(node, ())
+    if not kids:
+        yield {}
+        return
+    child_rules = [list(_stop_rules(tree, child, actions)) for child, _ in kids]
+    for combo in itertools.product(*child_rules):
+        merged: dict[str, StageAction] = {}
+        for part in combo:
+            merged.update(part)
+        yield merged
+
+
 def reference_first_stops(
     paths: list[list[str]], actions: tuple[StageAction, ...], rule: dict[str, StageAction]
 ) -> tuple[int, ...]:
@@ -412,6 +462,38 @@ def reference_first_stops(
         k = next((k for k, node in enumerate(path) if node in rule), len(path))
         ids.append(k * width + (actions.index(rule[path[k]]) if k < len(path) else 0))
     return tuple(ids)
+
+
+def record_digests(records: Sequence[bytes]) -> list[str]:
+    """A short digest per record of a pinned corpus: the first 16 hex
+    digits of its SHA-256."""
+    return [hashlib.sha256(record).hexdigest()[:16] for record in records]
+
+
+def assert_records_pinned(
+    records: Sequence[bytes],
+    corpus_sha256: str,
+    pinned: Sequence[str],
+    show: Callable[[bytes], str] = bytes.decode,
+) -> None:
+    """Pass when the SHA-256 over ``records`` (one update per record) is
+    ``corpus_sha256``; else fail naming the first record whose short digest
+    (``record_digests``) differs from ``pinned``, with ``show(record)``, so a
+    broken digest points at one record instead of printing two hashes."""
+    corpus = hashlib.sha256(b"".join(records)).hexdigest()
+    if corpus == corpus_sha256:
+        return
+    got = record_digests(records)
+    for k, (digest, expected) in enumerate(itertools.zip_longest(got, pinned)):
+        if digest != expected:
+            shown = "no record" if digest is None else show(records[k])
+            raise AssertionError(
+                f"corpus digest {corpus} != {corpus_sha256}: record {k} is the first to differ "
+                f"(digest {digest}, pinned {expected}): {shown}"
+            )
+    raise AssertionError(
+        f"corpus digest {corpus} != {corpus_sha256}, yet all {len(got)} record digests match: the pins are stale"
+    )
 
 
 def is_number(value: object) -> bool:

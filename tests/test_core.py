@@ -46,8 +46,6 @@ from dynkin.core import (
     WAIT_MIX,
     Outcome,
     _issue_line,
-    outcome_payoff,
-    stop_outcome,
 )
 from dynkin.verify import InvariantCheck
 
@@ -63,10 +61,12 @@ from helpers import (
     kernel_profile_value,
     mirror,
     outcome_kernel,
+    outcome_payoff,
     profile_issues,
     reference_tree_maps,
     reference_walk,
     single_node_payoffs,
+    stop_outcome,
     tree_maps,
     uniform_tree,
     worded,

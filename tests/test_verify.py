@@ -35,18 +35,22 @@ from dynkin import (
 from dynkin import core, verify, zerosum
 from dynkin.cli import main
 from dynkin.toolkit import FAMILIES
-from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX, _issue_line
-from dynkin.verify import _PathTable, _stop_rules
+from dynkin.core import ATOM_MIX, PAYOFF_TABLES, UNIFORM_MIX, WAIT_MIX, _issue_line
+from dynkin.verify import _PathTable
 
 from helpers import (
     DYADIC_MIXES,
     DYADIC_SHAPES,
+    _stop_rules,
+    assert_records_pinned,
     constant_payoffs,
     corpus,
     dyadic_instance,
     dyadic_mixes,
     extend_profile,
+    outcome_kernel,
     poisoned_deviator_lines,
+    record_digests,
     reference_first_stops,
     reference_stage_columns,
     reference_stage_matrices,
@@ -169,6 +173,12 @@ def _reference_certificates(tree, payoffs, profile):
             (player, values[tree.root].hex(), path_value.hex(), max(0.0, raw).hex(), raw.hex(), list(strategy.items()))
         )
     return out
+
+
+def _shown_floats(record: bytes) -> str:
+    """One oracle record's floats, as float.hex and as decimals."""
+    hexes = record.decode().split()
+    return f"{' '.join(hexes)} = {', '.join(repr(float.fromhex(h)) for h in hexes)}"
 
 
 def _random_mixes(tree, seed):
@@ -319,14 +329,30 @@ class TestBruteForce:
             terms = {k: {n: rng.uniform(-1, 1) for n in tree.leaves} for k in ("xi1", "xi2")}
             games.append((tree, PayoffProcess(**tables, **terms), False))
         assert len(games) == 34
+        records = []  # one line of floats per game
         for k, (tree, payoffs, small) in enumerate(games):
             profile = BehavioralProfile(player1=_random_mixes(tree, 2 * k), player2=_random_mixes(tree, 2 * k + 1))
             floats = [*brute_force_payoff(tree, payoffs, profile)]
             floats += [brute_force_best_response(tree, payoffs, profile.side(3 - i), i) for i in (1, 2)]
             if small:  # the value oracle squares the rule count, about 1,400 on the deep trees
                 floats += [brute_force_value(tree, payoffs, i) for i in (1, 2)]
-            digest.update(" ".join(map(float.hex, floats)).encode() + b"\n")
+            records.append(" ".join(map(float.hex, floats)).encode() + b"\n")
+            digest.update(records[-1])
+        assert_records_pinned(records, ORACLE_SHA256, ORACLE_RECORD_DIGESTS, _shown_floats)
         assert digest.hexdigest() == ORACLE_SHA256
+
+    def test_a_digest_mismatch_names_the_first_differing_record(self):
+        records = [b"0x1.0p+0\n", b"0x1.8p+0 -0x0.0p+0\n", b"0x1.0p+1\n"]
+        pinned = record_digests(records)
+        corpus = hashlib.sha256(b"".join(records)).hexdigest()
+        assert_records_pinned(records, corpus, pinned, _shown_floats)
+        changed = [records[0], b"0x1.8p+0 0x0.0p+0\n", b"0x1.0p+2\n"]
+        with pytest.raises(AssertionError, match=r"record 1 is the first to differ .*: 0x1.8p\+0 0x0.0p\+0 = 1.5, 0.0$"):
+            assert_records_pinned(changed, corpus, pinned, _shown_floats)
+        with pytest.raises(AssertionError, match=r"record 2 is the first to differ \(digest None, pinned [0-9a-f]{16}\): no record$"):
+            assert_records_pinned(records[:2], corpus, pinned)
+        with pytest.raises(AssertionError, match="all 3 record digests match: the pins are stale$"):
+            assert_records_pinned(records, "0" * 64, pinned)
 
     def test_float_instances_agree_within_tolerance(self):
         # general float payoffs: agreement within the scaled tolerance
@@ -364,6 +390,64 @@ class TestBruteForce:
                     assert all(sum(node in rule for node in path) <= 1 for path in table.paths)
                     assert firsts == reference_first_stops(table.paths, actions, rule)
 
+    @pytest.mark.parametrize(
+        "x1,y1,x2,y2",
+        [(1.5, -0.25, -0.75, 2.0), (-0.5, 0.375, 0.25, -1.25), (0.0, -0.0, -0.0, 0.0), (-0.0, 0.0, 0.0, -0.0)],
+    )
+    def test_shared_frame_cells_match_the_outcome_kernel(self, x1, y1, x2, y2):
+        # Every action pair the enumerators meet, priced in both orientations
+        # for both players on a one-node tree, whose one path has probability
+        # 1.0: each cell is the kernel's float, bit for bit; two earlies or two
+        # lates, which the kernel refuses, pay X if X <= Y else Y, the
+        # player's X on a tie, so of two equal zeros X's.
+        tree, payoffs = single_node_payoffs(x1, y1, 0.125, 3.0, x2, y2, -0.625, -3.0)
+        own = {1: (x1, y1), 2: (x2, y2)}
+        AU = (StageAction.ATOM, StageAction.UNIFORM)
+        AEL = (StageAction.ATOM, StageAction.EARLY, StageAction.LATE)
+        # (the row player's actions, the opponent's): payoff, best response, value
+        for mine, others in ((AU, AU), (AEL, AU), (AEL, AEL)):
+            table = _PathTable(tree, mine)
+            theirs = [[[(act, 1.0) for act in others], [(None, 1.0)]]]
+            for row in (1, 2):
+                tables = table.rows(payoffs, row, (1, 2), theirs)
+                for player, terms in zip((1, 2), tables):
+                    for i, act in enumerate(mine):
+                        for j, other in enumerate(others):
+                            a1, a2 = (act, other) if row == 1 else (other, act)
+                            if a1 is a2 and a1 in (StageAction.EARLY, StageAction.LATE):
+                                x, y = own[player]
+                                expected = x if x <= y else y
+                            else:
+                                expected = outcome_kernel(a1, a2, payoffs, "n0")[player - 1]
+                            assert terms[0][i][j].hex() == expected.hex(), (row, player, a1, a2)
+                    # neither stops: the terminal payoff
+                    assert terms[0][-1][-1].hex() == payoffs.side(player).xi["n0"].hex()
+
+    @pytest.mark.parametrize("draw", ["dyadic", "uniform"])
+    def test_one_pass_payoff_tables_match_the_per_player_rows(self, draw):
+        # ``brute_force_payoff`` prices each cell once for both players, in
+        # player 1's row layout: player 1's terms must be the rows of player 1
+        # alone, and player 2's the transpose of player 2's rows in their own
+        # layout, entry by entry.  Every suite shape and the digest test's
+        # 10-node shape, whose paths run in the tree's leaf order.
+        deep = {"r": "ab", "a": "cd", "b": "e", "c": "fg", "d": "h", "e": "i"}
+        shapes = [*DYADIC_SHAPES, {node: [(kid, 1.0 / len(kids)) for kid in kids] for node, kids in deep.items()}]
+        for k, shape in enumerate(shapes):
+            tree, payoffs = dyadic_instance(shape, k)
+            if draw == "uniform":
+                rng = random.Random(k)
+                for _, field in PAYOFF_TABLES:
+                    table = getattr(payoffs, field)
+                    table.update((node, rng.uniform(-1, 1)) for node in table)
+            table = _PathTable(tree, (StageAction.ATOM, StageAction.UNIFORM))
+            assert [path[-1] for path in table.paths] == tree.leaves
+            terms1, terms2 = table.rows(payoffs, 1, (1, 2))
+            (rows1,) = table.rows(payoffs, 1, (1,))
+            (rows2,) = table.rows(payoffs, 2, (2,))
+            hexed = lambda terms: [[list(map(float.hex, row)) for row in path] for path in terms]
+            assert hexed(terms1) == hexed(rows1)
+            assert hexed(terms2) == hexed([list(map(list, zip(*rows))) for rows in rows2])
+
     @pytest.mark.parametrize("bad", ["missing node", "list", "nan mix"])
     @pytest.mark.parametrize("oracle", ["best_response", "brute_force_best_response", "brute_force_payoff"])
     def test_a_malformed_profile_side_is_a_profile_error(self, oracle, bad):
@@ -399,8 +483,18 @@ class TestBruteForce:
         assert str(caught.value) == "node r: player 1 distribution sums to 1.5; and 2 more"
 
 
-# The oracle digest of ``test_oracle_floats_are_pinned_off_dyadic_inputs``.
+# The oracle digest of ``test_oracle_floats_are_pinned_off_dyadic_inputs``,
+# and each game's short digest (``record_digests``), in game order.
 ORACLE_SHA256 = "2e195ddc9a9cfb8a01891a1824771bca5e46fe30109b477257f6964681f609d1"
+ORACLE_RECORD_DIGESTS = (
+    "daf917b38e02c012", "2ad0a92ac2a729b3", "c79ec95873a41d61", "fa47bf8f369e5a25", "243776ad1cb89e80",
+    "ef858222721a7922", "935190b17233b08e", "8725547f0459e8b2", "46b87f70f9ae0eed", "daa00ad2ae77b3d2",
+    "5380eba2a48481a3", "c6f3f28efdf94067", "d799b3727734e861", "7755772e23eef283", "93b7e929d343be24",
+    "5a33a7a255ce78ae", "b722fb11ef078181", "cd7fb2ada462d17b", "c50c024f9cb565c9", "cb97bb7dab7034c8",
+    "552a55ccf8bb931a", "894d299b00377865", "a58ff3574e8744fe", "4dfec97c5ba9721b", "fd6e03a68af5b69c",
+    "111618ae7af7c202", "277c8734e2d26ce8", "c98db43227d56027", "8d9eb93191bad5f1", "71e998a84825609f",
+    "7ace54c18f2be429", "519b5f07323c6af9", "9fbd1cb9e6426c38", "2f0e7375485f1cfe",
+)
 # The invariant digest of ``test_reports_are_pinned_off_dyadic_inputs``.
 INVARIANT_SHA256 = "a91b99d21c3c72a2b73a131036068d7f7cf1d6a52c3d579de3b99f31e79eb388"
 
