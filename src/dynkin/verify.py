@@ -352,12 +352,10 @@ class _PathTable:
             ]
         views = []  # each player's tables: the row player first, the opponent first, then X, Y, Z and xi
         for player in players:
-            x, y, z, xi = (
-                (payoffs.x1, payoffs.y1, payoffs.z1, payoffs.xi1)
-                if player == 1
-                else (payoffs.x2, payoffs.y2, payoffs.z2, payoffs.xi2)
-            )
-            views.append((x, y, x, y, z, xi) if row == 1 else (y, x, x, y, z, xi))
+            stop, opp, z, xi = payoffs.side(player)
+            first, second = (stop, opp) if player == row else (opp, stop)
+            x, y = (first, second) if row == 1 else (second, first)  # player 1 first, player 2 first
+            views.append((first, second, x, y, z, xi))
         tables: list[list[list[list[float]]]] = [[] for _ in players]
         for path, weighted in zip(self.paths, theirs):
             path_rows: list[list[list[float]]] = [[] for _ in players]
