@@ -25,6 +25,11 @@ validates it once; the solvers downstream take a valid instance unchecked.
 ``EventTree``, ``PayoffProcess`` and ``BehavioralProfile`` are plain
 ``__slots__`` classes: callers assign to their fields, and each compares
 field by field.  ``PayoffProcess.__slots__`` is the schema's field list.
+An ``EventTree`` holds its root, breadth-first order, depths and child
+lists and no map derived from them: the leaves and the frame split's target
+counts are read off the child lists from the root down, the horizon is the
+depth of the last node in breadth-first order, and no code walks a tree
+upward.
 """
 
 from __future__ import annotations
@@ -124,11 +129,10 @@ class Side(NamedTuple):
 
 class _Record:
     """Slotted fields, compared field by field with a record of the same
-    class and shown by the ``_shown`` ones (all by default); defining
-    ``__eq__`` leaves it unhashable."""
+    class and shown by all of them; defining ``__eq__`` leaves it
+    unhashable."""
 
     __slots__ = ()
-    _shown: tuple[str, ...] = ()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -137,71 +141,63 @@ class _Record:
         return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown or self.__slots__)
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__qualname__}({shown})"
 
 
 class EventTree(_Record):
     """Finite filtered tree; every leaf sits at the same depth (the horizon).
 
-    ``nodes`` is breadth-first (parents before children); ``children`` maps a
-    node to its (child, probability) list, probabilities summing to one.
-    ``parent`` maps a node to its parent (the root to None), ``_edge`` a
-    child to its probability, and ``_leaves`` lists the leaves in order.
-    ``build`` is the one constructor: it derives every map in one sweep.
+    ``nodes`` is breadth-first (parents before children), so after the root
+    it lists every child list in turn; ``children`` maps a node to its
+    (child, probability) list, probabilities summing to one.  ``build`` is
+    the one constructor: it derives the order and the depths in one sweep.
+    Every other map is read off the child lists, downward from the root.
     """
 
-    __slots__ = ("root", "nodes", "depth", "children", "parent", "_edge", "_leaves")
-    _shown = __slots__[:4]
+    __slots__ = ("root", "nodes", "depth", "children")
 
     def __init__(
-        self, root: str, nodes: list[str], depth: dict[str, int], children: dict[str, list[tuple[str, float]]],
-        parent: dict[str, Optional[str]], _edge: dict[str, float], _leaves: list[str],
+        self, root: str, nodes: list[str], depth: dict[str, int], children: dict[str, list[tuple[str, float]]]
     ) -> None:
         self.root, self.nodes, self.depth, self.children = root, nodes, depth, children
-        self.parent, self._edge, self._leaves = parent, _edge, _leaves
 
     @classmethod
     def build(cls, root: str, children: dict[str, list[tuple[str, float]]]) -> "EventTree":
-        """Derive the breadth-first order, depths, parents, edge probabilities,
-        leaves and an owned copy of every child list from a child map, in one
-        breadth-first sweep."""
+        """Derive the breadth-first order, depths and an owned copy of every
+        child list from a child map, in one breadth-first sweep."""
         depth = {root: 0}
-        parent: dict[str, Optional[str]] = {root: None}
-        edge: dict[str, float] = {}
         owned: dict[str, list[tuple[str, float]]] = {}
-        leaves: list[str] = []
         order = [root]
         for node in order:  # grows as it goes: breadth-first
             kids = owned[node] = list(children.get(node, ()))
-            if not kids:
-                leaves.append(node)
-                continue
             below = depth[node] + 1
-            for child, p in kids:
+            for child, _ in kids:
                 if child in depth:
                     if child == root:
                         raise InstanceError(f"node {_worded_id(root)!r} is the root, yet node {_worded_id(node)!r} lists it as a child")
                     raise InstanceError(f"node {_worded_id(child)!r} has more than one parent")
                 depth[child] = below
-                parent[child] = node
-                edge[child] = p
                 order.append(child)
         if not children.keys() <= depth.keys():
             stray = next(filterfalse(depth.__contains__, children))
             raise InstanceError(f"node {_worded_id(stray)!r} is not reachable from the root")
-        return cls(root, order, depth, owned, parent, edge, leaves)
+        return cls(root, order, depth, owned)
 
     def is_leaf(self, node: str) -> bool:
         return not self.children.get(node)
 
     @property
     def leaves(self) -> list[str]:
-        return list(self._leaves)
+        """The nodes without children, in breadth-first order."""
+        kids_of = self.children.get
+        return [node for node in self.nodes if not kids_of(node)]
 
     @property
     def horizon(self) -> int:
-        return max(map(self.depth.__getitem__, self._leaves))
+        """The deepest leaf's depth: that of the last node in breadth-first
+        order, which can have no children."""
+        return self.depth[self.nodes[-1]]
 
     def walk(self, start: str, stop: Container[str] = ()) -> list[str]:
         """Breadth-first nodes from ``start``, not descending below ``stop`` nodes.
@@ -622,12 +618,17 @@ def split_frames(
         if node not in tree.depth:
             raise KeyError(f"unknown node {node!r}")
     marked = set(targets)
-    parent = tree.parent
-    on_path: dict[str, int] = {}
+    on_path = {tree.root: int(tree.root in marked)}  # targets from the root down to each node
+    leaves: list[str] = []
+    kids_of = tree.children.get
     for node in tree.nodes:
-        up = parent[node]
-        on_path[node] = (0 if up is None else on_path[up]) + (node in marked)
-    leaves = tree._leaves
+        kids = kids_of(node)
+        if not kids:
+            leaves.append(node)
+            continue
+        count = on_path[node]
+        for child, _ in kids:
+            on_path[child] = count + (child in marked)
     most = max(map(on_path.__getitem__, leaves))
 
     children = dict(tree.children)  # lists are replaced below, never mutated

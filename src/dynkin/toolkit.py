@@ -4,21 +4,23 @@ Game documents are flat JSON: a horizon, a node list with per-node payoffs
 (roots carry no parent, leaves carry terminal payoffs), and a free-form meta
 object.  Profiles map node ids to (atom, uniform, wait) probabilities.
 
-Files pass through one reader and one writer.  ``read_doc`` parses JSON
-integers as floats and turns every parse failure into a ``SchemaError``;
-``write_doc`` writes sorted keys and shortest round-trip floats, so
-documents are byte-stable under save/load/save.  Game files (``save``) are
-indented by two spaces; reports are one line from the C encoder.
-``instance_from_doc`` and ``profile_from_doc`` check only the document's
-shape and copy each value as written; ``core.validate_instance`` and
-``core.validate_profile`` are the one rule for the values, so a file and a
-library call reject a bad value with the same words.  ``load``'s check is
-the last one a ``dynkin`` command makes on its game: the command hands the
-validated game to the engine's private bodies, which do not check it
-again.  The reader, the writer and the ``random`` generator take the payoff
-tables from ``core``'s schema (``STAGE_TABLES``, ``TERMINAL_TABLES``), so a
-file key is the name an issue gives the table.  ``GeneratorSpec`` is a
-``NamedTuple`` with a default for each field.
+Files pass through one reader and one writer.  ``read_doc`` parses with
+``json.loads``, integers as floats, and turns every parse failure into a
+``SchemaError``; ``write_doc`` writes sorted keys and shortest round-trip
+floats, so documents are byte-stable under save/load/save.  Game files
+(``save``) are indented by two spaces; reports are one line from the C
+encoder.  ``instance_to_doc`` takes each node's parent and probability from
+its parent's child list.  ``instance_from_doc`` and ``profile_from_doc``
+check only the document's shape and copy each value as written;
+``core.validate_instance`` and ``core.validate_profile`` are the one rule
+for the values, so a file and a library call reject a bad value with the
+same words.  ``load``'s check is the last one a ``dynkin`` command makes on
+its game: the command hands the validated game to the engine's private
+bodies, which do not check it again.  The reader, the writer and the
+``random`` generator take the payoff tables from ``core``'s schema
+(``STAGE_TABLES``, ``TERMINAL_TABLES``), so a file key is the name an issue
+gives the table.  ``GeneratorSpec`` is a ``NamedTuple`` with a default
+for each field.
 """
 
 from __future__ import annotations
@@ -175,20 +177,20 @@ def instance_to_doc(
 ) -> dict:
     stage = [(name, getattr(payoffs, field)) for name, field in STAGE_TABLES]
     terminal = [(name, getattr(payoffs, field)) for name, field in TERMINAL_TABLES]
-    depth, parent_of, edge, kids_of = tree.depth, tree.parent, tree._edge, tree.children.get
-    nodes = []
-    for node in tree.nodes:
-        entry: dict[str, object] = {"id": node, "depth": depth[node]}
+    depth, kids_of = tree.depth, tree.children.get
+    # after the root, breadth-first order lists every child list in turn, so
+    # one entry per child, holding its parent and probability, lines up
+    # with ``tree.nodes[1:]``
+    nodes: list[dict[str, object]] = [{}]
+    nodes += [{"parent": node, "prob": p} for node in tree.nodes for _, p in kids_of(node, ())]
+    for node, entry in zip(tree.nodes, nodes):
+        entry["id"] = node
+        entry["depth"] = depth[node]
         for name, table in stage:
             entry[name] = table[node]
-        parent = parent_of[node]
-        if parent is not None:
-            entry["parent"] = parent
-            entry["prob"] = edge[node]
         if not kids_of(node):  # a leaf
             for name, table in terminal:
                 entry[name] = table[node]
-        nodes.append(entry)
     doc: dict[str, object] = {"horizon": tree.horizon, "nodes": nodes, "meta": {}}
     if profile is not None:
         doc["profile"] = profile_to_doc(profile)
@@ -317,19 +319,11 @@ def save(
     write_doc(path, instance_to_doc(tree, payoffs, profile), indent=2)
 
 
-# The one decoder of every read: integers parse as floats.
-_DECODER = json.JSONDecoder(parse_int=float)
-
-
 def read_doc(path: Union[str, Path]) -> object:
     """Parse one JSON file, integers as floats; any parse failure, deep
-    nesting included, is a schema error.  As ``json.loads`` does, a leading
-    byte order mark is refused by name."""
+    nesting and a leading byte order mark included, is a schema error."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        if text.startswith("\ufeff"):
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return _DECODER.decode(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
     except (ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 decoding
         raise SchemaError(f"invalid JSON: {exc}") from exc
 

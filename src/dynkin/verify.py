@@ -22,11 +22,12 @@ the input.
 
 Brute-force enumerators over explicit stopping rules provide independent
 cross-checks on small trees.  Each call builds one table of the tree's
-root-to-leaf paths, each with its probability from one upward walk per leaf,
-and each path's terms one row per first stop, by frame order: an earlier
-opponent stop pays its frame's opponent-first entry, a later one or none the
-stop-first entry, and only a shared frame reads ``core.STOP_ORDER``, once
-per cell, and then one entry of each priced player's X, Y or Z table.
+root-to-leaf paths, each with the product of its edge probabilities (taken
+down the child lists, multiplied from the leaf up), and each path's terms
+one row per first stop, by frame order: an earlier opponent stop pays its
+frame's opponent-first entry, a later one or none the stop-first entry, and
+only a shared frame reads ``core.STOP_ORDER``, once per cell, and then one
+entry of each priced player's X, Y or Z table.
 ``brute_force_payoff`` prices both players in that one pass, both term
 tables laid out by player 1's first stop.  The table also refuses a tree
 above ``BRUTE_FORCE_NODE_LIMIT`` nodes and enumerates the reduced stopping
@@ -275,8 +276,9 @@ class _PathTable:
     node, ``len(path) * len(actions)`` for none.
 
     ``paths`` lists the paths in the recursion's leaf order, which is the
-    tree's leaf order when the horizon is uniform, each with its probability
-    in ``probs`` from one upward walk per leaf.
+    tree's leaf order when the horizon is uniform.  The recursion carries
+    each path and its edge probabilities down to the leaf, and ``probs``
+    holds their product, multiplied from the leaf up to the root.
     """
 
     def __init__(self, tree: EventTree, actions: tuple[StageAction, ...]) -> None:
@@ -285,13 +287,16 @@ class _PathTable:
         self.actions = actions
         width = len(actions)
         depth, kids_of = tree.depth, tree.children.get
-        leaves: list[str] = []
+        paths: list[list[str]] = []
+        probs: list[float] = []
 
-        def subtree_rules(node: str) -> list[tuple[dict[str, StageAction], tuple[int, ...]]]:
+        def subtree_rules(
+            node: str, path: list[str], edges: list[float]
+        ) -> list[tuple[dict[str, StageAction], tuple[int, ...]]]:
             kids = kids_of(node)
             if kids:
-                start = len(leaves)
-                below = [subtree_rules(child) for child, _ in kids]
+                start = len(paths)
+                below = [subtree_rules(child, path + [child], edges + [p]) for child, p in kids]
                 combos = []
                 for combo in product(*below):
                     merged: dict[str, StageAction] = {}
@@ -300,9 +305,13 @@ class _PathTable:
                         merged.update(rule)
                         ids += part
                     combos.append((merged, ids))
-                run = len(leaves) - start
+                run = len(paths) - start
             else:
-                leaves.append(node)
+                prob = 1.0
+                for p in reversed(edges):  # from the leaf up to the root
+                    prob *= p
+                paths.append(path)
+                probs.append(prob)
                 combos = [({}, ((depth[node] + 1) * width,))]
                 run = 1
             base = depth[node] * width
@@ -310,19 +319,10 @@ class _PathTable:
 
         self.rules: list[dict[str, StageAction]] = []
         self.firsts: list[tuple[int, ...]] = []
-        for rule, ids in subtree_rules(tree.root):
+        for rule, ids in subtree_rules(tree.root, [tree.root], []):
             self.rules.append(rule)
             self.firsts.append(ids)
-        self.paths: list[list[str]] = []
-        self.probs: list[float] = []
-        for leaf in leaves:  # one upward walk per leaf
-            path, prob = [leaf], 1.0
-            while (up := tree.parent[path[-1]]) is not None:
-                prob *= tree._edge[path[-1]]  # from the leaf up to the root
-                path.append(up)
-            path.reverse()
-            self.paths.append(path)
-            self.probs.append(prob)
+        self.paths, self.probs = paths, probs
 
     def rows(
         self,

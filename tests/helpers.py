@@ -370,12 +370,13 @@ def reference_stage_value(x: float, y: float, z: float, cont: float) -> tuple[fl
     return lo, mixes[rows.index(lo)], mixes[cols.index(hi)]
 
 
-def reference_tree_maps(root: str, children: dict[str, list[tuple[str, float]]]) -> dict[str, list]:
+def reference_tree_maps(root: str, children: dict[str, list[tuple[str, float]]]) -> dict[str, object]:
     """The two-pass derivation ``EventTree.build`` does in one sweep: a
     breadth-first pass for the order and depths, a set for the reachability
     check and a copy of every child list, then a second pass over the copy
-    for the parents, edge probabilities and leaves.  Each map comes back as
-    its items in insertion order; the errors are worded as ``build``'s."""
+    for the leaves and the horizon, the deepest leaf's depth.  Each map comes
+    back as its items in insertion order; the errors are worded as
+    ``build``'s."""
     depth = {root: 0}
     order = [root]
     for node in order:
@@ -391,32 +392,33 @@ def reference_tree_maps(root: str, children: dict[str, list[tuple[str, float]]])
         if node not in known:
             raise InstanceError(f"node {worded_id(node)!r} is not reachable from the root")
     full = {n: list(children.get(n, [])) for n in order}
-    parent: dict[str, Optional[str]] = {root: None}
-    edge: dict[str, float] = {}
-    for node in order:
-        for child, p in full.get(node, ()):
-            parent[child] = node
-            edge[child] = p
     return {
         "nodes": order,
         "depth": list(depth.items()),
         "children": list(full.items()),
-        "parent": list(parent.items()),
-        "_edge": list(edge.items()),
         "leaves": [n for n in order if not full.get(n)],
+        "horizon": max(depth[n] for n in order if not full.get(n)),
     }
 
 
-def tree_maps(tree: EventTree) -> dict[str, list]:
+def tree_maps(tree: EventTree) -> dict[str, object]:
     """A built tree's maps in the form of ``reference_tree_maps``."""
     return {
         "nodes": tree.nodes,
         "depth": list(tree.depth.items()),
         "children": list(tree.children.items()),
-        "parent": list(tree.parent.items()),
-        "_edge": list(tree._edge.items()),
         "leaves": tree.leaves,
+        "horizon": tree.horizon,
     }
+
+
+def parents(tree: EventTree) -> dict[str, Optional[str]]:
+    """Each node's parent, the root's None, read off the child lists."""
+    up: dict[str, Optional[str]] = {tree.root: None}
+    for node in tree.nodes:
+        for child, _ in tree.children.get(node, ()):
+            up[child] = node
+    return up
 
 
 def reference_walk(tree: EventTree, start: str, stop: Container[str] = ()) -> Iterator[str]:
@@ -475,20 +477,23 @@ def assert_records_pinned(
     corpus_sha256: str,
     pinned: Sequence[str],
     show: Callable[[bytes], str] = bytes.decode,
+    names: Sequence[str] = (),
 ) -> None:
     """Pass when the SHA-256 over ``records`` (one update per record) is
     ``corpus_sha256``; else fail naming the first record whose short digest
-    (``record_digests``) differs from ``pinned``, with ``show(record)``, so a
-    broken digest points at one record instead of printing two hashes."""
+    (``record_digests``) differs from ``pinned``, with its entry of
+    ``names`` (if any) and ``show(record)``, so a broken digest points at one
+    record instead of printing two hashes."""
     corpus = hashlib.sha256(b"".join(records)).hexdigest()
     if corpus == corpus_sha256:
         return
     got = record_digests(records)
     for k, (digest, expected) in enumerate(itertools.zip_longest(got, pinned)):
         if digest != expected:
+            named = f" ({names[k]})" if k < len(names) else ""
             shown = "no record" if digest is None else show(records[k])
             raise AssertionError(
-                f"corpus digest {corpus} != {corpus_sha256}: record {k} is the first to differ "
+                f"corpus digest {corpus} != {corpus_sha256}: record {k}{named} is the first to differ "
                 f"(digest {digest}, pinned {expected}): {shown}"
             )
     raise AssertionError(

@@ -742,10 +742,7 @@ def test_the_whole_walk_is_a_copy_of_the_breadth_first_order():
 
 # One instance of each of the package's record classes: its fields by name,
 # in constructor order.
-_TREE_FIELDS = dict(
-    root="r", nodes=["r", "a"], depth={"r": 0, "a": 1}, children={"r": [("a", 1.0)], "a": []},
-    parent={"r": None, "a": "r"}, _edge={"a": 1.0}, _leaves=["a"],
-)
+_TREE_FIELDS = dict(root="r", nodes=["r", "a"], depth={"r": 0, "a": 1}, children={"r": [("a", 1.0)], "a": []})
 _PROFILE_FIELDS = dict(player1={"r": ATOM_MIX}, player2={"r": WAIT_MIX})
 _CHECK_FIELDS = dict(name="minimax_agreement", passed=True, worst=0.0, witness=None)
 _CERTIFICATE_FIELDS = dict(

@@ -30,7 +30,7 @@ from dynkin.core import ATOM_MIX, UNIFORM_MIX, WAIT_MIX
 from dynkin.toolkit import FAMILIES
 from dynkin.zerosum import ValueProcess
 
-from helpers import constant_payoffs, corpus, mirror, single_node_payoffs, uniform_tree
+from helpers import constant_payoffs, corpus, mirror, parents, single_node_payoffs, uniform_tree
 from test_golden import GAMES, golden_game
 
 
@@ -339,10 +339,11 @@ class TestConstruct:
                             value = solve_value_process(tree, payoffs, player)
                             union |= set(hitting_time(tree, payoffs, value, eta, tol).antichain)
                         first = []
+                        parent = parents(tree)
                         for node in tree.nodes:
-                            up = tree.parent[node]
+                            up = parent[node]
                             while up is not None and up not in union:
-                                up = tree.parent[up]
+                                up = parent[up]
                             if node in union and up is None:
                                 first.append(node)
                         assert [c.node for c in report.case_trace if c.label in stops] == first

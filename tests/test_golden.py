@@ -28,6 +28,8 @@ from dynkin import (
 )
 from dynkin.cli import main
 
+from helpers import assert_records_pinned
+
 ETA = 1 / 16
 GAMES = 120
 # Child probabilities of a node with one, two or three children.
@@ -37,6 +39,33 @@ _SPLITS = (
     ((0.5, 0.25, 0.25), (0.25, 0.5, 0.25), (0.25, 0.25, 0.5)),
 )
 GOLDEN_SHA256 = "7b25bb0082cafd9b7e6df47a79c0fdb64c6ac8f063ca586498757b4ee2d1f8f2"
+# Each game's short digest (``helpers.record_digests``), in seed order.
+GOLDEN_RECORD_DIGESTS = (
+    "3fb7abb3a71e4efd", "7e973192450efd12", "dd170fd2c2c2ef6a", "d3ef41b40e07a0f2", "883ac68e478c85b4",
+    "93f01079acba07f1", "c202d1bf20ad523e", "1ec24113b83b98b7", "10ddd839030b1a50", "8614af036ee55c59",
+    "c27bb1b2d4d95a37", "667894a0fabc6391", "63e8e6bbdf3fe22a", "77cea69398697238", "4620cb036a615fbc",
+    "749bd4963839db2d", "2fcb3b448d614e87", "75ffb583a8c67c6b", "58c6530a47d23ea4", "316e1101ca1dc9e1",
+    "50a43b761f32cec3", "0e90087abfe646ce", "75aa2be29ba54676", "4c317a38392cbebb", "7258fb09aff8e0fd",
+    "18a6d5d0d33bc832", "5ebbc2af89128530", "64046ee5ceac8c7b", "672282f7bc31d09b", "0ff0be1c2df8ffac",
+    "80141680cbfacb7e", "0da52ab7da348527", "15d20457280a9cd7", "cbb736eb0da7df0a", "01514835d8150ad5",
+    "39e84bb61108c625", "49c352714ce44e2b", "a210bd99491eec57", "b0e209a76d020319", "ab10d10722a9c5a6",
+    "0717dd3313b03e4d", "1e5c205b50bfd2d2", "855b232b79633fd2", "b22aaf9a7cf6297d", "d14d2492982182b0",
+    "ceb10cfefbcf08b1", "1c76f8e2794b9c13", "12170376d9b453d7", "52ff2e1baa349945", "19d8ffde3ebc702c",
+    "66152cb69049df90", "86ccf205bd267880", "148ed1c99f6ebb72", "83b38627251644d4", "517a1e87547c9025",
+    "c037ef4530c59a59", "753b939646664dad", "1ed3f488304dcd0e", "cfe89fecbe6fb166", "c9e1c2d45eee026e",
+    "65187508793eff11", "b48ad0f1920a0a2a", "23ea8b326465b297", "9312c94d9ca35e05", "9ada74be080460a3",
+    "fea176376d836d9d", "2c68999659b4d2f3", "228949e3ceca7bc7", "c07dd24cb2ef4ea8", "ec31dbfe39c0267c",
+    "6bc414bbaeba5a27", "4a2bdcb73fccd19e", "ec7ca8029fdeb934", "e3e680a11ed24359", "6064b4c1e4617992",
+    "29e01db5c560caf6", "0e138fab5eac9b86", "6322eaf0ebdb0437", "0be29aca36f5264e", "34f71a5b75372cc2",
+    "f4f3714a073a28af", "079ef87a0f4073c8", "32774c3c5708bcdc", "858f5fed1ea89a34", "438f24bb84bc70b2",
+    "de7b726e15837ccf", "6ca717c341ff7063", "cabfb8b1f16fc7d3", "fe43145a02037557", "a5af2d1c08318a12",
+    "5ae510ba26a419a3", "fe72a9d296c2a24c", "6c6e2b3b1d419ef1", "2222e3b2664a57a6", "0e262819275b3b36",
+    "2522d05a74cd5389", "6edd3a5007af67dd", "35bb8159d7a7dfd6", "94f675d9d01e7737", "361f8078fefc8240",
+    "46caae2d7b8b1df9", "71ee41511b0f4126", "a2781c32de43f712", "a0190bb4e4832ff2", "173889d0b476e71c",
+    "da07a15b23c952af", "6e8983aa9bf3a4f1", "02cc44f29470d11d", "27c8ddf901708e97", "a3b94999a124e1ff",
+    "615681d8a6480493", "f9673be8dd538b46", "20dc4cd8c7983791", "55c7b56025563a2c", "1f06f1d69ecb5869",
+    "a4fdffba5df5dd9e", "97d97ca8a379c546", "92c406e1494fd7b3", "929af39e81dfff40", "edd23ee203db9d36",
+)
 # The root regions and A6 sub-cases the corpus reaches; a corpus change that
 # loses one of them weakens the digest.
 REACHED = {"A1", "A2", "A3", "A4", "M1", "M2", "M4", "A6", "A61", "A62", "A63", "A64", "A65", "A66"}
@@ -115,16 +144,24 @@ def golden_lines(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     return lines
 
 
+def _headline(record: bytes) -> str:
+    """A golden record's case trace and payoff lines, joined by ``; ``."""
+    return "; ".join(line for line in record.decode().splitlines() if line.startswith(("case ", "payoff ")))
+
+
 def test_golden_digest_of_the_exact_corpus():
     digest = hashlib.sha256()
     labels = set()
+    records = []  # one per game: its lines and the blank-line separator
     for seed in range(GAMES):
         tree, payoffs = golden_game(seed)
         lines = golden_lines(tree, payoffs)
         labels.update(line.split()[1] for line in lines if line.startswith("case "))
-        digest.update("\n".join(lines).encode())
-        digest.update(b"\n\n")
+        records.append("\n".join(lines).encode() + b"\n\n")
+        digest.update(records[-1])
     assert labels >= REACHED
+    names = [f"golden_game({seed})" for seed in range(GAMES)]
+    assert_records_pinned(records, GOLDEN_SHA256, GOLDEN_RECORD_DIGESTS, _headline, names)
     assert digest.hexdigest() == GOLDEN_SHA256
 
 

@@ -43,6 +43,7 @@ from dynkin.zerosum import check_convexity
 from dynkin.cli import main
 
 from helpers import dyadic_mixes, poisoned_deviator_lines, root_call, uniform_tree, constant_payoffs, single_node_payoffs
+from test_golden import ETA, GAMES, golden_game
 
 
 class TestGenerator:
@@ -262,8 +263,21 @@ class TestFileFormat:
         path.write_text(json.dumps(doc))
         tree, payoffs, _ = load(path)
         tables = (payoffs.x1, payoffs.y1, payoffs.z1, payoffs.x2, payoffs.y2, payoffs.z2, payoffs.xi1, payoffs.xi2)
-        assert {type(v) for table in (*tables, tree._edge) for v in table.values()} == {float}
+        edges = {child: p for kids in tree.children.values() for child, p in kids}
+        assert {type(v) for table in (*tables, edges) for v in table.values()} == {float}
         assert payoffs.x2 == {"r": -1.0, "a": 2.0} and payoffs.xi1 == {"a": 4.0}
+
+    def test_every_golden_split_tree_reads_back_as_written(self):
+        # the writer takes each node's parent and probability from its
+        # parent's child list; each report's split tree, padding chains (A63)
+        # and copies of copies included, must load back record-equal
+        padded = 0
+        for seed in range(GAMES):
+            report = construct(*golden_game(seed), ETA)
+            tree, payoffs, profile = instance_from_doc(instance_to_doc(report.tree, report.payoffs))
+            assert (tree, payoffs, profile) == (report.tree, report.payoffs, None), seed
+            padded += any(c.label == "A63" for c in report.case_trace)
+        assert padded == 28
 
 
 class TestCsvReport:
@@ -1136,6 +1150,13 @@ def test_benchmark_checkers_pass_their_self_test():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "13 of 13" in proc.stdout
+
+
+def test_the_ci_runs_the_benchmark_self_test():
+    # the workflow runs the command of the test above from the checkout root
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+    steps = [line.strip() for line in workflow.read_text(encoding="utf-8").splitlines()]
+    assert "- run: python perfbench/selftest.py" in steps
 
 
 def _console_script_commands(workflow: Path) -> list[str]:

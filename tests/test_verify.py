@@ -354,6 +354,13 @@ class TestBruteForce:
         with pytest.raises(AssertionError, match="all 3 record digests match: the pins are stale$"):
             assert_records_pinned(records, "0" * 64, pinned)
 
+    def test_a_digest_mismatch_names_its_record_when_given_names(self):
+        records = [b"0x1.0p+0\n", b"0x1.0p+1\n"]
+        pinned = record_digests(records)
+        corpus = hashlib.sha256(b"".join(records)).hexdigest()
+        with pytest.raises(AssertionError, match=r"record 1 \(game b\) is the first to differ .*: 0x1.8p\+1\n$"):
+            assert_records_pinned([records[0], b"0x1.8p+1\n"], corpus, pinned, names=["game a", "game b"])
+
     def test_float_instances_agree_within_tolerance(self):
         # general float payoffs: agreement within the scaled tolerance
         from dynkin import GeneratorSpec, generate
@@ -495,8 +502,26 @@ ORACLE_RECORD_DIGESTS = (
     "111618ae7af7c202", "277c8734e2d26ce8", "c98db43227d56027", "8d9eb93191bad5f1", "71e998a84825609f",
     "7ace54c18f2be429", "519b5f07323c6af9", "9fbd1cb9e6426c38", "2f0e7375485f1cfe",
 )
-# The invariant digest of ``test_reports_are_pinned_off_dyadic_inputs``.
+# The invariant digest of ``test_reports_are_pinned_off_dyadic_inputs``, and
+# each report's short digest, in (solve, family, depth, eta) order.
 INVARIANT_SHA256 = "a91b99d21c3c72a2b73a131036068d7f7cf1d6a52c3d579de3b99f31e79eb388"
+INVARIANT_RECORD_DIGESTS = (
+    "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0",
+    "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0",
+    "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0",
+    "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0",
+    "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0",
+    "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0",
+    "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0", "f46351184323efd0",
+    "f46351184323efd0", "d6dc369584f579dc", "d6dc369584f579dc", "6edf6b2cb5329444", "6edf6b2cb5329444",
+    "2f8a49aa6268c465", "2f8a49aa6268c465", "5e68906900e532fe", "5e68906900e532fe", "acca83aad9f18115",
+    "acca83aad9f18115", "4bf7daed07affb77", "4bf7daed07affb77", "465c4dd71b7ac0c6", "465c4dd71b7ac0c6",
+    "312f4538045a7c8f", "93febd12147236f6", "4b10124536adac60", "30cb65b3f572f8bb", "9d3b48546ed524d2",
+    "9d3b48546ed524d2", "bd91bf14403088c5", "bd91bf14403088c5", "5d8105b76da8df72", "5d8105b76da8df72",
+    "0149a0ca9d11bb25", "0149a0ca9d11bb25", "2a88cd2d36375ab6", "2a88cd2d36375ab6", "88bef353a260c4e1",
+    "88bef353a260c4e1", "d5ffecc6449e0fb4", "d5ffecc6449e0fb4", "dc2961f4cce7df72", "dc2961f4cce7df72",
+    "f2f670a433f66aef", "f2f670a433f66aef",
+)
 
 
 @st.composite
@@ -708,15 +733,19 @@ class TestInvariantRunner:
             return process
 
         digest = hashlib.sha256()
-        for solve in (real, skewed):
+        records, names = [], []  # one per report: its check lines
+        for kind, solve in (("exact", real), ("skewed", skewed)):
             monkeypatch.setattr(verify, "solve_value_process", solve)
             for family in FAMILIES:
                 for depth in range(1, 7):
                     spec = GeneratorSpec(family=family, depth=depth, branching=3 if depth < 5 else 2, seed=2300 + depth)
                     tree, payoffs = generate(spec)
                     for eta in (0.05, 0.3):
-                        for c in check_invariants(tree, payoffs, eta=eta).checks:
-                            digest.update(f"{c.name} {c.passed} {c.worst.hex()} {c.witness}\n".encode())
+                        checks = check_invariants(tree, payoffs, eta=eta).checks
+                        records.append(b"".join(f"{c.name} {c.passed} {c.worst.hex()} {c.witness}\n".encode() for c in checks))
+                        names.append(f"{kind} values, {family}, depth {depth}, eta {eta}")
+                        digest.update(records[-1])
+        assert_records_pinned(records, INVARIANT_SHA256, INVARIANT_RECORD_DIGESTS, names=names)
         assert digest.hexdigest() == INVARIANT_SHA256
 
     def test_the_first_of_equal_largest_violations_is_the_witness(self, monkeypatch):

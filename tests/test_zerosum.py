@@ -29,6 +29,7 @@ from helpers import (
     constant_payoffs,
     corpus,
     mirror,
+    parents,
     pure_optimal_strategy,
     column_matrix,
     reference_solve_matrix_game,
@@ -404,13 +405,14 @@ class TestHittingTime:
                 process = solve_value_process(tree, payoffs, player)
                 coarse = hitting_time(tree, payoffs, process, eta=0.2).hits()
                 fine = hitting_time(tree, payoffs, process, eta=0.05)
+                parent = parents(tree)
                 for q in fine.antichain:
                     node, found = q, False
                     while node is not None:
                         if node in coarse:
                             found = True
                             break
-                        node = tree.parent[node]
+                        node = parent[node]
                     assert found, (q, coarse)
 
     @pytest.mark.parametrize("eta", [0.02, 0.1, 0.5])
