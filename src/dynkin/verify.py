@@ -6,11 +6,11 @@ limits matter: the deviator's action set is (atom, early, late, wait) and the
 best response is an exact backward dynamic program over
 ``core.deviator_lines``, the same stage lines that ``evaluate_profile``
 prices the profile from.  ``deviation_gap`` checks its profile, which is
-outside input, and ``_certify`` then runs both programs for both players in
-one backward pass, one ``deviator_lines`` call per player and node pricing
-both; ``equilibrium.construct`` runs ``_certify`` directly on the profile it
-has just built, so that profile is never checked again.  In the same way
-``check_invariants`` checks its instance and then runs
+outside input, and ``_certify`` then runs both programs in one backward
+pass per player, player 1's first, one ``deviator_lines`` call per node
+pricing both; ``equilibrium.construct`` runs ``_certify`` directly on the
+profile it has just built, so that profile is never checked again.  In the
+same way ``check_invariants`` checks its instance and then runs
 ``_check_invariants``, which the ``dynkin invariants`` command calls
 directly on the game ``toolkit.load`` has just validated.
 ``best_response`` and ``core.evaluate_profile_table`` stay as the
@@ -163,78 +163,56 @@ def _certify(
 ) -> tuple[GapCertificate, GapCertificate]:
     """``deviation_gap`` on a profile that fits ``tree``; it checks nothing.
 
-    One backward pass serves both players.  At each node one loop over the
-    children adds up four continuations, the profile's and the best
-    response's for each player, and one ``deviator_lines`` call per player,
-    player 1's first, prices the stage at both of that player's
-    continuations: the profile's value as in ``evaluate_profile_table`` (the
-    player's lines weighed by their own mix) and the best response as in
-    ``best_response`` (the largest line, found by comparisons, ties to the
-    earlier action).  Each player's four tables are bound once per call, as
-    in ``solve_value_process``.
+    One backward pass per player, player 1's first, runs both of that
+    player's programs.  At each node one loop over the children adds up two
+    continuations, the profile's and the best reply's, and one
+    ``deviator_lines`` call prices the stage at both: the profile's value as
+    in ``evaluate_profile_table`` (the lines weighed by the player's own
+    mix) and the best reply as in ``best_response`` (the largest line, found
+    by comparisons, ties to the earlier action).  Each pass binds its
+    player's four tables and both mixes once, as in ``solve_value_process``.
 
     Raw gaps can dip slightly negative through best-response ties; the
     reported gap is clamped at zero with the raw value kept alongside.  A raw
-    gap that is not finite is a model violation, never a certified zero.
-    Every line reaches that test: the profile's value weighs the atom,
-    early, late and wait lines (0.0 times NaN or an infinity is NaN), and
-    the best reply starts from the reply line and lets each earlier line
-    take over only when it is at least as large, which a NaN never is.  So
-    a NaN line carries up to the root, and on finite lines the best reply
-    is still the first largest line.
+    gap that is not finite is a model violation, never a certified zero, and
+    player 1's is raised before player 2's pass runs.  Every line reaches
+    that test: the profile's value weighs the atom, early, late and wait
+    lines (0.0 times NaN or an infinity is NaN), and the best reply starts
+    from the reply line and lets each earlier line take over only when it is
+    at least as large, which a NaN never is.  So a NaN line carries up to
+    the root, and on finite lines the best reply is still the first largest
+    line.
     """
-    stop1, opp1, sim1, xi1 = payoffs.side(1)
-    stop2, opp2, sim2, xi2 = payoffs.side(2)
-    mixes1, mixes2 = profile.player1, profile.player2
     kids_of = tree.children.get
-    path1: dict[str, float] = {}
-    path2: dict[str, float] = {}
-    best1: dict[str, float] = {}
-    best2: dict[str, float] = {}
-    strategy1: dict[str, StageAction] = {}
-    strategy2: dict[str, StageAction] = {}
-    for node in reversed(tree.nodes):
-        kids = kids_of(node)
-        if kids:
-            c1 = c2 = b1 = b2 = 0.0
-            for child, p in kids:
-                c1 += p * path1[child]
-                c2 += p * path2[child]
-                b1 += p * best1[child]
-                b2 += p * best2[child]
-        else:
-            c1 = b1 = xi1[node]
-            c2 = b2 = xi2[node]
-        a1, u1, w1 = mix1 = mixes1[node]
-        a2, u2, w2 = mix2 = mixes2[node]
-        atom, early, late, wait, reply = deviator_lines(stop1[node], opp1[node], sim1[node], mix2, c1, b1)
-        path1[node] = a1 * atom + u1 * (0.5 * (early + late)) + w1 * wait
-        best, action = reply, _WAIT
-        if late >= best:
-            best, action = late, _LATE
-        if early >= best:
-            best, action = early, _EARLY
-        if atom >= best:
-            best, action = atom, _ATOM
-        best1[node] = best
-        strategy1[node] = action
-        atom, early, late, wait, reply = deviator_lines(stop2[node], opp2[node], sim2[node], mix1, c2, b2)
-        path2[node] = a2 * atom + u2 * (0.5 * (early + late)) + w2 * wait
-        best, action = reply, _WAIT
-        if late >= best:
-            best, action = late, _LATE
-        if early >= best:
-            best, action = early, _EARLY
-        if atom >= best:
-            best, action = atom, _ATOM
-        best2[node] = best
-        strategy2[node] = action
     root = tree.root
     certificates = []
-    for player, best, path_value, strategy in (
-        (1, best1[root], path1[root], strategy1),
-        (2, best2[root], path2[root], strategy2),
-    ):
+    for player, own, other in ((1, profile.player1, profile.player2), (2, profile.player2, profile.player1)):
+        stop, opp, sim, xi = payoffs.side(player)
+        path: dict[str, float] = {}
+        values: dict[str, float] = {}
+        strategy: dict[str, StageAction] = {}
+        for node in reversed(tree.nodes):
+            kids = kids_of(node)
+            if kids:
+                cont = reply = 0.0
+                for child, p in kids:
+                    cont += p * path[child]
+                    reply += p * values[child]
+            else:
+                cont = reply = xi[node]
+            a, u, w = own[node]
+            atom, early, late, wait, best = deviator_lines(stop[node], opp[node], sim[node], other[node], cont, reply)
+            path[node] = a * atom + u * (0.5 * (early + late)) + w * wait
+            action = _WAIT
+            if late >= best:
+                best, action = late, _LATE
+            if early >= best:
+                best, action = early, _EARLY
+            if atom >= best:
+                best, action = atom, _ATOM
+            values[node] = best
+            strategy[node] = action
+        best, path_value = values[root], path[root]
         raw = best - path_value
         if not math.isfinite(raw):
             raise ModelViolationError(

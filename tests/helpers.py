@@ -606,9 +606,9 @@ def profile_issues(tree: EventTree, profile: BehavioralProfile) -> list[str]:
 
 def root_call(tree: EventTree, player: int) -> int:
     """The index of ``player``'s ``deviator_lines`` call at the root in
-    ``deviation_gap``'s pass, which visits the root last and makes one call
-    per player and node, player 1's first."""
-    return 2 * (len(tree.nodes) - 1) + (player - 1)
+    ``deviation_gap``, which runs one backward pass per player, player 1's
+    first, each making one call per node and visiting the root last."""
+    return player * len(tree.nodes) - 1
 
 
 def poisoned_deviator_lines(target: int, line: int, poison: float):

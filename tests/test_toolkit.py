@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynkin
 from dynkin import (
     BehavioralProfile,
     EventTree,
@@ -1075,6 +1076,21 @@ def test_benchmark_tracer_names_exist():
             pytest.fail(f"perfbench reads {chain}: {exc}")
 
 
+def test_the_package_exports_its_44_names():
+    assert sorted(dynkin.__all__) == [
+        "ATOM_MIX", "BehavioralProfile", "CaseLabel", "ConvexityError", "EquilibriumReport",
+        "EventTree", "GapCertificate", "GeneratorSpec", "HittingTime", "InstanceError",
+        "InvariantReport", "ModelViolationError", "PayoffPair", "PayoffProcess", "ProfileError",
+        "SchemaError", "StageAction", "UNIFORM_MIX", "ValueProcess", "WAIT_MIX",
+        "best_response", "brute_force_best_response", "brute_force_payoff", "brute_force_value",
+        "check_invariants", "classify", "construct", "construct_pure", "deviation_gap",
+        "evaluate_profile", "evaluate_profile_table", "generate", "hitting_time", "load",
+        "punishment_strategy", "save", "solve_matrix_game", "solve_value_process", "split_frame",
+        "split_frames", "stage_matrices", "stage_value", "validate_instance", "validate_profile",
+    ]
+    assert len(set(dynkin.__all__)) == len(dynkin.__all__) == 44
+
+
 def test_runtime_imports_only_the_standard_library():
     # The engine has no runtime dependencies: every import in the package is
     # relative, of dynkin itself, or of a standard-library module.
@@ -1250,8 +1266,8 @@ def test_each_command_checks_its_game_once(tmp_path, monkeypatch, capsys):
     ids=["byte-order-mark", "empty", "unclosed", "extra-data", "trailing-comma", "missing-colon", "deep"],
 )
 def test_read_doc_words_a_parse_failure_as_json_loads_does(tmp_path, text):
-    # the reader's one module-level decoder refuses what json.loads refuses,
-    # in the same words, a leading byte order mark included
+    # the reader refuses what json.loads(text, parse_int=float) refuses, in
+    # the same words, a leading byte order mark included
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises((ValueError, RecursionError)) as parsed:

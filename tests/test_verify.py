@@ -202,8 +202,8 @@ def _waiting_mixes(tree, seed):
 
 
 class TestFusedPass:
-    """``deviation_gap`` runs both dynamic programs for both players in one
-    pass; it must equal the references bit for bit, field by field."""
+    """``deviation_gap`` runs both dynamic programs in one pass per player;
+    it must equal the references bit for bit, field by field."""
 
     @pytest.mark.parametrize("mixes", [_waiting_mixes, _pure_mixes, dyadic_mixes, _random_mixes])
     def test_equals_the_references_on_generated_profiles(self, mixes):
@@ -224,6 +224,42 @@ class TestFusedPass:
                     report.tree, report.payoffs, report.profile
                 )
         assert roots == {"A", "A6", "M"}
+
+
+def test_certify_runs_player_1s_pass_then_player_2s(monkeypatch):
+    # one deviator_lines call per player and node: player 1's whole backward
+    # pass, then player 2's, each from the last node in breadth-first order
+    # to the root; root_call's indices rest on this order
+    tree = uniform_tree(2, branching=3)
+    nodes = tree.nodes
+    n = len(nodes)
+    payoffs = PayoffProcess(
+        x1={node: float(k) for k, node in enumerate(nodes)},
+        y1={node: float(n + k) for k, node in enumerate(nodes)},
+        z1={node: float(2 * n + k) for k, node in enumerate(nodes)},
+        x2={node: float(3 * n + k) for k, node in enumerate(nodes)},
+        y2={node: float(4 * n + k) for k, node in enumerate(nodes)},
+        z2={node: float(5 * n + k) for k, node in enumerate(nodes)},
+        xi1={leaf: float(6 * n + k) for k, leaf in enumerate(tree.leaves)},
+        xi2={leaf: float(7 * n + k) for k, leaf in enumerate(tree.leaves)},
+    )
+    stops = []
+
+    def recorded(stop, *rest):
+        stops.append(stop)
+        return core.deviator_lines(stop, *rest)
+
+    monkeypatch.setattr(verify, "deviator_lines", recorded)
+    verify._certify(tree, payoffs, BehavioralProfile.waiting(tree))
+    assert len(stops) == 2 * n
+    assert stops == [payoffs.x1[node] for node in reversed(nodes)] + [payoffs.y2[node] for node in reversed(nodes)]
+    assert [root_call(tree, player) for player in (1, 2)] == [n - 1, 2 * n - 1]
+    monkeypatch.undo()
+    # _certify checks nothing, so NaN terminal payoffs reach the gap test,
+    # where player 1's pass raises first
+    nan_payoffs = constant_payoffs(tree, x=0.0, y=1.0, z=0.5, xi=math.nan, zero_sum=False)
+    with pytest.raises(ModelViolationError, match="player 1: deviation gap nan is not finite"):
+        verify._certify(tree, nan_payoffs, BehavioralProfile.waiting(tree))
 
 
 class TestBruteForce:
