@@ -42,7 +42,7 @@ from collections.abc import Mapping, Sequence
 from enum import Enum
 from itertools import chain, filterfalse
 from operator import itemgetter
-from typing import Container, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 PROB_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-9
@@ -199,17 +199,20 @@ class EventTree(_Record):
         order, which can have no children."""
         return self.depth[self.nodes[-1]]
 
-    def walk(self, start: str, stop: Container[str] = ()) -> list[str]:
-        """Breadth-first nodes from ``start``, not descending below ``stop`` nodes.
+    def walk(self, start: str, stop: Optional[Callable[[str], bool]] = None) -> list[str]:
+        """Breadth-first nodes from ``start``, not descending below a node
+        where ``stop`` holds.
 
+        ``stop`` is asked once for each node the walk reaches, in walk order;
+        a caller that holds a set of stop nodes passes its ``__contains__``.
         From the root with no stop this is ``build``'s own sweep, so it is a
         copy of ``nodes``."""
-        if start == self.root and not stop:
+        if stop is None and start == self.root:
             return self.nodes.copy()
         order = [start]
         kids_of = self.children.get
         for node in order:  # grows as it goes: breadth-first
-            if node not in stop:
+            if stop is None or not stop(node):
                 order.extend(map(_CHILD, kids_of(node, ())))
         return order
 

@@ -41,8 +41,8 @@ from .core import (
 from .verify import GapCertificate, _certify
 from .zerosum import (
     ValueProcess,
-    _first_hits,
     check_convexity,
+    hitting_time,
     punishment_strategy,
     solve_value_process,
 )
@@ -195,14 +195,21 @@ def _construct(
     trace = [root_case]
     infinite: list[str] = []
     if root_case.label == "A6":
-        # The first node per path where either player's hitting condition
-        # holds is the first node per path in either hitting antichain; a
-        # path where neither holds ends at a leaf that waits forever (A63).
-        (hits1, hits2), firsts, infinite = _first_hits(tree, payoffs, (v1, v2), eta, tol)
+        # Both wait until either player first hits: the stops are the first
+        # nodes per path of the union of the two hitting antichains, and a
+        # path with none ends at a leaf that waits forever (A63).  No
+        # ancestor of a node on the union's walk is in either antichain, so
+        # such a node is in a player's antichain exactly when that player's
+        # hit condition holds there.
+        hits1 = hitting_time(tree, payoffs, v1, eta, tol).hits()
+        hits2 = hitting_time(tree, payoffs, v2, eta, tol).hits()
+        either = hits1 | hits2
+        walked = tree.walk(tree.root, either.__contains__)
+        infinite = [n for n in walked if n not in either and tree.is_leaf(n)]
         # Where both hit, the first player to prefer the other stopping (opp
         # above sim) waits: A64 for player 1, else A65 for player 2.
         s1, s2 = payoffs.side(1), payoffs.side(2)
-        for q in firsts:
+        for q in filter(either.__contains__, walked):
             hit1, hit2 = q in hits1, q in hits2
             if hit1 and hit2:
                 if _strict_gt(s1.opp[q], s1.sim[q], tol):

@@ -581,7 +581,8 @@ def _check_invariants(
         stop, opp, _, xi = payoffs.side(i)
         hit = hits[i].hits()
         # the pre-hit region: every node before the hit, never-hit paths whole
-        region = list(filterfalse(hit.__contains__, tree.walk(tree.root, hit)))
+        walked = tree.walk(tree.root, hit.__contains__)
+        region = list(filterfalse(hit.__contains__, walked))
         inner = list(filter(tree.children.get, region))
         add(f"submartingale_p{i}", inner, list(map(sub, map(v.__getitem__, inner), map(continuations[i].__getitem__, inner))))
         antichain = hits[i].antichain
@@ -591,10 +592,10 @@ def _check_invariants(
             list(map(sub, map(sub, map(v.__getitem__, antichain), repeat(eta)), map(stop.__getitem__, antichain))),
         )
         add(f"pre_hit_ordering_p{i}", region, list(map(sub, map(stop.__getitem__, region), map(opp.__getitem__, region))))
-        # the value must not exceed the expected value at the hit, xi beyond it
-        covered = hit.union(region)
+        # the value must not exceed the expected value at the hit, xi beyond
+        # it: the walked nodes, the hit and the region, children first
         target: dict[str, float] = {}
-        where = list(filter(covered.__contains__, back))
+        where = walked[::-1]
         for node in where:
             if node in hit:
                 target[node] = v[node]

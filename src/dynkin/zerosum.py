@@ -59,7 +59,6 @@ from .core import (
     WAIT_MIX,
     STOP_ORDER,
     Outcome,
-    _CHILD,
     _worded_id,
     require_eta,
 )
@@ -282,49 +281,29 @@ def hitting_time(
     eta: float,
     tol: Optional[float] = None,
 ) -> HittingTime:
-    """First node per path where the stop-first payoff reaches value - eta."""
+    """First node per path where the stop-first payoff reaches value - eta.
+
+    The player hits at a node where their stop-first payoff reaches value -
+    eta, within ``tol``: the one hit condition.  ``EventTree.walk`` asks it
+    from the root down and does not descend below a hit, so no node below a
+    first hit is tested.  The antichain and the never-hit leaves are the
+    walked nodes where it holds and the walked leaves where it does not,
+    each in walk order.
+    """
     require_eta(eta)
     tol = payoffs.tolerance(tol)
-    _, antichain, infinite = _first_hits(tree, payoffs, (value,), eta, tol)
-    return HittingTime(player=value.player, eta=eta, antichain=tuple(antichain), infinite_leaves=tuple(infinite))
+    stop, v = payoffs.side(value.player).stop, value.value
 
+    def hits(node: str) -> bool:
+        return stop[node] - (v[node] - eta) >= -tol
 
-def _first_hits(
-    tree: EventTree, payoffs: PayoffProcess, values: tuple[ValueProcess, ...], eta: float, tol: float
-) -> tuple[list[set[str]], list[str], list[str]]:
-    """The first node per path where a player of ``values`` hits, and the
-    leaves of the paths where none does.
-
-    A player hits at a node where their stop-first payoff reaches value -
-    eta, within ``tol``: the one hit condition, which ``hitting_time`` reads
-    for one player and ``equilibrium.construct`` for both.  The walk goes
-    down from the root one level at a time, in ``EventTree.walk``'s
-    breadth-first order, and descends only below the nodes where no player
-    hits, so it tests no node below a first hit.  Returns each player's set
-    of first hits, every first hit in walk order, and the never-hit leaves
-    in walk order.  It checks neither ``eta`` nor ``tol``.
-    """
-    tests = [(payoffs.side(value.player).stop, value.value) for value in values]
-    kids_of = tree.children.get
-    hits: list[set[str]] = [set() for _ in values]
-    first: list[str] = []
-    infinite: list[str] = []
-    level = [tree.root]
-    while level:
-        found = [{n for n in level if stop[n] - (v[n] - eta) >= -tol} for stop, v in tests]
-        for hit, new in zip(hits, found):
-            hit |= new
-        stop_at = set().union(*found)
-        below: list[str] = []
-        for node in level:
-            if node in stop_at:
-                first.append(node)
-            elif kids := kids_of(node):
-                below.extend(map(_CHILD, kids))
-            else:
-                infinite.append(node)
-        level = below
-    return hits, first, infinite
+    walked = tree.walk(tree.root, hits)
+    return HittingTime(
+        player=value.player,
+        eta=eta,
+        antichain=tuple(filter(hits, walked)),
+        infinite_leaves=tuple(n for n in walked if tree.is_leaf(n) and not hits(n)),
+    )
 
 
 def punishment_strategy(tree: EventTree, punisher: int, node: str, value: ValueProcess) -> dict[str, Mix]:

@@ -113,7 +113,7 @@ def test_criterion_3_value_bounds_and_hit_inequalities(solved_corpus):
                     if stop[q] < process.value[q] - eta - tol:
                         violations += 1
                 hits = hit.hits()
-                pre_hit = [n for n in tree.walk(tree.root, hits) if n not in hits]
+                pre_hit = [n for n in tree.walk(tree.root, hits.__contains__) if n not in hits]
                 for n in pre_hit:
                     own = stop[n]
                     if own >= process.value[n] - eta - tol:

@@ -617,6 +617,13 @@ def test_split_ids_step_past_every_taken_id():
     assert stree.leaves == ["ab", "zbb"]
 
 
+def test_split_refuses_an_unknown_target():
+    tree = EventTree.build("r", {"r": [("a", 1.0)]})
+    with pytest.raises(KeyError) as refused:
+        split_frames(tree, constant_payoffs(tree, 1, 2, 3, 4), ["nope"])
+    assert refused.value.args == ("unknown node 'nope'",)
+
+
 def test_split_copies_stage_payoffs_down_a_chain_of_padding_copies():
     # one branch split at two depths pads the other branch's leaf by two
     # frames, the second a copy of the first: every inserted node carries
@@ -728,15 +735,32 @@ def test_build_derives_the_maps_of_the_two_pass_reference():
         stop = set(rng.sample(tree.nodes, k=len(tree.nodes) // 3))
         for start in (tree.root, tree.nodes[len(tree.nodes) // 2], tree.nodes[-1]):
             for stops in ((), stop, set(tree.leaves), set(tree.nodes)):
-                assert tree.walk(start, stops) == list(reference_walk(tree, start, stops))
+                assert tree.walk(start, stops.__contains__) == list(reference_walk(tree, start, stops))
+
+
+def test_walk_asks_stop_once_per_reached_node_in_walk_order():
+    # the stop predicate is asked at each node the walk reaches, once and in
+    # walk order, and at no node below one where it holds
+    rng = random.Random(7)
+    for tree in _built_trees():
+        stop = set(rng.sample(tree.nodes, k=len(tree.nodes) // 3))
+        for start in (tree.root, tree.nodes[len(tree.nodes) // 2]):
+            for stops in (set(), stop, set(tree.nodes)):
+                asked = []
+
+                def recording(node, stops=stops):
+                    asked.append(node)
+                    return node in stops
+
+                walked = tree.walk(start, recording)
+                assert asked == walked == list(reference_walk(tree, start, stops))
 
 
 def test_the_whole_walk_is_a_copy_of_the_breadth_first_order():
     # from the root with no stop nodes, walk is build's own sweep: a copy of
     # nodes, so a caller that changes the list leaves the tree alone
     for tree in _built_trees():
-        for stops in ((), set(), frozenset(), {}):
-            walked = tree.walk(tree.root, stops)
+        for walked in (tree.walk(tree.root), tree.walk(tree.root, None)):
             assert walked == tree.nodes and walked is not tree.nodes
 
 

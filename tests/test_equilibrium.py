@@ -322,7 +322,9 @@ class TestConstruct:
         # below an A6 root, construct stops at the first node per path where
         # either player hits: the nodes it labels A61..A66 are, in
         # breadth-first order, the nodes of the union of the two
-        # hitting_time antichains with no ancestor in that union
+        # hitting_time antichains with no ancestor in that union, and the
+        # leaves it labels A63 are those with no node of the union on their
+        # root path, themselves included
         stops = {"A61", "A62", "A64", "A65", "A66"}
         games = 0
         for family in FAMILIES:
@@ -338,15 +340,18 @@ class TestConstruct:
                         for player in (1, 2):
                             value = solve_value_process(tree, payoffs, player)
                             union |= set(hitting_time(tree, payoffs, value, eta, tol).antichain)
-                        first = []
+                        first, never = [], []
                         parent = parents(tree)
                         for node in tree.nodes:
                             up = parent[node]
                             while up is not None and up not in union:
                                 up = parent[up]
-                            if node in union and up is None:
+                            if up is None and node in union:
                                 first.append(node)
+                            elif up is None and tree.is_leaf(node):
+                                never.append(node)
                         assert [c.node for c in report.case_trace if c.label in stops] == first
+                        assert [c.node for c in report.case_trace if c.label == "A63"] == never
                         games += 1
         assert games >= 50
 

@@ -348,6 +348,17 @@ class TestCli:
         save(inst, tree, payoffs, profile)
         assert self._run("verify", str(inst), "--gap-threshold", "0.5") == 4
 
+    def test_verify_without_a_profile_is_exit_1(self, tmp_path, capsys):
+        # a game file with no embedded profile and no --profile to read
+        tree = uniform_tree(1)
+        inst = tmp_path / "game.json"
+        save(inst, tree, constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0))
+        capsys.readouterr()
+        assert self._run("verify", str(inst)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no profile embedded in the instance and none provided\n"
+        assert captured.out == ""
+
     def test_non_finite_gap_is_exit_5(self, tmp_path, monkeypatch, capsys):
         tree = uniform_tree(1)
         payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0, zero_sum=False)

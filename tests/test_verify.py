@@ -32,7 +32,7 @@ from dynkin import (
     validate_instance,
     validate_profile,
 )
-from dynkin import core, verify, zerosum
+from dynkin import core, equilibrium, verify, zerosum
 from dynkin.cli import main
 from dynkin.toolkit import FAMILIES
 from dynkin.core import ATOM_MIX, PAYOFF_TABLES, UNIFORM_MIX, WAIT_MIX, _issue_line
@@ -201,7 +201,7 @@ def _waiting_mixes(tree, seed):
     return {node: WAIT_MIX for node in tree.nodes}
 
 
-class TestFusedPass:
+class TestCertifyPass:
     """``deviation_gap`` runs both dynamic programs in one pass per player;
     it must equal the references bit for bit, field by field."""
 
@@ -694,6 +694,26 @@ class TestInvariantRunner:
         save(game, tree, payoffs)
         assert main(["invariants", str(game), "--eta", "0.2"]) == 3
         assert f"FAIL value_lower_bound_p1: worst=nan at {tree.root}\n" in capsys.readouterr().out
+
+    def test_a_classification_that_falls_through_fails_its_check(self, monkeypatch, tmp_path, capsys):
+        # a solver bug that leaves the root unclassified fails
+        # classification_total with an infinite worst and the error as witness
+        tree, payoffs = generate(GeneratorSpec(depth=3, branching=2, seed=3))
+        message = "root n0: classification fell through the first-mover chain (region A5)"
+
+        def broken(*args, **kwargs):
+            raise ModelViolationError(message)
+
+        monkeypatch.setattr(equilibrium, "classify", broken)
+        report = check_invariants(tree, payoffs, eta=0.2)
+        assert [c.name for c in report.failures()] == ["classification_total"]
+        check = report.failures()[0]
+        assert (check.passed, check.worst, check.witness) == (False, math.inf, message)
+        game = tmp_path / "game.json"
+        save(game, tree, payoffs)
+        capsys.readouterr()
+        assert main(["invariants", str(game), "--eta", "0.2"]) == 3
+        assert f"FAIL classification_total: worst=inf at {message}\n" in capsys.readouterr().out
 
     def test_builds_one_kernel_table_per_node(self, monkeypatch):
         # one stage_columns call over every node in backward order, with each

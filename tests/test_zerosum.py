@@ -417,10 +417,10 @@ class TestHittingTime:
 
     @pytest.mark.parametrize("eta", [0.02, 0.1, 0.5])
     def test_the_walk_tests_only_down_to_the_first_hits(self, eta):
-        # hitting_time tests the hit condition level by level and stops
-        # below each hit; the reference tests every node, then walks from
-        # the root to the hit set: the same antichain and never-hit leaves,
-        # in the same breadth-first order
+        # hitting_time tests the hit condition at each node its walk reaches
+        # and stops below each hit; the reference tests every node, then
+        # walks from the root to the hit set: the same antichain and
+        # never-hit leaves, in the same breadth-first order
         for tree, payoffs in corpus(40, seed0=300, depth_hi=6):
             tol = payoffs.tolerance()
             for player in (1, 2):
@@ -431,6 +431,40 @@ class TestHittingTime:
                 found = hitting_time(tree, payoffs, process, eta, tol)
                 assert found.antichain == tuple(n for n in walked if n in hit)
                 assert found.infinite_leaves == tuple(n for n in walked if n not in hit and tree.is_leaf(n))
+
+    def test_reads_the_stop_first_table_only_where_its_walk_reaches(self):
+        # the hit condition is tested as the walk reaches a node, so the
+        # player's stop-first table (X1 or Y2) is read at exactly the nodes
+        # from the root down to the first hits, never below them
+        below = 0
+        for tree, payoffs in corpus(40, seed0=300, depth_hi=6):
+            tol = payoffs.tolerance()
+            for player, field in ((1, "x1"), (2, "y2")):
+                process = solve_value_process(tree, payoffs, player)
+                table = getattr(payoffs, field)
+                recorder = _ReadRecorder(table)
+                setattr(payoffs, field, recorder)
+                try:
+                    found = hitting_time(tree, payoffs, process, 0.1, tol)
+                finally:
+                    setattr(payoffs, field, table)
+                hit = found.hits()
+                reached = list(reference_walk(tree, tree.root, hit))
+                assert set(recorder.read) == set(reached)
+                below += len(reached) < len(tree.nodes)
+        assert below > 40  # most walks stop above some node
+
+
+class _ReadRecorder(dict):
+    """A payoff table that records the key of each entry read."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = []
+
+    def __getitem__(self, node):
+        self.read.append(node)
+        return super().__getitem__(node)
 
 
 class TestGuaranteeStrategies:
@@ -494,6 +528,15 @@ class TestPunishment:
         payoffs = constant_payoffs(tree, 0.1, 0.2, 0.3, 0.4)
         fragment = punishment_strategy(tree, punisher=2, node="n1", value=solve_value_process(tree, payoffs, 1))
         assert set(fragment) == set(tree.walk("n1"))
+
+    def test_refuses_the_punishers_own_value_process(self):
+        # the punisher minimizes the opponent's value: player 1 punishes
+        # with player 2's process, never with their own
+        tree = uniform_tree(2)
+        payoffs = constant_payoffs(tree, 0.1, 0.2, 0.3, 0.4)
+        v1 = solve_value_process(tree, payoffs, 1)
+        with pytest.raises(ValueError, match=r"^value process is for player 1, expected 2$"):
+            punishment_strategy(tree, 1, tree.root, v1)
 
 
 class TestPureOptimal:
