@@ -1,14 +1,18 @@
 """Command-line pipeline: generate, solve, equilibrium, verify, invariants.
 
---tol is the absolute tolerance of the hitting and root-region tests in
-solve, equilibrium and invariants alike.
+The four commands that read a game share its positional argument and
+--eta; solve, equilibrium and invariants share --tol, the absolute
+tolerance of the hitting and root-region tests.  generate's flags are the
+fields of toolkit.GeneratorSpec, and its defaults are the spec's.
 
 Exit codes: 0 success, 1 usage (including an --eta, --gap-threshold or
 --range that is not a finite number above zero, a --tol that is not a finite
 number at or above zero, a --depth below 0 or a --branching below 1, a
 generate whose game would hold a payoff above core.PAYOFF_LIMIT, which writes
-no file, and --pure on a game that breaks convexity, or whose Z lies above
-max(X, Y) by no more than --tol where a punishment would be a uniform stop),
+no file, a verify whose default gap threshold, 13 * eta plus a rounding
+allowance, is not finite, and --pure on a game that breaks convexity, or
+whose Z lies above max(X, Y) by no more than --tol where a punishment would
+be a uniform stop),
 2 schema violation
 (including a file that is not readable JSON, a payoff above
 core.PAYOFF_LIMIT, a profile that does not fit its tree, and a report
@@ -89,52 +93,42 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dynkin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    game = argparse.ArgumentParser(add_help=False)
+    game.add_argument("instance")
+    game.add_argument("--eta", type=_positive, default=0.05)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, default=None)
+
+    # GeneratorSpec is the schema of generate: each flag's dest is a field
+    # name, and the spec's defaults are the flags' defaults
     gen = sub.add_parser("generate", help="emit a seeded instance file")
-    gen.add_argument("--family", choices=FAMILIES, default="random")
-    gen.add_argument("--depth", type=int, default=3)
-    gen.add_argument("--branching", type=int, default=2)
-    gen.add_argument("--range", dest="payoff_range", type=float, default=1.0)
+    gen.add_argument("--family", choices=FAMILIES)
+    gen.add_argument("--depth", type=int)
+    gen.add_argument("--branching", type=int)
+    gen.add_argument("--range", dest="payoff_range", type=float)
     gen.add_argument("--zero-sum", action="store_true")
     gen.add_argument("--convexity", action="store_true")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True)
+    gen.set_defaults(**GeneratorSpec()._asdict())
 
-    solve = sub.add_parser("solve", help="emit both value processes as CSV")
-    solve.add_argument("instance")
-    solve.add_argument("--eta", type=_positive, default=0.05)
-    solve.add_argument("--tol", type=_tolerance, default=None)
+    solve = sub.add_parser("solve", parents=[game, tol], help="emit both value processes as CSV")
     solve.add_argument("--out", required=True)
 
-    eq = sub.add_parser("equilibrium", help="construct and certify a profile")
-    eq.add_argument("instance")
-    eq.add_argument("--eta", type=_positive, default=0.05)
-    eq.add_argument("--tol", type=_tolerance, default=None)
+    eq = sub.add_parser("equilibrium", parents=[game, tol], help="construct and certify a profile")
     eq.add_argument("--pure", action="store_true")
     eq.add_argument("--out", required=True)
 
-    ver = sub.add_parser("verify", help="certify a provided profile")
-    ver.add_argument("instance")
+    ver = sub.add_parser("verify", parents=[game], help="certify a provided profile")
     ver.add_argument("--profile", help="profile JSON; defaults to one embedded in the instance")
-    ver.add_argument("--eta", type=_positive, default=0.05)
     ver.add_argument("--gap-threshold", type=_positive, default=None)
 
-    inv = sub.add_parser("invariants", help="run the solver invariant suite")
-    inv.add_argument("instance")
-    inv.add_argument("--eta", type=_positive, default=0.05)
-    inv.add_argument("--tol", type=_tolerance, default=None)
+    sub.add_parser("invariants", parents=[game, tol], help="run the solver invariant suite")
     return parser
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    spec = GeneratorSpec(
-        family=args.family,
-        depth=args.depth,
-        branching=args.branching,
-        payoff_range=args.payoff_range,
-        zero_sum=args.zero_sum,
-        convexity=args.convexity,
-        seed=args.seed,
-    )
+    spec = GeneratorSpec(**{name: getattr(args, name) for name in GeneratorSpec._fields})
     try:
         tree, payoffs = generate(spec)
     except ValueError as exc:
@@ -232,10 +226,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if profile is None:
         print("error: no profile embedded in the instance and none provided", file=sys.stderr)
         return EXIT_USAGE
-    cert1, cert2 = deviation_gap(tree, payoffs, profile)
     threshold = args.gap_threshold
     if threshold is None:
         threshold = 13.0 * args.eta + 1e-6 * max(1.0, payoffs.payoff_range)
+    if not math.isfinite(threshold):  # 13 * eta overflows for eta above about 1.38e307
+        print(f"error: gap threshold {threshold!r} is not finite; pass a smaller --eta or a --gap-threshold", file=sys.stderr)
+        return EXIT_USAGE
+    cert1, cert2 = deviation_gap(tree, payoffs, profile)
     print(f"gap1={cert1.gap!r} gap2={cert2.gap!r} threshold={threshold!r}")
     if cert1.gap > threshold or cert2.gap > threshold:
         return EXIT_GAP
@@ -269,7 +266,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ConvexityError as exc:
+    except (ConvexityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SchemaError, ProfileError, InstanceError) as exc:
@@ -278,9 +275,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ModelViolationError as exc:
         print(f"model violation: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

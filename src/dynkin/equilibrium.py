@@ -120,7 +120,10 @@ def classify(
     v2: ValueProcess,
     tol: Optional[float] = None,
 ) -> CaseLabel:
-    """Root-level region of the instance, given both value processes."""
+    """Root-level region of the instance, given player 1's and player 2's
+    value processes in that order."""
+    if (v1.player, v2.player) != (1, 2):
+        raise ValueError(f"value processes are for players ({v1.player}, {v2.player}), expected (1, 2)")
     tol = payoffs.tolerance(tol)
     r = tree.root
     roots = (v1.value[r], v2.value[r])
@@ -236,7 +239,7 @@ def _construct(
                 profile.side(player)[q] = mix
         if stops.count(None) == 1:
             punisher = stops.index(None) + 1
-            fill = punishment_strategy(tree, punisher, q, v2 if punisher == 1 else v1)
+            fill = punishment_strategy(tree, q, v2 if punisher == 1 else v1)
             if pure and UNIFORM_MIX in fill.values():  # Z above max(X, Y), within tol
                 i = 3 - punisher
                 stop, opp, sim, _ = payoffs.side(i)

@@ -306,14 +306,12 @@ def hitting_time(
     )
 
 
-def punishment_strategy(tree: EventTree, punisher: int, node: str, value: ValueProcess) -> dict[str, Mix]:
+def punishment_strategy(tree: EventTree, node: str, value: ValueProcess) -> dict[str, Mix]:
     """Minimizing stage play holding the opponent to their value on a subtree.
 
-    ``value`` must be the opponent's value process; the punisher is the
-    minimizer there.
+    ``value`` is the opponent's value process, so the punisher is its
+    minimizer, player ``3 - value.player``.
     """
-    if value.player != 3 - punisher:
-        raise ValueError(f"value process is for player {value.player}, expected {3 - punisher}")
     nodes = tree.walk(node)
     return dict(zip(nodes, map(value.min_mix.__getitem__, nodes)))
 

@@ -227,7 +227,7 @@ def test_criterion_8_punishment_tightness(solved_corpus):
     for tree, payoffs, v1, v2 in solved_corpus:
         tol = 1e-9 * max(1.0, payoffs.payoff_range)
         for target, process in ((1, v1), (2, v2)):
-            fragment = punishment_strategy(tree, punisher=3 - target, node=tree.root, value=process)
+            fragment = punishment_strategy(tree, node=tree.root, value=process)
             values, _ = best_response(tree, payoffs, fragment, deviator=target)
             deviation = abs(values[tree.root] - process.value[tree.root])
             worst = max(worst, deviation)

@@ -79,6 +79,15 @@ class TestClassify:
         with pytest.raises(ModelViolationError, match="A5"):
             classify(tree, payoffs, fake1, fake2)
 
+    @pytest.mark.parametrize("players", [(2, 1), (1, 1), (2, 2)], ids=["swapped", "player-1-twice", "player-2-twice"])
+    def test_refuses_value_processes_out_of_player_order(self, players):
+        # swapped, the processes relabel the root with no error, or fall
+        # through the mirrored chain as a false solver bug
+        tree, payoffs = generate(GeneratorSpec(depth=3, branching=2, seed=1))
+        v1, v2 = (solve_value_process(tree, payoffs, player) for player in players)
+        with pytest.raises(ValueError, match=rf"^value processes are for players \({players[0]}, {players[1]}\), expected \(1, 2\)$"):
+            classify(tree, payoffs, v1, v2)
+
 
 def _swapped_label(label):
     return {"A": "M", "M": "A"}[label[0]] + label[1:]
@@ -251,6 +260,59 @@ class TestConstruct:
         report = construct(tree, payoffs, eta=0.05)
         assert [(c.label, c.node) for c in report.case_trace] == [("A6", "r"), (label, "a")]
         assert report.tol == 2e-9
+
+    @pytest.mark.parametrize(
+        "tables, label",
+        [
+            # Y1[q] == Z1[q]: player 1 is indifferent, player 2 prefers
+            # player 1 to stop, so player 2 waits
+            (
+                dict(
+                    x1={"r": -2.0, "q": 1.0}, y1={"r": 0.5, "q": 1.25}, z1={"r": -1.75, "q": 1.25},
+                    x2={"r": -1.0, "q": -0.5}, y2={"r": -1.75, "q": 0.25}, z2={"r": -1.5, "q": -1.5},
+                    xi1={"q": 0.25}, xi2={"q": 0.25},
+                ),
+                "A65",
+            ),
+            # Y1[q] == Z1[q] and X2[q] below Z2[q]: neither prefers the other
+            # to stop, so both stop
+            (
+                dict(
+                    x1={"r": -2.0, "q": -0.25}, y1={"r": 1.0, "q": -1.5}, z1={"r": 0.0, "q": -1.5},
+                    x2={"r": -1.5, "q": -2.0}, y2={"r": -2.0, "q": 0.25}, z2={"r": 0.75, "q": 1.75},
+                    xi1={"q": 1.75}, xi2={"q": -1.0},
+                ),
+                "A66",
+            ),
+            # Y1[q] above Z1[q]: player 1 prefers player 2 to stop, so waits
+            (
+                dict(
+                    x1={"r": -1.25, "q": -0.25}, y1={"r": 1.75, "q": -0.5}, z1={"r": 0.75, "q": -0.75},
+                    x2={"r": 0.75, "q": -1.0}, y2={"r": -1.0, "q": -0.25}, z2={"r": 0.0, "q": 1.0},
+                    xi1={"q": 1.0}, xi2={"q": 0.5},
+                ),
+                "A64",
+            ),
+        ],
+        ids=["A65", "A66", "A64"],
+    )
+    def test_where_both_hit_player_1_waits_only_on_a_strict_preference(self, tables, label):
+        # the contested branch by name: A64 needs Y1 above Z1 by more than
+        # tol, so an indifferent player 1 leaves the node to player 2's test
+        tree = EventTree.build("r", {"r": [("q", 1.0)]})
+        report = construct(tree, PayoffProcess(**tables), eta=0.25)
+        assert [(c.label, c.node) for c in report.case_trace] == [("A6", "r"), (label, "q")]
+
+    def test_gaps_stay_within_eta_on_generated_games(self):
+        # the 13 * eta bound of verify's default threshold is loose: every
+        # construct here certifies within eta + tol
+        for family in FAMILIES:
+            for depth in range(2, 7):
+                for seed in range(30):
+                    tree, payoffs = generate(GeneratorSpec(family=family, depth=depth, branching=3, seed=seed))
+                    for eta in (0.05, 0.2, 0.5, 1.0):
+                        report = construct(tree, payoffs, eta=eta)
+                        assert max(report.gap1, report.gap2) <= eta + report.tol, (family, depth, seed, eta)
 
     def test_masked_stop_survives_a_tempting_simultaneous_payoff(self):
         # If the stopper used a bare atom here, the opponent could collide
@@ -492,7 +554,7 @@ class TestConstructPure:
     def test_rejects_a_uniform_stop_in_a_pure_profile(self, monkeypatch):
         # every entry of a uniform stop is 0 or 1, yet it is a randomized
         # stopping time: a punishment that places one must not pass as pure
-        def uniform_punishment(tree, punisher, node, value):
+        def uniform_punishment(tree, node, value):
             return {n: UNIFORM_MIX for n in tree.walk(node)}
 
         tree, payoffs = generate(GeneratorSpec(depth=3, branching=2, seed=0, convexity=True))

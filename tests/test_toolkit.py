@@ -657,6 +657,7 @@ BAD_INPUTS = {
     "verify-threshold-nan": (["verify", "{game}", "--profile", "{waiting_profile}", "--gap-threshold", "nan"], 1),
     "verify-threshold-inf": (["verify", "{game}", "--profile", "{waiting_profile}", "--gap-threshold", "inf"], 1),
     "verify-threshold-zero": (["verify", "{game}", "--profile", "{waiting_profile}", "--gap-threshold", "0"], 1),
+    "verify-eta-threshold-overflow": (["verify", "{game}", "--profile", "{waiting_profile}", "--eta", "1e308"], 1),
     "pure-non-convex": (["equilibrium", "{game}", "--pure", "--out", "{out}"], 1),
     "bool-payoff": (["solve", "{bool_payoff}", "--out", "{out}"], 2),
     "huge-int-payoff": (["solve", "{huge_payoff}", "--out", "{out}"], 2),
@@ -1026,6 +1027,35 @@ def test_generate_on_any_argv_exits_0_or_1_without_a_traceback(data):
         if code == 0:  # what generate writes loads as a valid game
             tree, payoffs, _ = load(argv[argv.index("--out") + 1])
             assert validate_instance(tree, payoffs) == []
+
+
+# Each generate flag, its GeneratorSpec field, and valid values for it.
+_GENERATE_FIELDS = {
+    "--family": ("family", st.sampled_from(("random", "war-of-attrition", "preemption"))),
+    "--depth": ("depth", st.integers(0, 3)),
+    "--branching": ("branching", st.integers(1, 3)),
+    "--range": ("payoff_range", st.sampled_from((0.5, 1.0, 3.25, 1e6))),
+    "--zero-sum": ("zero_sum", st.just(True)),
+    "--convexity": ("convexity", st.just(True)),
+    "--seed": ("seed", st.integers(-5, 10**6)),
+}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_generate_writes_the_game_of_the_spec_with_the_flags_given(data):
+    # the flags not passed take GeneratorSpec's defaults, whatever those are
+    given, argv = {}, ["generate"]
+    for flag, (field, values) in _GENERATE_FIELDS.items():
+        if data.draw(st.booleans()):
+            given[field] = data.draw(values)
+            argv += [flag] if isinstance(given[field], bool) else [flag, str(given[field])]
+    with tempfile.TemporaryDirectory() as folder:
+        cli_out, lib_out = Path(folder) / "cli.json", Path(folder) / "lib.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(cli_out)]) == 0
+        save(lib_out, *generate(GeneratorSpec(**given)))
+        assert cli_out.read_bytes() == lib_out.read_bytes(), argv
 
 
 def _dynkin_chains(source: str) -> set[str]:

@@ -510,7 +510,7 @@ class TestPunishment:
     def test_flat_instance_holds_opponent_to_value(self):
         tree = uniform_tree(3)
         payoffs = constant_payoffs(tree, x=0.0, y=2.0, z=2.0, xi=1.0)
-        fragment = punishment_strategy(tree, punisher=2, node="n0", value=solve_value_process(tree, payoffs, 1))
+        fragment = punishment_strategy(tree, node="n0", value=solve_value_process(tree, payoffs, 1))
         values, _ = best_response(tree, payoffs, fragment, deviator=1)
         assert all(values[n] == 1.0 for n in tree.nodes)
 
@@ -519,24 +519,15 @@ class TestPunishment:
             tol = payoffs.tolerance()
             for target in (1, 2):
                 process = solve_value_process(tree, payoffs, target)
-                fragment = punishment_strategy(tree, punisher=3 - target, node=tree.root, value=process)
+                fragment = punishment_strategy(tree, node=tree.root, value=process)
                 values, _ = best_response(tree, payoffs, fragment, deviator=target)
                 assert abs(values[tree.root] - process.value[tree.root]) <= tol
 
     def test_subtree_restriction(self):
         tree = uniform_tree(2)
         payoffs = constant_payoffs(tree, 0.1, 0.2, 0.3, 0.4)
-        fragment = punishment_strategy(tree, punisher=2, node="n1", value=solve_value_process(tree, payoffs, 1))
+        fragment = punishment_strategy(tree, node="n1", value=solve_value_process(tree, payoffs, 1))
         assert set(fragment) == set(tree.walk("n1"))
-
-    def test_refuses_the_punishers_own_value_process(self):
-        # the punisher minimizes the opponent's value: player 1 punishes
-        # with player 2's process, never with their own
-        tree = uniform_tree(2)
-        payoffs = constant_payoffs(tree, 0.1, 0.2, 0.3, 0.4)
-        v1 = solve_value_process(tree, payoffs, 1)
-        with pytest.raises(ValueError, match=r"^value process is for player 1, expected 2$"):
-            punishment_strategy(tree, 1, tree.root, v1)
 
 
 class TestPureOptimal:
