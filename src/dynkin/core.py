@@ -40,7 +40,7 @@ import sys
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from enum import Enum
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, repeat
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -150,8 +150,9 @@ class EventTree(_Record):
 
     ``nodes`` is breadth-first (parents before children), so after the root
     it lists every child list in turn; ``children`` maps a node to its
-    (child, probability) list, probabilities summing to one.  ``build`` is
-    the one constructor: it derives the order and the depths in one sweep.
+    (child, probability) list, probabilities summing to one.  ``build``
+    derives the order and the depths in one sweep; it constructs every tree
+    but the root-only frame split, which ``split_frames`` writes by layout.
     Every other map is read off the child lists, downward from the root.
     """
 
@@ -340,10 +341,15 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     sum to a finite total within the limit.  A table with other keys, or
     one that fails its screen, is worded node by node.  A child probability
     must be a number too (as ``_is_number``); a node with one that is not
-    gets no sum check.
+    gets no sum check.  First of all, ``nodes`` must list every node with a
+    depth exactly once: a length and a key-set comparison, and otherwise the
+    one issue, as ``_listing_issue`` words it, since every other check
+    reads the tree in that order.
     """
     nodes = tree.nodes
     depth = tree.depth
+    if len(nodes) != len(depth) or depth.keys() != set(nodes):
+        return [_listing_issue(nodes, depth)]
     horizon = tree.horizon
     kids_of = tree.children.get
     found: defaultdict[str, list[str]] = defaultdict(list)
@@ -395,6 +401,20 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
                 elif math.fabs(value) > PAYOFF_LIMIT:
                     found[node].append(f"node {_worded_id(node)}: {kind} {name} {value!r} is above the payoff limit {PAYOFF_LIMIT!r}")
     return [issue for node in nodes for issue in found.get(node, ())] if found else []
+
+
+def _listing_issue(nodes: list[str], depth: dict[str, int]) -> str:
+    """The first node that ``nodes`` lists twice or without a depth, else
+    the first node with a depth that it leaves out."""
+    seen = set()
+    for node in nodes:
+        if node in seen:
+            return f"node {_worded_id(node)}: listed more than once in the tree's nodes"
+        if node not in depth:
+            return f"node {_worded_id(node)}: in the tree's nodes, yet has no depth"
+        seen.add(node)
+    missing = next(filterfalse(seen.__contains__, depth))
+    return f"node {_worded_id(missing)}: has a depth, yet is not in the tree's nodes"
 
 
 def require_valid(tree: EventTree, payoffs: PayoffProcess) -> None:
@@ -609,7 +629,10 @@ def split_frames(
     start as shallow copies of the input's, and each copy is written as it
     is inserted: its child list, taken over from the node above it, and its
     six stage payoffs, read from that node.  Only the nodes the copies sit
-    below get new child lists.
+    below get new child lists, and ``EventTree.build`` derives the split
+    tree from the child map.  A split whose only target is the root, as
+    every A and M root takes, skips both sweeps: ``_split_root`` writes it
+    by layout.
 
     Original ids survive unchanged.  The third item maps each node that
     received a payoff-identical copy directly below it to the copy's id:
@@ -617,6 +640,8 @@ def split_frames(
     one below it.
     """
     targets = list(dict.fromkeys(nodes))
+    if targets == [tree.root]:
+        return _split_root(tree, payoffs)
     for node in targets:
         if node not in tree.depth:
             raise KeyError(f"unknown node {node!r}")
@@ -665,3 +690,34 @@ def split_frames(
     new_tree = EventTree.build(tree.root, children)
     new_payoffs = PayoffProcess(**stage, **terminal)
     return new_tree, new_payoffs, inserted
+
+
+def _split_root(tree: EventTree, payoffs: PayoffProcess) -> tuple[EventTree, PayoffProcess, dict[str, str]]:
+    """``split_frames`` with the root as its only target, written by layout.
+
+    The split is the input moved down one frame below the root's copy, so
+    its breadth-first order is ``[root, copy, *nodes[1:]]`` and every node
+    below the root is one frame deeper.  The root's child list moves to the
+    copy, and every other child list is an owned copy, each map keyed in
+    the new breadth-first order, as ``EventTree.build`` would give.  No leaf
+    is padded, and the terminal payoffs move to the copy only when the root
+    is a leaf.
+    """
+    root, below, kids_of = tree.root, tree.nodes[1:], tree.children
+    copy_id, k = f"{root}b", 0
+    while copy_id in kids_of:  # ``insert_below``'s free-id rule, kept inline there for speed
+        k += 1
+        copy_id = f"{root}b{k}"
+    depth = {root: 0, copy_id: 1}
+    depth.update(zip(below, map((1).__add__, map(tree.depth.__getitem__, below))))
+    children = {root: [(copy_id, 1.0)], copy_id: list(kids_of.get(root, ()))}
+    children.update(zip(below, map(list, map(kids_of.get, below, repeat(())))))
+    stage = {field: dict(getattr(payoffs, field)) for _, field in STAGE_TABLES}
+    for table in stage.values():
+        table[copy_id] = table[root]
+    terminal = {field: dict(getattr(payoffs, field)) for _, field in TERMINAL_TABLES}
+    if not kids_of.get(root):
+        for table in terminal.values():
+            table[copy_id] = table.pop(root)
+    new_tree = EventTree(root, [root, copy_id, *below], depth, children)
+    return new_tree, PayoffProcess(**stage, **terminal), {root: copy_id}

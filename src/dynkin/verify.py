@@ -513,8 +513,13 @@ def check_invariants(
     once (``stage_columns``, its cells resolved by ``core.STOP_ORDER``) and
     solves all four by the one saddle rule (``saddle_values``); at each node
     the two values are compared with each other and with the closed-form
-    value.  Its items list player 1's nodes in reverse breadth-first order,
-    then player 2's.
+    value.  The dual's rows and columns hold the primal's cells, and
+    ``saddle_values`` takes each fold of the same cells once, so a player's
+    dual values are the primal's own list: the primal-versus-dual
+    comparison can fail only if the dual's slot table picks other cells.
+    Acceptance criterion 2 solves the two orientations separately, through
+    ``solve_matrix_game``.  Its items list player 1's nodes in reverse
+    breadth-first order, then player 2's.
     ``split_invariance`` splits every frame of the input at once and
     compares both value processes at each input node and at its copy.  The
     instance and the split tree are each validated once.
@@ -553,8 +558,9 @@ def _check_invariants(
         # an immediate opponent stop caps the value at max(opp-first, simultaneous)
         add(f"value_opponent_cap_p{i}", nodes, list(map(sub, v, map(max, y, z))))
 
-    # Both orientations, built by the stop-order rule, must agree with each
-    # other and with the closed-form value the process used.
+    # Both orientations, built by the stop-order rule, must agree with the
+    # closed-form value the process used; the dual's values are the primal's
+    # own list unless its slot table picks other cells.
     v1, v2 = values[1].value, values[2].value
     xi1, xi2 = payoffs.side(1).xi, payoffs.side(2).xi
     back = nodes[::-1]

@@ -185,7 +185,10 @@ def saddle_values(matrices: list[ColumnMatrix]) -> list[list[float]]:
     only lower it, and ``<`` on ints and floats is transitive and false
     whenever a NaN takes part, so a later copy never beats it (the same for
     the maximum).  And a fold of the same cells is taken once, across rows,
-    columns and matrices.  The lower and upper
+    columns and matrices: a primal and a dual matrix over one player's
+    cells fold the same cells, so the dual's lower values come back as the
+    primal's own list, and comparing the two finds only a dual whose slot
+    table picks other cells.  The lower and upper
     values are compared as floats (``operator.ne``: a NaN differs from
     itself), and a game without a pure saddle point is a model violation,
     raised at the first node and, there, at the first matrix: every stage
@@ -317,12 +320,16 @@ def punishment_strategy(tree: EventTree, node: str, value: ValueProcess) -> dict
 
 
 def check_convexity(payoffs: PayoffProcess, tree: EventTree, player: int, tol: float) -> None:
-    """Require Z to lie weakly between X and Y for the player at every node."""
+    """Require Z to lie weakly between X and Y for the player at every node.
+
+    The span's ends are taken by comparisons that keep the builtins' float,
+    as in ``stage_value``: the low end is X unless Y < X and the high end is
+    X unless Y > X, so a signed zero is worded as ``min`` and ``max`` give it.
+    """
     stop, opp, sim, _ = payoffs.side(player)
-    for node in tree.nodes:
-        lo = min(stop[node], opp[node])
-        hi = max(stop[node], opp[node])
-        if sim[node] < lo - tol or sim[node] > hi + tol:
-            raise ConvexityError(
-                f"node {_worded_id(node)}: Z{player}={sim[node]!r} outside [{lo!r}, {hi!r}] for player {player}"
-            )
+    nodes = tree.nodes
+    for node, x, y, z in zip(nodes, map(stop.__getitem__, nodes), map(opp.__getitem__, nodes), map(sim.__getitem__, nodes)):
+        lo = y if y < x else x
+        hi = y if y > x else x
+        if z < lo - tol or z > hi + tol:
+            raise ConvexityError(f"node {_worded_id(node)}: Z{player}={z!r} outside [{lo!r}, {hi!r}] for player {player}")

@@ -412,6 +412,52 @@ def tree_maps(tree: EventTree) -> dict[str, object]:
     }
 
 
+def reference_split_frames(
+    tree: EventTree, payoffs: PayoffProcess, targets: Sequence[str]
+) -> tuple[EventTree, PayoffProcess, dict[str, str]]:
+    """``split_frames`` by its rule, step by step: insert a copy below each
+    distinct target in turn, under the first free id of ``{node}b``,
+    ``{node}b1``, ...; pad each leaf whose root path holds fewer targets
+    than the most with that many copies, one below another, moving its
+    terminal payoffs to the last; then derive the tree with
+    ``EventTree.build``.  Both of ``split_frames``' paths must give the same
+    fields, in the same order."""
+    children = {node: list(tree.children.get(node, ())) for node in tree.nodes}
+    tables = {field: dict(getattr(payoffs, field)) for field in PayoffProcess.__slots__}
+    inserted: dict[str, str] = {}
+
+    def insert_below(node: str) -> str:
+        copy = next(c for c in (f"{node}b" if k == 0 else f"{node}b{k}" for k in itertools.count()) if c not in children)
+        children[copy], children[node] = children[node], [(copy, 1.0)]
+        for field in ("x1", "y1", "z1", "x2", "y2", "z2"):
+            tables[field][copy] = tables[field][node]
+        inserted[node] = copy
+        return copy
+
+    unique = list(dict.fromkeys(targets))
+    up = parents(tree)
+
+    def on_path(leaf: Optional[str]) -> int:
+        count = 0
+        while leaf is not None:
+            count += leaf in unique
+            leaf = up[leaf]
+        return count
+
+    counts = {leaf: on_path(leaf) for leaf in tree.leaves}
+    most = max(counts.values())
+    for node in unique:
+        insert_below(node)
+    for leaf, count in counts.items():
+        bottom = inserted.get(leaf, leaf)
+        for _ in range(most - count):
+            bottom = insert_below(bottom)
+        if bottom != leaf:
+            for field in ("xi1", "xi2"):
+                tables[field][bottom] = tables[field].pop(leaf)
+    return EventTree.build(tree.root, children), PayoffProcess(**tables), inserted
+
+
 def parents(tree: EventTree) -> dict[str, Optional[str]]:
     """Each node's parent, the root's None, read off the child lists."""
     up: dict[str, Optional[str]] = {tree.root: None}
@@ -524,6 +570,16 @@ def worded(value: object) -> str:
 def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     """Every structural issue, in node order: the node-by-node reference
     ``validate_instance`` must agree with."""
+    listed: dict[str, int] = {}
+    for node in tree.nodes:
+        listed[node] = listed.get(node, 0) + 1
+        if listed[node] > 1:
+            return [f"node {worded_id(node)}: listed more than once in the tree's nodes"]
+        if node not in tree.depth:
+            return [f"node {worded_id(node)}: in the tree's nodes, yet has no depth"]
+    for node in tree.depth:
+        if node not in listed:
+            return [f"node {worded_id(node)}: has a depth, yet is not in the tree's nodes"]
     issues: list[str] = []
     horizon = tree.horizon
     for node in tree.nodes:

@@ -32,6 +32,8 @@ from dynkin import (
     evaluate_profile,
     evaluate_profile_table,
     generate,
+    hitting_time,
+    solve_value_process,
     split_frame,
     split_frames,
     validate_instance,
@@ -63,6 +65,7 @@ from helpers import (
     outcome_kernel,
     outcome_payoff,
     profile_issues,
+    reference_split_frames,
     reference_tree_maps,
     reference_walk,
     single_node_payoffs,
@@ -146,6 +149,30 @@ def test_a_non_number_probability_is_an_instance_issue(value):
     for entry in (construct, construct_pure, check_invariants):
         with pytest.raises(InstanceError, match="is not a number"):
             entry(tree, payoffs, 0.05)
+
+
+@pytest.mark.parametrize(
+    "listing, issue",
+    [
+        (lambda nodes: nodes[:-1], "node {last}: has a depth, yet is not in the tree's nodes"),
+        (lambda nodes: nodes[:-1] + nodes[1:2], "node {second}: listed more than once in the tree's nodes"),
+        (lambda nodes: nodes + nodes[1:2], "node {second}: listed more than once in the tree's nodes"),
+        (lambda nodes: nodes[:-1] + ["stray"], "node stray: in the tree's nodes, yet has no depth"),
+    ],
+    ids=["dropped", "repeated-in-place", "repeated-at-end", "stray"],
+)
+def test_a_node_list_that_misses_or_repeats_a_node_is_an_instance_issue(listing, issue):
+    # every other check reads the tree in the order of ``nodes``: a node it
+    # leaves out passed them all, and then ``construct`` raised a bare KeyError
+    tree, payoffs = generate(GeneratorSpec(depth=2, branching=2, seed=3))
+    nodes = listing(tree.nodes)
+    tree = EventTree(tree.root, nodes, dict(tree.depth), {k: list(v) for k, v in tree.children.items()})
+    issues = [issue.format(last=list(tree.depth)[-1], second=nodes[1])]
+    assert validate_instance(tree, payoffs) == instance_issues(tree, payoffs) == issues
+    for entry in (construct, construct_pure, check_invariants):
+        with pytest.raises(InstanceError) as caught:
+            entry(tree, payoffs, 0.05)
+        assert str(caught.value) == issues[0]
 
 
 @pytest.mark.parametrize("table", ["y1", "xi2"])
@@ -704,24 +731,62 @@ def test_build_words_the_first_stray_node_in_child_map_order(children, text):
         reference_tree_maps("r", children)
 
 
-def _built_trees():
-    """Trees of every kind the engine builds, from the golden corpus and
-    generated games of all three families: the input, its split with every
-    frame split, a split of a third of its nodes (padding the other leaves)
-    and its ``construct`` report tree (padding the never-hit A63 leaves)."""
+def _built_games():
+    """Games on trees of every kind the engine builds, from the golden corpus
+    and generated games of all three families: the input, its split with
+    every frame split, a split of a third of its nodes (padding the other
+    leaves) and its ``construct`` report (padding the never-hit A63 leaves,
+    or, from an A or M root, written by ``split_frames``' root layout)."""
     rng = random.Random(5)
     games = [golden_game(seed) for seed in range(GAMES)]
     games += corpus(60, seed0=700, depth_lo=0, depth_hi=6)
     padded = 0
     for tree, payoffs in games:
-        yield tree
-        yield split_frames(tree, payoffs, tree.nodes)[0]
+        yield tree, payoffs
+        yield split_frames(tree, payoffs, tree.nodes)[:2]
         targets = rng.sample(tree.nodes, k=1 + len(tree.nodes) // 3)
-        split, _, inserted = split_frames(tree, payoffs, targets)
+        split, spay, inserted = split_frames(tree, payoffs, targets)
         padded += len(inserted) > len(targets)
-        yield split
-        yield construct(tree, payoffs, 0.05).tree
+        yield split, spay
+        report = construct(tree, payoffs, 0.05)
+        yield report.tree, report.payoffs
     assert padded > len(games) // 2
+
+
+def _built_trees():
+    for tree, _ in _built_games():
+        yield tree
+
+
+def _a6_targets(tree, payoffs):
+    """The root and the first nodes per path of the union of both players'
+    hitting antichains, as ``construct`` splits an A6 root."""
+    hits = set()
+    for player in (1, 2):
+        hits |= hitting_time(tree, payoffs, solve_value_process(tree, payoffs, player), 0.05).hits()
+    return [tree.root, *filter(hits.__contains__, tree.walk(tree.root, hits.__contains__))]
+
+
+def _split_fields(split):
+    tree, payoffs, inserted = split
+    tables = [list(getattr(payoffs, field).items()) for _, field in PAYOFF_TABLES]
+    return tree.root, tree.nodes, list(tree.depth.items()), list(tree.children.items()), tables, list(inserted.items())
+
+
+def test_split_frames_matches_the_reference_split_on_every_built_tree():
+    # both paths, the root layout and the general sweep, field by field and
+    # in map order: the root alone (a leaf root among them, and roots whose
+    # "{root}b" id a report's split has taken), the root with an A6 stop set
+    # (padding the leaves no stop covers), and every node
+    seen = {"leaf root": 0, "taken id": 0, "padded": 0}
+    for tree, payoffs in _built_games():
+        seen["leaf root"] += tree.is_leaf(tree.root)
+        seen["taken id"] += f"{tree.root}b" in tree.depth
+        for targets in ([tree.root], _a6_targets(tree, payoffs), tree.nodes, [tree.root, tree.root]):
+            split = split_frames(tree, payoffs, targets)
+            assert _split_fields(split) == _split_fields(reference_split_frames(tree, payoffs, targets)), targets
+            seen["padded"] += len(split[2]) > len(set(targets))
+    assert all(seen.values()), seen
 
 
 def test_build_derives_the_maps_of_the_two_pass_reference():

@@ -1238,11 +1238,32 @@ def test_the_ci_console_script_step_runs(tmp_path, monkeypatch, capsys):
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
     commands = _console_script_commands(workflow)
     assert commands, "the console-script step runs no command"
+    # a game whose root is a leaf: the only root split that moves the
+    # terminal payoffs to the copy
+    assert "dynkin generate --depth 0 --seed 5 --out leaf.json" in commands
+    assert "dynkin verify leaf.json --profile leaf-report.json --eta 0.05" in commands
     monkeypatch.chdir(tmp_path)
     for command in commands:
         argv = shlex.split(command)
         assert argv[0] == "dynkin", command
         assert main(argv[1:]) == 0, (command, capsys.readouterr())
+
+
+def test_each_mutant_text_occurs_once_in_src():
+    # tests/mutants.py plants each row's text in a copy of src; a row whose
+    # text has gone, or now occurs twice, would plant nothing or the wrong fault
+    from mutants import MUTANTS
+
+    root = Path(__file__).resolve().parent.parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in (root / "src" / "dynkin").glob("*.py")}
+    assert MUTANTS
+    for mutant in MUTANTS:
+        assert mutant.file in sources, mutant
+        assert sum(text.count(mutant.text) for text in sources.values()) == 1, mutant
+        assert sources[mutant.file].count(mutant.text) == 1, mutant
+        assert mutant.replacement != mutant.text, mutant
+        test_file = mutant.test.split("::")[0]
+        assert (root / test_file).is_file(), mutant
 
 
 def test_a_failing_property_test_is_reported_and_the_session_goes_on(tmp_path):

@@ -22,7 +22,7 @@ from dynkin import (
     stage_value,
 )
 from dynkin.core import ATOM_MIX, UNIFORM_MIX
-from dynkin.zerosum import saddle_values, stage_columns
+from dynkin.zerosum import check_convexity, saddle_values, stage_columns
 
 from helpers import (
     chain_tree,
@@ -555,6 +555,15 @@ class TestPureOptimal:
         hit = hitting_time(tree, payoffs, process, eta=0.1)
         with pytest.raises(ConvexityError, match="n0"):
             pure_optimal_strategy(tree, payoffs, process, hit, eta=0.1)
+
+    @pytest.mark.parametrize("x, y", [(0.0, -0.0), (-0.0, 0.0)], ids=["x-positive-zero", "x-negative-zero"])
+    def test_convexity_error_words_a_signed_zero_tie_as_min_and_max(self, x, y):
+        # X and Y tie, so each end of the span is X, as min(X, Y) and max(X, Y) give it
+        tree, payoffs = single_node_payoffs(x, y, 1.0, 0.0, 0, 0, 0, 0)
+        with pytest.raises(ConvexityError) as caught:
+            check_convexity(payoffs, tree, 1, 0.0)
+        assert str(caught.value) == f"node n0: Z1=1.0 outside [{min(x, y)!r}, {max(x, y)!r}] for player 1"
+        assert str(caught.value) == f"node n0: Z1=1.0 outside [{x!r}, {x!r}] for player 1"
 
     def test_guarantee_on_clamped_corpus(self):
         for tree, payoffs in corpus(20, seed0=150, depth_hi=4, convexity=True):
