@@ -179,29 +179,21 @@ def saddle_values(matrices: list[ColumnMatrix]) -> list[list[float]]:
     Each cell of a matrix is a column over the same nodes.  The builtins
     take each node's row minima and column maxima in the order of
     ``max(map(min, rows))`` and ``min(map(max, zip(*rows)))``, so every
-    float is theirs, signed zeros and NaN included.  Two shortcuts keep
-    each float.  A repeated cell is passed once: after an argument the
-    running minimum is that argument or one it does not beat, later steps
-    only lower it, and ``<`` on ints and floats is transitive and false
-    whenever a NaN takes part, so a later copy never beats it (the same for
-    the maximum).  And a fold of the same cells is taken once, across rows,
-    columns and matrices: a primal and a dual matrix over one player's
-    cells fold the same cells, so the dual's lower values come back as the
-    primal's own list, and comparing the two finds only a dual whose slot
-    table picks other cells.  The lower and upper
-    values are compared as floats (``operator.ne``: a NaN differs from
-    itself), and a game without a pure saddle point is a model violation,
-    raised at the first node and, there, at the first matrix: every stage
-    game has one.
+    float is theirs, signed zeros and NaN included.  A repeated cell is
+    passed once, which keeps each float: after an argument the running
+    minimum is that argument or one it does not beat, later steps only
+    lower it, and ``<`` on ints and floats is transitive and false whenever
+    a NaN takes part, so a later copy never beats it (the same for the
+    maximum).  Each matrix is folded on its own; nothing is kept across
+    folds.  The lower and upper values are compared as floats
+    (``operator.ne``: a NaN differs from itself), and a game without a pure
+    saddle point is a model violation, raised at the first node and, there,
+    at the first matrix: every stage game has one.
     """
-    folded: dict[tuple, list[float]] = {}  # keyed by the fold and its cells' ids; holds every column it keys
 
     def fold(pick: Callable[..., float], cells: Iterable[list[float]]) -> list[float]:
         cells = tuple({id(cell): cell for cell in cells}.values())
-        key = (pick, *map(id, cells))
-        if key not in folded:
-            folded[key] = list(map(pick, *cells)) if len(cells) > 1 else cells[0]
-        return folded[key]
+        return list(map(pick, *cells)) if len(cells) > 1 else cells[0]
 
     bounds = [
         (fold(max, [fold(min, row) for row in matrix]), fold(min, [fold(max, col) for col in zip(*matrix)]))

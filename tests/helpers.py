@@ -580,6 +580,22 @@ def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     for node in tree.depth:
         if node not in listed:
             return [f"node {worded_id(node)}: has a depth, yet is not in the tree's nodes"]
+    # the nodes must be the root, then the children of each listed node in turn
+    reached = [tree.root]
+    for node in tree.nodes:
+        for child, _ in tree.children.get(node) or ():
+            reached.append(child)
+    for k in range(max(len(reached), len(tree.nodes))):
+        if k < len(reached) and k < len(tree.nodes) and reached[k] == tree.nodes[k]:
+            continue
+        if k < len(reached):
+            if reached[k] not in tree.depth:
+                return [f"node {worded_id(reached[k])}: reached from the root, yet has no depth"]
+            if reached[k] in reached[:k]:
+                return [f"node {worded_id(reached[k])}: reached from the root more than once"]
+        if tree.nodes[k] not in reached:
+            return [f"node {worded_id(tree.nodes[k])}: in the tree's nodes, yet not reachable from the root"]
+        return [f"node {worded_id(tree.nodes[k])}: listed before node {worded_id(reached[k])}, out of breadth-first order"]
     issues: list[str] = []
     horizon = tree.horizon
     for node in tree.nodes:

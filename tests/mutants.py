@@ -8,15 +8,18 @@ Run from the repository root, with the standard library and pytest only:
 
 Each row is (file under ``src/dynkin``, exact text, replacement, the test
 expected to kill it).  For every row the script copies ``src`` to a
-temporary folder, replaces the text there, and runs ``python -m pytest -x``
-on each test the table names, with the copy first on ``PYTHONPATH``.  Row 0
-is the unmutated copy, on which every test must pass.  It prints a kill
-matrix, one line per row and one column per test: ``K`` where the test
-failed, ``.`` where it passed, and ``*`` marks the expected test.  A row
-whose expected test passes survived, and the script exits 1.
+temporary folder, checks that ``import dynkin`` loads the copy with it
+first on ``PYTHONPATH`` (so an installed package cannot stand in for it),
+replaces the text there, and runs ``python -m pytest -x`` on each test the
+table names.  Row 0 is the unmutated copy, on which every test
+must pass.  It prints a kill matrix, one line per row and one column per
+test: ``K`` where the test failed, ``.`` where it passed, and ``*`` marks
+the expected test.  A row whose expected test passes survived, and the
+script exits 1.
 
-The tier-1 suite does not run this script; it checks only that each row's
-text occurs exactly once in ``src``, so the table cannot rot silently.  A
+The tier-1 suite does not run this script (the CI workflow runs it as a
+step of its own, on one interpreter); it checks only that each row's text
+occurs exactly once in ``src``, so the table cannot rot silently.  A
 surviving mutant is a finding to record, not a row to delete.
 """
 
@@ -85,16 +88,55 @@ MUTANTS = (
         "if _weak_ge(s1.opp[q], s1.sim[q], tol):",
         "tests/test_equilibrium.py::TestConstruct::test_where_both_hit_player_1_waits_only_on_a_strict_preference",
     ),
+    # the dual stage grid reads each cell as (antagonist, protagonist)
+    Mutant(
+        "zerosum.py",
+        "[[(r, c) for c in PLAYER_ACTIONS] for r in DEVIATOR_ACTIONS]",
+        "[[(c, r) for c in PLAYER_ACTIONS] for r in DEVIATOR_ACTIONS]",
+        "tests/test_acceptance.py::test_criterion_2_stage_orientations_agree",
+    ),
+    # the invariant runner compares each saddle value with itself, not with
+    # the reported value
+    Mutant(
+        "verify.py",
+        "minimax += map(abs, map(sub, saddle, map(v.__getitem__, back)))",
+        "minimax += map(abs, map(sub, saddle, saddle))",
+        "tests/test_verify.py::TestInvariantRunner::test_minimax_agreement_checks_player_two_at_every_node",
+    ),
+    # validate_instance no longer requires nodes to be the breadth-first
+    # listing of the child lists
+    Mutant(
+        "core.py",
+        "if order != nodes:",
+        "if False:",
+        "tests/test_core.py::test_a_node_list_that_is_not_the_breadth_first_listing_is_an_instance_issue",
+    ),
 )
+
+
+def _env(src: Path) -> dict[str, str]:
+    """This process's environment with ``src`` first on ``PYTHONPATH``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def _shadows(src: Path) -> bool:
+    """Whether ``import dynkin`` loads the package in ``src``.  An installed
+    ``dynkin`` must not take its place: ``pip install -e .`` puts the
+    checkout's ``src`` on the path through a ``.pth`` file, which comes
+    after ``PYTHONPATH``."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", "import dynkin; print(dynkin.__file__)"],  # -B: no bytecode to outlive a mutation
+        cwd=ROOT, env=_env(src), capture_output=True, text=True, check=True,
+    )
+    return Path(proc.stdout.strip()).resolve().is_relative_to(src.resolve())
 
 
 def _run(src: Path, test: str) -> tuple[bool, float]:
     """Whether ``test`` fails on the package in ``src``, and its seconds."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", test],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+        cwd=ROOT, env=_env(src), capture_output=True, text=True, timeout=600,
     )
     if proc.returncode not in (0, 1):  # 2-5: interrupted, internal error, usage, no tests
         raise RuntimeError(f"pytest exited {proc.returncode} on {test}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
@@ -113,6 +155,8 @@ def main(argv: list[str]) -> int:
         with tempfile.TemporaryDirectory() as scratch:
             src = Path(scratch) / "src"
             shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            if not _shadows(src):
+                raise SystemExit(f"row {row}: import dynkin does not load the copy in {src}")
             if row:
                 mutant = MUTANTS[row - 1]
                 path = src / "dynkin" / mutant.file

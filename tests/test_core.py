@@ -175,6 +175,49 @@ def test_a_node_list_that_misses_or_repeats_a_node_is_an_instance_issue(listing,
         assert str(caught.value) == issues[0]
 
 
+def _swapped_first_two(tree, payoffs):
+    nodes = list(tree.nodes)
+    nodes[0], nodes[1] = nodes[1], nodes[0]
+    return EventTree(tree.root, nodes, tree.depth, tree.children), payoffs
+
+
+def _child_without_depth(tree, payoffs):
+    tree.children[tree.root].append(("zz", 0.0))
+    return tree, payoffs
+
+
+def _empty(tree, payoffs):
+    return EventTree("r", [], {}, {}), payoffs
+
+
+def _unreachable(tree, payoffs):
+    tree = EventTree("r", ["r", "a", "o"], {"r": 0, "a": 1, "o": 1}, {"r": [("a", 1.0)]})
+    return tree, constant_payoffs(tree, 0.0, 1.0, 0.5, 0.25)
+
+
+@pytest.mark.parametrize(
+    "malformed, issue",
+    [
+        (_swapped_first_two, "node n1: listed before node n0, out of breadth-first order"),
+        (_child_without_depth, "node zz: reached from the root, yet has no depth"),
+        (_empty, "node r: reached from the root, yet has no depth"),
+        (_unreachable, "node o: in the tree's nodes, yet not reachable from the root"),
+    ],
+    ids=["swapped", "child-without-depth", "empty", "unreachable"],
+)
+def test_a_node_list_that_is_not_the_breadth_first_listing_is_an_instance_issue(malformed, issue):
+    # every node listed once, yet not the root followed by each listed
+    # node's children in turn: each of these validated clean and then
+    # crashed or certified a tree that still held an unreachable node, or
+    # made validation itself raise a bare KeyError or IndexError
+    tree, payoffs = malformed(*generate(GeneratorSpec(depth=2, branching=2, seed=3)))
+    assert validate_instance(tree, payoffs) == instance_issues(tree, payoffs) == [issue]
+    for entry in (construct, construct_pure, check_invariants):
+        with pytest.raises(InstanceError) as caught:
+            entry(tree, payoffs, 0.05)
+        assert str(caught.value) == issue
+
+
 @pytest.mark.parametrize("table", ["y1", "xi2"])
 def test_a_missing_entry_of_a_defaultdict_table_is_an_instance_issue(table):
     # reading the table must not fill the entry in with the default

@@ -1,5 +1,6 @@
 """Classification and equilibrium construction with certified gaps."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -313,6 +314,35 @@ class TestConstruct:
                     for eta in (0.05, 0.2, 0.5, 1.0):
                         report = construct(tree, payoffs, eta=eta)
                         assert max(report.gap1, report.gap2) <= eta + report.tol, (family, depth, seed, eta)
+
+    def test_gaps_stay_within_eta_under_a_seeded_hill_climb(self):
+        # from 150 small games, one payoff at a time takes a Gaussian step,
+        # kept unless gap / eta falls: the climb seeks the largest gap the
+        # construction allows, and every construct on the way stays within
+        # eta + tol
+        fields = [field for _, field in core.PAYOFF_TABLES]
+        worst = 0.0
+        for k in range(150):
+            family, depth, branching = FAMILIES[k % 3], 1 + k // 3 % 3, 1 + k // 9 % 3
+            eta = (0.05, 0.2, 0.5)[k // 27 % 3]
+            tree, payoffs = generate(GeneratorSpec(family=family, depth=depth, branching=branching, seed=k))
+            rng = random.Random(k)
+            best = -1.0
+            for step in range(26):
+                if step:  # step 0 is the generated game
+                    table = getattr(payoffs, rng.choice(fields))
+                    node = rng.choice(list(table))
+                    old = table[node]
+                    table[node] = old + rng.gauss(0.0, 0.3)
+                report = construct(tree, payoffs, eta=eta)
+                gap = max(report.gap1, report.gap2)
+                assert gap <= eta + report.tol, (family, depth, branching, k, eta, step)
+                if gap / eta >= best:
+                    best = gap / eta
+                else:
+                    table[node] = old
+            worst = max(worst, best)
+        assert worst > 0.5  # the climb reaches the bound's neighbourhood
 
     def test_masked_stop_survives_a_tempting_simultaneous_payoff(self):
         # If the stopper used a bare atom here, the opponent could collide

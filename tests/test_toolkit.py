@@ -1266,6 +1266,16 @@ def test_each_mutant_text_occurs_once_in_src():
         assert (root / test_file).is_file(), mutant
 
 
+def test_the_parity_runner_reads_the_ci_console_script_commands():
+    # tests/parity.py runs the workflow's console-script step under each
+    # interpreter; its own reader of the workflow must find the same commands
+    from parity import WORKFLOW, console_script_commands
+
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+    assert WORKFLOW == workflow
+    assert console_script_commands() == _console_script_commands(workflow) != []
+
+
 def test_a_failing_property_test_is_reported_and_the_session_goes_on(tmp_path):
     # Every warning is an error here, yet Hypothesis's pytest plugin imports
     # libcst to write a failing example's patch, and that import warns from

@@ -209,8 +209,8 @@ class TestMatrixGame:
                 saddle_values([column_matrix([matrix, matrix])])
 
     def test_saddle_values_are_each_nodes_rule_on_the_stage_grid(self):
-        # the stage columns share cells across rows, columns, orientations
-        # and rows of one matrix, so each distinct fold runs once: every
+        # the stage columns share cells across rows, columns and
+        # orientations, and each fold passes a repeated cell once: every
         # value is still the per-node rule's, to the bit
         _, nodes, _, columns = _grid_columns()
         values = saddle_values([m for pair in columns for m in pair])
