@@ -343,20 +343,18 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     one that fails its screen, is worded node by node.  A child probability
     must be a number too (as ``_is_number``); a node with one that is not
     gets no sum check.  First of all, ``nodes`` must list every node with a
-    depth exactly once, a length and a key-set comparison, and then be the
+    depth exactly once, a length and a key-set comparison, and be the
     breadth-first listing of the child lists: the root, then the children
     of each node in ``nodes``, in turn, one list comparison.  Otherwise the
-    one issue, as ``_listing_issue`` or ``_order_issue`` words it, since
-    every other check reads the tree in that order.
+    one issue, as ``_listing_issue`` words it, since every other check
+    reads the tree in that order.
     """
     nodes = tree.nodes
     depth = tree.depth
-    if len(nodes) != len(depth) or depth.keys() != set(nodes):
-        return [_listing_issue(nodes, depth)]
     kids_of = tree.children.get
     order = [tree.root, *map(_CHILD, chain.from_iterable(filter(None, map(kids_of, nodes))))]
-    if order != nodes:
-        return [_order_issue(nodes, depth, order)]
+    if len(nodes) != len(depth) or depth.keys() != set(nodes) or order != nodes:
+        return [_listing_issue(nodes, depth, order)]
     horizon = tree.horizon
     found: defaultdict[str, list[str]] = defaultdict(list)
     leaves = []
@@ -409,9 +407,11 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     return [issue for node in nodes for issue in found.get(node, ())] if found else []
 
 
-def _listing_issue(nodes: list[str], depth: dict[str, int]) -> str:
+def _listing_issue(nodes: list[str], depth: dict[str, int], order: list[str]) -> str:
     """The first node that ``nodes`` lists twice or without a depth, else
-    the first node with a depth that it leaves out."""
+    the first node with a depth that it leaves out, else the first place
+    where it leaves ``order``, the breadth-first listing of the child
+    lists: the node ``order`` has there, or, past its end, the listed node."""
     seen = set()
     for node in nodes:
         if node in seen:
@@ -419,26 +419,13 @@ def _listing_issue(nodes: list[str], depth: dict[str, int]) -> str:
         if node not in depth:
             return f"node {_worded_id(node)}: in the tree's nodes, yet has no depth"
         seen.add(node)
-    missing = next(filterfalse(seen.__contains__, depth))
-    return f"node {_worded_id(missing)}: has a depth, yet is not in the tree's nodes"
-
-
-def _order_issue(nodes: list[str], depth: dict[str, int], order: list[str]) -> str:
-    """The first place where ``nodes`` leaves the breadth-first ``order``:
-    the node the child lists reach there if it has no depth or was reached
-    before, else the listed node if the child lists never reach it, else
-    the listed node as out of order."""
+    missing = next(filterfalse(seen.__contains__, depth), None)
+    if missing is not None:
+        return f"node {_worded_id(missing)}: has a depth, yet is not in the tree's nodes"
     k = next((k for k, (listed, reached) in enumerate(zip(nodes, order)) if listed != reached), min(len(nodes), len(order)))
     if k < len(order):
-        reached = order[k]
-        if reached not in depth:
-            return f"node {_worded_id(reached)}: reached from the root, yet has no depth"
-        if reached in nodes[:k]:
-            return f"node {_worded_id(reached)}: reached from the root more than once"
-    listed = nodes[k]
-    if listed not in order:
-        return f"node {_worded_id(listed)}: in the tree's nodes, yet not reachable from the root"
-    return f"node {_worded_id(listed)}: listed before node {_worded_id(order[k])}, out of breadth-first order"
+        return f"node {_worded_id(order[k])}: place {k} of the breadth-first listing of the child lists, not of the tree's nodes"
+    return f"node {_worded_id(nodes[k])}: in the tree's nodes, yet not reached from the root"
 
 
 def require_valid(tree: EventTree, payoffs: PayoffProcess) -> None:

@@ -184,8 +184,7 @@ def saddle_values(matrices: list[ColumnMatrix]) -> list[list[float]]:
     minimum is that argument or one it does not beat, later steps only
     lower it, and ``<`` on ints and floats is transitive and false whenever
     a NaN takes part, so a later copy never beats it (the same for the
-    maximum).  Each matrix is folded on its own; nothing is kept across
-    folds.  The lower and upper values are compared as floats
+    maximum).  The lower and upper values are compared as floats
     (``operator.ne``: a NaN differs from itself), and a game without a pure
     saddle point is a model violation, raised at the first node and, there,
     at the first matrix: every stage game has one.

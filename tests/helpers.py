@@ -585,17 +585,11 @@ def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     for node in tree.nodes:
         for child, _ in tree.children.get(node) or ():
             reached.append(child)
-    for k in range(max(len(reached), len(tree.nodes))):
-        if k < len(reached) and k < len(tree.nodes) and reached[k] == tree.nodes[k]:
-            continue
-        if k < len(reached):
-            if reached[k] not in tree.depth:
-                return [f"node {worded_id(reached[k])}: reached from the root, yet has no depth"]
-            if reached[k] in reached[:k]:
-                return [f"node {worded_id(reached[k])}: reached from the root more than once"]
-        if tree.nodes[k] not in reached:
-            return [f"node {worded_id(tree.nodes[k])}: in the tree's nodes, yet not reachable from the root"]
-        return [f"node {worded_id(tree.nodes[k])}: listed before node {worded_id(reached[k])}, out of breadth-first order"]
+    for k, node in enumerate(reached):
+        if k == len(tree.nodes) or tree.nodes[k] != node:
+            return [f"node {worded_id(node)}: place {k} of the breadth-first listing of the child lists, not of the tree's nodes"]
+    if len(tree.nodes) > len(reached):
+        return [f"node {worded_id(tree.nodes[len(reached)])}: in the tree's nodes, yet not reached from the root"]
     issues: list[str] = []
     horizon = tree.horizon
     for node in tree.nodes:

@@ -74,12 +74,13 @@ MUTANTS = (
         "lo = y if y <= x else x",
         "tests/test_zerosum.py::TestPureOptimal::test_convexity_error_words_a_signed_zero_tie_as_min_and_max",
     ),
-    # validate_instance no longer requires nodes to list every node once
+    # validate_instance no longer requires nodes to list every node with a
+    # depth once, only to be the breadth-first listing of the child lists
     Mutant(
         "core.py",
-        "if len(nodes) != len(depth) or depth.keys() != set(nodes):",
-        "if False:",
-        "tests/test_core.py::test_a_node_list_that_misses_or_repeats_a_node_is_an_instance_issue",
+        "if len(nodes) != len(depth) or depth.keys() != set(nodes) or order != nodes:",
+        "if order != nodes:",
+        "tests/test_core.py::test_a_node_list_that_is_not_the_breadth_first_listing_is_an_instance_issue[child-listed-twice]",
     ),
     # player 1 waits at a contested A6 node on a weak preference
     Mutant(
@@ -107,9 +108,9 @@ MUTANTS = (
     # listing of the child lists
     Mutant(
         "core.py",
-        "if order != nodes:",
-        "if False:",
-        "tests/test_core.py::test_a_node_list_that_is_not_the_breadth_first_listing_is_an_instance_issue",
+        "depth.keys() != set(nodes) or order != nodes:",
+        "depth.keys() != set(nodes):",
+        "tests/test_core.py::test_a_node_list_that_is_not_the_breadth_first_listing_is_an_instance_issue[swapped]",
     ),
 )
 

@@ -15,8 +15,8 @@ every file written are compared with those of the first interpreter that
 starts.  An interpreter that is missing or does not start is reported, and
 the script then exits 1, as it does on any difference.
 
-The tier-1 suite does not run this script; it checks only that the command
-list here is the one the suite's own reader of the workflow finds.
+The tier-1 suite does not run this script; its test of the console-script
+step reads the commands through ``console_script_commands`` here.
 """
 
 from __future__ import annotations

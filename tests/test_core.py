@@ -186,30 +186,45 @@ def _child_without_depth(tree, payoffs):
     return tree, payoffs
 
 
-def _empty(tree, payoffs):
-    return EventTree("r", [], {}, {}), payoffs
+def _hand_built(nodes, depth, children):
+    def malformed(tree, payoffs):
+        tree = EventTree("r", nodes, depth, children)
+        return tree, constant_payoffs(tree, 0.0, 1.0, 0.5, 0.25)
 
-
-def _unreachable(tree, payoffs):
-    tree = EventTree("r", ["r", "a", "o"], {"r": 0, "a": 1, "o": 1}, {"r": [("a", 1.0)]})
-    return tree, constant_payoffs(tree, 0.0, 1.0, 0.5, 0.25)
+    return malformed
 
 
 @pytest.mark.parametrize(
     "malformed, issue",
     [
-        (_swapped_first_two, "node n1: listed before node n0, out of breadth-first order"),
-        (_child_without_depth, "node zz: reached from the root, yet has no depth"),
-        (_empty, "node r: reached from the root, yet has no depth"),
-        (_unreachable, "node o: in the tree's nodes, yet not reachable from the root"),
+        (_swapped_first_two, "node n0: place 0 of the breadth-first listing of the child lists, not of the tree's nodes"),
+        (_child_without_depth, "node zz: place 2 of the breadth-first listing of the child lists, not of the tree's nodes"),
+        (_hand_built([], {}, {}), "node r: place 0 of the breadth-first listing of the child lists, not of the tree's nodes"),
+        (
+            _hand_built(["r", "a", "o"], {"r": 0, "a": 1, "o": 1}, {"r": [("a", 1.0)]}),
+            "node o: in the tree's nodes, yet not reached from the root",
+        ),
+        # the nodes are the breadth-first listing, and only the length and
+        # key-set comparison with the depths finds these
+        (
+            _hand_built(["r", "a", "a"], {"r": 0, "a": 1}, {"r": [("a", 0.5), ("a", 0.5)]}),
+            "node a: listed more than once in the tree's nodes",
+        ),
+        (_hand_built(["r", "zz"], {"r": 0}, {"r": [("zz", 1.0)]}), "node zz: in the tree's nodes, yet has no depth"),
+        (
+            _hand_built(["r", "a"], {"r": 0, "a": 1, "zz": 1}, {"r": [("a", 1.0)]}),
+            "node zz: has a depth, yet is not in the tree's nodes",
+        ),
     ],
-    ids=["swapped", "child-without-depth", "empty", "unreachable"],
+    ids=[
+        "swapped", "child-without-depth", "empty", "unreachable",
+        "child-listed-twice", "listed-child-without-depth", "depth-without-node",
+    ],
 )
 def test_a_node_list_that_is_not_the_breadth_first_listing_is_an_instance_issue(malformed, issue):
-    # every node listed once, yet not the root followed by each listed
-    # node's children in turn: each of these validated clean and then
-    # crashed or certified a tree that still held an unreachable node, or
-    # made validation itself raise a bare KeyError or IndexError
+    # the first four validated clean and then crashed or certified a tree
+    # that still held an unreachable node, or made validation itself raise
+    # a bare KeyError or IndexError
     tree, payoffs = malformed(*generate(GeneratorSpec(depth=2, branching=2, seed=3)))
     assert validate_instance(tree, payoffs) == instance_issues(tree, payoffs) == [issue]
     for entry in (construct, construct_pure, check_invariants):

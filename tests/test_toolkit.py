@@ -1216,27 +1216,13 @@ def test_the_ci_runs_the_benchmark_self_test():
     assert "- run: python perfbench/selftest.py" in steps
 
 
-def _console_script_commands(workflow: Path) -> list[str]:
-    """The ``run`` lines of the workflow's "dynkin console script" step."""
-    lines = workflow.read_text(encoding="utf-8").splitlines()
-    step = [k for k, line in enumerate(lines) if line.strip() == "- name: dynkin console script"]
-    assert len(step) == 1, "the workflow has no single dynkin console script step"
-    run = next(k for k in range(step[0] + 1, len(lines)) if lines[k].strip() == "run: |")
-    indent = len(lines[run]) - len(lines[run].lstrip())
-    commands = []
-    for line in lines[run + 1 :]:
-        if line.strip() and len(line) - len(line.lstrip()) <= indent:
-            break
-        if line.strip():
-            commands.append(line.strip())
-    return commands
-
-
 def test_the_ci_console_script_step_runs(tmp_path, monkeypatch, capsys):
     # the workflow's console-script step, command by command, through the
-    # CLI entry point in an empty folder: each must exit 0, as the step needs
-    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
-    commands = _console_script_commands(workflow)
+    # CLI entry point in an empty folder: each must exit 0, as the step needs;
+    # tests/parity.py reads the same commands to compare interpreters
+    from parity import console_script_commands
+
+    commands = console_script_commands()
     assert commands, "the console-script step runs no command"
     # a game whose root is a leaf: the only root split that moves the
     # terminal payoffs to the copy
@@ -1264,16 +1250,6 @@ def test_each_mutant_text_occurs_once_in_src():
         assert mutant.replacement != mutant.text, mutant
         test_file = mutant.test.split("::")[0]
         assert (root / test_file).is_file(), mutant
-
-
-def test_the_parity_runner_reads_the_ci_console_script_commands():
-    # tests/parity.py runs the workflow's console-script step under each
-    # interpreter; its own reader of the workflow must find the same commands
-    from parity import WORKFLOW, console_script_commands
-
-    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
-    assert WORKFLOW == workflow
-    assert console_script_commands() == _console_script_commands(workflow) != []
 
 
 def test_a_failing_property_test_is_reported_and_the_session_goes_on(tmp_path):
