@@ -347,38 +347,47 @@ def validate_instance(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     breadth-first listing of the child lists: the root, then the children
     of each node in ``nodes``, in turn, one list comparison.  Otherwise the
     one issue, as ``_listing_issue`` words it, since every other check
-    reads the tree in that order.
+    reads the tree in that order.  Before even that, a child entry that is
+    not a (child, probability) pair is the one issue, as ``_entry_issue``
+    words it; the entries are looked at only when reading one as a pair
+    raises or the listing fails, so a clean tree takes no pass for it.
     """
     nodes = tree.nodes
     depth = tree.depth
     kids_of = tree.children.get
-    order = [tree.root, *map(_CHILD, chain.from_iterable(filter(None, map(kids_of, nodes))))]
-    if len(nodes) != len(depth) or depth.keys() != set(nodes) or order != nodes:
-        return [_listing_issue(nodes, depth, order)]
-    horizon = tree.horizon
-    found: defaultdict[str, list[str]] = defaultdict(list)
-    leaves = []
-    for node in nodes:
-        kids = kids_of(node)
-        if not kids:
-            leaves.append(node)
-            if depth[node] != horizon:
-                found[node].append(f"node {_worded_id(node)}: leaf at depth {depth[node]}, horizon is {horizon} (non-uniform horizon)")
-            continue
-        # exact floats are numbers; any other type takes the one rule, edge by edge
-        numbers = set(map(type, map(_PROB, kids))) <= _FLOAT_TYPE or all(map(_is_number, map(_PROB, kids)))
-        if numbers:  # a sum over a non-number has no meaning, or raises
-            total = sum(map(_PROB, kids))
-            if abs(total - 1.0) > PROB_TOL:
-                found[node].append(f"node {_worded_id(node)}: child probabilities sum to {total!r}, not 1")
-        below = depth[node] + 1
-        for child, p in kids:
-            if not (numbers or _is_number(p)):
-                found[node].append(f"node {_worded_id(node)}: probability {_worded(p)} for child {_worded_id(child)} is not a number")
-            elif not 0.0 < p <= 1.0:
-                found[node].append(f"node {_worded_id(node)}: probability {p!r} for child {_worded_id(child)} not in (0, 1]")
-            if depth[child] != below:
-                found[node].append(f"node {_worded_id(child)}: depth {depth[child]} inconsistent with parent")
+    try:
+        order = [tree.root, *map(_CHILD, chain.from_iterable(filter(None, map(kids_of, nodes))))]
+        if len(nodes) != len(depth) or depth.keys() != set(nodes) or order != nodes:
+            return [_entry_issue(nodes, kids_of) or _listing_issue(nodes, depth, order)]
+        horizon = tree.horizon
+        found: defaultdict[str, list[str]] = defaultdict(list)
+        leaves = []
+        for node in nodes:
+            kids = kids_of(node)
+            if not kids:
+                leaves.append(node)
+                if depth[node] != horizon:
+                    found[node].append(f"node {_worded_id(node)}: leaf at depth {depth[node]}, horizon is {horizon} (non-uniform horizon)")
+                continue
+            # exact floats are numbers; any other type takes the one rule, edge by edge
+            numbers = set(map(type, map(_PROB, kids))) <= _FLOAT_TYPE or all(map(_is_number, map(_PROB, kids)))
+            if numbers:  # a sum over a non-number has no meaning, or raises
+                total = sum(map(_PROB, kids))
+                if abs(total - 1.0) > PROB_TOL:
+                    found[node].append(f"node {_worded_id(node)}: child probabilities sum to {total!r}, not 1")
+            below = depth[node] + 1
+            for child, p in kids:
+                if not (numbers or _is_number(p)):
+                    found[node].append(f"node {_worded_id(node)}: probability {_worded(p)} for child {_worded_id(child)} is not a number")
+                elif not 0.0 < p <= 1.0:
+                    found[node].append(f"node {_worded_id(node)}: probability {p!r} for child {_worded_id(child)} not in (0, 1]")
+                if depth[child] != below:
+                    found[node].append(f"node {_worded_id(child)}: depth {depth[child]} inconsistent with parent")
+    except (LookupError, TypeError, ValueError):  # a child entry that is not a pair, read or unpacked
+        issue = _entry_issue(nodes, kids_of)
+        if issue is None:
+            raise
+        return [issue]
     for where, keys, kind, schema in (
         (leaves, set(leaves), "terminal payoff", TERMINAL_TABLES),
         (nodes, depth.keys(), "payoff", STAGE_TABLES),
@@ -426,6 +435,17 @@ def _listing_issue(nodes: list[str], depth: dict[str, int], order: list[str]) ->
     if k < len(order):
         return f"node {_worded_id(order[k])}: place {k} of the breadth-first listing of the child lists, not of the tree's nodes"
     return f"node {_worded_id(nodes[k])}: in the tree's nodes, yet not reached from the root"
+
+
+def _entry_issue(nodes: list[str], kids_of: Callable) -> Optional[str]:
+    """The first child entry, in node order, that is not a (child,
+    probability) pair, a tuple or a list of two, worded at its parent; None
+    when every entry is one."""
+    for node in nodes:
+        for entry in kids_of(node) or ():
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+                return f"node {_worded_id(node)}: child entry {_worded(entry)} is not a (child, probability) pair"
+    return None
 
 
 def require_valid(tree: EventTree, payoffs: PayoffProcess) -> None:

@@ -4,23 +4,24 @@ Game documents are flat JSON: a horizon, a node list with per-node payoffs
 (roots carry no parent, leaves carry terminal payoffs), and a free-form meta
 object.  Profiles map node ids to (atom, uniform, wait) probabilities.
 
-Files pass through one reader and one writer.  ``read_doc`` parses with
+Files pass through one reader and two writers.  ``read_doc`` parses with
 ``json.loads``, integers as floats, and turns every parse failure into a
-``SchemaError``; ``write_doc`` writes sorted keys and shortest round-trip
-floats, so documents are byte-stable under save/load/save.  Game files
-(``save``) are indented by two spaces; reports are one line from the C
-encoder.  ``instance_to_doc`` takes each node's parent and probability from
-its parent's child list.  ``instance_from_doc`` and ``profile_from_doc``
-check only the document's shape and copy each value as written;
-``core.validate_instance`` and ``core.validate_profile`` are the one rule
-for the values, so a file and a library call reject a bad value with the
-same words.  ``load``'s check is the last one a ``dynkin`` command makes on
-its game: the command hands the validated game to the engine's private
-bodies, which do not check it again.  The reader, the writer and the
-``random`` generator take the payoff tables from ``core``'s schema
-(``STAGE_TABLES``, ``TERMINAL_TABLES``), so a file key is the name an issue
-gives the table.  ``GeneratorSpec`` is a ``NamedTuple`` with a default
-for each field.
+``SchemaError``.  Both writers write sorted keys and shortest round-trip
+floats, so documents are byte-stable under save/load/save: ``write_doc``
+writes a report on one line, and ``save`` writes a game file, indented by
+two spaces exactly as ``json.dumps(doc, sort_keys=True, indent=2)`` would,
+with its node list from the C encoder.  ``instance_to_doc`` takes each
+node's parent and probability from its parent's child list.
+``instance_from_doc`` and ``profile_from_doc`` check only the document's
+shape and copy each value as written; ``core.validate_instance`` and
+``core.validate_profile`` are the one rule for the values, so a file and a
+library call reject a bad value with the same words.  ``load``'s check is
+the last one a ``dynkin`` command makes on its game: the command hands the
+validated game to the engine's private bodies, which do not check it
+again.  The reader, the game writer and the ``random`` generator take the
+payoff tables from ``core``'s schema (``STAGE_TABLES``,
+``TERMINAL_TABLES``), so a file key is the name an issue gives the table.
+``GeneratorSpec`` is a ``NamedTuple`` with a default for each field.
 """
 
 from __future__ import annotations
@@ -310,13 +311,34 @@ def instance_from_doc(doc: dict) -> tuple[EventTree, PayoffProcess, Optional[Beh
     return tree, payoffs, profile
 
 
+# The node list with each entry's keys on lines of their own, indented as in
+# a game file.  Every entry is a non-empty flat object of scalars, and
+# ``json`` escapes a newline inside a string, so "},\n      {" is only ever
+# the boundary between two entries.
+_NODE_LIST = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+
+
 def save(
     path: Union[str, Path],
     tree: EventTree,
     payoffs: PayoffProcess,
     profile: Optional[BehavioralProfile] = None,
 ) -> None:
-    write_doc(path, instance_to_doc(tree, payoffs, profile), indent=2)
+    """Write a game file: exactly ``json.dumps(doc, sort_keys=True,
+    indent=2)`` and a newline.  ``json`` encodes any indent in pure Python
+    before 3.13, so the node list, the bulk of the file, is encoded without
+    one, in C, by ``_NODE_LIST``, and its entry boundaries and brackets are
+    indented after; ``horizon``, ``meta`` and ``profile`` are dumped with
+    the indent and moved in by two spaces."""
+    doc = instance_to_doc(tree, payoffs, profile)
+    parts = []
+    for key, value in sorted(doc.items()):
+        if key == "nodes":
+            text = _NODE_LIST(value).replace("},\n      {", "\n    },\n    {\n      ")
+            parts.append(f'  "nodes": [\n    {{\n      {text[2:-2]}\n    }}\n  ]')
+        else:
+            parts.append(f'  "{key}": ' + json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+    Path(path).write_text("{\n" + ",\n".join(parts) + "\n}\n", encoding="utf-8")
 
 
 def read_doc(path: Union[str, Path]) -> object:
@@ -328,14 +350,11 @@ def read_doc(path: Union[str, Path]) -> object:
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
-def write_doc(path: Union[str, Path], doc: dict, indent: Optional[int] = None) -> None:
-    """Write one JSON document with sorted keys and a trailing newline.
-
-    Without ``indent`` the document is one line, written by the C encoder
-    (``json`` falls back to its pure-Python encoder for any indent): the
-    format of reports.  Game files are written with ``indent=2``.
-    """
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=indent) + "\n", encoding="utf-8")
+def write_doc(path: Union[str, Path], doc: dict) -> None:
+    """Write one JSON document on one line, with sorted keys and a trailing
+    newline, by the C encoder: the format of reports.  Game files are
+    indented, and ``save`` writes them."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load(path: Union[str, Path]) -> tuple[EventTree, PayoffProcess, Optional[BehavioralProfile]]:

@@ -570,6 +570,10 @@ def worded(value: object) -> str:
 def instance_issues(tree: EventTree, payoffs: PayoffProcess) -> list[str]:
     """Every structural issue, in node order: the node-by-node reference
     ``validate_instance`` must agree with."""
+    for node in tree.nodes:
+        for entry in tree.children.get(node) or ():
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                return [f"node {worded_id(node)}: child entry {worded(entry)} is not a (child, probability) pair"]
     listed: dict[str, int] = {}
     for node in tree.nodes:
         listed[node] = listed.get(node, 0) + 1

@@ -112,6 +112,14 @@ MUTANTS = (
         "depth.keys() != set(nodes):",
         "tests/test_core.py::test_a_node_list_that_is_not_the_breadth_first_listing_is_an_instance_issue[swapped]",
     ),
+    # the game writer indents the boundary between two node entries by two
+    # spaces, not by json's four
+    Mutant(
+        "toolkit.py",
+        '"\\n    },\\n    {\\n      ")',
+        '"\\n  },\\n  {\\n      ")',
+        "tests/test_toolkit.py::TestFileFormat::test_a_game_file_is_the_indented_dump_of_its_document",
+    ),
 )
 
 

@@ -233,6 +233,26 @@ def test_a_node_list_that_is_not_the_breadth_first_listing_is_an_instance_issue(
         assert str(caught.value) == issue
 
 
+_NOT_PAIRS = (5, None, ("n1",), ("n1", 0.5, 1))
+
+
+@pytest.mark.parametrize("entry", _NOT_PAIRS, ids=["int", "none", "one", "three"])
+@pytest.mark.parametrize("listing", ["breadth-first", "repeated"])
+def test_a_child_entry_that_is_not_a_pair_is_an_instance_issue(entry, listing):
+    # reading the entry as a pair raised a bare TypeError, IndexError or
+    # ValueError; it is worded before any listing issue
+    tree, payoffs = generate(GeneratorSpec(depth=2, branching=2, seed=3))
+    tree.children[tree.root] = [entry]
+    if listing == "repeated":
+        tree = EventTree(tree.root, tree.nodes + tree.nodes[1:2], tree.depth, tree.children)
+    issue = f"node {tree.root}: child entry {worded(entry)} is not a (child, probability) pair"
+    assert validate_instance(tree, payoffs) == instance_issues(tree, payoffs) == [issue]
+    for run in (construct, construct_pure, check_invariants):
+        with pytest.raises(InstanceError) as caught:
+            run(tree, payoffs, 0.05)
+        assert str(caught.value) == issue
+
+
 @pytest.mark.parametrize("table", ["y1", "xi2"])
 def test_a_missing_entry_of_a_defaultdict_table_is_an_instance_issue(table):
     # reading the table must not fill the entry in with the default
@@ -314,10 +334,12 @@ def corrupted_instances(draw):
     """A generated game with one defect planted in it, or none."""
     tree, payoffs = draw(generated_games())
     kind = draw(
-        st.sampled_from(("none", "payoff", "missing", "probability", "non-number-edge", "zero-edge", "depth", "short-leaf"))
+        st.sampled_from(
+            ("none", "payoff", "missing", "probability", "non-number-edge", "zero-edge", "not-a-pair", "depth", "short-leaf")
+        )
     )
     inner = [n for n in tree.nodes if tree.children[n]]
-    on_edges = kind in ("probability", "non-number-edge", "zero-edge", "short-leaf")
+    on_edges = kind in ("probability", "non-number-edge", "zero-edge", "not-a-pair", "short-leaf")
     node = draw(st.sampled_from(inner if inner and on_edges else tree.nodes))
     kids = tree.children[node]
     if kind == "payoff":
@@ -336,6 +358,10 @@ def corrupted_instances(draw):
         kids[i] = (kids[i][0], draw(st.sampled_from(_NON_NUMBERS)))
     elif kind == "zero-edge" and kids:  # the sum stays one
         kids.append((kids[0][0], draw(st.sampled_from((0.0, -0.0, -1e-13)))))
+    elif kind == "not-a-pair" and kids:
+        i = draw(st.integers(0, len(kids) - 1))
+        child, p = kids[i]
+        kids[i] = draw(st.sampled_from((5, None, (child,), (child, p, 1))))
     elif kind == "depth":
         tree.depth[node] += draw(st.sampled_from((-1, 1)))
     elif kind == "short-leaf" and kids:  # a leaf above the horizon, with terminal payoffs

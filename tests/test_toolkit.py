@@ -134,6 +134,36 @@ class TestFileFormat:
         save(second, *load(first)[:2])
         assert first.read_bytes() == second.read_bytes()
 
+    @staticmethod
+    def _games():
+        for family in ("random", "war-of-attrition", "preemption"):
+            for depth in range(8):
+                for zero_sum in (False, True):
+                    for convexity in (False, True):
+                        spec = GeneratorSpec(family, depth, 2, zero_sum=zero_sum, convexity=convexity, seed=depth)
+                        yield generate(spec)
+        yield single_node_payoffs(0.5, -1.0, 0.0, 2.0, -0.5, 1.0, -0.0, 1e-300)
+        # ids holding the node list's entry boundary, quotes, backslashes,
+        # braces, commas and characters beyond ASCII, as node and as parent
+        ids = ["r},\n      {", 'q"uote', "back\\slash", "{brace}", "com,ma", "ünï€😀"]
+        children = {ids[0]: [(node, p) for node, p in zip(ids[1:], (0.5, 0.125, 0.125, 0.125, 0.125))]}
+        children.update((node, [(node + "},\n      {]", 1.0)]) for node in ids[1:])
+        tree = EventTree.build(ids[0], children)
+        yield tree, constant_payoffs(tree, 0.1, -0.2, 1 / 3, 2.5)
+
+    def test_a_game_file_is_the_indented_dump_of_its_document(self, tmp_path):
+        # the writer composes the text from the C encoder's node list; it
+        # must be json's own two-space indent, byte for byte
+        path = tmp_path / "game.json"
+        for k, (tree, payoffs) in enumerate(self._games()):
+            for profile in (None, BehavioralProfile(player1=dyadic_mixes(tree, k), player2=dyadic_mixes(tree, k + 1))):
+                save(path, tree, payoffs, profile)
+                doc = instance_to_doc(tree, payoffs, profile)
+                assert path.read_bytes() == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+                tree2, payoffs2, profile2 = load(path)
+                assert (tree2.nodes, tree2.children, payoffs2) == (tree.nodes, tree.children, payoffs)
+                assert profile2 == profile
+
     def test_profile_round_trip_exact(self, tmp_path):
         tree, payoffs = generate(GeneratorSpec(depth=2, branching=2, seed=17))
         profile = BehavioralProfile(
